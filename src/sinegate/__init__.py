@@ -9,9 +9,10 @@ filter cascade:
     shapes, the low-pass extraction filter (with a self-verifying response
     contract), spectra, and a level discriminator.
 ``detector_model``
-    Calibrated device laws. Gaussian gate profile, exponential
-    bias-efficiency and temperature-dark-count laws, timing jitter with a
-    subsequent-gate tail, and a trapped-carrier afterpulse model.
+    Calibrated device laws. Gaussian gate profile, a linear bias-efficiency
+    law, a dark-count table interpolated log-linearly in temperature,
+    timing jitter with a subsequent-gate tail, and a trapped-carrier
+    afterpulse model.
 ``mc_engine``
     Gate-by-gate Monte Carlo producing detection records, with holdoff,
     TCSPC histogramming, jitter estimation, and lag-correlation statistics.

@@ -13,11 +13,7 @@ Exit codes: 0 success, 1 configuration/usage problem, 2 model range error
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
-import io
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -33,10 +29,12 @@ from .mc_engine import (
     estimate_fwhm,
     deconvolve_jitter,
     inter_detection_correlation,
+    records_table,
     run_simulation,
     subsequent_gate_fraction,
     tcspc_histogram,
 )
+from .table import table_chunks, waveform_chunks, write_chunks
 
 __all__ = ["main", "console_main"]
 
@@ -50,32 +48,6 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(f"{self.prog}: error: {message}\n{self.format_usage()}")
 
 
-_EXP_PAD = re.compile(r"e([+-])0(\d)$")
-
-
-def _format_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        # repr round-trips exactly; drop exponent zero padding (7e-07 -> 7e-7)
-        return _EXP_PAD.sub(r"e\1\2", repr(float(v)))
-    return str(v)
-
-
-def _jsonable(v):
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, (np.bool_,)):
-        return bool(v)
-    return v
-
-
 class Emitter:
     """Writes artifacts into the output directory and tracks their digests."""
 
@@ -84,47 +56,26 @@ class Emitter:
         self.fmt = fmt
         self.files: list[dict] = []
 
-    def _write(self, name: str, text: str) -> None:
-        data = text.encode("utf-8")
-        (self.out_dir / name).write_bytes(data)
-        self.files.append(
-            {"name": name, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
-        )
+    def _write(self, name: str, chunks) -> None:
+        digest, size = write_chunks(self.out_dir / name, chunks)
+        self.files.append({"name": name, "sha256": digest, "bytes": size})
 
-    def emit_table(self, base: str, header: list[str], rows: list[list]) -> None:
-        if self.fmt == "json":
-            doc = {"header": list(header), "rows": [[_jsonable(c) for c in r] for r in rows]}
-            self._write(f"{base}.json", json.dumps(doc, indent=2, sort_keys=True,
-                                                   allow_nan=False) + "\n")
-            return
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(c) for c in row])
-        self._write(f"{base}.csv", buf.getvalue())
+    def emit_table(self, base: str, header: list[str], columns: list) -> None:
+        self._write(f"{base}.{self.fmt}", table_chunks(header, columns, self.fmt))
 
     def emit_json(self, base: str, obj) -> None:
-        self._write(f"{base}.json", json.dumps(obj, indent=2, sort_keys=True,
-                                               allow_nan=False) + "\n")
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        self._write(f"{base}.json", [text.encode("utf-8")])
 
     def emit_waveform(self, base: str, wf: sc.SampledWaveform) -> None:
         if self.fmt == "json":
-            doc = {
-                "dt_s": wf.dt,
-                "t0_s": wf.t0,
-                "samples_v": [float(v) for v in wf.samples],
-            }
-            self._write(f"{base}.json", json.dumps(doc, indent=2, sort_keys=True,
-                                                   allow_nan=False) + "\n")
+            self.emit_json(base, {"dt_s": wf.dt, "t0_s": wf.t0,
+                                  "samples_v": wf.samples.tolist()})
             return
-        lines = [f"# dt={float(wf.dt)!r} n={wf.n}", "time_s,volts"]
-        lines.extend(f"{float(t)!r},{float(v)!r}" for t, v in zip(wf.times, wf.samples))
-        self._write(f"{base}.csv", "\n".join(lines) + "\n")
+        self._write(f"{base}.csv", waveform_chunks(wf.dt, wf.times, wf.samples))
 
     def emit_histogram(self, base: str, hist) -> None:
-        rows = [[float(s * 1e12), int(c)] for s, c in zip(hist.bin_starts, hist.counts)]
-        self.emit_table(base, ["bin_start_ps", "count"], rows)
+        self.emit_table(base, *hist.table())
 
     def write_manifest(self, info: dict) -> None:
         doc = dict(info)
@@ -136,6 +87,11 @@ class Emitter:
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers. Each gets (cfg, emitter, seed, workers).
+
+def _emit_mapping(em: Emitter, base: str, mapping: dict, header=("key", "value")) -> None:
+    """A two-column table with one row per item of `mapping`."""
+    em.emit_table(base, list(header), [list(mapping), list(mapping.values())])
+
 
 def _cmd_chain_demo(cfg: FullConfig, em: Emitter, seed: int, workers: int) -> None:
     ch = cfg.chain
@@ -178,54 +134,49 @@ def _cmd_chain_demo(cfg: FullConfig, em: Emitter, seed: int, workers: int) -> No
     em.emit_waveform("filtered_waveform", filtered)
     for base, wf in (("spectrum_diode", diode), ("spectrum_filtered", filtered)):
         freqs, power_db = sc.power_spectrum(wf)
-        em.emit_table(base, ["frequency_hz", "power_db"],
-                      [[float(f), float(p)] for f, p in zip(freqs, power_db)])
+        em.emit_table(base, ["frequency_hz", "power_db"], [freqs, power_db])
     em.emit_table("filter_response", ["frequency_hz", "gain_db"],
-                  [[float(f), float(g)] for f, g in contract.response])
+                  [contract.response[:, 0], contract.response[:, 1]])
     em.emit_table(
         "filter_contract",
         ["check", "measured_db", "required_db", "ok"],
         [
-            ["passband_ripple", contract.worst_passband_gain_db,
-             -spec.passband_ripple_db, contract.passband_ok],
-            ["rejection_at_gate", contract.gate_attenuation_db,
-             spec.rejection_at_gate_db, contract.gate_ok],
-            ["rejection_band", contract.worst_band_attenuation_db,
-             spec.rejection_band_floor_db, contract.band_ok],
-            ["rejection_to_4ghz", contract.worst_wideband_attenuation_db,
-             spec.rejection_to_4ghz_db, contract.wideband_ok],
+            ["passband_ripple", "rejection_at_gate", "rejection_band", "rejection_to_4ghz"],
+            [contract.worst_passband_gain_db, contract.gate_attenuation_db,
+             contract.worst_band_attenuation_db, contract.worst_wideband_attenuation_db],
+            [-spec.passband_ripple_db, spec.rejection_at_gate_db,
+             spec.rejection_band_floor_db, spec.rejection_to_4ghz_db],
+            [contract.passband_ok, contract.gate_ok, contract.band_ok, contract.wideband_ok],
         ],
     )
     em.emit_table("crossings", ["index", "time_ps"],
-                  [[i, float(t * 1e12)] for i, t in enumerate(crossings)])
-    em.emit_table(
-        "summary",
-        ["key", "value"],
-        [
-            ["filter_order", order],
-            ["filter_cutoff_hz", float(cutoff)],
-            ["filter_contract_ok", bool(contract.ok)],
-            ["n_avalanches", n_av],
-            ["n_crossings", len(crossings)],
-            ["avalanche_times_ps", ";".join(repr(t * 1e12) for t in event_times)],
-            ["filtered_min_v", float(filtered.samples.min())],
-            ["feedthrough_residual_max_v", float(np.abs(residual.samples).max())],
-        ],
-    )
+                  [np.arange(crossings.size), crossings * 1e12])
+    _emit_mapping(em, "summary", {
+        "filter_order": order,
+        "filter_cutoff_hz": float(cutoff),
+        "filter_contract_ok": bool(contract.ok),
+        "n_avalanches": n_av,
+        "n_crossings": len(crossings),
+        "avalanche_times_ps": ";".join(repr(t * 1e12) for t in event_times),
+        "filtered_min_v": float(filtered.samples.min()),
+        "feedthrough_residual_max_v": float(np.abs(residual.samples).max()),
+    })
 
 
 def _cmd_sweep_bias(cfg: FullConfig, em: Emitter, seed: int, workers: int) -> None:
     law = cfg.detector.bias_law
-    rows = [[float(b), float(efficiency_at_bias(law, b))]
-            for b in grid_values(cfg.sweeps["bias_v"])]
-    em.emit_table("bias_efficiency", ["bias_v", "efficiency"], rows)
+    grid = grid_values(cfg.sweeps["bias_v"])
+    em.emit_table("bias_efficiency", ["bias_v", "efficiency"],
+                  [np.asarray(grid, dtype=float),
+                   np.array([efficiency_at_bias(law, b) for b in grid], dtype=float)])
 
 
 def _cmd_sweep_delay(cfg: FullConfig, em: Emitter, seed: int, workers: int) -> None:
     gate = cfg.detector.gate
-    rows = [[float(d), float(gate_profile(gate, d / 1e12))]
-            for d in grid_values(cfg.sweeps["delay_ps"])]
-    em.emit_table("gate_profile", ["delay_ps", "efficiency"], rows)
+    grid = grid_values(cfg.sweeps["delay_ps"])
+    em.emit_table("gate_profile", ["delay_ps", "efficiency"],
+                  [np.asarray(grid, dtype=float),
+                   np.array([gate_profile(gate, d / 1e12) for d in grid], dtype=float)])
 
 
 def _sweep_temperatures(cfg: FullConfig) -> list[float]:
@@ -240,9 +191,10 @@ def _sweep_temperatures(cfg: FullConfig) -> list[float]:
 def _cmd_sweep_temp(cfg: FullConfig, em: Emitter, seed: int, workers: int) -> None:
     if cfg.detector.dark_law is None:
         raise _CliError("sweep-temp needs a dark table (detector.dark_table_c_prob)")
-    rows = [[float(t), float(dark_prob(cfg.detector.dark_law, t))]
-            for t in _sweep_temperatures(cfg)]
-    em.emit_table("dark_counts", ["temperature_c", "dark_prob_per_gate"], rows)
+    temps = _sweep_temperatures(cfg)
+    em.emit_table("dark_counts", ["temperature_c", "dark_prob_per_gate"],
+                  [np.asarray(temps, dtype=float),
+                   np.array([dark_prob(cfg.detector.dark_law, t) for t in temps], dtype=float)])
 
 
 def _cmd_tcspc(cfg: FullConfig, em: Emitter, seed: int, workers: int) -> None:
@@ -269,65 +221,56 @@ def _cmd_tcspc(cfg: FullConfig, em: Emitter, seed: int, workers: int) -> None:
     gate_period = cfg.detector.gate.gate_period
     corr = inter_detection_correlation(records, cfg.tcspc["max_lag_gates"], gate_period)
 
-    summary_rows = [["n_pulses", cfg.tcspc["n_pulses"]],
-                    ["n_records", int(records.size)],
-                    ["n_accepted", int(result.counters["accepted_total"])]]
+    summary = {"n_pulses": cfg.tcspc["n_pulses"],
+               "n_records": int(records.size),
+               "n_accepted": int(result.counters["accepted_total"])}
     for name in ORIGIN_NAMES:
-        summary_rows.append([f"n_{name}", result.counters[f"generated_{name}"]])
-    summary_rows.append(["histogram_total", hist.total])
+        summary[f"n_{name}"] = result.counters[f"generated_{name}"]
+    summary["histogram_total"] = hist.total
     if hist.total > 0 and records.size > 0:
         fwhm = estimate_fwhm(hist)
-        summary_rows.append(["fwhm_ps", float(fwhm * 1e12)])
+        summary["fwhm_ps"] = float(fwhm * 1e12)
         if fwhm >= src.laser_fwhm:
-            summary_rows.append(
-                ["jitter_fwhm_ps", float(deconvolve_jitter(fwhm, src.laser_fwhm) * 1e12)]
-            )
-        summary_rows.append(
-            ["subsequent_gate_fraction",
-             float(subsequent_gate_fraction(hist, gate_period,
-                                            cfg.detector.jitter.tail_span_gates))]
+            summary["jitter_fwhm_ps"] = float(deconvolve_jitter(fwhm, src.laser_fwhm) * 1e12)
+        summary["subsequent_gate_fraction"] = float(
+            subsequent_gate_fraction(hist, gate_period, cfg.detector.jitter.tail_span_gates)
         )
 
     em.emit_histogram("tcspc_histogram", hist)
     em.emit_histogram("correlation", corr)
-    em.emit_table(
-        "records",
-        ["gate_index", "time_ps", "origin", "accepted"],
-        [[int(r["gate_index"]), float(r["time"] * 1e12),
-          ORIGIN_NAMES[int(r["origin"])], bool(r["accepted"])] for r in records],
-    )
-    em.emit_table("summary", ["key", "value"], summary_rows)
+    em.emit_table("records", *records_table(records))
+    _emit_mapping(em, "summary", summary)
 
 
 _QKD_HEADER = ["axis_value", "mu_detector", "raw_rate_hz", "qber", "qber_dark",
                "qber_ext", "qber_tail", "rate_after_ec_hz", "secret_rate_hz"]
 
 
-def _qkd_rows(axis_values, reports) -> list[list]:
-    return [
-        [float(v), float(r.mu_detector), float(r.raw_rate), float(r.qber_total),
-         float(r.qber_dark), float(r.qber_extinction), float(r.qber_timing_tail),
-         float(r.rate_after_ec), float(r.secret_rate)]
-        for v, r in zip(axis_values, reports)
+_QKD_FIELDS = ("mu_detector", "raw_rate", "qber_total", "qber_dark", "qber_extinction",
+               "qber_timing_tail", "rate_after_ec", "secret_rate")
+
+
+def _qkd_columns(axis_values, reports) -> list[np.ndarray]:
+    return [np.asarray(axis_values, dtype=float)] + [
+        np.array([getattr(r, name) for r in reports], dtype=float) for name in _QKD_FIELDS
     ]
 
 
 def _cmd_qkd(cfg: FullConfig, em: Emitter, seed: int, workers: int) -> None:
     grid = grid_values(cfg.sweeps["fiber_loss_db"])
     reports = qb.sweep(cfg.qkd, "fiber_loss_db", grid)
-    em.emit_table("qkd_vs_loss", _QKD_HEADER, _qkd_rows(grid, reports))
+    em.emit_table("qkd_vs_loss", _QKD_HEADER, _qkd_columns(grid, reports))
     em.emit_json("qkd_notes", reports[0].notes)
     n_bits = cfg.merged["qkd"]["mc_check_bits"]
     if n_bits > 0:
         mc = qb.mc_link_run(cfg.qkd, n_bits, seed, workers=workers)
-        em.emit_table("qkd_mc_check", ["metric", "value"],
-                      [[k, _jsonable(v)] for k, v in mc.items()])
+        _emit_mapping(em, "qkd_mc_check", mc, header=("metric", "value"))
 
 
 def _cmd_qkd_temp(cfg: FullConfig, em: Emitter, seed: int, workers: int) -> None:
     temps = _sweep_temperatures(cfg)
     reports = qb.sweep(cfg.qkd, "temperature", temps)
-    em.emit_table("qkd_vs_temperature", _QKD_HEADER, _qkd_rows(temps, reports))
+    em.emit_table("qkd_vs_temperature", _QKD_HEADER, _qkd_columns(temps, reports))
     em.emit_json("qkd_notes", reports[0].notes)
 
 
@@ -336,32 +279,25 @@ def _cmd_stability(cfg: FullConfig, em: Emitter, seed: int, workers: int) -> Non
         cfg.qkd, cfg.stability["n_segments"], cfg.stability["bits_per_segment"],
         seed, workers=workers,
     )
-    rows = [
-        [s["segment_index"], s["n_bits"], s["accepted_total"], s["accepted_in_windows"],
-         s["wrong_bin"], float(s["raw_rate_hz"]), float(s["qber"])]
-        for s in segments
-    ]
+    counted = ["segment_index", "n_bits", "accepted_total", "accepted_in_windows", "wrong_bin"]
+    rates = ["raw_rate_hz", "qber"]
     em.emit_table(
         "stability_segments",
-        ["segment_index", "n_bits", "accepted_total", "accepted_in_windows",
-         "wrong_bin", "raw_rate_hz", "qber"],
-        rows,
+        counted + rates,
+        [np.array([s[key] for s in segments], dtype=np.int64) for key in counted]
+        + [np.array([s[key] for s in segments], dtype=float) for key in rates],
     )
     counts = np.array([s["accepted_total"] for s in segments], dtype=float)
     mean = float(counts.mean())
     std = float(counts.std(ddof=1)) if counts.size > 1 else 0.0
     max_z = float(np.abs(counts - mean).max() / np.sqrt(mean)) if mean > 0 else 0.0
-    em.emit_table(
-        "stability_summary",
-        ["key", "value"],
-        [
-            ["n_segments", int(counts.size)],
-            ["mean_accepted", mean],
-            ["std_accepted", std],
-            ["relative_std", std / mean if mean > 0 else 0.0],
-            ["max_abs_poisson_z", max_z],
-        ],
-    )
+    _emit_mapping(em, "stability_summary", {
+        "n_segments": int(counts.size),
+        "mean_accepted": mean,
+        "std_accepted": std,
+        "relative_std": std / mean if mean > 0 else 0.0,
+        "max_abs_poisson_z": max_z,
+    })
 
 
 _HANDLERS = {

@@ -43,6 +43,7 @@ from .detector_model import (
     DetectorParams,
     sample_detection_times,
 )
+from .table import Labels, table_chunks, write_chunks
 
 __all__ = [
     "SourceConfig",
@@ -515,12 +516,12 @@ class Histogram:
         idx = idx[(idx >= 0) & (idx < n_bins)]
         return cls(bin_width, origin, np.bincount(idx, minlength=n_bins))
 
+    def table(self) -> tuple[list[str], list[np.ndarray]]:
+        """Header and columns of the `bin_start_ps,count` table."""
+        return ["bin_start_ps", "count"], [self.bin_starts * 1e12, self.counts]
+
     def to_csv(self, path) -> None:
-        """`bin_start_ps,count` rows."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("bin_start_ps,count\n")
-            for start, count in zip(self.bin_starts, self.counts):
-                fh.write(f"{float(start) * 1e12!r},{int(count)}\n")
+        write_chunks(path, table_chunks(*self.table()))
 
 
 def tcspc_histogram(
@@ -720,12 +721,15 @@ def short_lag_excess_pvalue(
     return float(p_value)
 
 
+def records_table(records: np.ndarray) -> tuple[list[str], list]:
+    """Header and columns of the `gate_index,time_ps,origin,accepted` table."""
+    return (
+        ["gate_index", "time_ps", "origin", "accepted"],
+        [records["gate_index"], records["time"] * 1e12,
+         Labels(ORIGIN_NAMES, records["origin"]), records["accepted"]],
+    )
+
+
 def records_to_csv(records: np.ndarray, path) -> None:
-    """`gate_index,time_ps,origin,accepted` rows (times in picoseconds)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("gate_index,time_ps,origin,accepted\n")
-        for r in records:
-            fh.write(
-                f"{int(r['gate_index'])},{float(r['time']) * 1e12!r},"
-                f"{ORIGIN_NAMES[int(r['origin'])]},{'true' if r['accepted'] else 'false'}\n"
-            )
+    """Write `records_table(records)` as CSV (times in picoseconds)."""
+    write_chunks(path, table_chunks(*records_table(records)))

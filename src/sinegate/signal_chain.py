@@ -21,6 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .table import waveform_chunks, write_chunks
+
 __all__ = [
     "SampledWaveform",
     "AvalanchePulseShape",
@@ -116,11 +118,7 @@ class SampledWaveform:
 
     def to_csv(self, path) -> None:
         """Write `time_s,volts` rows with a `# dt=<sec> n=<count>` header line."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# dt={float(self.dt)!r} n={self.n}\n")
-            fh.write("time_s,volts\n")
-            for t, v in zip(self.times, self.samples):
-                fh.write(f"{float(t)!r},{float(v)!r}\n")
+        write_chunks(path, waveform_chunks(self.dt, self.times, self.samples))
 
     @classmethod
     def from_csv(cls, path) -> "SampledWaveform":

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from sinegate.cli import main
+from sinegate.table import CHUNK_ROWS
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -183,6 +184,24 @@ def test_rerun_byte_identical_and_worker_independent(tmp_path):
     assert read_dir(out) == first
     run_ok(["tcspc", "--config", cfg, "--seed", "99", "--out", str(out),
             "--workers", "2"])
+    assert read_dir(out) == first
+
+    # JSON tables streamed in several chunks: a bright source gives more
+    # records than one chunk of the table writer holds
+    bright = write_cfg(tmp_path, {
+        "source": {"kind": "pulsed-trigger", "mean_photons": 30.0},
+        "tcspc": {"n_pulses": 40000, "max_lag_gates": 60},
+    }, name="bright.json")
+    args = ["tcspc", "--config", bright, "--seed", "99", "--format", "json",
+            "--out", str(out)]
+    for p in out.iterdir():
+        p.unlink()
+    run_ok(args)
+    first = read_dir(out)
+    assert len(json.loads(first["records.json"])["rows"]) > CHUNK_ROWS
+    run_ok(args)
+    assert read_dir(out) == first
+    run_ok(args + ["--workers", "2"])
     assert read_dir(out) == first
 
 

@@ -1,0 +1,280 @@
+"""The columnar table writer against the per-row writer it replaced.
+
+The oracle below is the row-at-a-time emission the CLI used before tables
+became columnar: every cell through one `isinstance` chain, rows through
+`csv.writer`, and JSON through one `json.dumps` of the whole document. The
+fast writer must reproduce its bytes exactly.
+"""
+
+import csv
+import io
+import json
+import re
+
+import numpy as np
+import pytest
+
+from sinegate import cli
+from sinegate import signal_chain as sc
+from sinegate.mc_engine import Histogram, records_table, records_to_csv
+from sinegate.table import CHUNK_ROWS, Labels, table_chunks, write_chunks
+
+# --------------------------------------------------------------------- oracle
+
+_EXP_PAD = re.compile(r"e([+-])0(\d)$")
+
+
+def oracle_cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return _EXP_PAD.sub(r"e\1\2", repr(float(v)))
+    return str(v)
+
+
+def oracle_jsonable(v):
+    if isinstance(v, np.integer):
+        return int(v)
+    if isinstance(v, np.floating):
+        return float(v)
+    if isinstance(v, np.bool_):
+        return bool(v)
+    return v
+
+
+def oracle_table(header, rows, fmt) -> bytes:
+    if fmt == "json":
+        doc = {"header": list(header),
+               "rows": [[oracle_jsonable(c) for c in r] for r in rows]}
+        return (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([oracle_cell(c) for c in row])
+    return buf.getvalue().encode()
+
+
+def oracle_waveform_csv(wf) -> bytes:
+    lines = [f"# dt={float(wf.dt)!r} n={wf.n}", "time_s,volts"]
+    lines.extend(f"{float(t)!r},{float(v)!r}" for t, v in zip(wf.times, wf.samples))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def rows_of(columns) -> list[list]:
+    """Columns turned back into rows of scalars, as the per-row writer took them."""
+    cols = [[c.names[i] for i in c.codes] if isinstance(c, Labels) else list(c)
+            for c in columns]
+    return [list(r) for r in zip(*cols)]
+
+
+def fast_table(header, columns, fmt) -> bytes:
+    return b"".join(table_chunks(header, columns, fmt))
+
+
+def assert_matches_oracle(header, columns, fmt):
+    assert fast_table(header, columns, fmt) == oracle_table(header, rows_of(columns), fmt)
+
+
+# ------------------------------------------------------------ cli end to end
+
+CLI_CFG = {
+    # bright enough that the records table spans more than one chunk
+    "source": {"kind": "pulsed-trigger", "mean_photons": 30.0},
+    "tcspc": {"n_pulses": 40000, "max_lag_gates": 60},
+    "qkd": {"mc_check_bits": 50000},
+    "stability": {"n_segments": 3, "bits_per_segment": 20000},
+    "sweeps": {
+        "bias_v": {"start": 52.0, "stop": 54.5, "step": 0.5},
+        "delay_ps": {"start": -200.0, "stop": 200.0, "step": 50.0},
+        "fiber_loss_db": {"start": 0.0, "stop": 4.0, "step": 2.0},
+    },
+    "chain": {"duration_ns": 40.0, "n_avalanches": 2},
+}
+
+
+def oracle_emit_table(self, base, header, columns):
+    self._write(f"{base}.{self.fmt}", [oracle_table(header, rows_of(columns), self.fmt)])
+
+
+def oracle_emit_waveform(self, base, wf):
+    if self.fmt == "json":
+        doc = {"dt_s": wf.dt, "t0_s": wf.t0, "samples_v": [float(v) for v in wf.samples]}
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        self._write(f"{base}.json", [text.encode()])
+    else:
+        self._write(f"{base}.csv", [oracle_waveform_csv(wf)])
+
+
+def run_cli(args, out):
+    assert cli.main(args + ["--out", str(out)]) == 0
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    for p in out.iterdir():
+        p.unlink()
+    return files
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", sorted(cli._HANDLERS))
+def test_cli_output_matches_per_row_oracle(tmp_path, monkeypatch, command, fmt):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(CLI_CFG), encoding="utf-8")
+    args = [command, "--config", str(cfg), "--seed", "3", "--format", fmt]
+    out = tmp_path / "out"
+    fast = run_cli(args, out)
+    monkeypatch.setattr(cli.Emitter, "emit_table", oracle_emit_table)
+    monkeypatch.setattr(cli.Emitter, "emit_waveform", oracle_emit_waveform)
+    assert run_cli(args, out) == fast  # manifest.json included
+    if command == "tcspc":
+        records = fast[f"records.{fmt}"]
+        n_rows = len(json.loads(records)["rows"]) if fmt == "json" else records.count(b"\n") - 1
+        assert n_rows > CHUNK_ROWS
+
+
+# ----------------------------------------------------------------- edge cases
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_zero_row_table(fmt):
+    assert_matches_oracle(["a", "b"], [np.array([]), []], fmt)
+    assert_matches_oracle(["a"], [np.array([], dtype=np.int64)], fmt)
+
+
+def test_float_column_csv_rules():
+    values = np.array([7e-07, -0.0, 0.0, float("nan"), float("inf"), -float("inf"),
+                       1e16, 1.5e-300, 9.999999999999999e-05, 1e-4, 0.1, 2400.0,
+                       -3.25e-12, 1.7976931348623157e308])
+    assert_matches_oracle(["x"], [values], "csv")
+    lines = fast_table(["x"], [values], "csv").decode().splitlines()
+    assert lines[1:4] == ["7e-7", "-0.0", "0.0"]
+    assert lines[4] == "nan"
+
+
+def test_float_column_json():
+    values = np.array([7e-07, -0.0, 1e16, 0.1, 2400.0, 1e-300])
+    assert_matches_oracle(["x"], [values], "json")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_json_refuses_non_finite(bad):
+    with pytest.raises(ValueError):
+        fast_table(["x"], [np.array([1.0, bad])], "json")
+    with pytest.raises(ValueError):
+        fast_table(["k", "v"], [["a", "b"], [1, bad]], "json")
+    with pytest.raises(ValueError):
+        oracle_table(["x"], [[bad]], "json")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_none_cells(fmt):
+    assert_matches_oracle(["k", "v"], [["a", "b"], [None, 1.5]], fmt)
+    assert_matches_oracle(["v"], [[None, "", "x"]], fmt)  # csv quotes a lone empty field
+    if fmt == "csv":
+        assert fast_table(["k", "v"], [["a"], [None]], fmt) == b"k,v\na,\n"
+    else:
+        assert json.loads(fast_table(["k", "v"], [["a"], [None]], fmt))["rows"] == [["a", None]]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cells_that_need_quoting(fmt):
+    text = ["a,b", 'say "hi"', "line\nbreak", "cr\rx", "plain", " lead"]
+    assert_matches_oracle(["text", "n"], [text, np.arange(len(text))], fmt)
+    assert_matches_oracle(["with,comma", 'q"uote'], [["x"], [1]], fmt)
+    assert_matches_oracle(["origin"], [Labels(("a,b", "plain"), np.array([0, 1, 0]))], fmt)
+
+
+def test_non_ascii_strings():
+    columns = [["µs", "é", "日本"], np.array([1.0, 2.0, 3.0])]
+    assert_matches_oracle(["unit", "v"], columns, "json")
+    assert_matches_oracle(["unit", "v"], columns, "csv")
+    assert b"\\u00b5s" in fast_table(["unit", "v"], columns, "json")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_numpy_scalars_in_mixed_columns(fmt):
+    values = [np.int64(3), np.float64(2.5e-5), np.bool_(True), np.float32(0.1),
+              np.uint8(7), True, 4, 0.5, "text"]
+    assert_matches_oracle(["k", "v"], [[f"k{i}" for i in range(len(values))], values], fmt)
+
+
+def test_nested_json_cells():
+    columns = [["a", "b", "c"], [{"z": 1, "a": [1, 2.5]}, [], [None, {"k": "v"}]]]
+    assert_matches_oracle(["k", "v"], columns, "json")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_longer_than_one_chunk(fmt):
+    n = 2 * CHUNK_ROWS + 7
+    rng = np.random.default_rng(11)
+    columns = [
+        np.arange(n, dtype=np.int64) * 3 - 5,
+        rng.normal(size=n) * 10.0 ** rng.integers(-12, 18, size=n),
+        Labels(("photon", "dark", "afterpulse", "tail"),
+               rng.integers(0, 4, size=n).astype(np.uint8)),
+        rng.random(n) < 0.5,
+    ]
+    assert_matches_oracle(["i", "x", "origin", "ok"], columns, fmt)
+    chunks = list(table_chunks(["i", "x", "origin", "ok"], columns, fmt))
+    assert len(chunks) >= 3
+
+
+@pytest.mark.parametrize("n", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+def test_chunk_boundaries(n):
+    columns = [np.arange(n), np.linspace(0.0, 1.0, n)]
+    for fmt in ("csv", "json"):
+        assert_matches_oracle(["i", "x"], columns, fmt)
+
+
+def test_mismatched_columns_rejected():
+    with pytest.raises(ValueError):
+        fast_table(["a", "b"], [np.arange(3), np.arange(4)], "csv")
+    with pytest.raises(ValueError):
+        fast_table(["a"], [np.arange(3), np.arange(3)], "csv")
+    with pytest.raises(ValueError):
+        fast_table(["a"], [np.arange(3)], "xml")
+
+
+def test_failed_json_table_leaves_no_file(tmp_path):
+    path = tmp_path / "t.json"
+    columns = [np.concatenate([np.zeros(CHUNK_ROWS), [float("nan")]])]
+    with pytest.raises(ValueError):
+        write_chunks(path, table_chunks(["x"], columns, "json"))
+    assert not path.exists()
+
+
+# ------------------------------------------------- library writers, same path
+
+def test_records_to_csv_is_the_table_writer(tmp_path):
+    rng = np.random.default_rng(2)
+    recs = np.zeros(CHUNK_ROWS + 3, dtype=[("gate_index", np.int64), ("time", np.float64),
+                                           ("origin", np.uint8), ("accepted", np.bool_)])
+    recs["gate_index"] = np.sort(rng.integers(0, 10**9, size=recs.size))
+    recs["time"] = recs["gate_index"] * 8e-10 + rng.normal(0, 1e-10, size=recs.size)
+    recs["origin"] = rng.integers(0, 4, size=recs.size)
+    recs["accepted"] = rng.random(recs.size) < 0.9
+    path = tmp_path / "r.csv"
+    records_to_csv(recs, path)
+    header, columns = records_table(recs)
+    assert path.read_bytes() == oracle_table(header, rows_of(columns), "csv")
+
+
+def test_histogram_to_csv_is_the_table_writer(tmp_path):
+    h = Histogram(4e-12, -1.6e-8, np.arange(50) % 7)
+    path = tmp_path / "h.csv"
+    h.to_csv(path)
+    header, columns = h.table()
+    assert path.read_bytes() == oracle_table(header, rows_of(columns), "csv")
+
+
+def test_waveform_csv_single_builder(tmp_path):
+    rng = np.random.default_rng(4)
+    wf = sc.SampledWaveform(rng.normal(size=CHUNK_ROWS + 9) * 1e-5, 2.5e-12, t0=3.5e-10)
+    path = tmp_path / "w.csv"
+    wf.to_csv(path)
+    assert path.read_bytes() == oracle_waveform_csv(wf)
+    em = cli.Emitter(tmp_path, "csv")
+    em.emit_waveform("w2", wf)
+    assert (tmp_path / "w2.csv").read_bytes() == oracle_waveform_csv(wf)
