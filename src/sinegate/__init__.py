@@ -20,7 +20,8 @@ filter cascade:
     Analytic link budget for a coherent-one-way-style time-bin link plus a
     Monte Carlo cross-check of its rate and error predictions.
 ``config`` / ``cli``
-    JSON configuration (validated against a shipped schema) and the
+    JSON configuration (one declared shape, validated and published as a
+    JSON Schema by ``config.schema_text()``) and the
     ``sinegate`` command-line front end.
 
 All randomness flows from one master seed through named ``SeedSequence``
@@ -59,7 +60,6 @@ from .detector_model import (
     sample_detection_times,
 )
 from .mc_engine import (
-    DetectionRecord,
     Histogram,
     RunConfig,
     RunResult,
@@ -99,7 +99,6 @@ __all__ = [
     "AvalanchePulseShape",
     "BiasEfficiencyLaw",
     "ConfigError",
-    "DetectionRecord",
     "DetectorParams",
     "DiscriminatorConfig",
     "FilterContractReport",

@@ -3,15 +3,16 @@
 A configuration is a JSON object; every field has a default, so `{}` is a
 complete document. User files are deep-merged over the defaults and then
 validated in one pass that reports EVERY failing field, not just the first.
-The machine-readable shape ships as `config_schema.json` next to this file.
+The shape is declared once, as the JSON Schema tree `_SCHEMA`: validation
+walks it and `schema_text()` prints it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
-from importlib import resources
 
 from .detector_model import DetectorParams
 from .mc_engine import SourceConfig
@@ -111,198 +112,230 @@ def deep_merge(base: dict, override: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Leaf validators: each returns an error string or None.
+# The configuration shape: one tree that is itself a draft-07 JSON Schema.
+# `schema_text()` prints it and `validate_config` walks it with `_check`,
+# which reads only the keywords used here. Every field is required of the
+# merged document (`missing` otherwise) and optional in a user file. Two
+# rules JSON Schema cannot state live in `_valid`: numbers must be finite
+# (`json.load` reads NaN) and integers must be Python ints (JSON Schema
+# counts 2.0 as an integer).
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
-def _number(v):
-    return None if _is_number(v) else "must be a finite number"
-
-
-def _positive(v):
-    return None if _is_number(v) and v > 0 else "must be a number > 0"
-
-
-def _non_negative(v):
-    return None if _is_number(v) and v >= 0 else "must be a number >= 0"
-
-
-def _probability(v):
-    return None if _is_number(v) and 0 <= v <= 1 else "must be a number in [0, 1]"
-
-
-def _fraction_below_one(v):
-    return None if _is_number(v) and 0 <= v < 1 else "must be a number in [0, 1)"
-
-
-def _integer(pred, what):
-    def check(v):
-        ok = isinstance(v, int) and not isinstance(v, bool) and pred(v)
-        return None if ok else what
-
-    return check
-
-
-_positive_int = _integer(lambda v: v >= 1, "must be an integer >= 1")
-_non_negative_int = _integer(lambda v: v >= 0, "must be an integer >= 0")
-_seed = _integer(lambda v: 0 <= v < 2**64, "must be an integer in [0, 2**64)")
-
-
-def _boolean(v):
-    return None if isinstance(v, bool) else "must be true or false"
-
-
-def _enum(*options):
-    def check(v):
-        return None if v in options else f"must be one of {options}"
-
-    return check
-
-
-def _nullable(inner):
-    def check(v):
-        return None if v is None else inner(v)
-
-    return check
-
-
-def _dark_table(v):
-    if v is None:
-        return None
-    if not isinstance(v, list) or not v:
-        return "must be null or a non-empty list of [temperature_c, probability] pairs"
-    last_t = None
-    for row in v:
-        if not (isinstance(row, list) and len(row) == 2 and _is_number(row[0]) and _is_number(row[1])):
-            return "each row must be a [temperature_c, probability] number pair"
-        if not (0 < row[1] < 1):
-            return "probabilities must be in (0, 1)"
-        if last_t is not None and row[0] <= last_t:
-            return "temperatures must be strictly increasing"
-        last_t = row[0]
-    return None
-
-
-def _temperature_list(v):
-    if v is None:
-        return None
-    if not isinstance(v, list) or not v:
-        return "must be null or a non-empty list of temperatures"
-    if not all(_is_number(t) for t in v):
-        return "temperatures must be finite numbers"
-    return None
-
-
-_GRID = {"start": _number, "stop": _number, "step": _positive}
-
-_SPEC_TREE = {
-    "run": {
-        "master_seed": _seed,
-        "holdoff_gates": _non_negative_int,
-        "holdoff_anchor": _enum("accepted", "any"),
-    },
-    "detector": {
-        "gate": {
-            "gate_frequency_hz": _positive,
-            "gate_fwhm_ps": _positive,
-            "delay_step_ps": _positive,
-            "peak_efficiency": _probability,
-        },
-        "bias_law": {
-            "anchor_bias_v": _number,
-            "anchor_efficiency": _probability,
-            "slope_per_v": _positive,
-            "breakdown_bias_v": _number,
-        },
-        "dark_table_c_prob": _dark_table,
-        "jitter": {
-            "sigma_ps": _non_negative,
-            "tail_fraction": _fraction_below_one,
-            "tail_span_gates": _positive_int,
-        },
-        "afterpulse": {
-            "trap_fill_per_detection": _non_negative,
-            "release_lifetime_ns": _positive,
-            "trigger_prob_per_gate": _probability,
-            "enabled": _boolean,
-        },
-        "operating": {
-            "bias_v": _number,
-            "temperature_c": _number,
-        },
-    },
-    "source": {
-        "kind": _enum("pulsed-trigger", "cw-dark-only", "cow-ppm"),
-        "trigger_rate_hz": _positive,
-        "mean_photons": _non_negative,
-        "laser_fwhm_ps": _non_negative,
-        "alignment_delay_ps": _number,
-        "extinction_db": _positive,
-    },
-    "qkd": {
-        "mu_source": _non_negative,
-        "fiber_loss_db": _non_negative,
-        "bit_rate_hz": _positive,
-        "timebin_width_ps": _positive,
-        "extinction_db": _positive,
-        "holdoff_time_ns": _non_negative,
-        "ec_efficiency": _positive,
-        "dead_time_model": _enum("nonparalyzable", "paralyzable"),
-        "pa_fraction": _probability,
-        "qber_floor": _nullable(_fraction_below_one),
-        "laser_fwhm_ps": _non_negative,
-        "mc_check_bits": _non_negative_int,
-    },
-    "chain": {
-        "dt_ps": _positive,
-        "duration_ns": _positive,
-        "amplitude_pp_v": _non_negative,
-        "coupling_gain": _non_negative,
-        "stages": _positive_int,
-        "n_avalanches": _non_negative_int,
-        "threshold_mv": _number,
-        "refractory_ns": _non_negative,
-        "delay_ps": _number,
-    },
-    "tcspc": {
-        "n_pulses": _positive_int,
-        "bin_width_ps": _positive,
-        "max_lag_gates": _positive_int,
-    },
-    "sweeps": {
-        "bias_v": _GRID,
-        "delay_ps": _GRID,
-        "fiber_loss_db": _GRID,
-        "temperatures_c": _temperature_list,
-    },
-    "stability": {
-        "n_segments": _positive_int,
-        "bits_per_segment": _positive_int,
-    },
+_BOUNDS = {"gt": "exclusiveMinimum", "ge": "minimum", "lt": "exclusiveMaximum", "le": "maximum"}
+_COMPARE = {
+    "exclusiveMinimum": operator.gt,
+    "minimum": operator.ge,
+    "exclusiveMaximum": operator.lt,
+    "maximum": operator.le,
 }
 
 
-def _walk(spec, doc, path, errors):
-    if callable(spec):
-        msg = spec(doc)
-        if msg is not None:
-            errors.append(f"{path}: {msg}")
+def _obj(**properties) -> dict:
+    return {"type": "object", "additionalProperties": False, "properties": properties}
+
+
+def _num(kind: str = "number", **bounds) -> dict:
+    """A number (or integer) fragment; bounds are gt/ge/lt/le keywords."""
+    return {"type": kind, **{_BOUNDS[k]: v for k, v in bounds.items()}}
+
+
+def _int(**bounds) -> dict:
+    return _num("integer", **bounds)
+
+
+def _enum(*options) -> dict:
+    return {"enum": list(options)}
+
+
+def _nullable(inner: dict) -> dict:
+    return {"oneOf": [{"type": "null"}, inner]}
+
+
+def _list(items, min_items: int, description: str) -> dict:
+    return {"type": "array", "description": description, "minItems": min_items, "items": items}
+
+
+_SWEEP_GRID = _obj(start=_num(), stop=_num(), step=_num(gt=0))
+
+_SCHEMA = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "title": "sinegate configuration",
+    "description": "All fields are optional; omitted fields take the documented "
+    "defaults. Unit suffixes are part of the field names.",
+    **_obj(
+        run=_obj(
+            master_seed=_int(ge=0, lt=2**64),
+            holdoff_gates=_int(ge=0),
+            holdoff_anchor=_enum("accepted", "any"),
+        ),
+        detector=_obj(
+            gate=_obj(
+                gate_frequency_hz=_num(gt=0),
+                gate_fwhm_ps=_num(gt=0),
+                peak_efficiency=_num(ge=0, le=1),
+            ),
+            bias_law=_obj(
+                anchor_bias_v=_num(),
+                anchor_efficiency=_num(ge=0, le=1),
+                slope_per_v=_num(gt=0),
+                breakdown_bias_v=_num(),
+            ),
+            dark_table_c_prob=_nullable(_list(
+                {"type": "array", "minItems": 2, "maxItems": 2,
+                 "items": [_num(), _num(gt=0, lt=1)]},
+                2,
+                "a list of at least 2 [temperature_c, probability] pairs, "
+                "probability in (0, 1)",
+            )),
+            jitter=_obj(
+                sigma_ps=_num(ge=0),
+                tail_fraction=_num(ge=0, lt=1),
+                tail_span_gates=_int(ge=1),
+            ),
+            afterpulse=_obj(
+                trap_fill_per_detection=_num(ge=0),
+                release_lifetime_ns=_num(gt=0),
+                trigger_prob_per_gate=_num(ge=0, le=1),
+                enabled={"type": "boolean"},
+            ),
+            operating=_obj(bias_v=_num(), temperature_c=_num()),
+        ),
+        source=_obj(
+            kind=_enum("pulsed-trigger", "cw-dark-only", "cow-ppm"),
+            trigger_rate_hz=_num(gt=0),
+            mean_photons=_num(ge=0),
+            laser_fwhm_ps=_num(ge=0),
+            alignment_delay_ps=_num(),
+            extinction_db=_num(gt=0),
+        ),
+        qkd=_obj(
+            mu_source=_num(ge=0),
+            fiber_loss_db=_num(ge=0),
+            bit_rate_hz=_num(gt=0),
+            timebin_width_ps=_num(gt=0),
+            extinction_db=_num(gt=0),
+            holdoff_time_ns=_num(ge=0),
+            ec_efficiency=_num(ge=1),
+            dead_time_model=_enum("nonparalyzable", "paralyzable"),
+            pa_fraction=_num(ge=0, le=1),
+            qber_floor=_nullable(_num(ge=0, lt=0.5)),
+            laser_fwhm_ps=_num(ge=0),
+            mc_check_bits=_int(ge=0),
+        ),
+        chain=_obj(
+            dt_ps=_num(gt=0),
+            duration_ns=_num(gt=0),
+            amplitude_pp_v=_num(ge=0),
+            coupling_gain=_num(ge=0),
+            stages=_int(ge=1),
+            n_avalanches=_int(ge=0),
+            threshold_mv=_num(),
+            refractory_ns=_num(ge=0),
+            delay_ps=_num(),
+        ),
+        tcspc=_obj(
+            n_pulses=_int(ge=1),
+            bin_width_ps=_num(gt=0),
+            max_lag_gates=_int(ge=1),
+        ),
+        sweeps=_obj(
+            bias_v=_SWEEP_GRID,
+            delay_ps=_SWEEP_GRID,
+            fiber_loss_db=_SWEEP_GRID,
+            temperatures_c=_nullable(_list(_num(), 1, "a non-empty list of temperatures")),
+        ),
+        stability=_obj(
+            n_segments=_int(ge=1),
+            bits_per_segment=_int(ge=1),
+        ),
+    ),
+}
+
+
+def _finite(v) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _valid(schema: dict, v) -> bool:
+    """Whether `v` satisfies a non-object fragment of `_SCHEMA`."""
+    if "oneOf" in schema:
+        return sum(_valid(branch, v) for branch in schema["oneOf"]) == 1
+    if "enum" in schema:
+        return v in schema["enum"]
+    kind = schema["type"]
+    if kind == "null":
+        return v is None
+    if kind == "boolean":
+        return isinstance(v, bool)
+    if kind == "array":
+        if not (isinstance(v, list) and schema["minItems"] <= len(v) <= schema.get("maxItems", len(v))):
+            return False
+        items = schema["items"]  # a list of fragments checks a tuple
+        pairs = zip(items, v) if isinstance(items, list) else ((items, x) for x in v)
+        return all(_valid(s, x) for s, x in pairs)
+    number_types = int if kind == "integer" else (int, float)
+    return (
+        isinstance(v, number_types)
+        and not isinstance(v, bool)
+        and _finite(v)
+        and all(cmp(v, schema[key]) for key, cmp in _COMPARE.items() if key in schema)
+    )
+
+
+def _fmt(bound) -> str:
+    """A bound as message text; large powers of two read as `2**k`."""
+    if isinstance(bound, int) and bound > 2**53 and not bound & (bound - 1):
+        return f"2**{bound.bit_length() - 1}"
+    return str(bound)
+
+
+def _describe(schema: dict) -> str:
+    """What a non-object fragment demands, as the text after `must be`."""
+    if "oneOf" in schema:
+        return " or ".join(_describe(branch) for branch in schema["oneOf"])
+    if "enum" in schema:
+        return f"one of {tuple(schema['enum'])}"
+    kind = schema["type"]
+    if kind in ("null", "array"):
+        return schema.get("description", kind)
+    if kind == "boolean":
+        return "true or false"
+    noun = "an integer" if kind == "integer" else "a number"
+    # every bounded leaf of the tree has a lower bound
+    lo = schema.get("minimum", schema.get("exclusiveMinimum"))
+    hi = schema.get("maximum", schema.get("exclusiveMaximum"))
+    if lo is None:
+        return "a finite number" if kind == "number" else noun
+    closed = "minimum" in schema
+    if hi is None:
+        return f"{noun} {'>=' if closed else '>'} {_fmt(lo)}"
+    close = "]" if "maximum" in schema else ")"
+    return f"{noun} in {'[' if closed else '('}{_fmt(lo)}, {_fmt(hi)}{close}"
+
+
+def _check(schema: dict, doc, path: str, errors: list[str]) -> None:
+    """Append to `errors` every way `doc` breaks `schema`; objects recurse."""
+    if schema.get("type") != "object":
+        if not _valid(schema, doc):
+            errors.append(f"{path}: must be {_describe(schema)}")
         return
     if not isinstance(doc, dict):
         errors.append(f"{path}: must be an object")
         return
-    for key in doc:
-        if key not in spec:
-            prefix = f"{path}.{key}" if path else key
-            errors.append(f"{prefix}: unknown key")
-    for key, sub in spec.items():
+    properties = schema["properties"]
+    if schema.get("additionalProperties") is False:
+        for key in doc:
+            if key not in properties:
+                prefix = f"{path}.{key}" if path else key
+                errors.append(f"{prefix}: unknown key")
+    for key, sub in properties.items():
         sub_path = f"{path}.{key}" if path else key
         if key not in doc:
             errors.append(f"{sub_path}: missing")
             continue
-        _walk(sub, doc[key], sub_path, errors)
+        _check(sub, doc[key], sub_path, errors)
 
 
 def validate_config(doc: dict) -> list[str]:
@@ -310,7 +343,7 @@ def validate_config(doc: dict) -> list[str]:
     errors: list[str] = []
     if not isinstance(doc, dict):
         return ["configuration root must be a JSON object"]
-    _walk(_SPEC_TREE, doc, "", errors)
+    _check(_SCHEMA, doc, "", errors)
     if errors:
         return errors
     # cross-field constraints on a structurally sound document
@@ -320,11 +353,15 @@ def validate_config(doc: dict) -> list[str]:
         errors.append("detector.gate.gate_fwhm_ps: must be below one gate period")
     table = doc["detector"]["dark_table_c_prob"]
     t_op = doc["detector"]["operating"]["temperature_c"]
-    if table is not None and not (table[0][0] <= t_op <= table[-1][0]):
-        errors.append(
-            "detector.operating.temperature_c: outside the dark table range "
-            f"[{table[0][0]}, {table[-1][0]}]"
-        )
+    if table is not None:
+        temps = [t for t, _ in table]
+        if any(b <= a for a, b in zip(temps, temps[1:])):
+            errors.append("detector.dark_table_c_prob: temperatures must be strictly increasing")
+        elif not (temps[0] <= t_op <= temps[-1]):
+            errors.append(
+                "detector.operating.temperature_c: outside the dark table range "
+                f"[{temps[0]}, {temps[-1]}]"
+            )
     ratio = gate["gate_frequency_hz"] / doc["qkd"]["bit_rate_hz"]
     if abs(ratio - 2.0) > 1e-9:
         errors.append(
@@ -459,7 +496,5 @@ def grid_values(grid: dict) -> list[float]:
 
 
 def schema_text() -> str:
-    """The JSON Schema document shipped with the package."""
-    return (
-        resources.files("sinegate").joinpath("config_schema.json").read_text("utf-8")
-    )
+    """The draft-07 JSON Schema of a configuration file, as JSON text."""
+    return json.dumps(_SCHEMA, indent=2) + "\n"

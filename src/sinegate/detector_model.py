@@ -60,7 +60,6 @@ class GateConfig:
 
     gate_frequency: float = 1.25e9
     gate_fwhm: float = 130e-12
-    delay_step: float = 10e-12
     peak_efficiency: float = 0.10
 
     def __post_init__(self) -> None:
@@ -71,8 +70,6 @@ class GateConfig:
             raise ValueError(
                 f"gate_fwhm must be in (0, {period}) for a {self.gate_frequency} Hz gate"
             )
-        if not (np.isfinite(self.delay_step) and self.delay_step > 0):
-            raise ValueError("delay_step must be positive")
         if not (0.0 <= self.peak_efficiency <= 1.0):
             raise ValueError("peak_efficiency must be in [0, 1]")
 
@@ -348,7 +345,6 @@ class DetectorParams:
             "gate": {
                 "gate_frequency_hz": self.gate.gate_frequency,
                 "gate_fwhm_ps": self.gate.gate_fwhm * 1e12,
-                "delay_step_ps": self.gate.delay_step * 1e12,
                 "peak_efficiency": self.gate.peak_efficiency,
             },
             "bias_law": {
@@ -389,7 +385,6 @@ class DetectorParams:
             gate=GateConfig(
                 gate_frequency=float(gate["gate_frequency_hz"]),
                 gate_fwhm=float(gate["gate_fwhm_ps"]) / 1e12,
-                delay_step=float(gate["delay_step_ps"]) / 1e12,
                 peak_efficiency=float(gate["peak_efficiency"]),
             ),
             bias_law=BiasEfficiencyLaw(

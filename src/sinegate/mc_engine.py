@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy import stats
 
 from .detector_model import (
     FWHM_TO_SIGMA,
@@ -49,7 +48,6 @@ __all__ = [
     "SourceConfig",
     "RunConfig",
     "RunResult",
-    "DetectionRecord",
     "Histogram",
     "RECORD_DTYPE",
     "ORIGIN_NAMES",
@@ -78,22 +76,6 @@ RECORD_DTYPE = np.dtype(
         ("accepted", np.bool_),
     ]
 )
-
-
-@dataclass(frozen=True)
-class DetectionRecord:
-    """One discriminated avalanche; `time` is seconds from the gate-0 center."""
-
-    gate_index: int
-    time: float
-    origin: str
-    accepted: bool = False
-
-    def __post_init__(self) -> None:
-        if self.origin not in ORIGIN_NAMES:
-            raise ValueError(f"unknown origin {self.origin!r}")
-        if self.gate_index < 0:
-            raise ValueError("gate_index must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -182,13 +164,6 @@ class RunResult:
     @property
     def accepted(self) -> np.ndarray:
         return self.records[self.records["accepted"]]
-
-    def to_detection_records(self) -> list[DetectionRecord]:
-        return [
-            DetectionRecord(int(r["gate_index"]), float(r["time"]),
-                            ORIGIN_NAMES[int(r["origin"])], bool(r["accepted"]))
-            for r in self.records
-        ]
 
 
 def _gates_per_trigger(cfg: RunConfig) -> int:
@@ -393,24 +368,16 @@ def apply_holdoff(records, holdoff_gates: int, anchor: str = "accepted"):
     Default ("accepted" anchoring): a record is accepted iff its gate index
     exceeds the last ACCEPTED record's by more than `holdoff_gates`; records
     inside the window do not restart it. "any" anchoring restarts the window
-    on every record. The input must be sorted by gate index. Accepts either
-    a structured record array or a sequence of DetectionRecord; returns the
-    same kind with fresh accepted flags.
+    on every record. Takes a `RECORD_DTYPE` array sorted by gate index and
+    returns a copy with fresh accepted flags.
     """
     if holdoff_gates < 0:
         raise ValueError("holdoff_gates must be >= 0")
     if anchor not in ("accepted", "any"):
         raise ValueError("anchor must be 'accepted' or 'any'")
-    if isinstance(records, np.ndarray):
-        out = records.copy()
-        out["accepted"] = _holdoff_flags(out["gate_index"], holdoff_gates, anchor)
-        return out
-    gate_indices = np.asarray([r.gate_index for r in records], dtype=np.int64)
-    flags = _holdoff_flags(gate_indices, holdoff_gates, anchor)
-    return [
-        DetectionRecord(r.gate_index, r.time, r.origin, bool(f))
-        for r, f in zip(records, flags)
-    ]
+    out = records.copy()
+    out["accepted"] = _holdoff_flags(out["gate_index"], holdoff_gates, anchor)
+    return out
 
 
 def run_simulation(cfg: RunConfig, workers: int = 1) -> RunResult:
@@ -649,6 +616,8 @@ def geometric_lag_gof(
     Bins are grown until each expects at least `min_expected` counts, with
     one open tail bin. Returns (chi2, dof, p_value).
     """
+    from scipy import stats  # deferred: no CLI path needs it, and it dominates import time
+
     lags = np.asarray(lags, dtype=np.int64)
     if lags.size < 10:
         raise ValueError("need at least 10 lags for a goodness-of-fit test")
@@ -705,6 +674,8 @@ def short_lag_excess_pvalue(
     contingency table. Small p-value = the test run has a short-lag excess
     (afterpulsing signature) relative to the baseline.
     """
+    from scipy import stats  # deferred: no CLI path needs it, and it dominates import time
+
     cut = holdoff_gates + short_window_gates
     table = np.asarray(
         [

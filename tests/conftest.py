@@ -1,5 +1,8 @@
 """Shared builders for the test suite."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,12 @@ from sinegate.detector_model import (
     DetectorParams,
     GateConfig,
     JitterModel,
+)
+
+# Hypothesis caches literals and Unicode tables under ./.hypothesis unless
+# told otherwise; keep them out of the checkout.
+os.environ.setdefault(
+    "HYPOTHESIS_STORAGE_DIRECTORY", os.path.join(tempfile.gettempdir(), "sinegate-hypothesis")
 )
 
 

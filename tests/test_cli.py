@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sinegate
 from sinegate.cli import main
 from sinegate.table import CHUNK_ROWS
 
@@ -243,3 +248,16 @@ def test_json_format(tmp_path):
 def test_bad_seed_and_workers_rejected(tmp_path, capsys):
     assert main(["qkd", "--seed", "-1", "--out", str(tmp_path / "o")]) == 1
     assert main(["qkd", "--workers", "0", "--out", str(tmp_path / "o2")]) == 1
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = Path(sinegate.__file__).resolve().parents[1]
+    code = "import sys, sinegate.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"

@@ -1,12 +1,20 @@
 """Configuration loading: defaults, merging, validation, schema agreement."""
 
 import json
+import math
+import sys
+from functools import reduce
+from operator import getitem
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sinegate.config import (
+    _SCHEMA,
     ConfigError,
+    _check,
     deep_merge,
     default_config,
     grid_values,
@@ -14,6 +22,8 @@ from sinegate.config import (
     schema_text,
     validate_config,
 )
+
+SCHEMA_VALIDATOR = jsonschema.Draft7Validator(json.loads(schema_text()))
 
 
 def write_json(tmp_path, doc, name="cfg.json"):
@@ -179,3 +189,191 @@ def test_schema_accepts_defaults_and_flags_bad_docs():
 
 def test_validate_config_clean_on_defaults():
     assert validate_config(default_config()) == []
+
+
+def test_schema_text_is_a_draft7_schema_of_the_one_tree():
+    schema = json.loads(schema_text())
+    jsonschema.Draft7Validator.check_schema(schema)
+    assert schema == _SCHEMA
+    assert "$ref" not in schema_text()
+
+
+def test_leaf_messages_generated_from_the_tree(tmp_path):
+    doc = {
+        "run": {"master_seed": -1, "holdoff_anchor": "late"},
+        "detector": {"gate": {"peak_efficiency": 2.0},
+                     "afterpulse": {"enabled": 1}},
+        "chain": {"stages": 0, "threshold_mv": "low"},
+        "sweeps": {"temperatures_c": []},
+    }
+    with pytest.raises(ConfigError) as exc:
+        load_config(write_json(tmp_path, doc))
+    assert exc.value.errors == [
+        "run.master_seed: must be an integer in [0, 2**64)",
+        "run.holdoff_anchor: must be one of ('accepted', 'any')",
+        "detector.gate.peak_efficiency: must be a number in [0, 1]",
+        "detector.afterpulse.enabled: must be true or false",
+        "chain.stages: must be an integer >= 1",
+        "chain.threshold_mv: must be a finite number",
+        "sweeps.temperatures_c: must be null or a non-empty list of temperatures",
+    ]
+
+
+def test_drifted_bounds_reported_at_once(tmp_path):
+    override = {
+        "qkd": {"ec_efficiency": 0.5, "qber_floor": 0.7},
+        "detector": {"dark_table_c_prob": [[-43.0, 1e-6]]},
+    }
+    with pytest.raises(ConfigError) as exc:
+        load_config(write_json(tmp_path, override))
+    for field in ("qkd.ec_efficiency:", "qkd.qber_floor:", "detector.dark_table_c_prob:"):
+        assert any(e.startswith(field) for e in exc.value.errors), field
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(deep_merge(default_config(), override), json.loads(schema_text()))
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"run": {"master_seed": 2**64}},
+        {"detector": {"dark_table_c_prob": [[-45.0, 2.0], [20.0, 1e-3]]}},
+    ],
+)
+def test_model_bounds_rejected_by_validator_and_schema(override):
+    doc = deep_merge(default_config(), override)
+    assert validate_config(doc)
+    assert not SCHEMA_VALIDATOR.is_valid(doc)
+
+
+def test_code_only_rules_keep_their_messages():
+    # JSON Schema accepts all three documents; the native validator does not.
+    doc = deep_merge(default_config(), {"chain": {"stages": 2.0, "dt_ps": float("nan")}})
+    assert SCHEMA_VALIDATOR.is_valid(doc)
+    assert validate_config(doc) == [
+        "chain.dt_ps: must be a number > 0",
+        "chain.stages: must be an integer >= 1",
+    ]
+    table = [[20.0, 1e-3], [-45.0, 1e-6]]
+    doc = deep_merge(default_config(), {"detector": {"dark_table_c_prob": table}})
+    assert SCHEMA_VALIDATOR.is_valid(doc)
+    assert validate_config(doc) == [
+        "detector.dark_table_c_prob: temperatures must be strictly increasing"
+    ]
+
+
+def test_delay_step_key_removed(tmp_path):
+    path = write_json(tmp_path, {"detector": {"gate": {"delay_step_ps": 10.0}}})
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert exc.value.errors == ["detector.gate.delay_step_ps: unknown key"]
+
+
+# ------------------------------------------------- native pass vs JSON Schema
+
+def _paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+def _bounds(node):
+    """Every numeric bound in a schema tree."""
+    if isinstance(node, list):
+        for v in node:
+            yield from _bounds(v)
+    elif isinstance(node, dict):
+        for key, v in node.items():
+            if key in ("minimum", "exclusiveMinimum", "maximum", "exclusiveMaximum"):
+                yield v
+            else:
+                yield from _bounds(v)
+
+
+DEFAULT_PATHS = list(_paths(default_config()))
+CONTAINER_PATHS = [()] + [
+    p for p in DEFAULT_PATHS
+    if isinstance(reduce(getitem, p, default_config()), (dict, list))
+]
+EDGE_NUMBERS = sorted(
+    {x for b in _bounds(json.loads(schema_text())) for x in (b, float(b), b - 1e-9, b + 1e-9)},
+    key=repr,
+)
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(EDGE_NUMBERS + [10**400, "any", "cow-ppm", "paralyzable"])
+)
+JSON_VALUES = (
+    SCALARS
+    | st.lists(SCALARS | st.lists(SCALARS, max_size=3), max_size=4)
+    | st.dictionaries(st.text(max_size=4), SCALARS, max_size=3)
+)
+
+
+@st.composite
+def mutated_configs(draw):
+    """default_config() with one value replaced, one key (or item) deleted or added."""
+    doc = default_config()
+    op = draw(st.sampled_from(["replace", "replace", "delete", "add"]))
+    if op == "add":
+        target = reduce(getitem, draw(st.sampled_from(CONTAINER_PATHS)), doc)
+        if isinstance(target, list):
+            target.append(draw(JSON_VALUES))
+        else:
+            key = draw(st.text(min_size=1, max_size=6).filter(lambda k: k not in target))
+            target[key] = draw(JSON_VALUES)
+        return doc
+    path = draw(st.sampled_from(DEFAULT_PATHS))
+    parent = reduce(getitem, path[:-1], doc)
+    if op == "replace":
+        parent[path[-1]] = draw(st.sampled_from(EDGE_NUMBERS) | JSON_VALUES)
+    else:
+        del parent[path[-1]]
+    return doc
+
+
+def _native_shape_errors(doc):
+    """The structural pass of validate_config on the merged document."""
+    errors = []
+    _check(_SCHEMA, deep_merge(default_config(), doc), "", errors)
+    return errors
+
+
+def _has_non_finite_number(value):
+    if isinstance(value, dict):
+        return any(_has_non_finite_number(v) for v in value.values())
+    if isinstance(value, list):
+        return any(_has_non_finite_number(v) for v in value)
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    return isinstance(value, int) and abs(value) > sys.float_info.max
+
+
+def _integral_floats_to_ints(value):
+    if isinstance(value, dict):
+        return {k: _integral_floats_to_ints(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_integral_floats_to_ints(v) for v in value]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
+
+
+@settings(database=None, derandomize=True, max_examples=300, deadline=None)
+@given(mutated_configs())
+def test_native_shape_pass_agrees_with_jsonschema(doc):
+    native_errors = _native_shape_errors(doc)
+    schema_ok = SCHEMA_VALIDATOR.is_valid(doc)
+    if schema_ok == (not native_errors):
+        return
+    # Only the code-only rules may tell the two apart, and only one way.
+    assert schema_ok, native_errors
+    if _has_non_finite_number(doc):
+        return  # numbers must be finite
+    # integer fields must hold Python ints: 2.0 is an integer to JSON Schema
+    assert _native_shape_errors(_integral_floats_to_ints(doc)) == []

@@ -1,5 +1,6 @@
 """Device-law tests: gate profile, bias, dark counts, jitter, afterpulsing."""
 
+import json
 import math
 
 import numpy as np
@@ -212,3 +213,11 @@ def test_params_file_round_trip(tmp_path):
     path = tmp_path / "det.json"
     d.save_json(path)
     assert DetectorParams.load_json(path) == d
+
+
+def test_calibration_file_with_retired_delay_step_still_loads(tmp_path):
+    doc = DetectorParams().to_json_dict()
+    doc["gate"]["delay_step_ps"] = 10.0  # written by older versions, now ignored
+    path = tmp_path / "detector.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert DetectorParams.load_json(path) == DetectorParams()

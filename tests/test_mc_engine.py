@@ -16,7 +16,7 @@ from sinegate.detector_model import (
 from sinegate.mc_engine import (
     CHUNK_GATES,
     ORIGIN_NAMES,
-    DetectionRecord,
+    RECORD_DTYPE,
     Histogram,
     RunConfig,
     SourceConfig,
@@ -100,6 +100,14 @@ def replay_holdoff(gates, holdoff, anchor):
     return np.asarray(flags, dtype=bool)
 
 
+def record_array(rows):
+    """A RECORD_DTYPE array from (gate_index, time, origin name) rows, none accepted."""
+    recs = np.zeros(len(rows), dtype=RECORD_DTYPE)
+    for i, (gate, time, origin) in enumerate(rows):
+        recs[i] = (gate, time, ORIGIN_NAMES.index(origin), False)
+    return recs
+
+
 @pytest.mark.parametrize("anchor", ["accepted", "any"])
 def test_holdoff_matches_bruteforce_replay(anchor):
     rng = np.random.default_rng(31)
@@ -117,9 +125,9 @@ def test_holdoff_matches_bruteforce_replay(anchor):
 
 def test_holdoff_known_sequences():
     def accepted_gates(gates, holdoff, anchor="accepted"):
-        recs = [DetectionRecord(g, g * GATE_PERIOD, "dark") for g in gates]
+        recs = record_array([(g, g * GATE_PERIOD, "dark") for g in gates])
         out = apply_holdoff(recs, holdoff, anchor=anchor)
-        return [r.gate_index for r in out if r.accepted]
+        return out["gate_index"][out["accepted"]].tolist()
 
     assert accepted_gates([100, 105, 112], 10) == [100, 112]
     assert accepted_gates(list(range(0, 31)), 10) == [0, 11, 22]
@@ -135,11 +143,11 @@ def test_no_accepted_pair_within_holdoff_in_simulation():
 
 
 def test_holdoff_preserves_record_payloads():
-    recs = [DetectionRecord(5, 4e-9, "photon"), DetectionRecord(7, 5.6e-9, "dark")]
+    recs = record_array([(5, 4e-9, "photon"), (7, 5.6e-9, "dark")])
     out = apply_holdoff(recs, 10)
-    assert [r.origin for r in out] == ["photon", "dark"]
-    assert [r.accepted for r in out] == [True, False]
-    assert out[0].time == 4e-9
+    assert [ORIGIN_NAMES[o] for o in out["origin"]] == ["photon", "dark"]
+    assert out["accepted"].tolist() == [True, False]
+    assert out[0]["time"] == 4e-9
 
 
 # ------------------------------------------------------------------ run content
