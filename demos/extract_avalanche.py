@@ -41,7 +41,7 @@ def main():
     order, cutoff = sc.lowpass_design(spec)
     print(f"\nextraction filter: order {order}, cutoff {cutoff / 1e6:.1f} MHz per stage")
     contract = sc.verify_filter_contract(spec)
-    print(f"  swept-sine check: {contract.gate_attenuation_db:.1f} dB at the gate tone, "
+    print(f"  multitone check: {contract.gate_attenuation_db:.1f} dB at the gate tone, "
           f"{contract.worst_band_attenuation_db:.1f} dB worst over +/-50 MHz,")
     print(f"  {contract.worst_wideband_attenuation_db:.1f} dB floor to 4 GHz, "
           f"passband within {abs(contract.worst_passband_gain_db):.2f} dB "

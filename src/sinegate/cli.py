@@ -242,24 +242,19 @@ def _cmd_tcspc(cfg: FullConfig, em: Emitter, seed: int, workers: int) -> None:
     _emit_mapping(em, "summary", summary)
 
 
-_QKD_HEADER = ["axis_value", "mu_detector", "raw_rate_hz", "qber", "qber_dark",
-               "qber_ext", "qber_tail", "rate_after_ec_hz", "secret_rate_hz"]
-
-
-_QKD_FIELDS = ("mu_detector", "raw_rate", "qber_total", "qber_dark", "qber_extinction",
-               "qber_timing_tail", "rate_after_ec", "secret_rate")
-
-
-def _qkd_columns(axis_values, reports) -> list[np.ndarray]:
-    return [np.asarray(axis_values, dtype=float)] + [
-        np.array([getattr(r, name) for r in reports], dtype=float) for name in _QKD_FIELDS
+def _qkd_table(axis_values, reports) -> tuple[list[str], list[np.ndarray]]:
+    """Header and columns: the axis, then every numeric field of QkdReport.to_json_dict."""
+    docs = [r.to_json_dict() for r in reports]
+    fields = [key for key in docs[0] if key != "notes"]
+    return ["axis_value"] + fields, [np.asarray(axis_values, dtype=float)] + [
+        np.array([d[key] for d in docs], dtype=float) for key in fields
     ]
 
 
 def _cmd_qkd(cfg: FullConfig, em: Emitter, seed: int, workers: int) -> None:
     grid = grid_values(cfg.sweeps["fiber_loss_db"])
     reports = qb.sweep(cfg.qkd, "fiber_loss_db", grid)
-    em.emit_table("qkd_vs_loss", _QKD_HEADER, _qkd_columns(grid, reports))
+    em.emit_table("qkd_vs_loss", *_qkd_table(grid, reports))
     em.emit_json("qkd_notes", reports[0].notes)
     n_bits = cfg.merged["qkd"]["mc_check_bits"]
     if n_bits > 0:
@@ -270,7 +265,7 @@ def _cmd_qkd(cfg: FullConfig, em: Emitter, seed: int, workers: int) -> None:
 def _cmd_qkd_temp(cfg: FullConfig, em: Emitter, seed: int, workers: int) -> None:
     temps = _sweep_temperatures(cfg)
     reports = qb.sweep(cfg.qkd, "temperature", temps)
-    em.emit_table("qkd_vs_temperature", _QKD_HEADER, _qkd_columns(temps, reports))
+    em.emit_table("qkd_vs_temperature", *_qkd_table(temps, reports))
     em.emit_json("qkd_notes", reports[0].notes)
 
 

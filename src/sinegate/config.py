@@ -9,12 +9,13 @@ walks it and `schema_text()` prints it.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
 from dataclasses import dataclass
 
-from .detector_model import DetectorParams
+from .detector_model import DARK_TABLE_SPAN_C, DetectorParams
 from .mc_engine import SourceConfig
 from .qkd_budget import QkdLinkConfig
 
@@ -344,49 +345,60 @@ def validate_config(doc: dict) -> list[str]:
     if not isinstance(doc, dict):
         return ["configuration root must be a JSON object"]
     _check(_SCHEMA, doc, "", errors)
-    if errors:
-        return errors
-    # cross-field constraints on a structurally sound document
-    gate = doc["detector"]["gate"]
-    period_ps = 1e12 / gate["gate_frequency_hz"]
-    if not (gate["gate_fwhm_ps"] < period_ps):
+    # Cross-field rules. Each runs only when the fields it reads passed the
+    # shape check, so a bad leaf elsewhere does not hide its error.
+    flagged = [e.split(":", 1)[0] for e in errors]
+
+    def value(path):
+        """The value at dotted `path`, or None when the shape check flagged it."""
+        if any(path == f or path.startswith(f + ".") for f in flagged):
+            return None
+        return functools.reduce(operator.getitem, path.split("."), doc)
+
+    f_gate = value("detector.gate.gate_frequency_hz")
+    fwhm_ps = value("detector.gate.gate_fwhm_ps")
+    if None not in (f_gate, fwhm_ps) and not fwhm_ps < 1e12 / f_gate:
         errors.append("detector.gate.gate_fwhm_ps: must be below one gate period")
-    table = doc["detector"]["dark_table_c_prob"]
-    t_op = doc["detector"]["operating"]["temperature_c"]
+    table = value("detector.dark_table_c_prob")
+    t_op = value("detector.operating.temperature_c")
     if table is not None:
         temps = [t for t, _ in table]
         if any(b <= a for a, b in zip(temps, temps[1:])):
             errors.append("detector.dark_table_c_prob: temperatures must be strictly increasing")
-        elif not (temps[0] <= t_op <= temps[-1]):
-            errors.append(
-                "detector.operating.temperature_c: outside the dark table range "
-                f"[{temps[0]}, {temps[-1]}]"
-            )
-    ratio = gate["gate_frequency_hz"] / doc["qkd"]["bit_rate_hz"]
-    if abs(ratio - 2.0) > 1e-9:
+        else:
+            if temps[0] > DARK_TABLE_SPAN_C[0] or temps[-1] < DARK_TABLE_SPAN_C[1]:
+                errors.append("detector.dark_table_c_prob: must cover [-45, +20] C")
+            if t_op is not None and not (temps[0] <= t_op <= temps[-1]):
+                errors.append(
+                    "detector.operating.temperature_c: outside the dark table range "
+                    f"[{temps[0]}, {temps[-1]}]"
+                )
+    bit_rate = value("qkd.bit_rate_hz")
+    if None not in (f_gate, bit_rate) and abs(f_gate / bit_rate - 2.0) > 1e-9:
         errors.append(
             "qkd.bit_rate_hz: gate clock / bit rate must equal 2 "
-            f"(two time bins per bit), got {ratio}"
+            f"(two time bins per bit), got {f_gate / bit_rate}"
         )
-    bit_period_ps = 1e12 / doc["qkd"]["bit_rate_hz"]
-    if doc["qkd"]["timebin_width_ps"] > bit_period_ps / 2.0:
+    timebin_ps = value("qkd.timebin_width_ps")
+    if None not in (bit_rate, timebin_ps) and timebin_ps > 1e12 / bit_rate / 2.0:
         errors.append("qkd.timebin_width_ps: must be at most half the bit period")
-    ratio_src = gate["gate_frequency_hz"] / doc["source"]["trigger_rate_hz"]
-    if doc["source"]["kind"] != "cw-dark-only":
+    kind, trigger = value("source.kind"), value("source.trigger_rate_hz")
+    if None not in (f_gate, kind, trigger) and kind != "cw-dark-only":
+        ratio_src = f_gate / trigger
         m = round(ratio_src)
         if m < 1 or abs(ratio_src - m) > 1e-9 * max(1.0, ratio_src):
             errors.append(
                 "source.trigger_rate_hz: must divide the gate clock "
                 f"(gate/trigger = {ratio_src})"
             )
-        if doc["source"]["kind"] == "cow-ppm" and m != 2:
+        if kind == "cow-ppm" and m != 2:
             errors.append("source.trigger_rate_hz: cow-ppm needs exactly 2 gates per bit")
     for name in ("bias_v", "delay_ps", "fiber_loss_db"):
-        g = doc["sweeps"][name]
-        if g["stop"] < g["start"]:
+        start, stop = value(f"sweeps.{name}.start"), value(f"sweeps.{name}.stop")
+        if None not in (start, stop) and stop < start:
             errors.append(f"sweeps.{name}.stop: must be >= start")
-    dt_ps = doc["chain"]["dt_ps"]
-    if dt_ps > 1e12 / (8.0 * gate["gate_frequency_hz"]):
+    dt_ps = value("chain.dt_ps")
+    if None not in (f_gate, dt_ps) and dt_ps > 1e12 / (8.0 * f_gate):
         errors.append("chain.dt_ps: must sample the gate frequency at least 8x")
     return errors
 

@@ -140,6 +140,9 @@ DEFAULT_DARK_TABLE: tuple[tuple[float, float], ...] = (
     (20.0, 1.5e-5),
 )
 
+# Every dark table must reach at least this far (C): the span of the quoted anchors.
+DARK_TABLE_SPAN_C = (-45.0, 20.0)
+
 
 @dataclass(frozen=True)
 class TemperatureDarkLaw:
@@ -156,7 +159,7 @@ class TemperatureDarkLaw:
             raise ValueError("dark table temperatures must be strictly increasing")
         if any(not (0.0 < p < 1.0) for _, p in table):
             raise ValueError("dark table probabilities must be in (0, 1)")
-        if temps[0] > -45.0 or temps[-1] < 20.0:
+        if temps[0] > DARK_TABLE_SPAN_C[0] or temps[-1] < DARK_TABLE_SPAN_C[1]:
             raise ValueError("dark table must cover [-45, +20] C")
         object.__setattr__(self, "table", table)
 

@@ -166,14 +166,6 @@ class QkdReport:
         if abs(sum(parts) - self.qber_total) > 1e-9 * max(1.0, self.qber_total):
             raise ValueError("QBER components must sum to qber_total")
 
-    @property
-    def qber_components(self) -> dict:
-        return {
-            "dark": self.qber_dark,
-            "extinction": self.qber_extinction,
-            "timing_tail": self.qber_timing_tail,
-        }
-
     def to_json_dict(self) -> dict:
         return {
             "mu_detector": self.mu_detector,

@@ -156,6 +156,20 @@ def test_cross_field_operating_temperature_in_table(tmp_path):
     assert any("operating.temperature_c" in e for e in exc.value.errors)
 
 
+def test_dark_table_coverage_reported_with_other_errors(tmp_path):
+    override = {
+        "detector": {"dark_table_c_prob": [[-50.0, 1e-6], [10.0, 1e-4]],
+                     "operating": {"temperature_c": 0.0}},
+        "qkd": {"ec_efficiency": 0.5},
+    }
+    with pytest.raises(ConfigError) as exc:
+        load_config(write_json(tmp_path, override))
+    assert exc.value.errors == [
+        "qkd.ec_efficiency: must be a number >= 1",
+        "detector.dark_table_c_prob: must cover [-45, +20] C",
+    ]
+
+
 def test_gate_fwhm_must_fit_period(tmp_path):
     path = write_json(tmp_path, {"detector": {"gate": {"gate_fwhm_ps": 900.0}}})
     with pytest.raises(ConfigError) as exc:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sinegate.signal_chain import (
+    SPECTRUM_FLOOR_DB,
     AvalanchePulseShape,
     DiscriminatorConfig,
     FilterResponseSpec,
@@ -200,6 +201,99 @@ def test_measured_response_matches_design_formula():
     for f, gain_db in rows:
         expect = -10.0 * math.log10(1.0 + (f / fc) ** (2 * order))
         assert gain_db == pytest.approx(expect, abs=0.05)
+
+
+def _per_tone_response(spec, freqs, dt, stages, n_samples):
+    """Reference: one tone per frequency through apply_filter, gain from the RMS ratio."""
+    df = 1.0 / (n_samples * dt)
+    rows = []
+    for f in np.asarray(freqs, dtype=float):
+        k = max(1, int(round(f / df)))
+        f_snapped = k * df
+        tone = SampledWaveform(np.sin(2.0 * np.pi * f_snapped * dt * np.arange(n_samples)), dt)
+        out = apply_filter(tone, spec, stages=stages)
+        gain = np.sqrt(np.mean(out.samples**2) / np.mean(tone.samples**2))
+        rows.append((f_snapped, 20.0 * np.log10(max(gain, 1e-30))))
+    return np.asarray(rows)
+
+
+def _reference_groups(spec, dt, n_samples):
+    """Reference grid: (passband, band, wideband, [gate]) tone frequencies, snapped one by one."""
+    df = 1.0 / (n_samples * dt)
+
+    def snap_down(f):
+        return max(1, math.floor(f / df)) * df
+
+    def snap_up(f):
+        return math.ceil(f / df) * df
+
+    band_lo = spec.gate_frequency - spec.rejection_band_halfwidth
+    band_hi = spec.gate_frequency + spec.rejection_band_halfwidth
+    return (
+        [snap_down(f) for f in np.linspace(0.05 * spec.passband_edge, spec.passband_edge, 12)],
+        [min(snap_up(f), math.floor(band_hi / df) * df)
+         for f in np.arange(band_lo, band_hi + 2.5e6, 5e6)],
+        [snap_up(f) for f in np.arange(spec.gate_frequency, 4e9 + 1.0, 50e6)],
+        [snap_up(spec.gate_frequency)],
+    )
+
+
+def _reference_checks(spec, response, groups):
+    """Reference contract checks: (four flags, four worst values), gains looked up by frequency."""
+    gains = dict(zip(response[:, 0], response[:, 1]))
+    passband, band, wideband, gate = groups
+    worst = (min(gains[f] for f in passband), -gains[gate[0]],
+             min(-gains[f] for f in band), min(-gains[f] for f in wideband))
+    flags = (all(abs(gains[f]) <= spec.passband_ripple_db for f in passband),
+             worst[1] >= spec.rejection_at_gate_db,
+             worst[2] >= spec.rejection_band_floor_db,
+             worst[3] >= spec.rejection_to_4ghz_db)
+    return flags, worst
+
+
+@pytest.mark.parametrize("n_samples", [1 << 16, 1 << 14])
+@pytest.mark.parametrize("stages", [1, 2])
+def test_multitone_response_matches_per_tone_reference(stages, n_samples):
+    spec = FilterResponseSpec()
+    groups = _reference_groups(spec, DT, n_samples)
+    grid = sorted(set().union(*groups))
+    ref = _per_tone_response(spec, grid, DT, stages, n_samples)
+    got = measured_filter_response(spec, grid, dt=DT, stages=stages, n_samples=n_samples)
+    assert np.array_equal(got[:, 0], ref[:, 0])
+    # Below SPECTRUM_FLOOR_DB the reference reads the round-off of its own sine
+    # synthesis (about -257 dB where two stages give -316 dB), not the filter;
+    # there both must read below the floor and the pass must follow the design.
+    above = ref[:, 1] > SPECTRUM_FLOOR_DB
+    assert np.array_equal(got[:, 1] > SPECTRUM_FLOOR_DB, above)
+    assert np.abs(got[above, 1] - ref[above, 1]).max() <= 1e-6
+    order, fc = lowpass_design(spec)
+    design_db = -10.0 * stages * np.log10(1.0 + (got[:, 0] / fc) ** (2 * order))
+    assert np.abs(got[~above, 1] - design_db[~above]).max(initial=0.0) <= 1.0
+    flags, worst = _reference_checks(spec, ref, groups)
+    assert _reference_checks(spec, got, groups)[0] == flags
+    if stages == 1:
+        report = verify_filter_contract(spec, n_samples=n_samples)
+        assert np.array_equal(report.response[:, 0], ref[:, 0])
+        assert np.abs(report.response[:, 1] - ref[:, 1]).max() <= 1e-6
+        assert (report.passband_ok, report.gate_ok, report.band_ok, report.wideband_ok) == flags
+        got_worst = (report.worst_passband_gain_db, report.gate_attenuation_db,
+                     report.worst_band_attenuation_db, report.worst_wideband_attenuation_db)
+        assert np.abs(np.subtract(got_worst, worst)).max() <= 1e-6
+
+
+def test_measured_response_refuses_bad_tones():
+    spec = FilterResponseSpec()
+    n = 1 << 10
+    nyquist = 0.5 / DT
+    assert measured_filter_response(spec, [nyquist * (1 - 2.0 / n)], n_samples=n).shape == (1, 2)
+    for f in (nyquist, 1.5 * nyquist):
+        with pytest.raises(ValueError, match="Nyquist"):
+            measured_filter_response(spec, [100e6, f], n_samples=n)
+    with pytest.raises(ValueError, match="Nyquist"):
+        verify_filter_contract(spec, dt=1.0 / 8e9, n_samples=n)
+    for f in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            measured_filter_response(spec, [f], n_samples=n)
 
 
 def test_filter_contract_default_spec_passes():
