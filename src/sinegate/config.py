@@ -15,7 +15,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .detector_model import DARK_TABLE_SPAN_C, DetectorParams
+from .detector_model import DARK_TABLE_SPAN_C, AfterpulseModel, DetectorParams
 from .mc_engine import SourceConfig
 from .qkd_budget import QkdLinkConfig
 
@@ -373,6 +373,16 @@ def validate_config(doc: dict) -> list[str]:
                     "detector.operating.temperature_c: outside the dark table range "
                     f"[{temps[0]}, {temps[-1]}]"
                 )
+    ap = [value(f"detector.afterpulse.{k}") for k in
+          ("trap_fill_per_detection", "release_lifetime_ns", "trigger_prob_per_gate")]
+    if f_gate is not None and None not in ap and value("detector.afterpulse.enabled"):
+        try:
+            ratio = AfterpulseModel(ap[0], ap[1] / 1e9, ap[2]).branching_ratio(1.0 / f_gate)
+        except ValueError:
+            ratio = 0.0  # the model itself is refused when the config is built
+        if ratio >= 1.0:
+            errors.append(f"detector.afterpulse: branching ratio {ratio:.3g} >= 1; "
+                          "afterpulse chains would run away")
     bit_rate = value("qkd.bit_rate_hz")
     if None not in (f_gate, bit_rate) and abs(f_gate / bit_rate - 2.0) > 1e-9:
         errors.append(
@@ -385,7 +395,7 @@ def validate_config(doc: dict) -> list[str]:
     kind, trigger = value("source.kind"), value("source.trigger_rate_hz")
     if None not in (f_gate, kind, trigger) and kind != "cw-dark-only":
         ratio_src = f_gate / trigger
-        m = round(ratio_src)
+        m = round(ratio_src) if math.isfinite(ratio_src) else 0
         if m < 1 or abs(ratio_src - m) > 1e-9 * max(1.0, ratio_src):
             errors.append(
                 "source.trigger_rate_hz: must divide the gate clock "

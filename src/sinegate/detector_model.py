@@ -42,6 +42,7 @@ __all__ = [
     "sample_detection_time",
     "sample_detection_times",
     "afterpulse_prob",
+    "afterpulse_log_survival",
     "FWHM_TO_SIGMA",
     "DEFAULT_DARK_TABLE",
 ]
@@ -261,9 +262,11 @@ class AfterpulseModel:
 
     Not calibrated to any measured device: defaults exist to make the
     correlation-based diagnostics exercisable. With the default 0.8 ns gate
-    period the default (fill, lifetime, trigger) combination is strongly
-    self-sustaining; pick a shorter lifetime or smaller trigger probability
-    for realistic chains. Disabled unless `enabled` is set.
+    period the default (fill, lifetime, trigger) combination has
+    `branching_ratio` 1.25, so chains run away; `validate_config` and
+    `run_simulation` refuse any enabled model whose ratio is 1 or more. Pick
+    a shorter lifetime or a smaller trigger probability. Disabled unless
+    `enabled` is set.
     """
 
     trap_fill_per_detection: float = 0.1
@@ -279,17 +282,46 @@ class AfterpulseModel:
         if not (0.0 <= self.trigger_prob_per_gate <= 1.0):
             raise ValueError("trigger_prob_per_gate must be in [0, 1]")
 
+    def branching_ratio(self, gate_period: float) -> float:
+        """Mean afterpulses per avalanche, fill*trigger/(1 - exp(-T_gate/lifetime)).
+
+        Sums the hazard from the filling gate on, so it errs high by
+        exp(T_gate/lifetime). Chains are finite only below 1.
+        """
+        return (self.trap_fill_per_detection * self.trigger_prob_per_gate
+                / -math.expm1(-gate_period / self.release_lifetime))
+
 
 def afterpulse_prob(m: AfterpulseModel, trap_population: float, dt_since_fill: float) -> float:
     """Afterpulse probability for one gate, `dt_since_fill` after the last fill."""
-    if not (np.isfinite(trap_population) and trap_population >= 0):
+    if not (math.isfinite(trap_population) and trap_population >= 0):
         raise ValueError("trap_population must be >= 0")
-    if not (np.isfinite(dt_since_fill) and dt_since_fill >= 0):
+    if not (math.isfinite(dt_since_fill) and dt_since_fill >= 0):
         raise ValueError("dt_since_fill must be >= 0")
     p = m.trigger_prob_per_gate * trap_population * math.exp(
         -dt_since_fill / m.release_lifetime
     )
     return float(min(1.0, max(0.0, p)))
+
+
+def afterpulse_log_survival(c: float, r: float, k: int) -> float:
+    """log P(no fire in k gates) when gate j fires w.p. c*r**j (0 <= c < 1, 0 <= r < 1).
+
+    Closed form -sum_m (c**m/m)(1 - r**(m*k))/(1 - r**m), cut where c**m
+    drops below float resolution; gates with hazard above 1/2, where it
+    converges slowly, are summed directly.
+    """
+    total = 0.0
+    log_r = math.log(r) if r > 0.0 else -math.inf
+    if c > 0.5:
+        head = min(k, max(1, math.ceil(math.log(0.5 / c) / log_r)))
+        total = float(np.sum(np.log1p(-c * r ** np.arange(head))))
+        c, k = c * r**head, k - head
+    c_m, m = c, 1
+    while k > 0 and c_m > 1e-17 * c:
+        total -= c_m / m * math.expm1(m * k * log_r) / math.expm1(m * log_r)
+        c_m, m = c_m * c, m + 1
+    return total
 
 
 @dataclass(frozen=True)

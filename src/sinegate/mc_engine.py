@@ -21,11 +21,14 @@ photon/dark candidates and their detection times from
 ``SeedSequence((master_seed, 1, i))``, so the candidate stream is identical
 no matter how many workers produce it or in which order. Afterpulse chains
 (which couple gates across chunk boundaries) and their detection times are
-generated in a single sequential pass from ``SeedSequence((master_seed, 2))``.
-Per-chunk draw order is fixed: (cow bits), photon uniforms, dark binomial
-count, dark positions, tail uniforms, Gaussian offsets, tail gate choices,
-laser offsets. Identical RunConfig therefore yields identical records,
-independent of the worker count.
+generated in a single sequential pass from ``SeedSequence((master_seed, 2))``:
+in gate order, one uniform per gap after a trap fill (none when its first
+hazard is >= 1) and one per dark candidate that an afterpulse may relabel,
+then the detection times of all afterpulses. Per-chunk draw order is fixed:
+(cow bits), photon uniforms, dark binomial count, dark positions, tail
+uniforms, Gaussian offsets, tail gate choices, laser offsets. Identical
+RunConfig therefore yields identical records, independent of the worker
+count.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ import numpy as np
 from .detector_model import (
     FWHM_TO_SIGMA,
     DetectorParams,
+    afterpulse_log_survival,
+    afterpulse_prob,
     sample_detection_times,
 )
 from .table import Labels, table_chunks, write_chunks
@@ -170,7 +175,7 @@ def _gates_per_trigger(cfg: RunConfig) -> int:
     """Integer number of gates per trigger/bit period; validates divisibility."""
     f_gate = cfg.detector.gate.gate_frequency
     ratio = f_gate / cfg.source.trigger_rate
-    m = int(round(ratio))
+    m = int(round(ratio)) if math.isfinite(ratio) else 0
     if m < 1 or abs(ratio - m) > 1e-9 * max(1.0, ratio):
         raise ValueError(
             f"trigger rate {cfg.source.trigger_rate} Hz must divide the "
@@ -257,25 +262,38 @@ def _simulate_chunk(cfg: RunConfig, chunk_index: int):
     return gates, phys, times, in_tail, bits
 
 
-# Afterpulse hazard below this residual expected count is numerically silent.
-_AP_RESIDUAL_CUTOFF = 1e-12
-_AP_BLOCK = 4096
+def _first_fire(c: float, r: float, n: int, log_v: float) -> int:
+    """First of `n` gates to fire when gate j fires with probability c*r**j.
+
+    Inverse-CDF draw with log_v = log(V), V uniform on (0, 1]: the fire gate
+    is the smallest k with log S(k+1) <= log_v, S the survival, found by
+    bisection; `n` means none fires. Needs 0 < c < 1.
+    """
+    if afterpulse_log_survival(c, r, n) > log_v:
+        return n
+    lo, hi = 0, n  # invariant: log S(lo) > log_v >= log S(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if afterpulse_log_survival(c, r, mid) <= log_v else (mid, hi)
+    return hi - 1
 
 
 def _afterpulse_pass(cfg: RunConfig, gates, phys, times, in_tail):
     """Sequential afterpulse generation over the merged candidate stream.
 
     Walks intrinsic avalanches in gate order, carrying the expected trap
-    population N (decays exp(-dt/lifetime), +fill per avalanche). Between
-    avalanches each gate fires an afterpulse with probability
-    min(1, trigger*N*exp(-dt/lifetime)); a fire is itself an avalanche and
-    refills the traps (chains allowed). A fire in a gate that already holds
-    a dark candidate relabels it (photon outranks afterpulse outranks dark).
+    population N (decays exp(-dt/lifetime), +fill per avalanche). Gate j
+    after the last fill fires an afterpulse with probability c*r**j, c =
+    `afterpulse_prob` one gate after the fill and r the per-gate decay; a
+    fire is itself an avalanche and refills the traps (chains allowed).
+    Each gap between fills costs one uniform, inverted against the exact
+    survival (`afterpulse_log_survival`), or none when c = 1. A fire in a
+    gate that holds a dark candidate relabels it (photon outranks afterpulse
+    outranks dark); only dark candidates draw for that.
     """
     ap_model = cfg.detector.afterpulse
     period = cfg.detector.gate.gate_period
     r = math.exp(-period / ap_model.release_lifetime)
-    trigger = ap_model.trigger_prob_per_gate
     fill = ap_model.trap_fill_per_detection
     rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, 2)))
 
@@ -284,42 +302,32 @@ def _afterpulse_pass(cfg: RunConfig, gates, phys, times, in_tail):
     n_state = 0.0
     g_fill = -1
 
-    def scan(first: int, last: int) -> None:
-        """Generate afterpulse events in gates [first, last] (no intrinsic there)."""
+    def scan(last: int) -> None:
+        """Generate afterpulses in gates (g_fill, last], none of them intrinsic."""
         nonlocal n_state, g_fill
-        g_lo = first
-        block_size = 16  # grows on misses so dense chains stay ~16 draws/event
-        while g_lo <= last and n_state > 0.0 and trigger > 0.0:
-            c_lo = trigger * n_state * r ** (g_lo - g_fill)
-            if c_lo / max(1.0 - r, 1e-300) < _AP_RESIDUAL_CUTOFF:
+        c = afterpulse_prob(ap_model, n_state, period)
+        while g_fill < last and c > 0.0:
+            k = 0 if c >= 1.0 else _first_fire(c, r, last - g_fill, math.log1p(-rng.random()))
+            if k == last - g_fill:
                 return
-            block = min(last - g_lo + 1, block_size)
-            p = np.minimum(1.0, c_lo * r ** np.arange(block))
-            u = rng.random(block)
-            hit = np.nonzero(u < p)[0]
-            if hit.size:
-                g_ap = g_lo + int(hit[0])
-                ap_gates.append(g_ap)
-                n_state = n_state * r ** (g_ap - g_fill) + fill
-                g_fill = g_ap
-                g_lo = g_ap + 1
-                block_size = 16
-            else:
-                g_lo += block
-                block_size = min(block_size * 2, _AP_BLOCK)
+            g_ap = g_fill + 1 + k
+            ap_gates.append(g_ap)
+            n_state = n_state * r ** (k + 1) + fill
+            g_fill = g_ap
+            c = afterpulse_prob(ap_model, n_state, period)
 
+    is_dark = (phys == ORIGIN_DARK).tolist()
     for i, g in enumerate(gates.tolist()):
         if n_state > 0.0:
-            scan(g_fill + 1, g - 1)
+            scan(g - 1)
             # does an afterpulse also fire in the intrinsic gate? (label only)
-            if n_state > 0.0 and trigger > 0.0:
-                p_here = min(1.0, trigger * n_state * r ** (g - g_fill))
-                if p_here > 0.0 and rng.random() < p_here and phys[i] == ORIGIN_DARK:
-                    relabel.append(i)
-        n_state = (n_state * r ** (g - g_fill) if g_fill >= 0 else 0.0) + fill
+            if is_dark[i] and rng.random() < afterpulse_prob(
+                    ap_model, n_state, (g - g_fill) * period):
+                relabel.append(i)
+            n_state *= r ** (g - g_fill)
+        n_state += fill
         g_fill = g
-    if g_fill >= 0:
-        scan(g_fill + 1, cfg.n_gates - 1)
+    scan(cfg.n_gates - 1)
 
     if relabel:
         phys[np.asarray(relabel, dtype=np.intp)] = ORIGIN_AFTERPULSE
@@ -387,6 +395,12 @@ def run_simulation(cfg: RunConfig, workers: int = 1) -> RunResult:
     are byte-identical for any worker count.
     """
     _ = cfg.detector.dark_prob_per_gate()  # fail fast on out-of-range temperature
+    ap_model = cfg.detector.afterpulse
+    if ap_model.enabled:
+        ratio = ap_model.branching_ratio(cfg.detector.gate.gate_period)
+        if ratio >= 1.0:
+            raise ValueError(f"afterpulse branching ratio {ratio:.3g} >= 1; "
+                             "afterpulse chains would run away")
     if cfg.source.kind != "cw-dark-only":
         _gates_per_trigger(cfg)
     n_chunks = (cfg.n_gates + CHUNK_GATES - 1) // CHUNK_GATES

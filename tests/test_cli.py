@@ -159,6 +159,14 @@ def test_model_range_error_exit_2(tmp_path, capsys):
     assert "model range error" in capsys.readouterr().err
 
 
+def test_supercritical_afterpulsing_exit_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"detector": {"afterpulse": {"enabled": True}},
+                               "tcspc": {"n_pulses": 100}})
+    rc = main(["tcspc", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "branching ratio 1.25 >= 1" in capsys.readouterr().err
+
+
 def test_tcspc_needs_pulsed_source(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {
         "source": {"kind": "cow-ppm", "trigger_rate_hz": 625e6},

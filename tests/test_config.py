@@ -135,6 +135,25 @@ def test_cross_field_trigger_divisibility(tmp_path):
     assert any("trigger_rate_hz" in e for e in exc.value.errors)
 
 
+def test_cross_field_trigger_rate_ratio_not_finite():
+    # gate/trigger overflows to inf; the rule reports it instead of crashing
+    doc = deep_merge(default_config(), {"source": {"trigger_rate_hz": 1e-300}})
+    assert validate_config(doc) == [
+        "source.trigger_rate_hz: must divide the gate clock (gate/trigger = inf)"
+    ]
+
+
+def test_cross_field_supercritical_afterpulsing():
+    doc = deep_merge(default_config(), {"detector": {"afterpulse": {"enabled": True}}})
+    assert validate_config(doc) == [
+        "detector.afterpulse: branching ratio 1.25 >= 1; afterpulse chains would run away"
+    ]
+    # disabled, the same model is fine; so is a subcritical one
+    assert validate_config(default_config()) == []
+    sub = {"detector": {"afterpulse": {"enabled": True, "trigger_prob_per_gate": 0.002}}}
+    assert validate_config(deep_merge(default_config(), sub)) == []
+
+
 def test_cross_field_chain_dt(tmp_path):
     path = write_json(tmp_path, {"chain": {"dt_ps": 200.0}})
     with pytest.raises(ConfigError) as exc:

@@ -172,6 +172,18 @@ def test_afterpulse_disabled_by_default():
     assert AfterpulseModel().enabled is False
 
 
+def test_branching_ratio_sums_the_hazard_one_fill_adds():
+    m = AfterpulseModel()
+    # fill * trigger * sum_j r**j with r = exp(-0.8 ns / 1 us): the defaults run away
+    r = math.exp(-0.8e-9 / 1e-6)
+    assert m.branching_ratio(0.8e-9) == pytest.approx(1e-3 / (1 - r), rel=1e-12)
+    assert 1.25 < m.branching_ratio(0.8e-9) < 1.26
+    short = AfterpulseModel(release_lifetime=100e-9, trigger_prob_per_gate=2e-3)
+    hazards = [afterpulse_prob(short, short.trap_fill_per_detection, j * 0.8e-9)
+               for j in range(20_000)]
+    assert short.branching_ratio(0.8e-9) == pytest.approx(math.fsum(hazards), rel=1e-9)
+
+
 def test_effective_efficiency_follows_bias_and_delay():
     d = DetectorParams()
     assert d.effective_efficiency(0.0) == pytest.approx(0.10)

@@ -12,10 +12,13 @@ from sinegate.detector_model import (
     DetectorParams,
     JitterModel,
     TemperatureDarkLaw,
+    afterpulse_log_survival,
 )
 from sinegate.mc_engine import (
     CHUNK_GATES,
+    ORIGIN_AFTERPULSE,
     ORIGIN_NAMES,
+    ORIGIN_PHOTON,
     RECORD_DTYPE,
     Histogram,
     RunConfig,
@@ -30,6 +33,7 @@ from sinegate.mc_engine import (
     short_lag_excess_pvalue,
     subsequent_gate_fraction,
     tcspc_histogram,
+    _afterpulse_pass,
 )
 
 GATE_PERIOD = 0.8e-9
@@ -234,6 +238,28 @@ def test_run_rejects_incompatible_trigger():
     )
     with pytest.raises(ValueError):
         run_simulation(cfg)
+
+
+def test_run_rejects_trigger_rate_overflowing_the_ratio():
+    cfg = RunConfig(
+        n_gates=1000,
+        master_seed=1,
+        detector=quiet_detector(),
+        source=SourceConfig.pulsed(trigger_rate=1e-300),  # gate/trigger is inf
+    )
+    with pytest.raises(ValueError, match="must divide"):
+        run_simulation(cfg)
+
+
+def test_run_rejects_supercritical_afterpulsing():
+    det = quiet_detector(afterpulse=AfterpulseModel(enabled=True))  # ratio 1.25
+    with pytest.raises(ValueError, match="branching ratio 1.25 >= 1"):
+        run_simulation(RunConfig(n_gates=1000, master_seed=1, detector=det))
+    # the same model disabled, or made subcritical, runs
+    run_simulation(RunConfig(n_gates=1000, master_seed=1, detector=quiet_detector(
+        afterpulse=AfterpulseModel())))
+    run_simulation(RunConfig(n_gates=1000, master_seed=1, detector=quiet_detector(
+        afterpulse=AfterpulseModel(trigger_prob_per_gate=7.9e-3, enabled=True))))
 
 
 def test_run_config_validation():
@@ -450,3 +476,96 @@ def test_afterpulse_runs_show_short_lag_structure():
     lags_ap = np.diff(ap.accepted["gate_index"])
     assert ap.counters["generated_afterpulse"] > 100
     assert short_lag_excess_pvalue(lags_ap, lags_base, 10, 500) < 0.01
+
+
+# ------------------------------------------------------------- afterpulse pass
+
+@pytest.mark.parametrize("c", [1e-15, 1e-6, 0.01, 0.5, 0.999])
+@pytest.mark.parametrize("r", [0.5, 0.992, 0.99999])
+def test_log_survival_matches_direct_sum(c, r):
+    hazards = c * r ** np.arange(10**6)
+    for k in (1, 2, 17, 1000, 65_537, 10**6):
+        direct = np.sum(np.log1p(-hazards[:k]))
+        assert afterpulse_log_survival(c, r, k) == pytest.approx(direct, rel=1e-12, abs=0)
+    assert afterpulse_log_survival(c, r, 0) == 0.0
+    assert afterpulse_log_survival(0.0, r, 10) == 0.0
+
+
+def _afterpulse_config(n_gates, seed, lifetime_gates, fill, trigger):
+    det = quiet_detector(afterpulse=AfterpulseModel(
+        trap_fill_per_detection=fill,
+        release_lifetime=lifetime_gates * GATE_PERIOD,
+        trigger_prob_per_gate=trigger,
+        enabled=True,
+    ))
+    return RunConfig(n_gates=n_gates, master_seed=seed, detector=det)
+
+
+def _pass_on(cfg, intrinsic):
+    """Afterpulse gates `_afterpulse_pass` adds to photon avalanches at `intrinsic`."""
+    n = intrinsic.size
+    gates, phys, _, _ = _afterpulse_pass(
+        cfg, intrinsic, np.full(n, ORIGIN_PHOTON, dtype=np.uint8),
+        np.zeros(n), np.zeros(n, dtype=bool),
+    )
+    return gates[phys == ORIGIN_AFTERPULSE]
+
+
+def test_certain_hazard_fires_the_first_gate():
+    # trigger 1 and fill 1.5 at r = exp(-0.1): the hazard one gate after any
+    # fill is >= 1.36, so every gate after the avalanche fires
+    cfg = _afterpulse_config(50, 3, 10.0, 1.5, 1.0)
+    ap = _pass_on(cfg, np.array([5], dtype=np.int64))
+    assert ap.tolist() == list(range(6, 50))
+
+
+def brute_force_afterpulses(intrinsic, n_gates, model, gate_period, seed):
+    """Per-gate Bernoulli oracle: every gate draws against trigger * N(gate)."""
+    u = np.random.default_rng(seed).random(n_gates).tolist()
+    is_intrinsic = np.zeros(n_gates, dtype=bool)
+    is_intrinsic[intrinsic] = True
+    decay = math.exp(-gate_period / model.release_lifetime)
+    traps, fired = 0.0, []
+    for g, intrinsic_here in enumerate(is_intrinsic.tolist()):
+        if intrinsic_here or u[g] < model.trigger_prob_per_gate * traps:
+            if not intrinsic_here:
+                fired.append(g)
+            traps += model.trap_fill_per_detection
+        traps *= decay
+    return np.asarray(fired, dtype=np.int64)
+
+
+def _lags_to_previous_avalanche(intrinsic, ap):
+    """Gate gap from each afterpulse back to the avalanche before it."""
+    merged = np.sort(np.concatenate([intrinsic, ap]))
+    return (ap - merged[np.searchsorted(merged, ap) - 1]).tolist()
+
+
+def test_afterpulse_pass_matches_per_gate_oracle():
+    n_gates, n_seeds = 100_000, 30
+    # lifetime 4 gates, branching ratio 0.25*0.4424/(1 - exp(-1/4)) = 0.50
+    cfg0 = _afterpulse_config(n_gates, 0, 4.0, 0.25, 0.4424)
+    model = cfg0.detector.afterpulse
+    assert 0.45 < model.branching_ratio(GATE_PERIOD) < 0.55
+    counts = {"pass": [], "oracle": []}
+    lags = {"pass": [], "oracle": []}
+    for seed in range(n_seeds):
+        rng = np.random.default_rng((seed, 7))
+        intrinsic = np.flatnonzero(rng.random(n_gates) < 3e-3).astype(np.int64)
+        runs = {
+            "pass": _pass_on(_afterpulse_config(n_gates, seed, 4.0, 0.25, 0.4424), intrinsic),
+            "oracle": brute_force_afterpulses(intrinsic, n_gates, model, GATE_PERIOD,
+                                              (seed, 8)),
+        }
+        for name, ap in runs.items():
+            counts[name].append(ap.size)
+            lags[name] += _lags_to_previous_avalanche(intrinsic, ap)
+    a, b = np.asarray(counts["pass"], float), np.asarray(counts["oracle"], float)
+    z = (a.mean() - b.mean()) / math.sqrt(a.var(ddof=1) / n_seeds + b.var(ddof=1) / n_seeds)
+    assert abs(z) < 4.0, (a.mean(), b.mean(), z)
+    assert a.mean() > 100  # enough chains to carry the comparison
+    # lag histograms: lags 1..11 one bin each, the rest in one tail bin
+    table = np.asarray([np.bincount(np.minimum(lags[name], 12), minlength=13)[1:]
+                        for name in ("pass", "oracle")])
+    _, p_value, _, _ = stats.chi2_contingency(table, correction=False)
+    assert p_value > 1e-3, table
