@@ -25,8 +25,8 @@ filter cascade:
     ``sinegate`` command-line front end.
 
 All randomness flows from one master seed through named ``SeedSequence``
-spawns, so any run is reproducible bit for bit, including under parallel
-chunk execution.
+spawns, so any run is reproducible bit for bit, whatever the number of
+worker processes.
 """
 
 from .signal_chain import (
@@ -56,7 +56,6 @@ from .detector_model import (
     dark_prob,
     efficiency_at_bias,
     gate_profile,
-    sample_detection_time,
     sample_detection_times,
 )
 from .mc_engine import (
@@ -140,7 +139,6 @@ __all__ = [
     "rate_after_ec",
     "raw_detection_rate",
     "run_simulation",
-    "sample_detection_time",
     "sample_detection_times",
     "secret_rate_estimate",
     "short_lag_excess_pvalue",

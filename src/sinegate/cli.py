@@ -212,7 +212,7 @@ def _cmd_tcspc(cfg: FullConfig, em: Emitter, seed: int, workers: int) -> None:
         holdoff_gates=cfg.run["holdoff_gates"],
         holdoff_anchor=cfg.run["holdoff_anchor"],
     )
-    result = run_simulation(run_cfg, workers=workers)
+    result = run_simulation(run_cfg)
     records = result.records
     trigger_period = 1.0 / src.trigger_rate
     # sync offset of half a cycle keeps the peak away from the phase wrap
@@ -258,7 +258,7 @@ def _cmd_qkd(cfg: FullConfig, em: Emitter, seed: int, workers: int) -> None:
     em.emit_json("qkd_notes", reports[0].notes)
     n_bits = cfg.merged["qkd"]["mc_check_bits"]
     if n_bits > 0:
-        mc = qb.mc_link_run(cfg.qkd, n_bits, seed, workers=workers)
+        mc = qb.mc_link_run(cfg.qkd, n_bits, seed)
         _emit_mapping(em, "qkd_mc_check", mc, header=("metric", "value"))
 
 
@@ -330,7 +330,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="table format (default: csv)")
         p.add_argument("--workers", type=int, default=1,
-                       help="parallel workers for Monte Carlo chunks")
+                       help="processes for the independent stability segments")
         p.set_defaults(handler=handler)
     return parser
 

@@ -39,7 +39,6 @@ __all__ = [
     "gate_profile",
     "efficiency_at_bias",
     "dark_prob",
-    "sample_detection_time",
     "sample_detection_times",
     "afterpulse_prob",
     "afterpulse_log_survival",
@@ -227,7 +226,7 @@ def sample_detection_times(
     gate_period: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vector version of `sample_detection_time`; returns (times, in_tail).
+    """Discriminated times of avalanches in `gate_indices`; returns (times, in_tail).
 
     Draw protocol is fixed (tail uniforms, Gaussian offsets, tail gate
     choices, in that order) so a given generator state maps to one output.
@@ -243,17 +242,6 @@ def sample_detection_times(
     offset_gates = np.where(in_tail, k, 0)
     times = (gate_indices + offset_gates) * gate_period + j.sigma * z
     return times, in_tail
-
-
-def sample_detection_time(
-    j: JitterModel,
-    gate_index: int,
-    gate_period: float,
-    rng: np.random.Generator,
-) -> tuple[float, bool]:
-    """Discriminated time for one avalanche in gate `gate_index`."""
-    times, in_tail = sample_detection_times(j, np.asarray([gate_index]), gate_period, rng)
-    return float(times[0]), bool(in_tail[0])
 
 
 @dataclass(frozen=True)

@@ -18,25 +18,23 @@ Determinism
 -----------
 Gates are processed in absolute chunks of 2**20. Chunk ``i`` draws all its
 photon/dark candidates and their detection times from
-``SeedSequence((master_seed, 1, i))``, so the candidate stream is identical
-no matter how many workers produce it or in which order. Afterpulse chains
-(which couple gates across chunk boundaries) and their detection times are
-generated in a single sequential pass from ``SeedSequence((master_seed, 2))``:
-in gate order, one uniform per gap after a trap fill (none when its first
-hazard is >= 1) and one per dark candidate that an afterpulse may relabel,
-then the detection times of all afterpulses. Per-chunk draw order is fixed:
-(cow bits), photon uniforms, dark binomial count, dark positions, tail
-uniforms, Gaussian offsets, tail gate choices, laser offsets. Identical
-RunConfig therefore yields identical records, independent of the worker
-count.
+``SeedSequence((master_seed, 1, i))``, so a chunk's candidates depend only
+on the seed and its index, never on how many gates follow it. Afterpulse
+chains (which couple gates across chunk boundaries) and their detection
+times are generated in a single sequential pass from
+``SeedSequence((master_seed, 2))``: in gate order, one uniform per gap
+after a trap fill (none when its first hazard is >= 1) and one per dark
+candidate that an afterpulse may relabel, then the detection times of all
+afterpulses. Per-chunk draw order is fixed: (cow bits), photon uniforms,
+dark binomial count, dark positions, tail uniforms, Gaussian offsets, tail
+gate choices, laser offsets. Identical RunConfig therefore yields identical
+records.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -388,12 +386,8 @@ def apply_holdoff(records, holdoff_gates: int, anchor: str = "accepted"):
     return out
 
 
-def run_simulation(cfg: RunConfig, workers: int = 1) -> RunResult:
-    """Simulate `cfg.n_gates` gates; see the module docstring for semantics.
-
-    `workers` parallelizes candidate generation over gate chunks; results
-    are byte-identical for any worker count.
-    """
+def run_simulation(cfg: RunConfig) -> RunResult:
+    """Simulate `cfg.n_gates` gates; see the module docstring for semantics."""
     _ = cfg.detector.dark_prob_per_gate()  # fail fast on out-of-range temperature
     ap_model = cfg.detector.afterpulse
     if ap_model.enabled:
@@ -404,15 +398,7 @@ def run_simulation(cfg: RunConfig, workers: int = 1) -> RunResult:
     if cfg.source.kind != "cw-dark-only":
         _gates_per_trigger(cfg)
     n_chunks = (cfg.n_gates + CHUNK_GATES - 1) // CHUNK_GATES
-    indices = range(n_chunks)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk_results = list(
-                pool.map(partial(_simulate_chunk, cfg), indices,
-                         chunksize=max(1, n_chunks // (4 * workers)))
-            )
-    else:
-        chunk_results = [_simulate_chunk(cfg, i) for i in indices]
+    chunk_results = [_simulate_chunk(cfg, i) for i in range(n_chunks)]
 
     gates = np.concatenate([c[0] for c in chunk_results])
     phys = np.concatenate([c[1] for c in chunk_results])
@@ -480,16 +466,6 @@ class Histogram:
     def bin_centers(self) -> np.ndarray:
         return self.bin_starts + 0.5 * self.bin_width
 
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Elementwise sum; binning must match exactly."""
-        if (
-            self.bin_width != other.bin_width
-            or self.origin != other.origin
-            or self.n_bins != other.n_bins
-        ):
-            raise ValueError("histograms have different binning")
-        return Histogram(self.bin_width, self.origin, self.counts + other.counts)
-
     @classmethod
     def from_times(cls, times, bin_width: float, origin: float, n_bins: int) -> "Histogram":
         times = np.asarray(times, dtype=float)
@@ -518,9 +494,9 @@ def tcspc_histogram(
     all generated records; hold-off belongs to the counting path, not here).
     `phase_origin` is the sync delay: phases are (time - phase_origin) mod
     period, so a peak sitting at phase 0 can be moved off the wrap-around
-    (e.g. phase_origin = -period/2 centers it). Merging histograms of
-    partitioned runs is exact when the partitions respect trigger-cycle
-    boundaries.
+    (e.g. phase_origin = -period/2 centers it). Summing the counts of
+    partitioned runs' histograms is exact when the partitions respect
+    trigger-cycle boundaries.
     """
     if not (np.isfinite(trigger_rate) and trigger_rate > 0):
         raise ValueError("trigger_rate must be positive")

@@ -22,7 +22,10 @@ time bins discarded.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -321,15 +324,16 @@ def sweep(cfg: QkdLinkConfig, axis: str, grid) -> list[QkdReport]:
     return reports
 
 
-def mc_link_run(
-    cfg: QkdLinkConfig,
-    n_bits: int,
-    master_seed: int,
-    workers: int = 1,
-    holdoff_anchor: str = "accepted",
-) -> dict:
+# the engine's hold-off anchoring that realises each analytic dead-time law
+_HOLDOFF_ANCHOR = {"nonparalyzable": "accepted", "paralyzable": "any"}
+
+
+def mc_link_run(cfg: QkdLinkConfig, n_bits: int, master_seed: int) -> dict:
     """Monte Carlo counterpart of evaluate(): simulate, window, count errors.
 
+    The simulated hold-off follows `cfg.dead_time_model`, the same knob that
+    picks the analytic dead-time law: "nonparalyzable" anchors the window on
+    accepted detections, "paralyzable" restarts it on every detection.
     Each accepted detection is assigned to its nearest gate; detections
     farther than timebin_width/2 from a gate center (or past the simulated
     bit train) are discarded. The error flag compares the assigned bin
@@ -350,9 +354,9 @@ def mc_link_run(
         detector=cfg.detector,
         source=source,
         holdoff_gates=cfg.holdoff_gates,
-        holdoff_anchor=holdoff_anchor,
+        holdoff_anchor=_HOLDOFF_ANCHOR[cfg.dead_time_model],
     )
-    result = run_simulation(run_cfg, workers=workers)
+    result = run_simulation(run_cfg)
     period = cfg.detector.gate.gate_period
     accepted = result.accepted
     times = accepted["time"]
@@ -398,12 +402,24 @@ def stability_run(
 
     Emulates a long acquisition split into segments; with a stationary model
     the per-segment rates scatter within Poisson-like bounds around the mean.
+    Segments are independent, so they run in one process pool of
+    min(workers, n_segments, os.cpu_count()) processes when that is above 1,
+    and in a plain loop otherwise. Each segment returns only its counters,
+    and the result is the same for any `workers`.
     """
     if n_segments < 1:
         raise ValueError("n_segments must be >= 1")
-    segments = []
-    for i in range(n_segments):
-        out = mc_link_run(cfg, bits_per_segment, _segment_seed(master_seed, i), workers=workers)
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    seeds = [_segment_seed(master_seed, i) for i in range(n_segments)]
+    # looked up at call time, so a wrapped module attribute is the one that runs
+    run_segment = partial(mc_link_run, cfg, bits_per_segment)
+    n_procs = min(workers, n_segments, os.cpu_count() or 1)
+    if n_procs > 1:
+        with ProcessPoolExecutor(max_workers=n_procs) as pool:
+            segments = list(pool.map(run_segment, seeds))
+    else:
+        segments = [run_segment(seed) for seed in seeds]
+    for i, out in enumerate(segments):
         out["segment_index"] = i
-        segments.append(out)
     return segments

@@ -218,6 +218,16 @@ def test_rerun_byte_identical_and_worker_independent(tmp_path):
     assert read_dir(out) == first
 
 
+def test_stability_pool_byte_identical(tmp_path):
+    cfg = write_cfg(tmp_path, SMALL)
+    out = tmp_path / "out"
+    run_ok(["stability", "--config", cfg, "--seed", "7", "--out", str(out)])
+    first = read_dir(out)
+    run_ok(["stability", "--config", cfg, "--seed", "7", "--out", str(out),
+            "--workers", "2"])
+    assert read_dir(out) == first
+
+
 def test_seed_changes_outputs(tmp_path):
     cfg = write_cfg(tmp_path, SMALL)
     out = tmp_path / "out"

@@ -20,7 +20,6 @@ from sinegate.detector_model import (
     dark_prob,
     efficiency_at_bias,
     gate_profile,
-    sample_detection_time,
     sample_detection_times,
 )
 
@@ -129,16 +128,6 @@ def test_jitter_degenerate_sigma():
     times, in_tail = sample_detection_times(j, np.arange(5, dtype=np.int64), 0.8e-9, rng)
     assert np.allclose(times, 0.8e-9 * np.arange(5))
     assert not in_tail.any()
-
-
-def test_jitter_scalar_wrapper_matches_vector():
-    j = JitterModel()
-    t_vec, tail_vec = sample_detection_times(
-        j, np.asarray([7], dtype=np.int64), 0.8e-9, np.random.default_rng(9)
-    )
-    t_s, tail_s = sample_detection_time(j, 7, 0.8e-9, np.random.default_rng(9))
-    assert t_s == t_vec[0]
-    assert tail_s == bool(tail_vec[0])
 
 
 def test_jitter_validation():

@@ -1,10 +1,12 @@
 """Link-budget tests: analytic composition, sweeps, Monte Carlo consistency."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+from sinegate import qkd_budget
 from sinegate.detector_model import DetectorParams, JitterModel
 from sinegate.qkd_budget import (
     QkdLinkConfig,
@@ -229,11 +231,49 @@ def test_mc_link_run_matches_analytics_within_3_sigma():
     assert abs(q_hat - q_ana) < 3 * sigma_q
 
 
+def test_mc_paralyzable_dead_time_matches_analytic_rate():
+    # the simulated hold-off restarts on every detection, as the paralyzable law assumes
+    cfg = QkdLinkConfig(mu_source=1.0, fiber_loss_db=0.0, dead_time_model="paralyzable")
+    mc = mc_link_run(cfg, 4_000_000, master_seed=21)
+    assert abs(mc["raw_rate_hz"] / mc["analytic_raw_rate_hz"] - 1.0) < 0.02
+
+
 def test_mc_link_run_deterministic_and_parallel_safe():
     cfg = QkdLinkConfig(mu_source=0.3)
     a = mc_link_run(cfg, 300_000, master_seed=11)
-    b = mc_link_run(cfg, 300_000, master_seed=11, workers=2)
-    assert a == b
+    assert mc_link_run(cfg, 300_000, master_seed=11) == a
+    pooled = stability_run(cfg, 3, 100_000, master_seed=11, workers=2)
+    assert pooled == stability_run(cfg, 3, 100_000, master_seed=11)
+
+
+def test_stability_pool_capped_by_segments_and_cpus(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Stands in for the process pool: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(qkd_budget, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = QkdLinkConfig(mu_source=0.3)
+    pooled = stability_run(cfg, 3, 50_000, master_seed=5, workers=10**6)
+    assert sizes == [2]
+    assert pooled == stability_run(cfg, 3, 50_000, master_seed=5)
+    stability_run(cfg, 1, 50_000, master_seed=5, workers=10**6)
+    assert sizes == [2]  # one segment needs no pool
+    with pytest.raises(ValueError):
+        stability_run(cfg, 3, 50_000, master_seed=5, workers=0)
 
 
 def test_mc_link_run_counters_add_up():
