@@ -86,14 +86,14 @@ class Emitter:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers. Each gets (cfg, emitter, seed, workers).
+# Subcommand handlers. Each gets (cfg, emitter, args); args.seed is resolved.
 
 def _emit_mapping(em: Emitter, base: str, mapping: dict, header=("key", "value")) -> None:
     """A two-column table with one row per item of `mapping`."""
     em.emit_table(base, list(header), [list(mapping), list(mapping.values())])
 
 
-def _cmd_chain_demo(cfg: FullConfig, em: Emitter, seed: int, workers: int) -> None:
+def _cmd_chain_demo(cfg: FullConfig, em: Emitter, args) -> None:
     ch = cfg.chain
     gate_cfg = cfg.detector.gate
     dt = ch["dt_ps"] / 1e12
@@ -105,7 +105,7 @@ def _cmd_chain_demo(cfg: FullConfig, em: Emitter, seed: int, workers: int) -> No
     )
     feedthrough = sc.synthesize_feedthrough(gate, ch["coupling_gain"])
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     shape = sc.AvalanchePulseShape()
     margin = 5e-9
     n_av = ch["n_avalanches"]
@@ -155,7 +155,7 @@ def _cmd_chain_demo(cfg: FullConfig, em: Emitter, seed: int, workers: int) -> No
         "filter_order": order,
         "filter_cutoff_hz": float(cutoff),
         "filter_contract_ok": bool(contract.ok),
-        "n_avalanches": n_av,
+        "n_avalanches": len(event_times),
         "n_crossings": len(crossings),
         "avalanche_times_ps": ";".join(repr(t * 1e12) for t in event_times),
         "filtered_min_v": float(filtered.samples.min()),
@@ -163,7 +163,7 @@ def _cmd_chain_demo(cfg: FullConfig, em: Emitter, seed: int, workers: int) -> No
     })
 
 
-def _cmd_sweep_bias(cfg: FullConfig, em: Emitter, seed: int, workers: int) -> None:
+def _cmd_sweep_bias(cfg: FullConfig, em: Emitter, args) -> None:
     law = cfg.detector.bias_law
     grid = grid_values(cfg.sweeps["bias_v"])
     em.emit_table("bias_efficiency", ["bias_v", "efficiency"],
@@ -171,7 +171,7 @@ def _cmd_sweep_bias(cfg: FullConfig, em: Emitter, seed: int, workers: int) -> No
                    np.array([efficiency_at_bias(law, b) for b in grid], dtype=float)])
 
 
-def _cmd_sweep_delay(cfg: FullConfig, em: Emitter, seed: int, workers: int) -> None:
+def _cmd_sweep_delay(cfg: FullConfig, em: Emitter, args) -> None:
     gate = cfg.detector.gate
     grid = grid_values(cfg.sweeps["delay_ps"])
     em.emit_table("gate_profile", ["delay_ps", "efficiency"],
@@ -188,7 +188,7 @@ def _sweep_temperatures(cfg: FullConfig) -> list[float]:
     return [float(t) for t in cfg.detector.dark_law.temperatures]
 
 
-def _cmd_sweep_temp(cfg: FullConfig, em: Emitter, seed: int, workers: int) -> None:
+def _cmd_sweep_temp(cfg: FullConfig, em: Emitter, args) -> None:
     if cfg.detector.dark_law is None:
         raise _CliError("sweep-temp needs a dark table (detector.dark_table_c_prob)")
     temps = _sweep_temperatures(cfg)
@@ -197,7 +197,7 @@ def _cmd_sweep_temp(cfg: FullConfig, em: Emitter, seed: int, workers: int) -> No
                    np.array([dark_prob(cfg.detector.dark_law, t) for t in temps], dtype=float)])
 
 
-def _cmd_tcspc(cfg: FullConfig, em: Emitter, seed: int, workers: int) -> None:
+def _cmd_tcspc(cfg: FullConfig, em: Emitter, args) -> None:
     src = cfg.source
     if src.kind != "pulsed-trigger":
         raise _CliError("tcspc needs source.kind = pulsed-trigger")
@@ -206,7 +206,7 @@ def _cmd_tcspc(cfg: FullConfig, em: Emitter, seed: int, workers: int) -> None:
     n_gates = cfg.tcspc["n_pulses"] * gates_per_pulse
     run_cfg = RunConfig(
         n_gates=n_gates,
-        master_seed=seed,
+        master_seed=args.seed,
         detector=cfg.detector,
         source=src,
         holdoff_gates=cfg.run["holdoff_gates"],
@@ -251,28 +251,28 @@ def _qkd_table(axis_values, reports) -> tuple[list[str], list[np.ndarray]]:
     ]
 
 
-def _cmd_qkd(cfg: FullConfig, em: Emitter, seed: int, workers: int) -> None:
+def _cmd_qkd(cfg: FullConfig, em: Emitter, args) -> None:
     grid = grid_values(cfg.sweeps["fiber_loss_db"])
     reports = qb.sweep(cfg.qkd, "fiber_loss_db", grid)
     em.emit_table("qkd_vs_loss", *_qkd_table(grid, reports))
     em.emit_json("qkd_notes", reports[0].notes)
     n_bits = cfg.merged["qkd"]["mc_check_bits"]
     if n_bits > 0:
-        mc = qb.mc_link_run(cfg.qkd, n_bits, seed)
+        mc = qb.mc_link_run(cfg.qkd, n_bits, args.seed)
         _emit_mapping(em, "qkd_mc_check", mc, header=("metric", "value"))
 
 
-def _cmd_qkd_temp(cfg: FullConfig, em: Emitter, seed: int, workers: int) -> None:
+def _cmd_qkd_temp(cfg: FullConfig, em: Emitter, args) -> None:
     temps = _sweep_temperatures(cfg)
     reports = qb.sweep(cfg.qkd, "temperature", temps)
     em.emit_table("qkd_vs_temperature", *_qkd_table(temps, reports))
     em.emit_json("qkd_notes", reports[0].notes)
 
 
-def _cmd_stability(cfg: FullConfig, em: Emitter, seed: int, workers: int) -> None:
+def _cmd_stability(cfg: FullConfig, em: Emitter, args) -> None:
     segments = qb.stability_run(
         cfg.qkd, cfg.stability["n_segments"], cfg.stability["bits_per_segment"],
-        seed, workers=workers,
+        args.seed, workers=args.workers,
     )
     counted = ["segment_index", "n_bits", "accepted_total", "accepted_in_windows", "wrong_bin"]
     rates = ["raw_rate_hz", "qber"]
@@ -350,12 +350,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 1
-    seed = args.seed if args.seed is not None else cfg.run["master_seed"]
+    args.seed = cfg.run["master_seed"] if args.seed is None else args.seed
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     emitter = Emitter(out_dir, args.format)
     try:
-        args.handler(cfg, emitter, seed, args.workers)
+        args.handler(cfg, emitter, args)
     except _CliError as exc:
         print(exc, file=sys.stderr)
         return 1
@@ -369,7 +369,7 @@ def main(argv=None) -> int:
         {
             "subcommand": args.command,
             "config_path": args.config,
-            "master_seed": seed,
+            "master_seed": args.seed,
             "output_dir": str(args.out),
             "format": args.format,
         }

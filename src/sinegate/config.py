@@ -64,9 +64,7 @@ def default_config() -> dict:
             "bit_rate_hz": 625e6,
             "timebin_width_ps": 400.0,
             "extinction_db": 25.0,
-            "holdoff_time_ns": 8.0,
             "ec_efficiency": 1.2,
-            "dead_time_model": "nonparalyzable",
             "pa_fraction": 0.5,
             "qber_floor": None,
             "laser_fwhm_ps": 30.0,
@@ -214,9 +212,7 @@ _SCHEMA = {
             bit_rate_hz=_num(gt=0),
             timebin_width_ps=_num(gt=0),
             extinction_db=_num(gt=0),
-            holdoff_time_ns=_num(ge=0),
             ec_efficiency=_num(ge=1),
-            dead_time_model=_enum("nonparalyzable", "paralyzable"),
             pa_fraction=_num(ge=0, le=1),
             qber_floor=_nullable(_num(ge=0, lt=0.5)),
             laser_fwhm_ps=_num(ge=0),
@@ -359,6 +355,11 @@ def validate_config(doc: dict) -> list[str]:
     fwhm_ps = value("detector.gate.gate_fwhm_ps")
     if None not in (f_gate, fwhm_ps) and not fwhm_ps < 1e12 / f_gate:
         errors.append("detector.gate.gate_fwhm_ps: must be below one gate period")
+    law = [value(f"detector.bias_law.{k}") for k in
+           ("anchor_bias_v", "anchor_efficiency", "breakdown_bias_v")]
+    if None not in law and law[2] >= law[0] and law[1] > 0:
+        errors.append("detector.bias_law.breakdown_bias_v: must lie below anchor_bias_v "
+                      "when anchor_efficiency > 0")
     table = value("detector.dark_table_c_prob")
     t_op = value("detector.operating.temperature_c")
     if table is not None:
@@ -403,6 +404,9 @@ def validate_config(doc: dict) -> list[str]:
             )
         if kind == "cow-ppm" and m != 2:
             errors.append("source.trigger_rate_hz: cow-ppm needs exactly 2 gates per bit")
+    bin_ps = value("tcspc.bin_width_ps")
+    if None not in (trigger, bin_ps) and not bin_ps / 1e12 < 1.0 / trigger:
+        errors.append("tcspc.bin_width_ps: must be below the trigger period")
     for name in ("bias_v", "delay_ps", "fiber_loss_db"):
         start, stop = value(f"sweeps.{name}.start"), value(f"sweeps.{name}.stop")
         if None not in (start, stop) and stop < start:
@@ -410,6 +414,9 @@ def validate_config(doc: dict) -> list[str]:
     dt_ps = value("chain.dt_ps")
     if None not in (f_gate, dt_ps) and dt_ps > 1e12 / (8.0 * f_gate):
         errors.append("chain.dt_ps: must sample the gate frequency at least 8x")
+    duration_ns = value("chain.duration_ns")
+    if None not in (f_gate, duration_ns) and duration_ns / 1e9 < 1.0 / f_gate:
+        errors.append("chain.duration_ns: must cover at least one gate period")
     return errors
 
 
@@ -459,9 +466,9 @@ def _build(doc: dict) -> FullConfig:
                 timebin_width=float(q["timebin_width_ps"]) / 1e12,
                 extinction_db=float(q["extinction_db"]),
                 detector=detector,
-                holdoff_time=float(q["holdoff_time_ns"]) / 1e9,
+                holdoff_gates=doc["run"]["holdoff_gates"],
+                holdoff_anchor=doc["run"]["holdoff_anchor"],
                 ec_efficiency=float(q["ec_efficiency"]),
-                dead_time_model=q["dead_time_model"],
                 pa_fraction=float(q["pa_fraction"]),
                 qber_floor=None if q["qber_floor"] is None else float(q["qber_floor"]),
                 laser_fwhm=float(q["laser_fwhm_ps"]) / 1e12,

@@ -347,24 +347,24 @@ def _afterpulse_pass(cfg: RunConfig, gates, phys, times, in_tail):
 
 
 def _holdoff_flags(gate_indices: np.ndarray, holdoff_gates: int, anchor: str) -> np.ndarray:
-    if gate_indices.size == 0:
-        return np.zeros(0, dtype=bool)
     gaps = np.diff(gate_indices)
     if np.any(gaps < 0):
         raise ValueError("records must be sorted by gate_index")
-    if anchor == "any":
-        accepted = np.empty(gate_indices.size, dtype=bool)
-        accepted[0] = True
-        accepted[1:] = gaps > holdoff_gates
-        return accepted
-    if gaps.size == 0 or gaps.min() > holdoff_gates:
-        return np.ones(gate_indices.size, dtype=bool)  # nothing close enough to block
-    accepted = np.zeros(gate_indices.size, dtype=bool)
-    last = None
-    for i, g in enumerate(gate_indices.tolist()):
-        if last is None or g - last > holdoff_gates:
-            accepted[i] = True
-            last = g
+    accepted = np.ones(gate_indices.size, dtype=bool)
+    accepted[1:] = gaps > holdoff_gates  # a long gap clears either anchor
+    if anchor == "accepted":
+        # replay the short-gap records; each run restarts at the accepted record before it
+        short = np.flatnonzero(~accepted)
+        rescued, previous, last = [], -2, 0
+        for i, g, g_before in zip(short.tolist(), gate_indices[short].tolist(),
+                                  gate_indices[short - 1].tolist()):
+            if i != previous + 1:
+                last = g_before
+            if g - last > holdoff_gates:
+                rescued.append(i)
+                last = g
+            previous = i
+        accepted[rescued] = True
     return accepted
 
 

@@ -60,13 +60,13 @@ def fiber_length_to_db(length_km: float) -> float:
     """Standard single-mode fiber attenuation, 0.2 dB/km."""
     if not (np.isfinite(length_km) and length_km >= 0):
         raise ValueError("length_km must be >= 0")
-    return length_km / 5.0
+    return length_km * FIBER_DB_PER_KM
 
 
 def fiber_db_to_length(loss_db: float) -> float:
     if not (np.isfinite(loss_db) and loss_db >= 0):
         raise ValueError("loss_db must be >= 0")
-    return loss_db * 5.0
+    return loss_db / FIBER_DB_PER_KM
 
 
 def binary_entropy(q: float) -> float:
@@ -89,6 +89,8 @@ class QkdLinkConfig:
     `pa_fraction` is the slice removed from the post-error-correction rate
     as a stand-in for privacy amplification; the secret rate is a labeled
     estimate, not a security-proof bound.
+    `holdoff_gates` and `holdoff_anchor` are the counter's hold-off as in
+    `RunConfig`; the analytic dead-time law and the Monte Carlo both read them.
     """
 
     mu_source: float = 0.3
@@ -97,9 +99,9 @@ class QkdLinkConfig:
     timebin_width: float = 400e-12
     extinction_db: float = 25.0
     detector: DetectorParams = field(default_factory=DetectorParams)
-    holdoff_time: float = 8e-9
+    holdoff_gates: int = 10
+    holdoff_anchor: str = "accepted"
     ec_efficiency: float = 1.2
-    dead_time_model: str = "nonparalyzable"
     pa_fraction: float = 0.5
     qber_floor: float | None = None
     laser_fwhm: float = 30e-12
@@ -116,12 +118,12 @@ class QkdLinkConfig:
             raise ValueError("timebin_width must be positive and at most half the bit period")
         if not (np.isfinite(self.extinction_db) and self.extinction_db > 0):
             raise ValueError("extinction_db must be positive dB")
-        if not (np.isfinite(self.holdoff_time) and self.holdoff_time >= 0):
-            raise ValueError("holdoff_time must be >= 0")
+        if not (isinstance(self.holdoff_gates, int) and self.holdoff_gates >= 0):
+            raise ValueError("holdoff_gates must be a non-negative integer")
+        if self.holdoff_anchor not in ("accepted", "any"):
+            raise ValueError("holdoff_anchor must be 'accepted' or 'any'")
         if not (np.isfinite(self.ec_efficiency) and self.ec_efficiency >= 1.0):
             raise ValueError("ec_efficiency must be >= 1")
-        if self.dead_time_model not in ("nonparalyzable", "paralyzable"):
-            raise ValueError("dead_time_model must be 'nonparalyzable' or 'paralyzable'")
         if not (0.0 <= self.pa_fraction <= 1.0):
             raise ValueError("pa_fraction must be in [0, 1]")
         if self.qber_floor is not None and not (0.0 <= self.qber_floor < 0.5):
@@ -139,10 +141,6 @@ class QkdLinkConfig:
     def extinction_ratio(self) -> float:
         """Linear empty-bin/pulse-bin intensity ratio epsilon."""
         return 10.0 ** (-self.extinction_db / 10.0)
-
-    @property
-    def holdoff_gates(self) -> int:
-        return int(round(self.holdoff_time * self.detector.gate.gate_frequency))
 
 
 @dataclass(frozen=True)
@@ -200,14 +198,14 @@ def _click_probabilities(cfg: QkdLinkConfig) -> tuple[float, float]:
 def raw_detection_rate(cfg: QkdLinkConfig) -> float:
     """Detected-bit rate after the dead-time correction.
 
-    R0 = bit_rate * (p_signal + p_dark_bit); the hold-off correction is
-    R0 / (1 + R0*tau) (non-paralyzable, default) or R0 * exp(-R0*tau)
-    (paralyzable). The model choice travels in the report notes.
+    R0 = bit_rate * (p_signal + p_dark_bit), tau = holdoff_gates / gate clock;
+    R0 / (1 + R0*tau) for "accepted" anchoring (non-paralyzable, default) or
+    R0 * exp(-R0*tau) for "any" (paralyzable), named in the report notes.
     """
     p_signal, p_dark_bit = _click_probabilities(cfg)
     r0 = cfg.bit_rate * (p_signal + p_dark_bit)
-    tau = cfg.holdoff_time
-    if cfg.dead_time_model == "paralyzable":
+    tau = cfg.holdoff_gates / cfg.detector.gate.gate_frequency
+    if cfg.holdoff_anchor == "any":
         return r0 * math.exp(-r0 * tau)
     return r0 / (1.0 + r0 * tau)
 
@@ -279,7 +277,7 @@ def evaluate(cfg: QkdLinkConfig) -> QkdReport:
     secret = secret_rate_estimate(cfg, after_ec)
     eps = cfg.extinction_ratio
     notes = {
-        "dead_time_model": cfg.dead_time_model,
+        "dead_time_model": "paralyzable" if cfg.holdoff_anchor == "any" else "nonparalyzable",
         "extinction_qber_from_ratio": eps / (1.0 + eps),
         "extinction_qber_alternate": 0.002,
         "secret_rate_method": (
@@ -324,16 +322,11 @@ def sweep(cfg: QkdLinkConfig, axis: str, grid) -> list[QkdReport]:
     return reports
 
 
-# the engine's hold-off anchoring that realises each analytic dead-time law
-_HOLDOFF_ANCHOR = {"nonparalyzable": "accepted", "paralyzable": "any"}
-
-
 def mc_link_run(cfg: QkdLinkConfig, n_bits: int, master_seed: int) -> dict:
     """Monte Carlo counterpart of evaluate(): simulate, window, count errors.
 
-    The simulated hold-off follows `cfg.dead_time_model`, the same knob that
-    picks the analytic dead-time law: "nonparalyzable" anchors the window on
-    accepted detections, "paralyzable" restarts it on every detection.
+    The engine gets `cfg.holdoff_gates` and `cfg.holdoff_anchor` unchanged,
+    the same setting that picks the analytic dead-time law.
     Each accepted detection is assigned to its nearest gate; detections
     farther than timebin_width/2 from a gate center (or past the simulated
     bit train) are discarded. The error flag compares the assigned bin
@@ -354,7 +347,7 @@ def mc_link_run(cfg: QkdLinkConfig, n_bits: int, master_seed: int) -> dict:
         detector=cfg.detector,
         source=source,
         holdoff_gates=cfg.holdoff_gates,
-        holdoff_anchor=_HOLDOFF_ANCHOR[cfg.dead_time_model],
+        holdoff_anchor=cfg.holdoff_anchor,
     )
     result = run_simulation(run_cfg)
     period = cfg.detector.gate.gate_period

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -175,6 +176,58 @@ def test_tcspc_needs_pulsed_source(tmp_path, capsys):
     rc = main(["tcspc", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "pulsed-trigger" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub, override, field", [
+    ("chain-demo", {"chain": {"duration_ns": 0.5}}, "chain.duration_ns"),
+    ("tcspc", {"tcspc": {"bin_width_ps": 40000.0, "n_pulses": 100}}, "tcspc.bin_width_ps"),
+])
+def test_unusable_config_exit_1_with_field_path(tmp_path, capsys, sub, override, field):
+    rc = main([sub, "--config", write_cfg(tmp_path, override), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert f"{field}: must" in capsys.readouterr().err
+
+
+def test_chain_demo_reports_the_avalanches_it_injects(tmp_path):
+    # 8 ns leaves no room between the 5 ns margins
+    out = tmp_path / "out"
+    run_ok(["chain-demo", "--config", write_cfg(tmp_path, {"chain": {"duration_ns": 8.0}}),
+            "--out", str(out)])
+    rows = (out / "summary.csv").read_text().splitlines()[1:]
+    summary = dict(line.split(",", 1) for line in rows)
+    assert summary["n_avalanches"] == "0"
+    assert summary["avalanche_times_ps"] == ""
+
+
+def qkd_link(tmp_path, run, name):
+    """Notes and raw_rate_hz per fiber-loss point of a `qkd` run at mu = 1."""
+    doc = {"run": run, "qkd": {"mu_source": 1.0, "mc_check_bits": 0},
+           "sweeps": {"fiber_loss_db": {"start": 0.0, "stop": 4.0, "step": 2.0}}}
+    out = tmp_path / name
+    run_ok(["qkd", "--config", write_cfg(tmp_path, doc, name + ".json"), "--out", str(out)])
+    rows = [line.split(",") for line in (out / "qkd_vs_loss.csv").read_text().splitlines()]
+    col = rows[0].index("raw_rate_hz")
+    notes = json.loads((out / "qkd_notes.json").read_text())
+    return notes, [float(r[col]) for r in rows[1:]]
+
+
+def test_holdoff_gates_zero_leaves_the_bare_qkd_rate(tmp_path):
+    notes, rates = qkd_link(tmp_path, {"holdoff_gates": 0}, "bare")
+    det = sinegate.DetectorParams()
+    p_dark_bit = 1.0 - (1.0 - det.dark_prob_per_gate()) ** 2
+    eta = det.effective_efficiency(0.0)
+    r0 = [625e6 * (1.0 - math.exp(-eta * 10 ** (-loss / 10)) + p_dark_bit)
+          for loss in (0.0, 2.0, 4.0)]
+    assert notes["dead_time_model"] == "nonparalyzable"
+    assert rates == pytest.approx(r0, rel=1e-12)
+
+
+def test_holdoff_anchor_any_makes_the_qkd_dead_time_paralyzable(tmp_path):
+    _, r0 = qkd_link(tmp_path, {"holdoff_gates": 0}, "bare")
+    notes, rates = qkd_link(tmp_path, {"holdoff_anchor": "any"}, "any")
+    tau = 10 / 1.25e9  # the default run.holdoff_gates at the 1.25 GHz gate clock
+    assert notes["dead_time_model"] == "paralyzable"
+    assert rates == pytest.approx([r * math.exp(-r * tau) for r in r0], rel=1e-12)
 
 
 def test_empty_config_equals_defaults(tmp_path):

@@ -196,6 +196,45 @@ def test_gate_fwhm_must_fit_period(tmp_path):
     assert any("below one gate period" in e for e in exc.value.errors)
 
 
+def test_cross_field_breakdown_below_anchor_bias(tmp_path):
+    override = {"detector": {"bias_law": {"breakdown_bias_v": 54.0}},
+                "qkd": {"timebin_width_ps": 900.0}}
+    with pytest.raises(ConfigError) as exc:
+        load_config(write_json(tmp_path, override))
+    # a field path, and the qkd rules still run
+    assert exc.value.errors == [
+        "detector.bias_law.breakdown_bias_v: must lie below anchor_bias_v "
+        "when anchor_efficiency > 0",
+        "qkd.timebin_width_ps: must be at most half the bit period",
+    ]
+    zero = {"detector": {"bias_law": {"breakdown_bias_v": 54.0, "anchor_efficiency": 0.0}}}
+    assert validate_config(deep_merge(default_config(), zero)) == []
+
+
+def test_cross_field_chain_duration_covers_a_gate_period():
+    short = deep_merge(default_config(), {"chain": {"duration_ns": 0.5}})
+    assert validate_config(short) == ["chain.duration_ns: must cover at least one gate period"]
+    one_period = deep_merge(default_config(), {"chain": {"duration_ns": 0.8}})
+    assert validate_config(one_period) == []
+
+
+def test_cross_field_tcspc_bin_below_trigger_period():
+    wide = deep_merge(default_config(), {"tcspc": {"bin_width_ps": 40000.0}})
+    assert validate_config(wide) == ["tcspc.bin_width_ps: must be below the trigger period"]
+    at_period = deep_merge(default_config(), {"tcspc": {"bin_width_ps": 32000.0}})
+    assert validate_config(at_period) == ["tcspc.bin_width_ps: must be below the trigger period"]
+
+
+def test_qkd_holdoff_keys_removed(tmp_path):
+    # the hold-off is run.holdoff_gates and run.holdoff_anchor for every subcommand
+    path = write_json(tmp_path, {"qkd": {"holdoff_time_ns": 8.0,
+                                         "dead_time_model": "paralyzable"}})
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert exc.value.errors == ["qkd.holdoff_time_ns: unknown key",
+                                "qkd.dead_time_model: unknown key"]
+
+
 def test_grid_values_inclusive():
     assert grid_values({"start": 52.0, "stop": 55.0, "step": 1.0}) == [
         52.0, 53.0, 54.0, 55.0,

@@ -115,12 +115,16 @@ def record_array(rows):
 @pytest.mark.parametrize("anchor", ["accepted", "any"])
 def test_holdoff_matches_bruteforce_replay(anchor):
     rng = np.random.default_rng(31)
-    for trial in range(30):
+    cases = []
+    for _ in range(30):
         n = int(rng.integers(1, 400))
         gates = np.sort(rng.integers(0, 2_000, size=n))
-        holdoff = int(rng.integers(0, 40))
-        recs = np.zeros(n, dtype=[("gate_index", np.int64), ("time", np.float64),
-                                  ("origin", np.uint8), ("accepted", np.bool_)])
+        cases.append((gates, int(rng.integers(0, 40))))
+    cases.append((np.zeros(0, dtype=np.int64), 10))  # no records at all
+    cases.append((np.arange(0, 2_000, 50), 10))  # every gap longer than the hold-off
+    for trial, (gates, holdoff) in enumerate(cases):
+        recs = np.zeros(gates.size, dtype=[("gate_index", np.int64), ("time", np.float64),
+                                           ("origin", np.uint8), ("accepted", np.bool_)])
         recs["gate_index"] = gates
         out = apply_holdoff(recs, holdoff, anchor=anchor)
         expect = replay_holdoff(gates.tolist(), holdoff, anchor)

@@ -57,7 +57,13 @@ def test_mu_at_detector_follows_loss():
 
 def test_holdoff_gates_rounding():
     assert QkdLinkConfig().holdoff_gates == 10  # 8 ns * 1.25 GHz
-    assert QkdLinkConfig(holdoff_time=0.0).holdoff_gates == 0
+    assert QkdLinkConfig(holdoff_gates=0).holdoff_gates == 0
+
+
+def test_holdoff_gates_must_be_whole_gates():
+    for bad in (2.5, -1):
+        with pytest.raises(ValueError, match="holdoff_gates"):
+            QkdLinkConfig(holdoff_gates=bad)
 
 
 def test_config_validation():
@@ -68,7 +74,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         QkdLinkConfig(bit_rate=500e6)  # 2.5 gates per bit
     with pytest.raises(ValueError):
-        QkdLinkConfig(dead_time_model="elastic")
+        QkdLinkConfig(holdoff_anchor="elastic")
     with pytest.raises(ValueError):
         QkdLinkConfig(qber_floor=0.5)
     with pytest.raises(ValueError):
@@ -91,7 +97,7 @@ def test_raw_rate_nonparalyzable_formula():
 
 def test_raw_rate_paralyzable_formula():
     cfg = QkdLinkConfig(
-        mu_source=1.0, detector=DetectorParams(dark_law=None), dead_time_model="paralyzable"
+        mu_source=1.0, detector=DetectorParams(dark_law=None), holdoff_anchor="any"
     )
     p = 1.0 - math.exp(-0.1)
     r0 = 625e6 * p
@@ -233,7 +239,7 @@ def test_mc_link_run_matches_analytics_within_3_sigma():
 
 def test_mc_paralyzable_dead_time_matches_analytic_rate():
     # the simulated hold-off restarts on every detection, as the paralyzable law assumes
-    cfg = QkdLinkConfig(mu_source=1.0, fiber_loss_db=0.0, dead_time_model="paralyzable")
+    cfg = QkdLinkConfig(mu_source=1.0, fiber_loss_db=0.0, holdoff_anchor="any")
     mc = mc_link_run(cfg, 4_000_000, master_seed=21)
     assert abs(mc["raw_rate_hz"] / mc["analytic_raw_rate_hz"] - 1.0) < 0.02
 
