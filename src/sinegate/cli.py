@@ -109,6 +109,8 @@ def _cmd_chain_demo(cfg: FullConfig, em: Emitter, args) -> None:
     shape = sc.AvalanchePulseShape()
     margin = 5e-9
     n_av = ch["n_avalanches"]
+    if ch["refractory_ns"] > 0:  # onsets half a segment apart must clear the refractory time
+        n_av = min(n_av, int((ch["duration_ns"] - 10.0) // (2 * ch["refractory_ns"])))
     diode = feedthrough
     event_times = []
     if n_av and duration > 2 * margin:

@@ -412,11 +412,17 @@ def validate_config(doc: dict) -> list[str]:
         if None not in (start, stop) and stop < start:
             errors.append(f"sweeps.{name}.stop: must be >= start")
     dt_ps = value("chain.dt_ps")
-    if None not in (f_gate, dt_ps) and dt_ps > 1e12 / (8.0 * f_gate):
+    dt_ok = None not in (f_gate, dt_ps) and dt_ps <= 1e12 / (8.0 * f_gate)
+    if None not in (f_gate, dt_ps) and not dt_ok:
         errors.append("chain.dt_ps: must sample the gate frequency at least 8x")
     duration_ns = value("chain.duration_ns")
     if None not in (f_gate, duration_ns) and duration_ns / 1e9 < 1.0 / f_gate:
         errors.append("chain.duration_ns: must cover at least one gate period")
+    elif dt_ok and duration_ns is not None:
+        # the FFT filter wraps the record, so a partial last period leaks feedthrough
+        periods = round(duration_ns * 1e3 / dt_ps) * dt_ps / 1e12 * f_gate
+        if abs(periods - round(periods)) > 1e-6:
+            errors.append("chain.duration_ns: must be a whole number of gate periods")
     return errors
 
 

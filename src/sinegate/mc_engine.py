@@ -25,10 +25,10 @@ times are generated in a single sequential pass from
 ``SeedSequence((master_seed, 2))``: in gate order, one uniform per gap
 after a trap fill (none when its first hazard is >= 1) and one per dark
 candidate that an afterpulse may relabel, then the detection times of all
-afterpulses. Per-chunk draw order is fixed: (cow bits), photon uniforms,
-dark binomial count, dark positions, tail uniforms, Gaussian offsets, tail
-gate choices, laser offsets. Identical RunConfig therefore yields identical
-records.
+afterpulses. Per-chunk draw order is fixed: (cow bits), photon clicks
+(count, subset; pulse bin then empty bin for cow), dark clicks (count,
+subset), tail uniforms, Gaussian offsets, tail gate choices, laser offsets.
+Identical RunConfig therefore yields identical records.
 """
 
 from __future__ import annotations
@@ -184,22 +184,24 @@ def _gates_per_trigger(cfg: RunConfig) -> int:
     return m
 
 
-def _unique_positions(rng: np.random.Generator, n_range: int, k: int) -> np.ndarray:
-    """k distinct uniform gate offsets in [0, n_range); exact without-replacement law."""
-    if k <= 0:
-        return np.empty(0, dtype=np.int64)
-    pos = np.unique(rng.integers(0, n_range, size=k, dtype=np.int64))
-    while pos.size < k:
-        extra = rng.integers(0, n_range, size=k - pos.size, dtype=np.int64)
-        pos = np.unique(np.concatenate([pos, extra]))
-    return pos
+def _clicks(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
+    """Sorted offsets in [0, n) that click, each independently with probability p.
+
+    Exact for any p in [0, 1]: a binomial count, then a uniform subset of
+    that size (Floyd's algorithm or a partial shuffle, no retries).
+    """
+    k = int(rng.binomial(n, p))
+    offsets = rng.choice(n, size=k, replace=False, shuffle=False)
+    offsets.sort()
+    return offsets
 
 
-def _simulate_chunk(cfg: RunConfig, chunk_index: int):
+def _simulate_chunk(cfg: RunConfig, chunk_index: int, m: int):
     """Photon/dark candidates for gates [chunk*C, min((chunk+1)*C, n)).
 
-    Returns (gates, phys_origin, times, in_tail, bits_or_None); afterpulsing
-    and hold-off are applied later in the sequential merge.
+    `m` is the number of gates per trigger or bit period. Returns (gates,
+    phys_origin, times, in_tail, bits_or_None); afterpulsing and hold-off
+    are applied later in the sequential merge.
     """
     g0 = chunk_index * CHUNK_GATES
     n_local = min(CHUNK_GATES, cfg.n_gates - g0)
@@ -211,33 +213,24 @@ def _simulate_chunk(cfg: RunConfig, chunk_index: int):
 
     bits = None
     if src.kind == "pulsed-trigger":
-        m = _gates_per_trigger(cfg)
         start = ((g0 + m - 1) // m) * m
-        illuminated = np.arange(start, g0 + n_local, m, dtype=np.int64)
+        n_lit = len(range(start, g0 + n_local, m))
         p_click = 1.0 - math.exp(-eta * src.mean_photons)
-        u = rng.random(illuminated.size)
-        photon_gates = illuminated[u < p_click]
+        photon_gates = start + m * _clicks(rng, n_lit, p_click)
     elif src.kind == "cow-ppm":
-        _gates_per_trigger(cfg)
         n_bits = (n_local + 1) // 2  # chunk starts are even, so bits align
         bits = rng.integers(0, 2, size=n_bits, dtype=np.uint8)
         eps = 10.0 ** (-src.extinction_db / 10.0)
         p_pulse = 1.0 - math.exp(-eta * src.mean_photons / (1.0 + eps))
         p_empty = 1.0 - math.exp(-eta * src.mean_photons * eps / (1.0 + eps))
-        local = np.arange(n_local, dtype=np.int64)
-        is_pulse_gate = bits[local >> 1] == (local & 1)
-        p_gate = np.where(is_pulse_gate, p_pulse, p_empty)
-        u = rng.random(n_local)
-        photon_gates = g0 + local[u < p_gate]
+        b_pulse = _clicks(rng, n_bits, p_pulse)
+        b_empty = _clicks(rng, n_bits, p_empty)
+        local = np.concatenate([2 * b_pulse + bits[b_pulse], 2 * b_empty + 1 - bits[b_empty]])
+        photon_gates = g0 + local[local < n_local]  # an odd chunk cuts its last bit
     else:  # cw-dark-only
         photon_gates = np.empty(0, dtype=np.int64)
 
-    p_dark = det.dark_prob_per_gate()
-    if p_dark > 0.0:
-        n_dark = int(rng.binomial(n_local, p_dark))
-        dark_gates = g0 + _unique_positions(rng, n_local, n_dark)
-    else:
-        dark_gates = np.empty(0, dtype=np.int64)
+    dark_gates = g0 + _clicks(rng, n_local, det.dark_prob_per_gate())
 
     # photon wins a shared gate; the avalanche is single either way
     dark_gates = np.setdiff1d(dark_gates, photon_gates, assume_unique=True)
@@ -377,8 +370,8 @@ def apply_holdoff(records, holdoff_gates: int, anchor: str = "accepted"):
     on every record. Takes a `RECORD_DTYPE` array sorted by gate index and
     returns a copy with fresh accepted flags.
     """
-    if holdoff_gates < 0:
-        raise ValueError("holdoff_gates must be >= 0")
+    if not (isinstance(holdoff_gates, int) and holdoff_gates >= 0):
+        raise ValueError("holdoff_gates must be a non-negative integer")
     if anchor not in ("accepted", "any"):
         raise ValueError("anchor must be 'accepted' or 'any'")
     out = records.copy()
@@ -395,10 +388,9 @@ def run_simulation(cfg: RunConfig) -> RunResult:
         if ratio >= 1.0:
             raise ValueError(f"afterpulse branching ratio {ratio:.3g} >= 1; "
                              "afterpulse chains would run away")
-    if cfg.source.kind != "cw-dark-only":
-        _gates_per_trigger(cfg)
+    m = _gates_per_trigger(cfg) if cfg.source.kind != "cw-dark-only" else 1
     n_chunks = (cfg.n_gates + CHUNK_GATES - 1) // CHUNK_GATES
-    chunk_results = [_simulate_chunk(cfg, i) for i in range(n_chunks)]
+    chunk_results = [_simulate_chunk(cfg, i, m) for i in range(n_chunks)]
 
     gates = np.concatenate([c[0] for c in chunk_results])
     phys = np.concatenate([c[1] for c in chunk_results])

@@ -189,14 +189,17 @@ def test_unusable_config_exit_1_with_field_path(tmp_path, capsys, sub, override,
 
 
 def test_chain_demo_reports_the_avalanches_it_injects(tmp_path):
-    # 8 ns leaves no room between the 5 ns margins
-    out = tmp_path / "out"
-    run_ok(["chain-demo", "--config", write_cfg(tmp_path, {"chain": {"duration_ns": 8.0}}),
-            "--out", str(out)])
-    rows = (out / "summary.csv").read_text().splitlines()[1:]
-    summary = dict(line.split(",", 1) for line in rows)
-    assert summary["n_avalanches"] == "0"
-    assert summary["avalanche_times_ps"] == ""
+    # 8 ns leaves no room between the 5 ns margins; 24 ns leaves room for one
+    # avalanche that clears the 5 ns refractory time, not for the 3 asked for
+    for duration_ns, expect in ((8.0, {"n_avalanches": "0", "avalanche_times_ps": ""}),
+                                (24.0, {"n_avalanches": "1", "n_crossings": "1"})):
+        out = tmp_path / f"out{duration_ns}"
+        cfg = write_cfg(tmp_path, {"chain": {"duration_ns": duration_ns}})
+        run_ok(["chain-demo", "--config", cfg, "--out", str(out)])
+        rows = (out / "summary.csv").read_text().splitlines()[1:]
+        summary = dict(line.split(",", 1) for line in rows)
+        for key, value in expect.items():
+            assert summary[key] == value, (duration_ns, key)
 
 
 def qkd_link(tmp_path, run, name):

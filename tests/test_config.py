@@ -218,6 +218,16 @@ def test_cross_field_chain_duration_covers_a_gate_period():
     assert validate_config(one_period) == []
 
 
+def test_cross_field_chain_duration_is_whole_gate_periods():
+    # the FFT filter wraps the record: 42.5 periods leak the feedthrough at the seam
+    partial = deep_merge(default_config(), {"chain": {"duration_ns": 34.0}})
+    assert validate_config(partial) == ["chain.duration_ns: must be a whole number of gate periods"]
+    assert validate_config(deep_merge(default_config(), {"chain": {"duration_ns": 40.0}})) == []
+    # the record is round(duration/dt) samples long: 30 ps samples make 40 ns 39.99 ns
+    coarse = deep_merge(default_config(), {"chain": {"duration_ns": 40.0, "dt_ps": 30.0}})
+    assert validate_config(coarse) == ["chain.duration_ns: must be a whole number of gate periods"]
+
+
 def test_cross_field_tcspc_bin_below_trigger_period():
     wide = deep_merge(default_config(), {"tcspc": {"bin_width_ps": 40000.0}})
     assert validate_config(wide) == ["tcspc.bin_width_ps: must be below the trigger period"]

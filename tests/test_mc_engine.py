@@ -34,6 +34,7 @@ from sinegate.mc_engine import (
     subsequent_gate_fraction,
     tcspc_histogram,
     _afterpulse_pass,
+    _clicks,
 )
 
 GATE_PERIOD = 0.8e-9
@@ -143,6 +144,14 @@ def test_holdoff_known_sequences():
     assert accepted_gates([100, 105, 112], 10, anchor="any") == [100]
 
 
+def test_apply_holdoff_refuses_a_fractional_or_negative_holdoff():
+    recs = record_array([(0, 0.0, "dark"), (3, 2.4e-9, "dark"), (5, 4e-9, "dark")])
+    for holdoff in (2.5, -1):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            apply_holdoff(recs, holdoff)
+    assert apply_holdoff(recs, 2)["accepted"].tolist() == [True, True, False]
+
+
 def test_no_accepted_pair_within_holdoff_in_simulation():
     result = pulsed_run(800_000, 13, holdoff_gates=10)
     acc = result.accepted["gate_index"]
@@ -231,6 +240,71 @@ def test_cow_source_produces_bits_and_window_times():
     bits = result.bits[gate // 2]
     in_pulse_bin = (gate % 2) == bits
     assert in_pulse_bin.mean() > 0.99
+
+
+def test_clicks_edge_cases():
+    rng = np.random.default_rng(5)
+    assert _clicks(rng, 0, 0.5).size == 0
+    assert _clicks(rng, 1000, 0.0).size == 0
+    assert _clicks(rng, 1000, 1.0).tolist() == list(range(1000))
+
+
+@pytest.mark.parametrize("p", [0.02, 0.5, 0.97])
+def test_clicks_are_independent_bernoulli_trials(p):
+    # each of n offsets clicks with probability p: per-offset frequency and mean count
+    n, draws = 40, 20_000
+    rng = np.random.default_rng(int(p * 100))
+    hits = np.zeros(n, dtype=np.int64)
+    total = 0
+    for _ in range(draws):
+        c = _clicks(rng, n, p)
+        assert c.dtype == np.int64
+        assert c.size == 0 or (c[0] >= 0 and c[-1] < n and np.all(np.diff(c) > 0))
+        hits[c] += 1
+        total += c.size
+    z_pos = (hits - draws * p) / math.sqrt(draws * p * (1 - p))
+    assert np.abs(z_pos).max() < 4.5
+    z_total = (total - draws * n * p) / math.sqrt(draws * n * p * (1 - p))
+    assert abs(z_total) < 4
+
+
+def test_cow_clicks_follow_the_per_bin_law():
+    # pulse-bin and empty-bin click counts against the exact per-gate law,
+    # given the drawn bits; an odd gate count cuts the last bit to its first gate
+    det = quiet_detector()
+    eta = det.effective_efficiency(0.0)
+    mu, eps = 0.5, 0.1  # 10 dB extinction
+    p_pulse = 1.0 - math.exp(-eta * mu / (1.0 + eps))
+    p_empty = 1.0 - math.exp(-eta * mu * eps / (1.0 + eps))
+    z_scores, chi2, dof = [], 0.0, 0
+    for n_gates in (3_000_000, 2_000_001):
+        for seed in range(6):
+            result = run_simulation(RunConfig(
+                n_gates=n_gates, master_seed=seed, detector=det,
+                source=SourceConfig.cow(mean_photons_per_bit=mu, extinction_db=10.0)))
+            bits = result.bits
+            assert bits.size == (n_gates + 1) // 2
+            gate = result.records["gate_index"]
+            assert gate.size == 0 or gate.max() < n_gates
+            in_pulse_bin = (gate % 2) == bits[gate // 2]
+            local = np.arange(n_gates)
+            n_pulse_gates = int(np.count_nonzero((local % 2) == bits[local // 2]))
+            for n_class, k, p in ((n_pulse_gates, np.count_nonzero(in_pulse_bin), p_pulse),
+                                  (n_gates - n_pulse_gates, np.count_nonzero(~in_pulse_bin),
+                                   p_empty)):
+                z_scores.append((k - n_class * p) / math.sqrt(n_class * p * (1 - p)))
+            ones = int(bits.sum())
+            chi2 += (2 * ones - bits.size) ** 2 / bits.size
+            dof += 1
+    assert len(z_scores) == 24
+    assert max(abs(z) for z in z_scores) < 4
+    assert stats.chi2.sf(chi2, dof) > 1e-3
+    # a bright source clicks nearly every pulse bin, none past an odd run's end
+    bright = SourceConfig.cow(mean_photons_per_bit=50.0, extinction_db=10.0)
+    for seed in range(20):
+        gate = run_simulation(RunConfig(n_gates=5, master_seed=seed, detector=det,
+                                        source=bright)).records["gate_index"]
+        assert gate.size > 0 and gate.max() < 5
 
 
 def test_run_rejects_incompatible_trigger():
