@@ -28,6 +28,7 @@ from .mc_engine import (
     ORIGIN_NAMES,
     estimate_fwhm,
     deconvolve_jitter,
+    gates_per_trigger,
     inter_detection_correlation,
     records_table,
     run_simulation,
@@ -201,10 +202,7 @@ def _cmd_sweep_temp(cfg: FullConfig, em: Emitter, args) -> None:
 
 def _cmd_tcspc(cfg: FullConfig, em: Emitter, args) -> None:
     src = cfg.source
-    if src.kind != "pulsed-trigger":
-        raise _CliError("tcspc needs source.kind = pulsed-trigger")
-    gate_freq = cfg.detector.gate.gate_frequency
-    gates_per_pulse = int(round(gate_freq / src.trigger_rate))
+    gates_per_pulse = gates_per_trigger(cfg.detector.gate.gate_frequency, src.trigger_rate)
     n_gates = cfg.tcspc["n_pulses"] * gates_per_pulse
     run_cfg = RunConfig(
         n_gates=n_gates,

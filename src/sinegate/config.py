@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 
 from .detector_model import DARK_TABLE_SPAN_C, AfterpulseModel, DetectorParams
-from .mc_engine import SourceConfig
+from .mc_engine import SourceConfig, gates_per_trigger
 from .qkd_budget import QkdLinkConfig
 
 __all__ = [
@@ -56,12 +56,10 @@ def default_config() -> dict:
             "mean_photons": 0.1,
             "laser_fwhm_ps": 30.0,
             "alignment_delay_ps": 0.0,
-            "extinction_db": 25.0,
         },
         "qkd": {
             "mu_source": 0.3,
             "fiber_loss_db": 0.0,
-            "bit_rate_hz": 625e6,
             "timebin_width_ps": 400.0,
             "extinction_db": 25.0,
             "ec_efficiency": 1.2,
@@ -199,17 +197,15 @@ _SCHEMA = {
             operating=_obj(bias_v=_num(), temperature_c=_num()),
         ),
         source=_obj(
-            kind=_enum("pulsed-trigger", "cw-dark-only", "cow-ppm"),
+            kind=_enum("pulsed-trigger"),
             trigger_rate_hz=_num(gt=0),
             mean_photons=_num(ge=0),
             laser_fwhm_ps=_num(ge=0),
             alignment_delay_ps=_num(),
-            extinction_db=_num(gt=0),
         ),
         qkd=_obj(
             mu_source=_num(ge=0),
             fiber_loss_db=_num(ge=0),
-            bit_rate_hz=_num(gt=0),
             timebin_width_ps=_num(gt=0),
             extinction_db=_num(gt=0),
             ec_efficiency=_num(ge=1),
@@ -384,26 +380,16 @@ def validate_config(doc: dict) -> list[str]:
         if ratio >= 1.0:
             errors.append(f"detector.afterpulse: branching ratio {ratio:.3g} >= 1; "
                           "afterpulse chains would run away")
-    bit_rate = value("qkd.bit_rate_hz")
-    if None not in (f_gate, bit_rate) and abs(f_gate / bit_rate - 2.0) > 1e-9:
-        errors.append(
-            "qkd.bit_rate_hz: gate clock / bit rate must equal 2 "
-            f"(two time bins per bit), got {f_gate / bit_rate}"
-        )
     timebin_ps = value("qkd.timebin_width_ps")
-    if None not in (bit_rate, timebin_ps) and timebin_ps > 1e12 / bit_rate / 2.0:
+    if None not in (f_gate, timebin_ps) and timebin_ps > 1e12 / f_gate:
         errors.append("qkd.timebin_width_ps: must be at most half the bit period")
-    kind, trigger = value("source.kind"), value("source.trigger_rate_hz")
-    if None not in (f_gate, kind, trigger) and kind != "cw-dark-only":
-        ratio_src = f_gate / trigger
-        m = round(ratio_src) if math.isfinite(ratio_src) else 0
-        if m < 1 or abs(ratio_src - m) > 1e-9 * max(1.0, ratio_src):
-            errors.append(
-                "source.trigger_rate_hz: must divide the gate clock "
-                f"(gate/trigger = {ratio_src})"
-            )
-        if kind == "cow-ppm" and m != 2:
-            errors.append("source.trigger_rate_hz: cow-ppm needs exactly 2 gates per bit")
+    trigger = value("source.trigger_rate_hz")
+    if None not in (f_gate, trigger):
+        try:
+            gates_per_trigger(f_gate, trigger)
+        except ValueError:
+            errors.append("source.trigger_rate_hz: must divide the gate clock "
+                          f"(gate/trigger = {f_gate / trigger})")
     bin_ps = value("tcspc.bin_width_ps")
     if None not in (trigger, bin_ps) and not bin_ps / 1e12 < 1.0 / trigger:
         errors.append("tcspc.bin_width_ps: must be below the trigger period")
@@ -451,13 +437,11 @@ def _build(doc: dict) -> FullConfig:
     src = doc["source"]
     source = None
     try:
-        source = SourceConfig(
-            kind=src["kind"],
+        source = SourceConfig.pulsed(
             trigger_rate=float(src["trigger_rate_hz"]),
             mean_photons=float(src["mean_photons"]),
             laser_fwhm=float(src["laser_fwhm_ps"]) / 1e12,
             alignment_delay=float(src["alignment_delay_ps"]) / 1e12,
-            extinction_db=float(src["extinction_db"]),
         )
     except ValueError as exc:
         errors.append(f"source: {exc}")
@@ -468,7 +452,6 @@ def _build(doc: dict) -> FullConfig:
             qkd = QkdLinkConfig(
                 mu_source=float(q["mu_source"]),
                 fiber_loss_db=float(q["fiber_loss_db"]),
-                bit_rate=float(q["bit_rate_hz"]),
                 timebin_width=float(q["timebin_width_ps"]) / 1e12,
                 extinction_db=float(q["extinction_db"]),
                 detector=detector,

@@ -90,9 +90,10 @@ class SourceConfig:
         gate_frequency/trigger_rate gates, e.g. 31.25 MHz -> every 40th gate.
       * "cw-dark-only":   no light at all.
       * "cow-ppm":        one pulse per bit in one of two consecutive gates
-        (time bins); `trigger_rate` is the bit rate (two gates per bit) and
+        (time bins), so the bit rate is half the gate clock;
         `extinction_db` sets the residual intensity in the empty bin.
-    `mean_photons` is per pulse (pulsed) or per bit (cow), at the detector.
+    `trigger_rate` is read by pulsed-trigger only. `mean_photons` is per
+    pulse (pulsed) or per bit (cow), at the detector.
     """
 
     kind: str
@@ -127,10 +128,30 @@ class SourceConfig:
         return cls("cw-dark-only", mean_photons=0.0)
 
     @classmethod
-    def cow(cls, mean_photons_per_bit: float, bit_rate: float = 625e6,
-            extinction_db: float = 25.0, laser_fwhm: float = 30e-12) -> "SourceConfig":
-        return cls("cow-ppm", trigger_rate=bit_rate, mean_photons=mean_photons_per_bit,
+    def cow(cls, mean_photons_per_bit: float, extinction_db: float = 25.0,
+            laser_fwhm: float = 30e-12) -> "SourceConfig":
+        return cls("cow-ppm", mean_photons=mean_photons_per_bit,
                    laser_fwhm=laser_fwhm, extinction_db=extinction_db)
+
+
+def check_holdoff(holdoff_gates: int, anchor: str) -> None:
+    """Refuse a hold-off that is not whole gates, or an unknown anchor."""
+    if not (isinstance(holdoff_gates, int) and holdoff_gates >= 0):
+        raise ValueError("holdoff_gates must be a non-negative integer")
+    if anchor not in ("accepted", "any"):
+        raise ValueError("holdoff_anchor must be 'accepted' or 'any'")
+
+
+def gates_per_trigger(gate_frequency: float, trigger_rate: float) -> int:
+    """Whole gates per trigger period; refuses a rate that does not divide the gate clock."""
+    ratio = gate_frequency / trigger_rate
+    m = int(round(ratio)) if math.isfinite(ratio) else 0
+    if m < 1 or abs(ratio - m) > 1e-9 * max(1.0, ratio):
+        raise ValueError(
+            f"trigger rate {trigger_rate} Hz must divide the "
+            f"{gate_frequency} Hz gate clock (got ratio {ratio})"
+        )
+    return m
 
 
 @dataclass(frozen=True)
@@ -149,10 +170,7 @@ class RunConfig:
             raise ValueError("n_gates must be a positive integer")
         if not (isinstance(self.master_seed, int) and 0 <= self.master_seed < 2**64):
             raise ValueError("master_seed must be an unsigned 64-bit integer")
-        if not (isinstance(self.holdoff_gates, int) and self.holdoff_gates >= 0):
-            raise ValueError("holdoff_gates must be a non-negative integer")
-        if self.holdoff_anchor not in ("accepted", "any"):
-            raise ValueError("holdoff_anchor must be 'accepted' or 'any'")
+        check_holdoff(self.holdoff_gates, self.holdoff_anchor)
 
 
 @dataclass
@@ -167,21 +185,6 @@ class RunResult:
     @property
     def accepted(self) -> np.ndarray:
         return self.records[self.records["accepted"]]
-
-
-def _gates_per_trigger(cfg: RunConfig) -> int:
-    """Integer number of gates per trigger/bit period; validates divisibility."""
-    f_gate = cfg.detector.gate.gate_frequency
-    ratio = f_gate / cfg.source.trigger_rate
-    m = int(round(ratio)) if math.isfinite(ratio) else 0
-    if m < 1 or abs(ratio - m) > 1e-9 * max(1.0, ratio):
-        raise ValueError(
-            f"trigger rate {cfg.source.trigger_rate} Hz must divide the "
-            f"{f_gate} Hz gate clock (got ratio {ratio})"
-        )
-    if cfg.source.kind == "cow-ppm" and m != 2:
-        raise ValueError("cow-ppm needs exactly two gates (time bins) per bit")
-    return m
 
 
 def _clicks(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
@@ -199,9 +202,9 @@ def _clicks(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
 def _simulate_chunk(cfg: RunConfig, chunk_index: int, m: int):
     """Photon/dark candidates for gates [chunk*C, min((chunk+1)*C, n)).
 
-    `m` is the number of gates per trigger or bit period. Returns (gates,
-    phys_origin, times, in_tail, bits_or_None); afterpulsing and hold-off
-    are applied later in the sequential merge.
+    `m` is the number of gates per pulsed trigger; a cow bit is always two
+    gates. Returns (gates, phys_origin, times, in_tail, bits_or_None);
+    afterpulsing and hold-off are applied later in the sequential merge.
     """
     g0 = chunk_index * CHUNK_GATES
     n_local = min(CHUNK_GATES, cfg.n_gates - g0)
@@ -370,10 +373,7 @@ def apply_holdoff(records, holdoff_gates: int, anchor: str = "accepted"):
     on every record. Takes a `RECORD_DTYPE` array sorted by gate index and
     returns a copy with fresh accepted flags.
     """
-    if not (isinstance(holdoff_gates, int) and holdoff_gates >= 0):
-        raise ValueError("holdoff_gates must be a non-negative integer")
-    if anchor not in ("accepted", "any"):
-        raise ValueError("anchor must be 'accepted' or 'any'")
+    check_holdoff(holdoff_gates, anchor)
     out = records.copy()
     out["accepted"] = _holdoff_flags(out["gate_index"], holdoff_gates, anchor)
     return out
@@ -388,7 +388,9 @@ def run_simulation(cfg: RunConfig) -> RunResult:
         if ratio >= 1.0:
             raise ValueError(f"afterpulse branching ratio {ratio:.3g} >= 1; "
                              "afterpulse chains would run away")
-    m = _gates_per_trigger(cfg) if cfg.source.kind != "cw-dark-only" else 1
+    m = 1  # gates per trigger, read by pulsed-trigger only
+    if cfg.source.kind == "pulsed-trigger":
+        m = gates_per_trigger(cfg.detector.gate.gate_frequency, cfg.source.trigger_rate)
     n_chunks = (cfg.n_gates + CHUNK_GATES - 1) // CHUNK_GATES
     chunk_results = [_simulate_chunk(cfg, i, m) for i in range(n_chunks)]
 
@@ -609,19 +611,17 @@ def geometric_lag_gof(
         raise ValueError("p_per_gate must be in (0, 1)")
     k = lags - (holdoff_gates + 1)
     n = k.size
+    q = 1.0 - p_per_gate
     edges = []  # bin = [lo, hi)
     lo = 0
     while True:
-        # grow bin until expected mass n*(cdf(hi)-cdf(lo)) >= min_expected
-        mass = 0.0
-        hi = lo
-        while mass * n < min_expected:
-            mass += p_per_gate * (1.0 - p_per_gate) ** hi
+        # grow the bin until it expects min_expected counts or holds all the
+        # mass left at or above lo (which the closed form reaches in floating point)
+        left = q**lo
+        hi = lo + 1
+        while (left - q**hi) * n < min_expected and left - q**hi < left:
             hi += 1
-            if mass >= 1.0 - (1.0 - p_per_gate) ** lo:
-                break
-        tail_mass = (1.0 - p_per_gate) ** hi
-        if tail_mass * n < min_expected:
+        if q**hi * n < min_expected:
             edges.append((lo, None))  # open tail bin
             break
         edges.append((lo, hi))
@@ -631,12 +631,10 @@ def geometric_lag_gof(
     for lo, hi in edges:
         if hi is None:
             observed.append(int(np.count_nonzero(k >= lo)))
-            expected.append(n * (1.0 - p_per_gate) ** lo)
+            expected.append(n * q**lo)
         else:
             observed.append(int(np.count_nonzero((k >= lo) & (k < hi))))
-            expected.append(
-                n * ((1.0 - p_per_gate) ** lo - (1.0 - p_per_gate) ** hi)
-            )
+            expected.append(n * (q**lo - q**hi))
     observed = np.asarray(observed, dtype=float)
     expected = np.asarray(expected, dtype=float)
     chi2 = float(np.sum((observed - expected) ** 2 / expected))
@@ -650,11 +648,12 @@ def short_lag_excess_pvalue(
     holdoff_gates: int,
     short_window_gates: int,
 ) -> float:
-    """Two-sample chi-square: is the short-lag share larger than the baseline's?
+    """One-sided two-sample chi-square: is the short-lag share larger than the baseline's?
 
     Splits each lag sample at holdoff + short_window_gates and tests the 2x2
     contingency table. Small p-value = the test run has a short-lag excess
-    (afterpulsing signature) relative to the baseline.
+    (afterpulsing signature) relative to the baseline; a short-lag deficit
+    gives p >= 0.5.
     """
     from scipy import stats  # deferred: no CLI path needs it, and it dominates import time
 
@@ -670,8 +669,9 @@ def short_lag_excess_pvalue(
     )
     if np.any(table.sum(axis=1) == 0) or np.any(table.sum(axis=0) == 0):
         return 1.0  # degenerate table carries no evidence
-    _, p_value, _, _ = stats.chi2_contingency(table, correction=False)
-    return float(p_value)
+    _, p_two_sided, _, _ = stats.chi2_contingency(table, correction=False)
+    shares = table[:, 0] / table.sum(axis=1)  # short-lag share of test, baseline
+    return float(p_two_sided / 2 if shares[0] > shares[1] else 1.0 - p_two_sided / 2)
 
 
 def records_table(records: np.ndarray) -> tuple[list[str], list]:

@@ -1,7 +1,8 @@
 """Link budget for a COW-style time-bin QKD receiver built on the gated detector.
 
-Bits arrive at `bit_rate` (two detector gates per bit); the pulse sits in one
-of the two 400 ps time bins and the other bin carries only the transmitter's
+Each bit spans two consecutive detector gates, so bits arrive at half the
+gate clock (`QkdLinkConfig.bit_rate`); the pulse sits in one of the two
+400 ps time bins and the other bin carries only the transmitter's
 extinction leakage. The analytic model composes, per bit:
 
 * signal click probability 1 - exp(-eta * mu_detector),
@@ -30,7 +31,7 @@ from functools import partial
 import numpy as np
 
 from .detector_model import DetectorParams
-from .mc_engine import RunConfig, SourceConfig, run_simulation
+from .mc_engine import RunConfig, SourceConfig, check_holdoff, run_simulation
 
 __all__ = [
     "FIBER_DB_PER_KM",
@@ -82,6 +83,9 @@ def binary_entropy(q: float) -> float:
 class QkdLinkConfig:
     """Transmitter, fiber, and receiver settings for one link evaluation.
 
+    The bit rate is not a setting: each bit occupies two consecutive gates
+    (time bins) of `detector`, so `bit_rate` is half its gate clock, and a
+    time bin is at most one gate period wide.
     `qber_floor`, when set, replaces the modeled optical error fraction
     (extinction + timing tail, as a fraction of signal detections) with a
     measured floor; the reported extinction/tail components are rescaled
@@ -95,7 +99,6 @@ class QkdLinkConfig:
 
     mu_source: float = 0.3
     fiber_loss_db: float = 0.0
-    bit_rate: float = 625e6
     timebin_width: float = 400e-12
     extinction_db: float = 25.0
     detector: DetectorParams = field(default_factory=DetectorParams)
@@ -111,17 +114,11 @@ class QkdLinkConfig:
             raise ValueError("mu_source must be >= 0")
         if not (np.isfinite(self.fiber_loss_db) and self.fiber_loss_db >= 0):
             raise ValueError("fiber_loss_db must be >= 0")
-        if not (np.isfinite(self.bit_rate) and self.bit_rate > 0):
-            raise ValueError("bit_rate must be positive")
-        bit_period = 1.0 / self.bit_rate
-        if not (0 < self.timebin_width <= bit_period / 2.0):
+        if not (0 < self.timebin_width <= self.detector.gate.gate_period):
             raise ValueError("timebin_width must be positive and at most half the bit period")
         if not (np.isfinite(self.extinction_db) and self.extinction_db > 0):
             raise ValueError("extinction_db must be positive dB")
-        if not (isinstance(self.holdoff_gates, int) and self.holdoff_gates >= 0):
-            raise ValueError("holdoff_gates must be a non-negative integer")
-        if self.holdoff_anchor not in ("accepted", "any"):
-            raise ValueError("holdoff_anchor must be 'accepted' or 'any'")
+        check_holdoff(self.holdoff_gates, self.holdoff_anchor)
         if not (np.isfinite(self.ec_efficiency) and self.ec_efficiency >= 1.0):
             raise ValueError("ec_efficiency must be >= 1")
         if not (0.0 <= self.pa_fraction <= 1.0):
@@ -130,12 +127,11 @@ class QkdLinkConfig:
             raise ValueError("qber_floor must be in [0, 0.5)")
         if not (np.isfinite(self.laser_fwhm) and self.laser_fwhm >= 0):
             raise ValueError("laser_fwhm must be >= 0")
-        ratio = self.detector.gate.gate_frequency / self.bit_rate
-        if abs(ratio - 2.0) > 1e-9:
-            raise ValueError(
-                f"need exactly two gates (time bins) per bit; "
-                f"gate clock / bit rate = {ratio}"
-            )
+
+    @property
+    def bit_rate(self) -> float:
+        """Bits per second: half the gate clock, two time bins per bit."""
+        return self.detector.gate.gate_frequency / 2
 
     @property
     def extinction_ratio(self) -> float:
@@ -337,7 +333,6 @@ def mc_link_run(cfg: QkdLinkConfig, n_bits: int, master_seed: int) -> dict:
         raise ValueError("n_bits must be >= 1")
     source = SourceConfig.cow(
         mean_photons_per_bit=mu_at_detector(cfg),
-        bit_rate=cfg.bit_rate,
         extinction_db=cfg.extinction_db,
         laser_fwhm=cfg.laser_fwhm,
     )

@@ -168,6 +168,16 @@ def test_supercritical_afterpulsing_exit_1(tmp_path, capsys):
     assert "branching ratio 1.25 >= 1" in capsys.readouterr().err
 
 
+def test_qkd_runs_at_any_gate_clock(tmp_path):
+    # the bit rate follows the gate clock: 1 GHz gates carry 500 Mbit/s
+    cfg = write_cfg(tmp_path, {"detector": {"gate": {"gate_frequency_hz": 1e9}},
+                               "qkd": {"mc_check_bits": 100000}})
+    out = tmp_path / "o"
+    run_ok(["qkd", "--config", cfg, "--out", str(out)])
+    rows = dict(line.split(",") for line in (out / "qkd_mc_check.csv").read_text().splitlines())
+    assert float(rows["duration_s"]) == 1e5 / 5e8
+
+
 def test_tcspc_needs_pulsed_source(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {
         "source": {"kind": "cow-ppm", "trigger_rate_hz": 625e6},

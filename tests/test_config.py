@@ -122,10 +122,19 @@ def test_cross_field_timebin_width(tmp_path):
 
 
 def test_cross_field_gate_bit_ratio(tmp_path):
-    path = write_json(tmp_path, {"qkd": {"bit_rate_hz": 500e6}})
+    # two gates per bit by construction: the bit rate is no key, nor is the
+    # cow-only source extinction
+    path = write_json(tmp_path, {"qkd": {"bit_rate_hz": 625e6},
+                                 "source": {"extinction_db": 25.0}})
     with pytest.raises(ConfigError) as exc:
         load_config(path)
-    assert any("bit_rate_hz" in e and "2" in e for e in exc.value.errors)
+    assert exc.value.errors == ["source.extinction_db: unknown key",
+                                "qkd.bit_rate_hz: unknown key"]
+
+
+def test_source_kind_is_pulsed_trigger_only():
+    doc = deep_merge(default_config(), {"source": {"kind": "cow-ppm"}})
+    assert validate_config(doc) == ["source.kind: must be one of ('pulsed-trigger',)"]
 
 
 def test_cross_field_trigger_divisibility(tmp_path):

@@ -501,6 +501,13 @@ def test_geometric_lag_gof_rejects_shifted_sample():
     assert pvalue < 1e-6
 
 
+def test_geometric_lag_gof_bins_expect_min_expected_counts():
+    # n*p << 5: each bin must grow to 5 expected counts, not stop at 1, 2 and 4
+    lags = np.concatenate([[11], 10 + np.random.default_rng(5).geometric(1e-3, 39)])
+    chi2, dof, pvalue = geometric_lag_gof(lags, 10, 1e-3)
+    assert pvalue > 1e-3
+
+
 def test_geometric_lag_gof_input_validation():
     with pytest.raises(ValueError):
         geometric_lag_gof([12, 13], 10, 0.01)  # too few
@@ -519,6 +526,9 @@ def test_short_lag_excess_pvalue_directions():
     excess = np.concatenate([same, 10 + 1 + rng.integers(0, 16, size=2_000)])
     assert short_lag_excess_pvalue(excess, base, 10, 16) < 1e-6
     assert short_lag_excess_pvalue([], base, 10, 16) == 1.0
+    # one-sided: a short-lag deficit is no afterpulse signature
+    deficit = base[base > 26]
+    assert short_lag_excess_pvalue(deficit, base, 10, 16) >= 0.5
 
 
 def test_afterpulse_runs_show_short_lag_structure():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sinegate import qkd_budget
-from sinegate.detector_model import DetectorParams, JitterModel
+from sinegate.detector_model import DetectorParams, GateConfig, JitterModel
 from sinegate.qkd_budget import (
     QkdLinkConfig,
     QkdReport,
@@ -60,6 +60,16 @@ def test_holdoff_gates_rounding():
     assert QkdLinkConfig(holdoff_gates=0).holdoff_gates == 0
 
 
+def test_bit_rate_is_half_the_gate_clock():
+    assert QkdLinkConfig().bit_rate == 625e6
+    one_ghz = DetectorParams(gate=GateConfig(gate_frequency=1e9))
+    assert QkdLinkConfig(detector=one_ghz).bit_rate == 5e8
+    # a time bin may fill its gate period, not more
+    assert QkdLinkConfig(detector=one_ghz, timebin_width=1e-9).timebin_width == 1e-9
+    with pytest.raises(ValueError, match="timebin_width"):
+        QkdLinkConfig(detector=one_ghz, timebin_width=1.001e-9)
+
+
 def test_holdoff_gates_must_be_whole_gates():
     for bad in (2.5, -1):
         with pytest.raises(ValueError, match="holdoff_gates"):
@@ -71,8 +81,6 @@ def test_config_validation():
         QkdLinkConfig(mu_source=-0.1)
     with pytest.raises(ValueError):
         QkdLinkConfig(timebin_width=900e-12)  # over half the 1.6 ns bit period
-    with pytest.raises(ValueError):
-        QkdLinkConfig(bit_rate=500e6)  # 2.5 gates per bit
     with pytest.raises(ValueError):
         QkdLinkConfig(holdoff_anchor="elastic")
     with pytest.raises(ValueError):
