@@ -41,7 +41,6 @@ __all__ = [
     "dark_prob",
     "sample_detection_times",
     "afterpulse_prob",
-    "afterpulse_log_survival",
     "FWHM_TO_SIGMA",
     "DEFAULT_DARK_TABLE",
 ]
@@ -290,26 +289,6 @@ def afterpulse_prob(m: AfterpulseModel, trap_population: float, dt_since_fill: f
         -dt_since_fill / m.release_lifetime
     )
     return float(min(1.0, max(0.0, p)))
-
-
-def afterpulse_log_survival(c: float, r: float, k: int) -> float:
-    """log P(no fire in k gates) when gate j fires w.p. c*r**j (0 <= c < 1, 0 <= r < 1).
-
-    Closed form -sum_m (c**m/m)(1 - r**(m*k))/(1 - r**m), cut where c**m
-    drops below float resolution; gates with hazard above 1/2, where it
-    converges slowly, are summed directly.
-    """
-    total = 0.0
-    log_r = math.log(r) if r > 0.0 else -math.inf
-    if c > 0.5:
-        head = min(k, max(1, math.ceil(math.log(0.5 / c) / log_r)))
-        total = float(np.sum(np.log1p(-c * r ** np.arange(head))))
-        c, k = c * r**head, k - head
-    c_m, m = c, 1
-    while k > 0 and c_m > 1e-17 * c:
-        total -= c_m / m * math.expm1(m * k * log_r) / math.expm1(m * log_r)
-        c_m, m = c_m * c, m + 1
-    return total
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,10 @@ photon/dark candidates and their detection times from
 on the seed and its index, never on how many gates follow it. Afterpulse
 chains (which couple gates across chunk boundaries) and their detection
 times are generated in a single sequential pass from
-``SeedSequence((master_seed, 2))``: in gate order, one uniform per gap
-after a trap fill (none when its first hazard is >= 1) and one per dark
-candidate that an afterpulse may relabel, then the detection times of all
+``SeedSequence((master_seed, 2))``: in gate order, the thinning walk draws
+per candidate one exponential, then one uniform when the candidate lies in
+range (nothing when the first hazard after a fill is >= 1, and nothing
+more to relabel a dark candidate), then the detection times of all
 afterpulses. Per-chunk draw order is fixed: (cow bits), photon clicks
 (count, subset; pulse bin then empty bin for cow), dark clicks (count,
 subset), tail uniforms, Gaussian offsets, tail gate choices, laser offsets.
@@ -41,7 +42,6 @@ import numpy as np
 from .detector_model import (
     FWHM_TO_SIGMA,
     DetectorParams,
-    afterpulse_log_survival,
     afterpulse_prob,
     sample_detection_times,
 )
@@ -256,20 +256,28 @@ def _simulate_chunk(cfg: RunConfig, chunk_index: int, m: int):
     return gates, phys, times, in_tail, bits
 
 
-def _first_fire(c: float, r: float, n: int, log_v: float) -> int:
-    """First of `n` gates to fire when gate j fires with probability c*r**j.
+def _next_fire(c: float, r: float, n: int, rng: np.random.Generator) -> int:
+    """First of `n` gates to fire when gate j fires with probability c*r**j, or n for none.
 
-    Inverse-CDF draw with log_v = log(V), V uniform on (0, 1]: the fire gate
-    is the smallest k with log S(k+1) <= log_v, S the survival, found by
-    bisection; `n` means none fires. Needs 0 < c < 1.
+    Thinning: from gate j the bound b = c*r**j covers every later gate. b >= 1
+    fires gate j with no draw; otherwise one exponential skips s gates (s + 1
+    is geometric in b) to a candidate, which one uniform keeps with
+    probability r**s, the hazard over the bound. Needs 0 <= c <= 1, 0 <= r < 1.
     """
-    if afterpulse_log_survival(c, r, n) > log_v:
-        return n
-    lo, hi = 0, n  # invariant: log S(lo) > log_v >= log S(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if afterpulse_log_survival(c, r, mid) <= log_v else (mid, hi)
-    return hi - 1
+    j = 0
+    while True:
+        b = c * r**j
+        if b >= 1.0:
+            return j
+        if b == 0.0:
+            return n
+        x = rng.standard_exponential() / -math.log1p(-b)
+        if j + x >= n:  # in floats: the skip may be too large for an int
+            return n
+        s = int(x)
+        if rng.random() < r**s:
+            return j + s
+        j += s + 1
 
 
 def _afterpulse_pass(cfg: RunConfig, gates, phys, times, in_tail):
@@ -280,10 +288,11 @@ def _afterpulse_pass(cfg: RunConfig, gates, phys, times, in_tail):
     after the last fill fires an afterpulse with probability c*r**j, c =
     `afterpulse_prob` one gate after the fill and r the per-gate decay; a
     fire is itself an avalanche and refills the traps (chains allowed).
-    Each gap between fills costs one uniform, inverted against the exact
-    survival (`afterpulse_log_survival`), or none when c = 1. A fire in a
-    gate that holds a dark candidate relabels it (photon outranks afterpulse
-    outranks dark); only dark candidates draw for that.
+    The falling hazard is thinned (`_next_fire`): per candidate one
+    exponential, then one uniform when it lies in range. The walk runs up
+    to and including each intrinsic gate, where a kept candidate only
+    relabels a dark candidate (photon outranks afterpulse outranks dark)
+    and the traps fill once.
     """
     ap_model = cfg.detector.afterpulse
     period = cfg.detector.gate.gate_period
@@ -296,32 +305,28 @@ def _afterpulse_pass(cfg: RunConfig, gates, phys, times, in_tail):
     n_state = 0.0
     g_fill = -1
 
-    def scan(last: int) -> None:
-        """Generate afterpulses in gates (g_fill, last], none of them intrinsic."""
+    def scan(last: int, intrinsic: bool) -> bool:
+        """Add the afterpulses in gates (g_fill, last]; report, not add, one on an intrinsic `last`."""
         nonlocal n_state, g_fill
-        c = afterpulse_prob(ap_model, n_state, period)
-        while g_fill < last and c > 0.0:
-            k = 0 if c >= 1.0 else _first_fire(c, r, last - g_fill, math.log1p(-rng.random()))
-            if k == last - g_fill:
-                return
-            g_ap = g_fill + 1 + k
-            ap_gates.append(g_ap)
-            n_state = n_state * r ** (k + 1) + fill
-            g_fill = g_ap
+        while g_fill < last:
             c = afterpulse_prob(ap_model, n_state, period)
+            g_ap = g_fill + 1 + _next_fire(c, r, last - g_fill, rng)
+            if g_ap > last:
+                return False
+            if intrinsic and g_ap == last:
+                return True
+            ap_gates.append(g_ap)
+            n_state = n_state * r ** (g_ap - g_fill) + fill
+            g_fill = g_ap
+        return False
 
     is_dark = (phys == ORIGIN_DARK).tolist()
     for i, g in enumerate(gates.tolist()):
-        if n_state > 0.0:
-            scan(g - 1)
-            # does an afterpulse also fire in the intrinsic gate? (label only)
-            if is_dark[i] and rng.random() < afterpulse_prob(
-                    ap_model, n_state, (g - g_fill) * period):
-                relabel.append(i)
-            n_state *= r ** (g - g_fill)
-        n_state += fill
+        if scan(g, True) and is_dark[i]:
+            relabel.append(i)
+        n_state = n_state * r ** (g - g_fill) + fill
         g_fill = g
-    scan(cfg.n_gates - 1)
+    scan(cfg.n_gates - 1, False)
 
     if relabel:
         phys[np.asarray(relabel, dtype=np.intp)] = ORIGIN_AFTERPULSE

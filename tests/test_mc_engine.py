@@ -12,11 +12,11 @@ from sinegate.detector_model import (
     DetectorParams,
     JitterModel,
     TemperatureDarkLaw,
-    afterpulse_log_survival,
 )
 from sinegate.mc_engine import (
     CHUNK_GATES,
     ORIGIN_AFTERPULSE,
+    ORIGIN_DARK,
     ORIGIN_NAMES,
     ORIGIN_PHOTON,
     RECORD_DTYPE,
@@ -35,6 +35,7 @@ from sinegate.mc_engine import (
     tcspc_histogram,
     _afterpulse_pass,
     _clicks,
+    _next_fire,
 )
 
 GATE_PERIOD = 0.8e-9
@@ -559,12 +560,16 @@ def test_afterpulse_runs_show_short_lag_structure():
 @pytest.mark.parametrize("c", [1e-15, 1e-6, 0.01, 0.5, 0.999])
 @pytest.mark.parametrize("r", [0.5, 0.992, 0.99999])
 def test_log_survival_matches_direct_sum(c, r):
-    hazards = c * r ** np.arange(10**6)
+    # the thinning walk's first fire against the survival summed gate by gate
+    n_gates, n_draws = 10**6, 20_000
+    rng = np.random.default_rng(17)
+    fires = np.array([_next_fire(c, r, n_gates, rng) for _ in range(n_draws)])
+    assert fires.min() >= 0 and fires.max() <= n_gates
+    log_survival = np.cumsum(np.log1p(-c * r ** np.arange(n_gates)))
     for k in (1, 2, 17, 1000, 65_537, 10**6):
-        direct = np.sum(np.log1p(-hazards[:k]))
-        assert afterpulse_log_survival(c, r, k) == pytest.approx(direct, rel=1e-12, abs=0)
-    assert afterpulse_log_survival(c, r, 0) == 0.0
-    assert afterpulse_log_survival(0.0, r, 10) == 0.0
+        survived = int(np.count_nonzero(fires >= k))  # no fire in the first k gates
+        p_value = stats.binomtest(survived, n_draws, math.exp(log_survival[k - 1])).pvalue
+        assert p_value > 1e-4, (k, survived, n_draws * math.exp(log_survival[k - 1]))
 
 
 def _afterpulse_config(n_gates, seed, lifetime_gates, fill, trigger):
@@ -577,11 +582,14 @@ def _afterpulse_config(n_gates, seed, lifetime_gates, fill, trigger):
     return RunConfig(n_gates=n_gates, master_seed=seed, detector=det)
 
 
-def _pass_on(cfg, intrinsic):
-    """Afterpulse gates `_afterpulse_pass` adds to photon avalanches at `intrinsic`."""
+def _pass_on(cfg, intrinsic, origin=ORIGIN_PHOTON):
+    """Afterpulse-labeled gates after `_afterpulse_pass` on `origin` candidates at `intrinsic`.
+
+    Photon candidates are never relabeled, so for them these are the added gates.
+    """
     n = intrinsic.size
     gates, phys, _, _ = _afterpulse_pass(
-        cfg, intrinsic, np.full(n, ORIGIN_PHOTON, dtype=np.uint8),
+        cfg, intrinsic, np.full(n, origin, dtype=np.uint8),
         np.zeros(n), np.zeros(n, dtype=bool),
     )
     return gates[phys == ORIGIN_AFTERPULSE]
@@ -595,15 +603,22 @@ def test_certain_hazard_fires_the_first_gate():
     assert ap.tolist() == list(range(6, 50))
 
 
-def brute_force_afterpulses(intrinsic, n_gates, model, gate_period, seed):
-    """Per-gate Bernoulli oracle: every gate draws against trigger * N(gate)."""
+def brute_force_afterpulses(intrinsic, n_gates, model, gate_period, seed, relabeled=None):
+    """Per-gate Bernoulli oracle: every gate draws against trigger * N(gate).
+
+    Returns the added afterpulse gates; intrinsic gates whose draw fires
+    (relabels) are appended to `relabeled` when it is given.
+    """
     u = np.random.default_rng(seed).random(n_gates).tolist()
     is_intrinsic = np.zeros(n_gates, dtype=bool)
     is_intrinsic[intrinsic] = True
     decay = math.exp(-gate_period / model.release_lifetime)
     traps, fired = 0.0, []
     for g, intrinsic_here in enumerate(is_intrinsic.tolist()):
-        if intrinsic_here or u[g] < model.trigger_prob_per_gate * traps:
+        draw_fires = u[g] < model.trigger_prob_per_gate * traps
+        if intrinsic_here and draw_fires and relabeled is not None:
+            relabeled.append(g)
+        if intrinsic_here or draw_fires:
             if not intrinsic_here:
                 fired.append(g)
             traps += model.trap_fill_per_detection
@@ -645,3 +660,51 @@ def test_afterpulse_pass_matches_per_gate_oracle():
                         for name in ("pass", "oracle")])
     _, p_value, _, _ = stats.chi2_contingency(table, correction=False)
     assert p_value > 1e-3, table
+
+
+def _count_z(a, b):
+    """z of the difference between two per-seed count means."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return (a.mean() - b.mean()) / math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
+
+
+def test_relabels_and_added_afterpulses_match_per_gate_oracle():
+    # dark candidates are dense enough that afterpulses often land on one
+    n_gates, n_seeds = 100_000, 30
+    model = _afterpulse_config(n_gates, 0, 4.0, 0.25, 0.4424).detector.afterpulse
+    counts = {key: [] for key in ("pass_added", "pass_relabeled", "oracle_added",
+                                  "oracle_relabeled")}
+    for seed in range(n_seeds):
+        rng = np.random.default_rng((seed, 9))
+        intrinsic = np.flatnonzero(rng.random(n_gates) < 5e-2).astype(np.int64)
+        ap = _pass_on(_afterpulse_config(n_gates, seed, 4.0, 0.25, 0.4424), intrinsic,
+                      ORIGIN_DARK)
+        on_intrinsic = np.isin(ap, intrinsic)
+        counts["pass_relabeled"].append(np.count_nonzero(on_intrinsic))
+        counts["pass_added"].append(np.count_nonzero(~on_intrinsic))
+        relabeled = []
+        added = brute_force_afterpulses(intrinsic, n_gates, model, GATE_PERIOD, (seed, 10),
+                                        relabeled)
+        counts["oracle_relabeled"].append(len(relabeled))
+        counts["oracle_added"].append(added.size)
+    for kind in ("relabeled", "added"):
+        z = _count_z(counts[f"pass_{kind}"], counts[f"oracle_{kind}"])
+        assert abs(z) < 4.0, (kind, np.mean(counts[f"pass_{kind}"]),
+                              np.mean(counts[f"oracle_{kind}"]), z)
+        assert np.mean(counts[f"pass_{kind}"]) > 100  # enough to carry the comparison
+
+
+def test_walk_edge_cases():
+    intrinsic = np.arange(0, 10_000, 7, dtype=np.int64)
+    # no trigger: the traps fill but never fire, and nothing is relabeled
+    assert _pass_on(_afterpulse_config(10_000, 1, 4.0, 0.25, 0.0), intrinsic,
+                    ORIGIN_DARK).size == 0
+    # a lifetime of 1/1000 gate: the per-gate decay underflows to 0.0
+    cfg = _afterpulse_config(10_000, 1, 1e-3, 0.25, 0.4424)
+    assert math.exp(-GATE_PERIOD / cfg.detector.afterpulse.release_lifetime) == 0.0
+    assert _pass_on(cfg, intrinsic, ORIGIN_DARK).size == 0
+    # one avalanche in a huge run: the walk ends long before the last gate
+    for seed in range(20):
+        ap = _pass_on(_afterpulse_config(10**12, seed, 4.0, 0.25, 0.4424),
+                      np.array([0], dtype=np.int64))
+        assert np.all(ap < 10_000), ap

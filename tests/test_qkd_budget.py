@@ -245,6 +245,19 @@ def test_mc_link_run_matches_analytics_within_3_sigma():
     assert abs(q_hat - q_ana) < 3 * sigma_q
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_mc_link_run_matches_analytics_at_room_temperature_past_25_km(seed):
+    # the abstract's claim, QKD beyond 25 km (5 dB) at +20 C, in Monte Carlo
+    cfg = QkdLinkConfig(fiber_loss_db=5.0, detector=DetectorParams(temperature_c=20.0))
+    mc = mc_link_run(cfg, 4_000_000, seed)
+    expected = mc["analytic_raw_rate_hz"] * mc["duration_s"]
+    z_rate = (mc["accepted_total"] - expected) / math.sqrt(expected)
+    n, q = mc["accepted_in_windows"], mc["analytic_qber"]
+    z_qber = (mc["wrong_bin"] - n * q) / math.sqrt(n * q * (1 - q))
+    assert abs(z_rate) < 4.0, z_rate
+    assert abs(z_qber) < 4.0, z_qber
+
+
 def test_mc_paralyzable_dead_time_matches_analytic_rate():
     # the simulated hold-off restarts on every detection, as the paralyzable law assumes
     cfg = QkdLinkConfig(mu_source=1.0, fiber_loss_db=0.0, holdoff_anchor="any")
