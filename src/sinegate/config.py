@@ -3,19 +3,29 @@
 A configuration is a JSON object; every field has a default, so `{}` is a
 complete document. User files are deep-merged over the defaults and then
 validated in one pass that reports EVERY failing field, not just the first.
-The shape is declared once, as the JSON Schema tree `_SCHEMA`: validation
-walks it and `schema_text()` prints it.
+Each field is declared once, as a leaf of the JSON Schema tree `_SCHEMA`
+with its bounds and its draft-07 `default`: validation walks the tree,
+`default_config()` collects the defaults, `schema_text()` prints it, and one
+unit-suffix rule (`_args`) builds the model objects from it.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .detector_model import DARK_TABLE_SPAN_C, AfterpulseModel, DetectorParams
+from .detector_model import (
+    DARK_TABLE_SPAN_C,
+    DEFAULT_DARK_TABLE,
+    FWHM_TO_SIGMA,
+    AfterpulseModel,
+    DetectorParams,
+    TemperatureDarkLaw,
+)
 from .mc_engine import SourceConfig, gates_per_trigger
 from .qkd_budget import QkdLinkConfig
 
@@ -41,62 +51,6 @@ class ConfigError(ValueError):
         )
 
 
-def default_config() -> dict:
-    """The complete defaults document (the headline operating point)."""
-    return {
-        "run": {
-            "master_seed": 20260816,
-            "holdoff_gates": 10,
-            "holdoff_anchor": "accepted",
-        },
-        "detector": DetectorParams().to_json_dict(),
-        "source": {
-            "kind": "pulsed-trigger",
-            "trigger_rate_hz": 31.25e6,
-            "mean_photons": 0.1,
-            "laser_fwhm_ps": 30.0,
-            "alignment_delay_ps": 0.0,
-        },
-        "qkd": {
-            "mu_source": 0.3,
-            "fiber_loss_db": 0.0,
-            "timebin_width_ps": 400.0,
-            "extinction_db": 25.0,
-            "ec_efficiency": 1.2,
-            "pa_fraction": 0.5,
-            "qber_floor": None,
-            "laser_fwhm_ps": 30.0,
-            "mc_check_bits": 1000000,
-        },
-        "chain": {
-            "dt_ps": 25.0,
-            "duration_ns": 64.0,
-            "amplitude_pp_v": 8.0,
-            "coupling_gain": 0.1,
-            "stages": 2,
-            "n_avalanches": 3,
-            "threshold_mv": -4.0,
-            "refractory_ns": 5.0,
-            "delay_ps": 0.0,
-        },
-        "tcspc": {
-            "n_pulses": 500000,
-            "bin_width_ps": 4.0,
-            "max_lag_gates": 400,
-        },
-        "sweeps": {
-            "bias_v": {"start": 51.0, "stop": 54.5, "step": 0.05},
-            "delay_ps": {"start": -400.0, "stop": 400.0, "step": 10.0},
-            "fiber_loss_db": {"start": 0.0, "stop": 16.0, "step": 0.5},
-            "temperatures_c": None,
-        },
-        "stability": {
-            "n_segments": 8,
-            "bits_per_segment": 1000000,
-        },
-    }
-
-
 def deep_merge(base: dict, override: dict) -> dict:
     """Recursive dict merge; scalars and lists in `override` replace wholesale."""
     out = dict(base)
@@ -111,11 +65,11 @@ def deep_merge(base: dict, override: dict) -> dict:
 # ---------------------------------------------------------------------------
 # The configuration shape: one tree that is itself a draft-07 JSON Schema.
 # `schema_text()` prints it and `validate_config` walks it with `_check`,
-# which reads only the keywords used here. Every field is required of the
-# merged document (`missing` otherwise) and optional in a user file. Two
-# rules JSON Schema cannot state live in `_valid`: numbers must be finite
-# (`json.load` reads NaN) and integers must be Python ints (JSON Schema
-# counts 2.0 as an integer).
+# which reads only the keywords used here. Every leaf carries its `default`;
+# every field is required of the merged document (`missing` otherwise) and
+# optional in a user file. Two rules JSON Schema cannot state live in
+# `_valid`: numbers must be finite (`json.load` reads NaN) and integers must
+# be Python ints (JSON Schema counts 2.0 as an integer).
 
 _BOUNDS = {"gt": "exclusiveMinimum", "ge": "minimum", "lt": "exclusiveMaximum", "le": "maximum"}
 _COMPARE = {
@@ -130,28 +84,32 @@ def _obj(**properties) -> dict:
     return {"type": "object", "additionalProperties": False, "properties": properties}
 
 
-def _num(kind: str = "number", **bounds) -> dict:
+def _num(default=None, kind: str = "number", **bounds) -> dict:
     """A number (or integer) fragment; bounds are gt/ge/lt/le keywords."""
-    return {"type": kind, **{_BOUNDS[k]: v for k, v in bounds.items()}}
+    fragment = {"type": kind, **{_BOUNDS[k]: v for k, v in bounds.items()}}
+    return fragment if default is None else {**fragment, "default": default}
 
 
-def _int(**bounds) -> dict:
-    return _num("integer", **bounds)
+def _int(default, **bounds) -> dict:
+    return _num(default, "integer", **bounds)
 
 
 def _enum(*options) -> dict:
-    return {"enum": list(options)}
+    """One of `options`; the first is the default."""
+    return {"enum": list(options), "default": options[0]}
 
 
-def _nullable(inner: dict) -> dict:
-    return {"oneOf": [{"type": "null"}, inner]}
+def _nullable(inner: dict, default=None) -> dict:
+    return {"oneOf": [{"type": "null"}, inner], "default": default}
 
 
 def _list(items, min_items: int, description: str) -> dict:
     return {"type": "array", "description": description, "minItems": min_items, "items": items}
 
 
-_SWEEP_GRID = _obj(start=_num(), stop=_num(), step=_num(gt=0))
+def _grid(start: float, stop: float, step: float) -> dict:
+    return _obj(start=_num(start), stop=_num(stop), step=_num(step, gt=0))
+
 
 _SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -160,21 +118,21 @@ _SCHEMA = {
     "defaults. Unit suffixes are part of the field names.",
     **_obj(
         run=_obj(
-            master_seed=_int(ge=0, lt=2**64),
-            holdoff_gates=_int(ge=0),
+            master_seed=_int(20260816, ge=0, lt=2**64),
+            holdoff_gates=_int(10, ge=0),
             holdoff_anchor=_enum("accepted", "any"),
         ),
         detector=_obj(
             gate=_obj(
-                gate_frequency_hz=_num(gt=0),
-                gate_fwhm_ps=_num(gt=0),
-                peak_efficiency=_num(ge=0, le=1),
+                gate_frequency_hz=_num(1.25e9, gt=0),
+                gate_fwhm_ps=_num(130.0, gt=0),
+                peak_efficiency=_num(0.1, ge=0, le=1),
             ),
             bias_law=_obj(
-                anchor_bias_v=_num(),
-                anchor_efficiency=_num(ge=0, le=1),
-                slope_per_v=_num(gt=0),
-                breakdown_bias_v=_num(),
+                anchor_bias_v=_num(53.5),
+                anchor_efficiency=_num(0.1, ge=0, le=1),
+                slope_per_v=_num(0.05, gt=0),
+                breakdown_bias_v=_num(51.5),
             ),
             dark_table_c_prob=_nullable(_list(
                 {"type": "array", "minItems": 2, "maxItems": 2,
@@ -182,66 +140,145 @@ _SCHEMA = {
                 2,
                 "a list of at least 2 [temperature_c, probability] pairs, "
                 "probability in (0, 1)",
-            )),
+            ), default=[list(row) for row in DEFAULT_DARK_TABLE]),
             jitter=_obj(
-                sigma_ps=_num(ge=0),
-                tail_fraction=_num(ge=0, lt=1),
-                tail_span_gates=_int(ge=1),
+                sigma_ps=_num(70.0 * FWHM_TO_SIGMA, ge=0),  # 70 ps FWHM
+                tail_fraction=_num(0.024, ge=0, lt=1),
+                tail_span_gates=_int(3, ge=1),
             ),
             afterpulse=_obj(
-                trap_fill_per_detection=_num(ge=0),
-                release_lifetime_ns=_num(gt=0),
-                trigger_prob_per_gate=_num(ge=0, le=1),
-                enabled={"type": "boolean"},
+                trap_fill_per_detection=_num(0.1, ge=0),
+                release_lifetime_ns=_num(1000.0, gt=0),
+                trigger_prob_per_gate=_num(0.01, ge=0, le=1),
+                enabled={"type": "boolean", "default": False},
             ),
-            operating=_obj(bias_v=_num(), temperature_c=_num()),
+            operating=_obj(bias_v=_num(53.5), temperature_c=_num(-43.0)),
         ),
         source=_obj(
             kind=_enum("pulsed-trigger"),
-            trigger_rate_hz=_num(gt=0),
-            mean_photons=_num(ge=0),
-            laser_fwhm_ps=_num(ge=0),
-            alignment_delay_ps=_num(),
+            trigger_rate_hz=_num(31.25e6, gt=0),
+            mean_photons=_num(0.1, ge=0),
+            laser_fwhm_ps=_num(30.0, ge=0),
+            alignment_delay_ps=_num(0.0),
         ),
         qkd=_obj(
-            mu_source=_num(ge=0),
-            fiber_loss_db=_num(ge=0),
-            timebin_width_ps=_num(gt=0),
-            extinction_db=_num(gt=0),
-            ec_efficiency=_num(ge=1),
-            pa_fraction=_num(ge=0, le=1),
+            mu_source=_num(0.3, ge=0),
+            fiber_loss_db=_num(0.0, ge=0),
+            timebin_width_ps=_num(400.0, gt=0),
+            extinction_db=_num(25.0, gt=0),
+            ec_efficiency=_num(1.2, ge=1),
+            pa_fraction=_num(0.5, ge=0, le=1),
             qber_floor=_nullable(_num(ge=0, lt=0.5)),
-            laser_fwhm_ps=_num(ge=0),
-            mc_check_bits=_int(ge=0),
+            laser_fwhm_ps=_num(30.0, ge=0),
+            mc_check_bits=_int(1000000, ge=0),
         ),
         chain=_obj(
-            dt_ps=_num(gt=0),
-            duration_ns=_num(gt=0),
-            amplitude_pp_v=_num(ge=0),
-            coupling_gain=_num(ge=0),
-            stages=_int(ge=1),
-            n_avalanches=_int(ge=0),
-            threshold_mv=_num(),
-            refractory_ns=_num(ge=0),
-            delay_ps=_num(),
+            dt_ps=_num(25.0, gt=0),
+            duration_ns=_num(64.0, gt=0),
+            amplitude_pp_v=_num(8.0, ge=0),
+            coupling_gain=_num(0.1, ge=0),
+            stages=_int(2, ge=1),
+            n_avalanches=_int(3, ge=0),
+            threshold_mv=_num(-4.0),
+            refractory_ns=_num(5.0, ge=0),
+            delay_ps=_num(0.0),
         ),
         tcspc=_obj(
-            n_pulses=_int(ge=1),
-            bin_width_ps=_num(gt=0),
-            max_lag_gates=_int(ge=1),
+            n_pulses=_int(500000, ge=1),
+            bin_width_ps=_num(4.0, gt=0),
+            max_lag_gates=_int(400, ge=1),
         ),
         sweeps=_obj(
-            bias_v=_SWEEP_GRID,
-            delay_ps=_SWEEP_GRID,
-            fiber_loss_db=_SWEEP_GRID,
+            bias_v=_grid(51.0, 54.5, 0.05),
+            delay_ps=_grid(-400.0, 400.0, 10.0),
+            fiber_loss_db=_grid(0.0, 16.0, 0.5),
             temperatures_c=_nullable(_list(_num(), 1, "a non-empty list of temperatures")),
         ),
         stability=_obj(
-            n_segments=_int(ge=1),
-            bits_per_segment=_int(ge=1),
+            n_segments=_int(8, ge=1),
+            bits_per_segment=_int(1000000, ge=1),
         ),
     ),
 }
+_SECTIONS = _SCHEMA["properties"]
+
+
+def default_config() -> dict:
+    """The complete defaults document (the headline operating point): a fresh
+    copy of every leaf's `default`."""
+    def walk(schema):
+        if schema.get("type") != "object":
+            return copy.deepcopy(schema["default"])
+        return {key: walk(sub) for key, sub in schema["properties"].items()}
+    return walk(_SCHEMA)
+
+
+# ---------------------------------------------------------------------------
+# One rule from the tree to the model objects. A leaf is the constructor
+# argument named like it minus its unit suffix, coerced by the leaf's type
+# and scaled to SI. A sub-object builds the argument of its name or, with no
+# such argument (`operating`), adds to the enclosing one. Leaves that name no
+# argument (`run.master_seed`, `qkd.mc_check_bits`) are read where used. The
+# dark table builds `TemperatureDarkLaw`; null switches the dark channel off.
+
+_UNITS = {"_hz": None, "_v": None, "_ps": 1e12, "_ns": 1e9}  # factor from SI
+_COERCE = {"number": float, "integer": int, "boolean": bool}
+_DARK_TABLE, _DARK_LAW = "dark_table_c_prob", "dark_law"
+
+
+def _arg(key: str) -> tuple[str, float | None]:
+    """A leaf's constructor argument and the factor from SI to its unit."""
+    for suffix, scale in _UNITS.items():
+        if key.endswith(suffix):
+            return key[: -len(suffix)], scale
+    return key, None
+
+
+def _value(schema: dict, v, scale: float | None):
+    """A leaf's JSON value as its constructor argument."""
+    branch = schema["oneOf"][-1] if "oneOf" in schema else schema  # null is first
+    if v is None or "enum" in branch:
+        return v
+    v = _COERCE[branch["type"]](v)
+    return v if scale is None else v / scale
+
+
+def _args(cls, schema: dict, doc: dict) -> dict:
+    """Constructor arguments of dataclass `cls` from a section of the tree.
+
+    Walks the tree's leaves: keys it no longer has (`delay_step_ps`) are ignored.
+    """
+    params = {f.name: f for f in fields(cls)}
+    args = {}
+    for key, sub in schema["properties"].items():
+        name, scale = _arg(key)
+        if key == _DARK_TABLE:
+            args[_DARK_LAW] = None if doc[key] is None else TemperatureDarkLaw(doc[key])
+        elif sub.get("type") != "object":
+            if name in params:
+                args[name] = _value(sub, doc[key], scale)
+        elif name in params:
+            inner = params[name].default_factory
+            args[name] = inner(**_args(inner, sub, doc[key]))
+        else:
+            args.update(_args(cls, sub, doc[key]))
+    return args
+
+
+def _to_json(obj, schema: dict) -> dict:
+    """The inverse of `_args`: the section document of a model object."""
+    doc = {}
+    for key, sub in schema["properties"].items():
+        name, scale = _arg(key)
+        if key == _DARK_TABLE:
+            law = getattr(obj, _DARK_LAW)
+            doc[key] = None if law is None else [list(row) for row in law.table]
+        elif sub.get("type") == "object":
+            doc[key] = _to_json(getattr(obj, name) if hasattr(obj, name) else obj, sub)
+        else:
+            value = getattr(obj, name)
+            doc[key] = value if scale is None else value * scale
+    return doc
 
 
 def _finite(v) -> bool:
@@ -370,11 +407,12 @@ def validate_config(doc: dict) -> list[str]:
                     "detector.operating.temperature_c: outside the dark table range "
                     f"[{temps[0]}, {temps[-1]}]"
                 )
-    ap = [value(f"detector.afterpulse.{k}") for k in
-          ("trap_fill_per_detection", "release_lifetime_ns", "trigger_prob_per_gate")]
-    if f_gate is not None and None not in ap and value("detector.afterpulse.enabled"):
+    section = _SECTIONS["detector"]["properties"]["afterpulse"]
+    ap = {key: value(f"detector.afterpulse.{key}") for key in section["properties"]}
+    if f_gate is not None and None not in ap.values():
         try:
-            ratio = AfterpulseModel(ap[0], ap[1] / 1e9, ap[2]).branching_ratio(1.0 / f_gate)
+            model = AfterpulseModel(**_args(AfterpulseModel, section, ap))
+            ratio = model.branching_ratio(1.0 / f_gate) if model.enabled else 0.0
         except ValueError:
             ratio = 0.0  # the model itself is refused when the config is built
         if ratio >= 1.0:
@@ -384,12 +422,18 @@ def validate_config(doc: dict) -> list[str]:
     if None not in (f_gate, timebin_ps) and timebin_ps > 1e12 / f_gate:
         errors.append("qkd.timebin_width_ps: must be at most half the bit period")
     trigger = value("source.trigger_rate_hz")
+    per_pulse = None
     if None not in (f_gate, trigger):
         try:
-            gates_per_trigger(f_gate, trigger)
+            per_pulse = gates_per_trigger(f_gate, trigger)
         except ValueError:
             errors.append("source.trigger_rate_hz: must divide the gate clock "
                           f"(gate/trigger = {f_gate / trigger})")
+    n_pulses, max_lag = value("tcspc.n_pulses"), value("tcspc.max_lag_gates")
+    if None not in (per_pulse, n_pulses, max_lag) and max_lag >= n_pulses * per_pulse:
+        # no lag is longer than the run, and each lag is a histogram bin
+        errors.append("tcspc.max_lag_gates: must be below the run length "
+                      f"(n_pulses x gates per trigger = {n_pulses * per_pulse})")
     bin_ps = value("tcspc.bin_width_ps")
     if None not in (trigger, bin_ps) and not bin_ps / 1e12 < 1.0 / trigger:
         errors.append("tcspc.bin_width_ps: must be below the trigger period")
@@ -429,41 +473,20 @@ class FullConfig:
 
 def _build(doc: dict) -> FullConfig:
     errors: list[str] = []
-    detector = None
-    try:
-        detector = DetectorParams.from_json_dict(doc["detector"])
-    except ValueError as exc:
-        errors.append(f"detector: {exc}")
-    src = doc["source"]
-    source = None
-    try:
-        source = SourceConfig.pulsed(
-            trigger_rate=float(src["trigger_rate_hz"]),
-            mean_photons=float(src["mean_photons"]),
-            laser_fwhm=float(src["laser_fwhm_ps"]) / 1e12,
-            alignment_delay=float(src["alignment_delay_ps"]) / 1e12,
-        )
-    except ValueError as exc:
-        errors.append(f"source: {exc}")
+
+    def build(cls, section: str, **extra):
+        try:
+            return cls(**_args(cls, _SECTIONS[section], doc[section]), **extra)
+        except ValueError as exc:
+            errors.append(f"{section}: {exc}")
+            return None
+
+    detector = build(DetectorParams, "detector")
+    source = build(SourceConfig, "source")
     qkd = None
     if detector is not None:
-        q = doc["qkd"]
-        try:
-            qkd = QkdLinkConfig(
-                mu_source=float(q["mu_source"]),
-                fiber_loss_db=float(q["fiber_loss_db"]),
-                timebin_width=float(q["timebin_width_ps"]) / 1e12,
-                extinction_db=float(q["extinction_db"]),
-                detector=detector,
-                holdoff_gates=doc["run"]["holdoff_gates"],
-                holdoff_anchor=doc["run"]["holdoff_anchor"],
-                ec_efficiency=float(q["ec_efficiency"]),
-                pa_fraction=float(q["pa_fraction"]),
-                qber_floor=None if q["qber_floor"] is None else float(q["qber_floor"]),
-                laser_fwhm=float(q["laser_fwhm_ps"]) / 1e12,
-            )
-        except ValueError as exc:
-            errors.append(f"qkd: {exc}")
+        hold_off = _args(QkdLinkConfig, _SECTIONS["run"], doc["run"])
+        qkd = build(QkdLinkConfig, "qkd", detector=detector, **hold_off)
     if errors:
         raise ConfigError(errors)
     return FullConfig(

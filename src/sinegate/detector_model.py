@@ -96,11 +96,14 @@ def gate_profile(cfg: GateConfig, delay) -> np.ndarray | float:
 
 @dataclass(frozen=True)
 class BiasEfficiencyLaw:
-    """Linear peak-efficiency law above breakdown, clamped to [0, 1]."""
+    """Linear peak-efficiency law above breakdown, clamped to [0, 1].
+
+    `slope_per` is the efficiency gained per volt above the anchor bias.
+    """
 
     anchor_bias: float = 53.5
     anchor_efficiency: float = 0.10
-    slope_per_volt: float = 0.05
+    slope_per: float = 0.05
     breakdown_bias: float = 51.5
 
     def __post_init__(self) -> None:
@@ -108,8 +111,8 @@ class BiasEfficiencyLaw:
             raise ValueError("bias anchors must be finite")
         if not (0.0 <= self.anchor_efficiency <= 1.0):
             raise ValueError("anchor_efficiency must be in [0, 1]")
-        if not (np.isfinite(self.slope_per_volt) and self.slope_per_volt > 0):
-            raise ValueError("slope_per_volt must be positive")
+        if not (np.isfinite(self.slope_per) and self.slope_per > 0):
+            raise ValueError("slope_per must be positive")
         if self.breakdown_bias >= self.anchor_bias and self.anchor_efficiency > 0:
             raise ValueError("breakdown_bias must lie below the anchor bias")
 
@@ -120,7 +123,7 @@ def efficiency_at_bias(law: BiasEfficiencyLaw, bias: float) -> float:
         raise ValueError("bias must be finite")
     if bias <= law.breakdown_bias:
         return 0.0
-    value = law.anchor_efficiency + law.slope_per_volt * (bias - law.anchor_bias)
+    value = law.anchor_efficiency + law.slope_per * (bias - law.anchor_bias)
     return float(min(1.0, max(0.0, value)))
 
 
@@ -341,77 +344,16 @@ class DetectorParams:
             changes["temperature_c"] = float(temperature_c)
         return replace(self, **changes)
 
-    # JSON round trip. Field names carry explicit units.
+    # JSON round trip. Field names carry explicit units; the config tree
+    # declares them, and config imports this module, hence the local imports.
     def to_json_dict(self) -> dict:
-        return {
-            "gate": {
-                "gate_frequency_hz": self.gate.gate_frequency,
-                "gate_fwhm_ps": self.gate.gate_fwhm * 1e12,
-                "peak_efficiency": self.gate.peak_efficiency,
-            },
-            "bias_law": {
-                "anchor_bias_v": self.bias_law.anchor_bias,
-                "anchor_efficiency": self.bias_law.anchor_efficiency,
-                "slope_per_v": self.bias_law.slope_per_volt,
-                "breakdown_bias_v": self.bias_law.breakdown_bias,
-            },
-            "dark_table_c_prob": None
-            if self.dark_law is None
-            else [[t, p] for t, p in self.dark_law.table],
-            "jitter": {
-                "sigma_ps": self.jitter.sigma * 1e12,
-                "tail_fraction": self.jitter.tail_fraction,
-                "tail_span_gates": self.jitter.tail_span_gates,
-            },
-            "afterpulse": {
-                "trap_fill_per_detection": self.afterpulse.trap_fill_per_detection,
-                "release_lifetime_ns": self.afterpulse.release_lifetime * 1e9,
-                "trigger_prob_per_gate": self.afterpulse.trigger_prob_per_gate,
-                "enabled": self.afterpulse.enabled,
-            },
-            "operating": {
-                "bias_v": self.bias,
-                "temperature_c": self.temperature_c,
-            },
-        }
+        from .config import _SECTIONS, _to_json
+        return _to_json(self, _SECTIONS["detector"])
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "DetectorParams":
-        gate = doc["gate"]
-        bias_law = doc["bias_law"]
-        jitter = doc["jitter"]
-        ap = doc["afterpulse"]
-        operating = doc["operating"]
-        dark_table = doc["dark_table_c_prob"]
-        return cls(
-            gate=GateConfig(
-                gate_frequency=float(gate["gate_frequency_hz"]),
-                gate_fwhm=float(gate["gate_fwhm_ps"]) / 1e12,
-                peak_efficiency=float(gate["peak_efficiency"]),
-            ),
-            bias_law=BiasEfficiencyLaw(
-                anchor_bias=float(bias_law["anchor_bias_v"]),
-                anchor_efficiency=float(bias_law["anchor_efficiency"]),
-                slope_per_volt=float(bias_law["slope_per_v"]),
-                breakdown_bias=float(bias_law["breakdown_bias_v"]),
-            ),
-            dark_law=None
-            if dark_table is None
-            else TemperatureDarkLaw(tuple((float(t), float(p)) for t, p in dark_table)),
-            jitter=JitterModel(
-                sigma=float(jitter["sigma_ps"]) / 1e12,
-                tail_fraction=float(jitter["tail_fraction"]),
-                tail_span_gates=int(jitter["tail_span_gates"]),
-            ),
-            afterpulse=AfterpulseModel(
-                trap_fill_per_detection=float(ap["trap_fill_per_detection"]),
-                release_lifetime=float(ap["release_lifetime_ns"]) / 1e9,
-                trigger_prob_per_gate=float(ap["trigger_prob_per_gate"]),
-                enabled=bool(ap["enabled"]),
-            ),
-            bias=float(operating["bias_v"]),
-            temperature_c=float(operating["temperature_c"]),
-        )
+        from .config import _SECTIONS, _args
+        return cls(**_args(cls, _SECTIONS["detector"], doc))
 
     def save_json(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -191,6 +191,8 @@ def test_tcspc_needs_pulsed_source(tmp_path, capsys):
 @pytest.mark.parametrize("sub, override, field", [
     ("chain-demo", {"chain": {"duration_ns": 0.5}}, "chain.duration_ns"),
     ("tcspc", {"tcspc": {"bin_width_ps": 40000.0, "n_pulses": 100}}, "tcspc.bin_width_ps"),
+    # a lag longer than the run: 2**63 used to overflow np.bincount
+    ("tcspc", {"tcspc": {"n_pulses": 1000, "max_lag_gates": 2**63}}, "tcspc.max_lag_gates"),
 ])
 def test_unusable_config_exit_1_with_field_path(tmp_path, capsys, sub, override, field):
     rc = main([sub, "--config", write_cfg(tmp_path, override), "--out", str(tmp_path / "o")])

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from sinegate.config import (
     _SCHEMA,
+    _SECTIONS,
     ConfigError,
     _check,
     deep_merge,
@@ -22,6 +23,9 @@ from sinegate.config import (
     schema_text,
     validate_config,
 )
+from sinegate.detector_model import DetectorParams
+from sinegate.mc_engine import SourceConfig
+from sinegate.qkd_budget import QkdLinkConfig
 
 SCHEMA_VALIDATOR = jsonschema.Draft7Validator(json.loads(schema_text()))
 
@@ -69,6 +73,102 @@ def test_override_reaches_built_objects(tmp_path):
     cfg = load_config(path)
     assert cfg.qkd.fiber_loss_db == 6.0
     assert cfg.run["master_seed"] == 7
+
+
+def test_tree_defaults_equal_the_dataclass_defaults():
+    cfg = load_config(None)
+    assert cfg.detector == DetectorParams()
+    assert cfg.source == SourceConfig.pulsed()
+    assert cfg.qkd == QkdLinkConfig()
+
+
+# Every leaf that builds a model object, each at a valid value other than its
+# default (`source.kind` has one value). Some float leaves are written as JSON
+# integers, so the coercion to float shows.
+EVERY_LEAF = {
+    "run": {"holdoff_gates": 7, "holdoff_anchor": "any"},
+    "detector": {
+        "gate": {"gate_frequency_hz": 1000000000, "gate_fwhm_ps": 120.0,
+                 "peak_efficiency": 0.2},
+        "bias_law": {"anchor_bias_v": 50, "anchor_efficiency": 0.15, "slope_per_v": 0.04,
+                     "breakdown_bias_v": 48.0},
+        "dark_table_c_prob": [[-50, 1e-7], [0.0, 1e-6], [25.0, 2e-5]],
+        "jitter": {"sigma_ps": 25.0, "tail_fraction": 0.01, "tail_span_gates": 2},
+        "afterpulse": {"trap_fill_per_detection": 0.05, "release_lifetime_ns": 2,
+                       "trigger_prob_per_gate": 0.003, "enabled": True},
+        "operating": {"bias_v": 51.0, "temperature_c": -20},
+    },
+    "source": {"kind": "pulsed-trigger", "trigger_rate_hz": 50e6, "mean_photons": 0.5,
+               "laser_fwhm_ps": 20.0, "alignment_delay_ps": 15.0},
+    "qkd": {"mu_source": 0.4, "fiber_loss_db": 3, "timebin_width_ps": 350.0,
+            "extinction_db": 20.0, "ec_efficiency": 1.1, "pa_fraction": 0.4,
+            "qber_floor": 0.02, "laser_fwhm_ps": 25.0, "mc_check_bits": 5},
+}
+
+# The built attribute each leaf must reach, in SI units, written out by hand.
+EVERY_LEAF_SI = {
+    "detector.gate.gate_frequency": 1e9,
+    "detector.gate.gate_fwhm": 120e-12,
+    "detector.gate.peak_efficiency": 0.2,
+    "detector.bias_law.anchor_bias": 50.0,
+    "detector.bias_law.anchor_efficiency": 0.15,
+    "detector.bias_law.slope_per": 0.04,
+    "detector.bias_law.breakdown_bias": 48.0,
+    "detector.dark_law.table": ((-50.0, 1e-7), (0.0, 1e-6), (25.0, 2e-5)),
+    "detector.jitter.sigma": 25e-12,
+    "detector.jitter.tail_fraction": 0.01,
+    "detector.jitter.tail_span_gates": 2,
+    "detector.afterpulse.trap_fill_per_detection": 0.05,
+    "detector.afterpulse.release_lifetime": 2e-9,
+    "detector.afterpulse.trigger_prob_per_gate": 0.003,
+    "detector.afterpulse.enabled": True,
+    "detector.bias": 51.0,
+    "detector.temperature_c": -20.0,
+    "source.kind": "pulsed-trigger",
+    "source.trigger_rate": 50e6,
+    "source.mean_photons": 0.5,
+    "source.laser_fwhm": 20e-12,
+    "source.alignment_delay": 15e-12,
+    "qkd.mu_source": 0.4,
+    "qkd.fiber_loss_db": 3.0,
+    "qkd.timebin_width": 350e-12,
+    "qkd.extinction_db": 20.0,
+    "qkd.ec_efficiency": 1.1,
+    "qkd.pa_fraction": 0.4,
+    "qkd.qber_floor": 0.02,
+    "qkd.laser_fwhm": 25e-12,
+    "qkd.holdoff_gates": 7,
+    "qkd.holdoff_anchor": "any",
+}
+
+
+def _leaf_paths(schema, prefix=()):
+    if schema.get("type") != "object":
+        yield prefix
+        return
+    for key, sub in schema["properties"].items():
+        yield from _leaf_paths(sub, prefix + (key,))
+
+
+def test_every_leaf_reaches_its_object_in_si_units(tmp_path):
+    # the document sets every leaf of the built sections to a non-default value
+    defaults = default_config()
+    built = [("run", "holdoff_gates"), ("run", "holdoff_anchor")] + [
+        (name,) + p for name in ("detector", "source", "qkd")
+        for p in _leaf_paths(_SECTIONS[name])
+    ]
+    for path in built:
+        value = reduce(getitem, path, EVERY_LEAF)
+        assert path == ("source", "kind") or value != reduce(getitem, path, defaults), path
+    assert len(built) == len(EVERY_LEAF_SI) + 1  # qkd.mc_check_bits builds nothing
+
+    cfg = load_config(write_json(tmp_path, EVERY_LEAF))
+    for path, want in EVERY_LEAF_SI.items():
+        got = reduce(getattr, path.split("."), cfg)
+        assert type(got) is type(want), path
+        assert got == (pytest.approx(want, rel=1e-12) if isinstance(want, float) else want), path
+    assert cfg.qkd.detector is cfg.detector
+    assert cfg.merged["qkd"]["mc_check_bits"] == 5
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -242,6 +342,21 @@ def test_cross_field_tcspc_bin_below_trigger_period():
     assert validate_config(wide) == ["tcspc.bin_width_ps: must be below the trigger period"]
     at_period = deep_merge(default_config(), {"tcspc": {"bin_width_ps": 32000.0}})
     assert validate_config(at_period) == ["tcspc.bin_width_ps: must be below the trigger period"]
+
+
+def test_cross_field_max_lag_below_run_length():
+    # 100 pulses of 40 gates: lags 1..3999 fit in the run
+    fits = deep_merge(default_config(), {"tcspc": {"n_pulses": 100, "max_lag_gates": 3999}})
+    assert validate_config(fits) == []
+    for lag in (4000, 2**63):
+        doc = deep_merge(default_config(), {"tcspc": {"n_pulses": 100, "max_lag_gates": lag}})
+        assert validate_config(doc) == [
+            "tcspc.max_lag_gates: must be below the run length "
+            "(n_pulses x gates per trigger = 4000)"
+        ]
+    # the rule waits for the fields it reads
+    bad_pulses = deep_merge(default_config(), {"tcspc": {"n_pulses": 0, "max_lag_gates": 2**63}})
+    assert validate_config(bad_pulses) == ["tcspc.n_pulses: must be an integer >= 1"]
 
 
 def test_qkd_holdoff_keys_removed(tmp_path):

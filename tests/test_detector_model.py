@@ -1,5 +1,6 @@
 """Device-law tests: gate profile, bias, dark counts, jitter, afterpulsing."""
 
+import dataclasses
 import json
 import math
 
@@ -62,7 +63,7 @@ def test_bias_law_endpoints():
 
 def test_bias_law_validation():
     with pytest.raises(ValueError):
-        BiasEfficiencyLaw(slope_per_volt=0.0)
+        BiasEfficiencyLaw(slope_per=0.0)
     with pytest.raises(ValueError):
         BiasEfficiencyLaw(breakdown_bias=60.0)  # above the anchor
 
@@ -213,6 +214,47 @@ def test_params_file_round_trip(tmp_path):
     d = DetectorParams(temperature_c=20.0)
     path = tmp_path / "det.json"
     d.save_json(path)
+    assert DetectorParams.load_json(path) == d
+
+
+def _leaves(obj, prefix=""):
+    """Every field of `obj` that is not itself a dataclass, by dotted name."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaves(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, value
+
+
+def test_params_file_round_trip_every_field(tmp_path):
+    d = DetectorParams(
+        gate=GateConfig(gate_frequency=1e9, gate_fwhm=120e-12, peak_efficiency=0.2),
+        bias_law=BiasEfficiencyLaw(anchor_bias=50.0, anchor_efficiency=0.15, slope_per=0.04,
+                                   breakdown_bias=48.0),
+        dark_law=TemperatureDarkLaw(((-50.0, 1e-7), (0.0, 1e-6), (25.0, 2e-5))),
+        jitter=JitterModel(sigma=25e-12, tail_fraction=0.01, tail_span_gates=2),
+        afterpulse=AfterpulseModel(trap_fill_per_detection=0.05, release_lifetime=2e-9,
+                                   trigger_prob_per_gate=0.003, enabled=True),
+        bias=51.0,
+        temperature_c=-20.0,
+    )
+    defaults = dict(_leaves(DetectorParams()))
+    for name, value in _leaves(d):
+        assert value != defaults[name], name
+
+    path = tmp_path / "det.json"
+    d.save_json(path)
+    assert json.loads(path.read_text(encoding="utf-8")) == {
+        "gate": {"gate_frequency_hz": 1e9, "gate_fwhm_ps": 120.0, "peak_efficiency": 0.2},
+        "bias_law": {"anchor_bias_v": 50.0, "anchor_efficiency": 0.15, "slope_per_v": 0.04,
+                     "breakdown_bias_v": 48.0},
+        "dark_table_c_prob": [[-50.0, 1e-7], [0.0, 1e-6], [25.0, 2e-5]],
+        "jitter": {"sigma_ps": 25.0, "tail_fraction": 0.01, "tail_span_gates": 2},
+        "afterpulse": {"trap_fill_per_detection": 0.05, "release_lifetime_ns": 2.0,
+                       "trigger_prob_per_gate": 0.003, "enabled": True},
+        "operating": {"bias_v": 51.0, "temperature_c": -20.0},
+    }
     assert DetectorParams.load_json(path) == d
 
 
