@@ -26,9 +26,10 @@ times are generated in a single sequential pass from
 per candidate one exponential, then one uniform when the candidate lies in
 range (nothing when the first hazard after a fill is >= 1, and nothing
 more to relabel a dark candidate), then the detection times of all
-afterpulses. Per-chunk draw order is fixed: (cow bits), photon clicks
-(count, subset; pulse bin then empty bin for cow), dark clicks (count,
-subset), tail uniforms, Gaussian offsets, tail gate choices, laser offsets.
+afterpulses. Per-chunk draw order is fixed: (cow bits, one byte per 8
+bits), photon clicks (count, subset; pulse bin then empty bin for cow),
+dark clicks (count, subset), tail uniforms, Gaussian offsets, tail gate
+choices, laser offsets.
 Identical RunConfig therefore yields identical records.
 """
 
@@ -222,7 +223,9 @@ def _simulate_chunk(cfg: RunConfig, chunk_index: int, m: int):
         photon_gates = start + m * _clicks(rng, n_lit, p_click)
     elif src.kind == "cow-ppm":
         n_bits = (n_local + 1) // 2  # chunk starts are even, so bits align
-        bits = rng.integers(0, 2, size=n_bits, dtype=np.uint8)
+        # one uniform byte carries 8 fair bits; the last byte is cut to n_bits
+        packed = rng.integers(0, 256, size=(n_bits + 7) // 8, dtype=np.uint8)
+        bits = np.unpackbits(packed)[:n_bits]
         eps = 10.0 ** (-src.extinction_db / 10.0)
         p_pulse = 1.0 - math.exp(-eta * src.mean_photons / (1.0 + eps))
         p_empty = 1.0 - math.exp(-eta * src.mean_photons * eps / (1.0 + eps))
@@ -354,11 +357,18 @@ def _holdoff_flags(gate_indices: np.ndarray, holdoff_gates: int, anchor: str) ->
     accepted = np.ones(gate_indices.size, dtype=bool)
     accepted[1:] = gaps > holdoff_gates  # a long gap clears either anchor
     if anchor == "accepted":
-        # replay the short-gap records; each run restarts at the accepted record before it
-        short = np.flatnonzero(~accepted)
+        # A short-gap record right after an accepted one is refused, so a lone
+        # short record needs no replay. Replay the chains of two or more; each
+        # restarts at the accepted record before it.
+        short = ~accepted
+        pair = short[1:] & short[:-1]
+        chained = np.zeros_like(short)
+        chained[1:] = pair
+        chained[:-1] |= pair
+        chain = np.flatnonzero(chained)
         rescued, previous, last = [], -2, 0
-        for i, g, g_before in zip(short.tolist(), gate_indices[short].tolist(),
-                                  gate_indices[short - 1].tolist()):
+        for i, g, g_before in zip(chain.tolist(), gate_indices[chain].tolist(),
+                                  gate_indices[chain - 1].tolist()):
             if i != previous + 1:
                 last = g_before
             if g - last > holdoff_gates:
@@ -411,23 +421,25 @@ def run_simulation(cfg: RunConfig) -> RunResult:
         gates, phys, times, in_tail = _afterpulse_pass(cfg, gates, phys, times, in_tail)
 
     origin = np.where(in_tail, np.uint8(ORIGIN_TAIL), phys)
+    accepted = _holdoff_flags(gates, cfg.holdoff_gates, cfg.holdoff_anchor)
     records = np.empty(gates.size, dtype=RECORD_DTYPE)
     records["gate_index"] = gates
     records["time"] = times
     records["origin"] = origin
-    records["accepted"] = _holdoff_flags(gates, cfg.holdoff_gates, cfg.holdoff_anchor)
+    records["accepted"] = accepted
 
-    period = cfg.detector.gate.gate_period
+    n_origins = len(ORIGIN_NAMES)
+    generated = np.bincount(origin, minlength=n_origins).tolist()
+    kept = np.bincount(origin[accepted], minlength=n_origins).tolist()
     counters = {
         "n_gates": cfg.n_gates,
-        "duration_s": cfg.n_gates * period,
+        "duration_s": cfg.n_gates * cfg.detector.gate.gate_period,
         "generated_total": int(records.size),
-        "accepted_total": int(np.count_nonzero(records["accepted"])),
+        "accepted_total": sum(kept),
     }
-    for code, name in enumerate(ORIGIN_NAMES):
-        mask = records["origin"] == code
-        counters[f"generated_{name}"] = int(np.count_nonzero(mask))
-        counters[f"accepted_{name}"] = int(np.count_nonzero(mask & records["accepted"]))
+    for name, n_generated, n_kept in zip(ORIGIN_NAMES, generated, kept):
+        counters[f"generated_{name}"] = n_generated
+        counters[f"accepted_{name}"] = n_kept
     return RunResult(config=cfg, records=records, counters=counters, bits=bits)
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -346,8 +345,7 @@ def mc_link_run(cfg: QkdLinkConfig, n_bits: int, master_seed: int) -> dict:
     )
     result = run_simulation(run_cfg)
     period = cfg.detector.gate.gate_period
-    accepted = result.accepted
-    times = accepted["time"]
+    times = result.records["time"][result.records["accepted"]]
     nearest_gate = np.rint(times / period).astype(np.int64)
     in_window = (
         (np.abs(times - nearest_gate * period) <= cfg.timebin_width / 2.0)
@@ -361,12 +359,12 @@ def mc_link_run(cfg: QkdLinkConfig, n_bits: int, master_seed: int) -> dict:
     n_windowed = int(np.count_nonzero(in_window))
     return {
         "n_bits": n_bits,
-        "accepted_total": int(accepted.size),
+        "accepted_total": times.size,
         "accepted_in_windows": n_windowed,
-        "discarded_outside_windows": int(accepted.size - n_windowed),
+        "discarded_outside_windows": times.size - n_windowed,
         "wrong_bin": int(wrong),
         "duration_s": duration,
-        "raw_rate_hz": accepted.size / duration,
+        "raw_rate_hz": times.size / duration,
         "qber": wrong / n_windowed if n_windowed else 0.0,
         "analytic_raw_rate_hz": raw_detection_rate(cfg),
         "analytic_qber": qber(cfg)["total"],
@@ -404,6 +402,9 @@ def stability_run(
     run_segment = partial(mc_link_run, cfg, bits_per_segment)
     n_procs = min(workers, n_segments, os.cpu_count() or 1)
     if n_procs > 1:
+        # deferred: only a pooled run needs the process machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_procs) as pool:
             segments = list(pool.map(run_segment, seeds))
     else:

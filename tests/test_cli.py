@@ -347,3 +347,17 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         check=True,
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only `stability --workers` > 1 starts a pool, so only it imports one
+    src = Path(sinegate.__file__).resolve().parents[1]
+    code = "import sys, sinegate.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"

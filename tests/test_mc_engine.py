@@ -114,6 +114,13 @@ def record_array(rows):
     return recs
 
 
+def short_runs(gates, holdoff):
+    """(start, stop) of each maximal run of records within `holdoff` of the record before."""
+    short = np.concatenate([[False], np.diff(gates) <= holdoff, [False]]).astype(np.int8)
+    edges = np.flatnonzero(np.diff(short)) + 1
+    return list(zip(edges[::2].tolist(), edges[1::2].tolist()))
+
+
 @pytest.mark.parametrize("anchor", ["accepted", "any"])
 def test_holdoff_matches_bruteforce_replay(anchor):
     rng = np.random.default_rng(31)
@@ -124,6 +131,18 @@ def test_holdoff_matches_bruteforce_replay(anchor):
         cases.append((gates, int(rng.integers(0, 40))))
     cases.append((np.zeros(0, dtype=np.int64), 10))  # no records at all
     cases.append((np.arange(0, 2_000, 50), 10))  # every gap longer than the hold-off
+    # dense cases: gaps of 1..H+2 gates mix lone short records with chains of them
+    dense = []
+    for _ in range(40):
+        holdoff = int(rng.integers(1, 12))
+        gaps = rng.integers(1, holdoff + 3, size=int(rng.integers(2, 300)))
+        dense.append((np.cumsum(gaps), holdoff))
+    runs = [(gates.size, short_runs(gates, holdoff)) for gates, holdoff in dense]
+    assert any(stop - start == 1 for _, rs in runs for start, stop in rs)  # lone
+    assert any(stop - start >= 3 for _, rs in runs for start, stop in rs)
+    assert any(start == 1 and stop - start >= 2 for _, rs in runs for start, stop in rs)
+    assert any(stop == n and stop - start >= 2 for n, rs in runs for start, stop in rs)
+    cases.extend(dense)
     for trial, (gates, holdoff) in enumerate(cases):
         recs = np.zeros(gates.size, dtype=[("gate_index", np.int64), ("time", np.float64),
                                            ("origin", np.uint8), ("accepted", np.bool_)])
@@ -179,6 +198,33 @@ def test_counters_are_consistent():
     assert sum(c[f"generated_{n}"] for n in ORIGIN_NAMES) == c["generated_total"]
     assert sum(c[f"accepted_{n}"] for n in ORIGIN_NAMES) == c["accepted_total"]
     assert c["n_gates"] == 300_000
+
+
+def test_counters_match_a_mask_oracle():
+    # every origin present: light, darks at +20 C, jitter tails, subcritical afterpulsing
+    det = DetectorParams(
+        temperature_c=20.0,
+        afterpulse=AfterpulseModel(
+            trap_fill_per_detection=0.1,
+            release_lifetime=100e-9,
+            trigger_prob_per_gate=2e-3,
+            enabled=True,
+        ),
+    )
+    cfg = RunConfig(n_gates=2_000_000, master_seed=41, detector=det,
+                    source=SourceConfig.pulsed(mean_photons=1.0))
+    result = run_simulation(cfg)
+    recs, c = result.records, result.counters
+    origin, accepted = recs["origin"], recs["accepted"]
+    assert c["generated_total"] == recs.size
+    assert c["accepted_total"] == np.count_nonzero(accepted)
+    assert 0 < c["accepted_total"] < c["generated_total"]
+    for code, name in enumerate(ORIGIN_NAMES):
+        mask = origin == code
+        assert np.count_nonzero(mask) > 0, name
+        assert c[f"generated_{name}"] == np.count_nonzero(mask), name
+        assert c[f"accepted_{name}"] == np.count_nonzero(mask & accepted), name
+    assert all(type(c[k]) is int for k in c if k.startswith(("generated_", "accepted_")))
 
 
 def test_records_sorted_and_typed():
@@ -241,6 +287,28 @@ def test_cow_source_produces_bits_and_window_times():
     bits = result.bits[gate // 2]
     in_pulse_bin = (gate % 2) == bits
     assert in_pulse_bin.mean() > 0.99
+
+
+def test_cow_bits_are_drawn_per_chunk():
+    def cow_run(n_gates):
+        return run_simulation(RunConfig(n_gates=n_gates, master_seed=12, detector=DetectorParams(),
+                                        source=SourceConfig.cow(mean_photons_per_bit=0.5)))
+
+    def first_chunk(result):
+        return result.records[result.records["gate_index"] < CHUNK_GATES]
+
+    # a chunk's bits and records do not depend on how many gates follow it
+    short, full = cow_run(CHUNK_GATES + 2), cow_run(2 * CHUNK_GATES)
+    half = CHUNK_GATES // 2
+    assert np.array_equal(short.bits[:half], full.bits[:half])
+    assert first_chunk(short).size > 0
+    assert np.array_equal(first_chunk(short), first_chunk(full))
+    # a last chunk of 13 bits, not a whole number of bytes
+    for n_gates in (CHUNK_GATES + 25, 25):
+        bits = cow_run(n_gates).bits
+        assert bits.size == (n_gates + 1) // 2
+        assert bits.dtype == np.uint8
+        assert set(np.unique(bits).tolist()) <= {0, 1}
 
 
 def test_clicks_edge_cases():

@@ -1,12 +1,12 @@
 """Link-budget tests: analytic composition, sweeps, Monte Carlo consistency."""
 
+import concurrent.futures
 import math
 import os
 
 import numpy as np
 import pytest
 
-from sinegate import qkd_budget
 from sinegate.detector_model import DetectorParams, GateConfig, JitterModel
 from sinegate.qkd_budget import (
     QkdLinkConfig,
@@ -291,7 +291,7 @@ def test_stability_pool_capped_by_segments_and_cpus(monkeypatch):
         def map(self, fn, iterable):
             return map(fn, iterable)
 
-    monkeypatch.setattr(qkd_budget, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     cfg = QkdLinkConfig(mu_source=0.3)
     pooled = stability_run(cfg, 3, 50_000, master_seed=5, workers=10**6)
