@@ -96,22 +96,25 @@ def _emit_mapping(em: Emitter, base: str, mapping: dict, header=("key", "value")
 
 def _cmd_chain_demo(cfg: FullConfig, em: Emitter, args) -> None:
     ch = cfg.chain
-    gate_cfg = cfg.detector.gate
-    dt = ch["dt_ps"] / 1e12
-    duration = ch["duration_ns"] / 1e9
-    spec = sc.FilterResponseSpec(gate_frequency=gate_cfg.gate_frequency)
-    gate = sc.synthesize_gate_train(
-        gate_cfg.gate_frequency, ch["amplitude_pp_v"], duration,
-        dt=dt, delay=ch["delay_ps"] / 1e12,
-    )
+    f_gate = cfg.detector.gate.gate_frequency
+    try:
+        spec = sc.FilterResponseSpec(gate_frequency=f_gate)
+        order, cutoff = sc.lowpass_design(spec)
+    except ValueError as exc:
+        raise _CliError("chain-demo needs a gate clock the extraction filter can reject "
+                        f"(detector.gate.gate_frequency_hz = {f_gate}): {exc}") from None
+    duration = ch["duration"]
+    gate = sc.synthesize_gate_train(f_gate, ch["amplitude_pp"], duration,
+                                    dt=ch["dt"], delay=ch["delay"])
     feedthrough = sc.synthesize_feedthrough(gate, ch["coupling_gain"])
 
     rng = np.random.default_rng(args.seed)
     shape = sc.AvalanchePulseShape()
     margin = 5e-9
     n_av = ch["n_avalanches"]
-    if ch["refractory_ns"] > 0:  # onsets half a segment apart must clear the refractory time
-        n_av = min(n_av, int((ch["duration_ns"] - 10.0) // (2 * ch["refractory_ns"])))
+    if ch["refractory"] > 0:  # onsets half a segment apart must clear the refractory time
+        # rounded first: float noise must not floor a whole ratio (12 ns at 0.2 ns is 5)
+        n_av = min(n_av, int(round((duration - 2 * margin) / (2 * ch["refractory"]), 9)))
     diode = feedthrough
     event_times = []
     if n_av and duration > 2 * margin:
@@ -124,13 +127,12 @@ def _cmd_chain_demo(cfg: FullConfig, em: Emitter, args) -> None:
     filtered = sc.apply_filter(diode, spec, stages=ch["stages"])
     residual = sc.apply_filter(feedthrough, spec, stages=ch["stages"])
     disc = sc.DiscriminatorConfig(
-        threshold=ch["threshold_mv"] / 1e3,
+        threshold=ch["threshold"],
         polarity="negative-going",
-        refractory_time=ch["refractory_ns"] / 1e9,
+        refractory_time=ch["refractory"],
     )
     crossings = sc.discriminate(filtered, disc)
     contract = sc.verify_filter_contract(spec)
-    order, cutoff = sc.lowpass_design(spec)
 
     em.emit_waveform("gate_waveform", gate)
     em.emit_waveform("diode_waveform", diode)
@@ -216,7 +218,7 @@ def _cmd_tcspc(cfg: FullConfig, em: Emitter, args) -> None:
     records = result.records
     trigger_period = 1.0 / src.trigger_rate
     # sync offset of half a cycle keeps the peak away from the phase wrap
-    hist = tcspc_histogram(records, src.trigger_rate, cfg.tcspc["bin_width_ps"] / 1e12,
+    hist = tcspc_histogram(records, src.trigger_rate, cfg.tcspc["bin_width"],
                            phase_origin=-trigger_period / 2.0)
     gate_period = cfg.detector.gate.gate_period
     corr = inter_detection_correlation(records, cfg.tcspc["max_lag_gates"], gate_period)

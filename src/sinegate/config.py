@@ -6,7 +6,8 @@ validated in one pass that reports EVERY failing field, not just the first.
 Each field is declared once, as a leaf of the JSON Schema tree `_SCHEMA`
 with its bounds and its draft-07 `default`: validation walks the tree,
 `default_config()` collects the defaults, `schema_text()` prints it, and one
-unit-suffix rule (`_args`) builds the model objects from it.
+unit-suffix rule (`_args`) scales every leaf to the SI value that the model
+objects, the subcommand handlers and the cross-field rules all read.
 """
 
 from __future__ import annotations
@@ -216,12 +217,13 @@ def default_config() -> dict:
 # ---------------------------------------------------------------------------
 # One rule from the tree to the model objects. A leaf is the constructor
 # argument named like it minus its unit suffix, coerced by the leaf's type
-# and scaled to SI. A sub-object builds the argument of its name or, with no
-# such argument (`operating`), adds to the enclosing one. Leaves that name no
-# argument (`run.master_seed`, `qkd.mc_check_bits`) are read where used. The
-# dark table builds `TemperatureDarkLaw`; null switches the dark channel off.
+# and scaled to SI by `_UNITS`, the only place a unit is applied. A sub-object
+# builds the argument of its name or, with no such argument (`operating`),
+# adds to the enclosing one. Leaves that name no argument (`run.master_seed`,
+# `qkd.mc_check_bits`) are read where used. The dark table builds
+# `TemperatureDarkLaw`; null switches the dark channel off.
 
-_UNITS = {"_hz": None, "_v": None, "_ps": 1e12, "_ns": 1e9}  # factor from SI
+_UNITS = {"_hz": None, "_v": None, "_ps": 1e12, "_ns": 1e9, "_mv": 1e3}  # factor from SI
 _COERCE = {"number": float, "integer": int, "boolean": bool}
 _DARK_TABLE, _DARK_LAW = "dark_table_c_prob", "dark_law"
 
@@ -237,25 +239,25 @@ def _arg(key: str) -> tuple[str, float | None]:
 def _value(schema: dict, v, scale: float | None):
     """A leaf's JSON value as its constructor argument."""
     branch = schema["oneOf"][-1] if "oneOf" in schema else schema  # null is first
-    if v is None or "enum" in branch:
+    if v is None or "enum" in branch or branch["type"] == "array":
         return v
     v = _COERCE[branch["type"]](v)
     return v if scale is None else v / scale
 
 
 def _args(cls, schema: dict, doc: dict) -> dict:
-    """Constructor arguments of dataclass `cls` from a section of the tree.
+    """Constructor arguments of dataclass `cls` (None: every leaf) from a section of the tree.
 
     Walks the tree's leaves: keys it no longer has (`delay_step_ps`) are ignored.
     """
-    params = {f.name: f for f in fields(cls)}
+    params = {f.name: f for f in fields(cls)} if cls else {}
     args = {}
     for key, sub in schema["properties"].items():
         name, scale = _arg(key)
         if key == _DARK_TABLE:
             args[_DARK_LAW] = None if doc[key] is None else TemperatureDarkLaw(doc[key])
         elif sub.get("type") != "object":
-            if name in params:
+            if cls is None or name in params:
                 args[name] = _value(sub, doc[key], scale)
         elif name in params:
             inner = params[name].default_factory
@@ -374,19 +376,28 @@ def validate_config(doc: dict) -> list[str]:
     if not isinstance(doc, dict):
         return ["configuration root must be a JSON object"]
     _check(_SCHEMA, doc, "", errors)
-    # Cross-field rules. Each runs only when the fields it reads passed the
-    # shape check, so a bad leaf elsewhere does not hide its error.
+    # Cross-field rules, on the SI values and by the arithmetic of the model
+    # checks they guard, so what passes here builds. Each runs only when the
+    # fields it reads passed the shape check, so a bad leaf elsewhere does not
+    # hide its error.
     flagged = [e.split(":", 1)[0] for e in errors]
 
     def value(path):
-        """The value at dotted `path`, or None when the shape check flagged it."""
+        """The value at dotted `path` as the model receives it, or None if flagged."""
         if any(path == f or path.startswith(f + ".") for f in flagged):
             return None
-        return functools.reduce(operator.getitem, path.split("."), doc)
+        keys = path.split(".")
+        leaf = functools.reduce(lambda schema, k: schema["properties"][k], keys, _SCHEMA)
+        v = _value(leaf, functools.reduce(operator.getitem, keys, doc), _arg(keys[-1])[1])
+        if "exclusiveMinimum" in leaf and not v > 0:  # 1e-320 ps is 0 s
+            errors.append(f"{path}: underflows to 0 in SI units")
+            flagged.append(path)
+            return None
+        return v
 
     f_gate = value("detector.gate.gate_frequency_hz")
-    fwhm_ps = value("detector.gate.gate_fwhm_ps")
-    if None not in (f_gate, fwhm_ps) and not fwhm_ps < 1e12 / f_gate:
+    fwhm = value("detector.gate.gate_fwhm_ps")
+    if None not in (f_gate, fwhm) and not fwhm < 1.0 / f_gate:
         errors.append("detector.gate.gate_fwhm_ps: must be below one gate period")
     law = [value(f"detector.bias_law.{k}") for k in
            ("anchor_bias_v", "anchor_efficiency", "breakdown_bias_v")]
@@ -407,19 +418,15 @@ def validate_config(doc: dict) -> list[str]:
                     "detector.operating.temperature_c: outside the dark table range "
                     f"[{temps[0]}, {temps[-1]}]"
                 )
-    section = _SECTIONS["detector"]["properties"]["afterpulse"]
-    ap = {key: value(f"detector.afterpulse.{key}") for key in section["properties"]}
+    section = _SECTIONS["detector"]["properties"]["afterpulse"]["properties"]
+    ap = {_arg(key)[0]: value(f"detector.afterpulse.{key}") for key in section}
     if f_gate is not None and None not in ap.values():
         try:
-            model = AfterpulseModel(**_args(AfterpulseModel, section, ap))
-            ratio = model.branching_ratio(1.0 / f_gate) if model.enabled else 0.0
-        except ValueError:
-            ratio = 0.0  # the model itself is refused when the config is built
-        if ratio >= 1.0:
-            errors.append(f"detector.afterpulse: branching ratio {ratio:.3g} >= 1; "
-                          "afterpulse chains would run away")
-    timebin_ps = value("qkd.timebin_width_ps")
-    if None not in (f_gate, timebin_ps) and timebin_ps > 1e12 / f_gate:
+            AfterpulseModel(**ap).refuse_runaway(1.0 / f_gate)
+        except ValueError as exc:
+            errors.append(f"detector.afterpulse: {exc}")
+    timebin = value("qkd.timebin_width_ps")
+    if None not in (f_gate, timebin) and timebin > 1.0 / f_gate:
         errors.append("qkd.timebin_width_ps: must be at most half the bit period")
     trigger = value("source.trigger_rate_hz")
     per_pulse = None
@@ -434,23 +441,23 @@ def validate_config(doc: dict) -> list[str]:
         # no lag is longer than the run, and each lag is a histogram bin
         errors.append("tcspc.max_lag_gates: must be below the run length "
                       f"(n_pulses x gates per trigger = {n_pulses * per_pulse})")
-    bin_ps = value("tcspc.bin_width_ps")
-    if None not in (trigger, bin_ps) and not bin_ps / 1e12 < 1.0 / trigger:
+    bin_width = value("tcspc.bin_width_ps")
+    if None not in (trigger, bin_width) and not bin_width < 1.0 / trigger:
         errors.append("tcspc.bin_width_ps: must be below the trigger period")
     for name in ("bias_v", "delay_ps", "fiber_loss_db"):
         start, stop = value(f"sweeps.{name}.start"), value(f"sweeps.{name}.stop")
         if None not in (start, stop) and stop < start:
             errors.append(f"sweeps.{name}.stop: must be >= start")
-    dt_ps = value("chain.dt_ps")
-    dt_ok = None not in (f_gate, dt_ps) and dt_ps <= 1e12 / (8.0 * f_gate)
-    if None not in (f_gate, dt_ps) and not dt_ok:
+    dt = value("chain.dt_ps")
+    dt_ok = None not in (f_gate, dt) and not dt > 1.0 / (8.0 * f_gate)
+    if None not in (f_gate, dt) and not dt_ok:
         errors.append("chain.dt_ps: must sample the gate frequency at least 8x")
-    duration_ns = value("chain.duration_ns")
-    if None not in (f_gate, duration_ns) and duration_ns / 1e9 < 1.0 / f_gate:
+    duration = value("chain.duration_ns")
+    if None not in (f_gate, duration) and duration < 1.0 / f_gate:
         errors.append("chain.duration_ns: must cover at least one gate period")
-    elif dt_ok and duration_ns is not None:
+    elif dt_ok and duration is not None:
         # the FFT filter wraps the record, so a partial last period leaks feedthrough
-        periods = round(duration_ns * 1e3 / dt_ps) * dt_ps / 1e12 * f_gate
+        periods = round(duration / dt) * dt * f_gate  # the synthesizer's sample count
         if abs(periods - round(periods)) > 1e-6:
             errors.append("chain.duration_ns: must be a whole number of gate periods")
     return errors
@@ -458,7 +465,8 @@ def validate_config(doc: dict) -> list[str]:
 
 @dataclass(frozen=True)
 class FullConfig:
-    """Validated configuration with the model objects already constructed."""
+    """Validated configuration with the model objects already constructed;
+    `chain` and `tcspc` are SI views, keyed by argument name as `_args` builds them."""
 
     detector: DetectorParams
     source: SourceConfig
@@ -472,30 +480,18 @@ class FullConfig:
 
 
 def _build(doc: dict) -> FullConfig:
-    errors: list[str] = []
+    def args(cls, section):
+        return _args(cls, _SECTIONS[section], doc[section])
 
-    def build(cls, section: str, **extra):
-        try:
-            return cls(**_args(cls, _SECTIONS[section], doc[section]), **extra)
-        except ValueError as exc:
-            errors.append(f"{section}: {exc}")
-            return None
-
-    detector = build(DetectorParams, "detector")
-    source = build(SourceConfig, "source")
-    qkd = None
-    if detector is not None:
-        hold_off = _args(QkdLinkConfig, _SECTIONS["run"], doc["run"])
-        qkd = build(QkdLinkConfig, "qkd", detector=detector, **hold_off)
-    if errors:
-        raise ConfigError(errors)
+    detector = DetectorParams(**args(DetectorParams, "detector"))
     return FullConfig(
         detector=detector,
-        source=source,
-        qkd=qkd,
+        source=SourceConfig(**args(SourceConfig, "source")),
+        qkd=QkdLinkConfig(**args(QkdLinkConfig, "qkd"), **args(QkdLinkConfig, "run"),
+                          detector=detector),
         run=doc["run"],
-        chain=doc["chain"],
-        tcspc=doc["tcspc"],
+        chain=args(None, "chain"),
+        tcspc=args(None, "tcspc"),
         sweeps=doc["sweeps"],
         stability=doc["stability"],
         merged=doc,

@@ -253,10 +253,10 @@ class AfterpulseModel:
     Not calibrated to any measured device: defaults exist to make the
     correlation-based diagnostics exercisable. With the default 0.8 ns gate
     period the default (fill, lifetime, trigger) combination has
-    `branching_ratio` 1.25, so chains run away; `validate_config` and
-    `run_simulation` refuse any enabled model whose ratio is 1 or more. Pick
-    a shorter lifetime or a smaller trigger probability. Disabled unless
-    `enabled` is set.
+    `branching_ratio` 1.25, so chains run away; `refuse_runaway` refuses any
+    enabled model whose ratio is 1 or more, and `validate_config` and
+    `run_simulation` both call it. Pick a shorter lifetime or a smaller
+    trigger probability. Disabled unless `enabled` is set.
     """
 
     trap_fill_per_detection: float = 0.1
@@ -281,6 +281,11 @@ class AfterpulseModel:
         return (self.trap_fill_per_detection * self.trigger_prob_per_gate
                 / -math.expm1(-gate_period / self.release_lifetime))
 
+    def refuse_runaway(self, gate_period: float) -> None:
+        """Raise ValueError when the model is enabled and its chains run away."""
+        if self.enabled and (ratio := self.branching_ratio(gate_period)) >= 1.0:
+            raise ValueError(f"branching ratio {ratio:.3g} >= 1; afterpulse chains would run away")
+
 
 def afterpulse_prob(m: AfterpulseModel, trap_population: float, dt_since_fill: float) -> float:
     """Afterpulse probability for one gate, `dt_since_fill` after the last fill."""
@@ -288,10 +293,8 @@ def afterpulse_prob(m: AfterpulseModel, trap_population: float, dt_since_fill: f
         raise ValueError("trap_population must be >= 0")
     if not (math.isfinite(dt_since_fill) and dt_since_fill >= 0):
         raise ValueError("dt_since_fill must be >= 0")
-    p = m.trigger_prob_per_gate * trap_population * math.exp(
-        -dt_since_fill / m.release_lifetime
-    )
-    return float(min(1.0, max(0.0, p)))
+    return min(1.0, m.trigger_prob_per_gate * trap_population
+               * math.exp(-dt_since_fill / m.release_lifetime))
 
 
 @dataclass(frozen=True)

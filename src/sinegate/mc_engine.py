@@ -43,7 +43,6 @@ import numpy as np
 from .detector_model import (
     FWHM_TO_SIGMA,
     DetectorParams,
-    afterpulse_prob,
     sample_detection_times,
 )
 from .table import Labels, table_chunks, write_chunks
@@ -288,9 +287,10 @@ def _afterpulse_pass(cfg: RunConfig, gates, phys, times, in_tail):
 
     Walks intrinsic avalanches in gate order, carrying the expected trap
     population N (decays exp(-dt/lifetime), +fill per avalanche). Gate j
-    after the last fill fires an afterpulse with probability c*r**j, c =
-    `afterpulse_prob` one gate after the fill and r the per-gate decay; a
-    fire is itself an avalanche and refills the traps (chains allowed).
+    after the last fill fires an afterpulse with probability c*r**j, r the
+    per-gate decay and c = min(1, trigger*N*r) the `afterpulse_prob` hazard
+    one gate after the fill; a fire is itself an avalanche and refills the
+    traps (chains allowed).
     The falling hazard is thinned (`_next_fire`): per candidate one
     exponential, then one uniform when it lies in range. The walk runs up
     to and including each intrinsic gate, where a kept candidate only
@@ -300,7 +300,7 @@ def _afterpulse_pass(cfg: RunConfig, gates, phys, times, in_tail):
     ap_model = cfg.detector.afterpulse
     period = cfg.detector.gate.gate_period
     r = math.exp(-period / ap_model.release_lifetime)
-    fill = ap_model.trap_fill_per_detection
+    fill, trigger = ap_model.trap_fill_per_detection, ap_model.trigger_prob_per_gate
     rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, 2)))
 
     ap_gates: list[int] = []
@@ -312,7 +312,7 @@ def _afterpulse_pass(cfg: RunConfig, gates, phys, times, in_tail):
         """Add the afterpulses in gates (g_fill, last]; report, not add, one on an intrinsic `last`."""
         nonlocal n_state, g_fill
         while g_fill < last:
-            c = afterpulse_prob(ap_model, n_state, period)
+            c = min(1.0, trigger * n_state * r)
             g_ap = g_fill + 1 + _next_fire(c, r, last - g_fill, rng)
             if g_ap > last:
                 return False
@@ -397,12 +397,7 @@ def apply_holdoff(records, holdoff_gates: int, anchor: str = "accepted"):
 def run_simulation(cfg: RunConfig) -> RunResult:
     """Simulate `cfg.n_gates` gates; see the module docstring for semantics."""
     _ = cfg.detector.dark_prob_per_gate()  # fail fast on out-of-range temperature
-    ap_model = cfg.detector.afterpulse
-    if ap_model.enabled:
-        ratio = ap_model.branching_ratio(cfg.detector.gate.gate_period)
-        if ratio >= 1.0:
-            raise ValueError(f"afterpulse branching ratio {ratio:.3g} >= 1; "
-                             "afterpulse chains would run away")
+    cfg.detector.afterpulse.refuse_runaway(cfg.detector.gate.gate_period)
     m = 1  # gates per trigger, read by pulsed-trigger only
     if cfg.source.kind == "pulsed-trigger":
         m = gates_per_trigger(cfg.detector.gate.gate_frequency, cfg.source.trigger_rate)

@@ -200,6 +200,25 @@ def test_unusable_config_exit_1_with_field_path(tmp_path, capsys, sub, override,
     assert f"{field}: must" in capsys.readouterr().err
 
 
+# 760 MHz gates with dt on 1/(8 f) in ps, above it in seconds; 700 MHz gates
+# sit too close to the 600 MHz passband edge for any Butterworth order
+@pytest.mark.parametrize("gate_hz, trigger_hz, chain, needle", [
+    (7.6e8, 1.9e7, {"dt_ps": 164.47368421052633, "duration_ns": 26.31578947368421},
+     "chain.dt_ps: must sample the gate frequency at least 8x"),
+    (7e8, 3.5e7, {"duration_ns": 20.0}, "detector.gate.gate_frequency_hz"),
+], ids=["dt-above-an-eighth-period", "gate-clock-the-filter-cannot-reject"])
+def test_chain_demo_refuses_what_it_cannot_run(tmp_path, capsys, gate_hz, trigger_hz,
+                                               chain, needle):
+    cfg = write_cfg(tmp_path, {"detector": {"gate": {"gate_frequency_hz": gate_hz}},
+                               "source": {"trigger_rate_hz": trigger_hz},
+                               "chain": chain, "tcspc": {"n_pulses": 100}})
+    rc = main(["chain-demo", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert needle in capsys.readouterr().err
+    if gate_hz == 7e8:  # no global rule: tcspc runs at that clock
+        run_ok(["tcspc", "--config", cfg, "--out", str(tmp_path / "t")])
+
+
 def test_chain_demo_reports_the_avalanches_it_injects(tmp_path):
     # 8 ns leaves no room between the 5 ns margins; 24 ns leaves room for one
     # avalanche that clears the 5 ns refractory time, not for the 3 asked for
@@ -212,6 +231,14 @@ def test_chain_demo_reports_the_avalanches_it_injects(tmp_path):
         summary = dict(line.split(",", 1) for line in rows)
         for key, value in expect.items():
             assert summary[key] == value, (duration_ns, key)
+
+
+def test_chain_demo_avalanche_cap_is_the_decimal_floor(tmp_path):
+    # (12 - 10) ns / (2 x 0.2 ns) is exactly 5; float noise must not make it 4
+    cfg = write_cfg(tmp_path, {"chain": {"duration_ns": 12.0, "refractory_ns": 0.2,
+                                         "n_avalanches": 9}})
+    run_ok(["chain-demo", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert "n_avalanches,5" in (tmp_path / "o" / "summary.csv").read_text().splitlines()
 
 
 def qkd_link(tmp_path, run, name):

@@ -3,10 +3,13 @@
 import json
 import math
 import sys
+import tempfile
 from functools import reduce
 from operator import getitem
+from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from sinegate.config import (
     _SCHEMA,
     _SECTIONS,
     ConfigError,
+    _args,
     _check,
     deep_merge,
     default_config,
@@ -23,9 +27,10 @@ from sinegate.config import (
     schema_text,
     validate_config,
 )
-from sinegate.detector_model import DetectorParams
-from sinegate.mc_engine import SourceConfig
+from sinegate.detector_model import DetectorParams, GateConfig
+from sinegate.mc_engine import RECORD_DTYPE, SourceConfig, tcspc_histogram
 from sinegate.qkd_budget import QkdLinkConfig
+from sinegate.signal_chain import synthesize_gate_train
 
 SCHEMA_VALIDATOR = jsonschema.Draft7Validator(json.loads(schema_text()))
 
@@ -50,7 +55,7 @@ def test_defaults_headline_operating_point():
     assert cfg.qkd.bit_rate == 625e6
     assert cfg.qkd.timebin_width == 400e-12
     assert cfg.chain["stages"] == 2
-    assert cfg.chain["amplitude_pp_v"] == 8.0
+    assert cfg.chain["amplitude_pp"] == 8.0
 
 
 def test_empty_file_equals_defaults(tmp_path):
@@ -357,6 +362,107 @@ def test_cross_field_max_lag_below_run_length():
     # the rule waits for the fields it reads
     bad_pulses = deep_merge(default_config(), {"tcspc": {"n_pulses": 0, "max_lag_gates": 2**63}})
     assert validate_config(bad_pulses) == ["tcspc.n_pulses: must be an integer >= 1"]
+
+
+# 760 MHz gates and a 19 MHz trigger: 1e12 / f_gate is 1315.789... ps
+SLOW_CLOCK = {"detector": {"gate": {"gate_frequency_hz": 7.6e8}},
+              "source": {"trigger_rate_hz": 1.9e7}}
+
+
+def test_boundary_values_refused_at_their_leaves():
+    # each passes the rule in file units (ps <= 1e12 / f) but not in SI, where
+    # the synthesizer and QkdLinkConfig compare it
+    dt = {"chain": {"dt_ps": 164.47368421052633, "duration_ns": 26.31578947368421}}
+    assert validate_config(deep_merge(default_config(), deep_merge(SLOW_CLOCK, dt))) == [
+        "chain.dt_ps: must sample the gate frequency at least 8x"
+    ]
+    timebin = {"chain": {"duration_ns": 25.0}, "qkd": {"timebin_width_ps": 1315.7894736842106}}
+    assert validate_config(deep_merge(default_config(), deep_merge(SLOW_CLOCK, timebin))) == [
+        "qkd.timebin_width_ps: must be at most half the bit period"
+    ]
+
+
+def test_positive_leaves_that_underflow_in_si_are_refused():
+    # 1e-320 is positive in ps or ns and 0 in seconds, which the model refuses
+    tiny = 1e-320
+    doc = deep_merge(default_config(), {
+        "detector": {"gate": {"gate_fwhm_ps": tiny},
+                     "afterpulse": {"release_lifetime_ns": tiny}},
+        "qkd": {"timebin_width_ps": tiny},
+        "tcspc": {"bin_width_ps": tiny},
+        "chain": {"dt_ps": tiny, "duration_ns": tiny},
+    })
+    assert validate_config(doc) == [
+        f"{path}: underflows to 0 in SI units" for path in (
+            "detector.gate.gate_fwhm_ps", "detector.afterpulse.release_lifetime_ns",
+            "qkd.timebin_width_ps", "tcspc.bin_width_ps", "chain.dt_ps", "chain.duration_ns",
+        )
+    ]
+
+
+def _edges(*values):
+    """Each value and its float neighbours on either side."""
+    return [e for x in values for e in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
+
+
+@st.composite
+def gate_boundary_docs(draw):
+    """A gate clock, with the fwhm, time bin, dt and duration at one gate
+    period or one eighth of it, or one float either side; the tcspc bin the
+    same against the trigger period."""
+    f = draw(st.integers(10, 2000).map(lambda k: k * 1e7) | st.floats(1e8, 2e10))
+    trigger = f / draw(st.integers(1, 64))
+    ps = st.sampled_from(_edges(1e12 / f, 1e12 / (8.0 * f)))
+    return deep_merge(default_config(), {
+        "detector": {"gate": {"gate_frequency_hz": f, "gate_fwhm_ps": draw(ps)}},
+        "source": {"trigger_rate_hz": trigger},
+        "qkd": {"timebin_width_ps": draw(ps)},
+        "chain": {"dt_ps": draw(ps),
+                  "duration_ns": draw(st.sampled_from(_edges(1e9 / f, 1e9 / (8.0 * f))))},
+        "tcspc": {"bin_width_ps": draw(st.sampled_from(
+            _edges(1e12 / trigger, 1e12 / (8.0 * trigger))))},
+    })
+
+
+def _refuses(check) -> bool:
+    try:
+        check()
+    except ValueError:
+        return True
+    return False
+
+
+def _model_refusals(doc) -> set:
+    """The leaves whose values, as the unit rule hands them over, the model
+    code refuses; each is checked alone, the others held at accepted values."""
+    def si(cls, *path):
+        schema = reduce(lambda s, k: s["properties"][k], path, _SCHEMA)
+        return _args(cls, schema, reduce(getitem, path, doc))
+
+    gate = si(GateConfig, "detector", "gate")
+    f = gate["gate_frequency"]
+    chain, trigger = si(None, "chain"), si(SourceConfig, "source")["trigger_rate"]
+    checks = {
+        "detector.gate.gate_fwhm_ps": lambda: GateConfig(**gate),
+        "qkd.timebin_width_ps": lambda: QkdLinkConfig(**si(QkdLinkConfig, "qkd"), detector=(
+            DetectorParams(gate=GateConfig(f, gate_fwhm=1.0 / (8.0 * f))))),
+        "tcspc.bin_width_ps": lambda: tcspc_histogram(
+            np.zeros(0, dtype=RECORD_DTYPE), trigger, si(None, "tcspc")["bin_width"]),
+        "chain.dt_ps": lambda: synthesize_gate_train(f, 1.0, 1.0 / f, dt=chain["dt"]),
+        "chain.duration_ns": lambda: synthesize_gate_train(
+            f, 1.0, chain["duration"], dt=1.0 / (8.0 * f)),
+    }
+    return {path for path, check in checks.items() if _refuses(check)}
+
+
+@settings(database=None, derandomize=True, max_examples=300, deadline=None)
+@given(gate_boundary_docs())
+def test_validation_accepts_exactly_what_the_model_accepts(doc):
+    errors = validate_config(doc)
+    assert {e.split(":", 1)[0] for e in errors} == _model_refusals(doc), errors
+    if not errors:  # and the document builds
+        with tempfile.TemporaryDirectory() as tmp:
+            load_config(write_json(Path(tmp), doc))
 
 
 def test_qkd_holdoff_keys_removed(tmp_path):
