@@ -35,7 +35,7 @@ from .mc_engine import (
     subsequent_gate_fraction,
     tcspc_histogram,
 )
-from .table import table_chunks, waveform_chunks, write_chunks
+from .table import table_chunks, write_chunks
 
 __all__ = ["main", "console_main"]
 
@@ -63,17 +63,6 @@ class Emitter:
 
     def emit_table(self, base: str, header: list[str], columns: list) -> None:
         self._write(f"{base}.{self.fmt}", table_chunks(header, columns, self.fmt))
-
-    def emit_json(self, base: str, obj) -> None:
-        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
-        self._write(f"{base}.json", [text.encode("utf-8")])
-
-    def emit_waveform(self, base: str, wf: sc.SampledWaveform) -> None:
-        if self.fmt == "json":
-            self.emit_json(base, {"dt_s": wf.dt, "t0_s": wf.t0,
-                                  "samples_v": wf.samples.tolist()})
-            return
-        self._write(f"{base}.csv", waveform_chunks(wf.dt, wf.times, wf.samples))
 
     def emit_histogram(self, base: str, hist) -> None:
         self.emit_table(base, *hist.table())
@@ -134,9 +123,9 @@ def _cmd_chain_demo(cfg: FullConfig, em: Emitter, args) -> None:
     crossings = sc.discriminate(filtered, disc)
     contract = sc.verify_filter_contract(spec)
 
-    em.emit_waveform("gate_waveform", gate)
-    em.emit_waveform("diode_waveform", diode)
-    em.emit_waveform("filtered_waveform", filtered)
+    for base, wf in (("gate_waveform", gate), ("diode_waveform", diode),
+                     ("filtered_waveform", filtered)):
+        em.emit_table(base, *wf.table())
     for base, wf in (("spectrum_diode", diode), ("spectrum_filtered", filtered)):
         freqs, power_db = sc.power_spectrum(wf)
         em.emit_table(base, ["frequency_hz", "power_db"], [freqs, power_db])
@@ -170,7 +159,7 @@ def _cmd_chain_demo(cfg: FullConfig, em: Emitter, args) -> None:
 
 def _cmd_sweep_bias(cfg: FullConfig, em: Emitter, args) -> None:
     law = cfg.detector.bias_law
-    grid = grid_values(cfg.sweeps["bias_v"])
+    grid = grid_values(cfg.merged["sweeps"]["bias_v"])
     em.emit_table("bias_efficiency", ["bias_v", "efficiency"],
                   [np.asarray(grid, dtype=float),
                    np.array([efficiency_at_bias(law, b) for b in grid], dtype=float)])
@@ -178,14 +167,14 @@ def _cmd_sweep_bias(cfg: FullConfig, em: Emitter, args) -> None:
 
 def _cmd_sweep_delay(cfg: FullConfig, em: Emitter, args) -> None:
     gate = cfg.detector.gate
-    grid = grid_values(cfg.sweeps["delay_ps"])
+    grid = grid_values(cfg.merged["sweeps"]["delay_ps"])
     em.emit_table("gate_profile", ["delay_ps", "efficiency"],
                   [np.asarray(grid, dtype=float),
                    np.array([gate_profile(gate, d / 1e12) for d in grid], dtype=float)])
 
 
 def _sweep_temperatures(cfg: FullConfig) -> list[float]:
-    explicit = cfg.sweeps["temperatures_c"]
+    explicit = cfg.merged["sweeps"]["temperatures_c"]
     if explicit is not None:
         return [float(t) for t in explicit]
     if cfg.detector.dark_law is None:
@@ -211,8 +200,8 @@ def _cmd_tcspc(cfg: FullConfig, em: Emitter, args) -> None:
         master_seed=args.seed,
         detector=cfg.detector,
         source=src,
-        holdoff_gates=cfg.run["holdoff_gates"],
-        holdoff_anchor=cfg.run["holdoff_anchor"],
+        holdoff_gates=cfg.merged["run"]["holdoff_gates"],
+        holdoff_anchor=cfg.merged["run"]["holdoff_anchor"],
     )
     result = run_simulation(run_cfg)
     records = result.records
@@ -254,10 +243,10 @@ def _qkd_table(axis_values, reports) -> tuple[list[str], list[np.ndarray]]:
 
 
 def _cmd_qkd(cfg: FullConfig, em: Emitter, args) -> None:
-    grid = grid_values(cfg.sweeps["fiber_loss_db"])
+    grid = grid_values(cfg.merged["sweeps"]["fiber_loss_db"])
     reports = qb.sweep(cfg.qkd, "fiber_loss_db", grid)
     em.emit_table("qkd_vs_loss", *_qkd_table(grid, reports))
-    em.emit_json("qkd_notes", reports[0].notes)
+    _emit_mapping(em, "qkd_notes", reports[0].notes)
     n_bits = cfg.merged["qkd"]["mc_check_bits"]
     if n_bits > 0:
         mc = qb.mc_link_run(cfg.qkd, n_bits, args.seed)
@@ -268,13 +257,13 @@ def _cmd_qkd_temp(cfg: FullConfig, em: Emitter, args) -> None:
     temps = _sweep_temperatures(cfg)
     reports = qb.sweep(cfg.qkd, "temperature", temps)
     em.emit_table("qkd_vs_temperature", *_qkd_table(temps, reports))
-    em.emit_json("qkd_notes", reports[0].notes)
+    _emit_mapping(em, "qkd_notes", reports[0].notes)
 
 
 def _cmd_stability(cfg: FullConfig, em: Emitter, args) -> None:
+    stab = cfg.merged["stability"]
     segments = qb.stability_run(
-        cfg.qkd, cfg.stability["n_segments"], cfg.stability["bits_per_segment"],
-        args.seed, workers=args.workers,
+        cfg.qkd, stab["n_segments"], stab["bits_per_segment"], args.seed, workers=args.workers,
     )
     counted = ["segment_index", "n_bits", "accepted_total", "accepted_in_windows", "wrong_bin"]
     rates = ["raw_rate_hz", "qber"]
@@ -352,7 +341,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 1
-    args.seed = cfg.run["master_seed"] if args.seed is None else args.seed
+    args.seed = cfg.merged["run"]["master_seed"] if args.seed is None else args.seed
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     emitter = Emitter(out_dir, args.format)

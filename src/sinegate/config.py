@@ -29,6 +29,7 @@ from .detector_model import (
 )
 from .mc_engine import SourceConfig, gates_per_trigger
 from .qkd_budget import QkdLinkConfig
+from .signal_chain import MAX_RECORD_SAMPLES
 
 __all__ = [
     "ConfigError",
@@ -455,6 +456,9 @@ def validate_config(doc: dict) -> list[str]:
     duration = value("chain.duration_ns")
     if None not in (f_gate, duration) and duration < 1.0 / f_gate:
         errors.append("chain.duration_ns: must cover at least one gate period")
+    elif dt_ok and duration is not None and duration / dt > MAX_RECORD_SAMPLES:
+        errors.append(f"chain.dt_ps: must split chain.duration_ns into at most "
+                      f"{MAX_RECORD_SAMPLES} samples")
     elif dt_ok and duration is not None:
         # the FFT filter wraps the record, so a partial last period leaks feedthrough
         periods = round(duration / dt) * dt * f_gate  # the synthesizer's sample count
@@ -466,16 +470,14 @@ def validate_config(doc: dict) -> list[str]:
 @dataclass(frozen=True)
 class FullConfig:
     """Validated configuration with the model objects already constructed;
-    `chain` and `tcspc` are SI views, keyed by argument name as `_args` builds them."""
+    `chain` and `tcspc` are SI views, keyed by argument name as `_args` builds them.
+    `run`, `sweeps` and `stability` are read from `merged`, the validated document."""
 
     detector: DetectorParams
     source: SourceConfig
     qkd: QkdLinkConfig
-    run: dict
     chain: dict
     tcspc: dict
-    sweeps: dict
-    stability: dict
     merged: dict
 
 
@@ -489,11 +491,8 @@ def _build(doc: dict) -> FullConfig:
         source=SourceConfig(**args(SourceConfig, "source")),
         qkd=QkdLinkConfig(**args(QkdLinkConfig, "qkd"), **args(QkdLinkConfig, "run"),
                           detector=detector),
-        run=doc["run"],
         chain=args(None, "chain"),
         tcspc=args(None, "tcspc"),
-        sweeps=doc["sweeps"],
-        stability=doc["stability"],
         merged=doc,
     )
 

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .table import waveform_chunks, write_chunks
+from .table import table_chunks, write_chunks
 
 __all__ = [
     "SampledWaveform",
@@ -39,6 +39,7 @@ __all__ = [
     "power_spectrum",
     "discriminate",
     "SPECTRUM_FLOOR_DB",
+    "MAX_RECORD_SAMPLES",
 ]
 
 # Default sampling grid for self tests: 25 ps = 40 GS/s, 16 samples per 2.5 GHz,
@@ -48,10 +49,13 @@ DEFAULT_DT = 25e-12
 # Bins with no power are clamped here instead of -inf.
 SPECTRUM_FLOOR_DB = -200.0
 
+# Most samples a synthesized record may hold (the default record has 2560).
+MAX_RECORD_SAMPLES = 2**20
+
 
 @dataclass(frozen=True, eq=False)
 class SampledWaveform:
-    """A uniformly sampled voltage trace.
+    """A uniformly sampled voltage trace, written as a ``time_ps,volts`` table.
 
     Parameters
     ----------
@@ -116,31 +120,12 @@ class SampledWaveform:
         """Same samples, time axis moved by `offset` seconds."""
         return SampledWaveform(self.samples, self.dt, self.t0 + offset)
 
-    def to_csv(self, path) -> None:
-        """Write `time_s,volts` rows with a `# dt=<sec> n=<count>` header line."""
-        write_chunks(path, waveform_chunks(self.dt, self.times, self.samples))
+    def table(self) -> tuple[list[str], list[np.ndarray]]:
+        """Header and columns of the `time_ps,volts` table, one row per sample."""
+        return ["time_ps", "volts"], [self.times * 1e12, self.samples]
 
-    @classmethod
-    def from_csv(cls, path) -> "SampledWaveform":
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if not header.startswith("#"):
-                raise ValueError("missing waveform header line")
-            fields = dict(
-                item.split("=", 1) for item in header.lstrip("#").split() if "=" in item
-            )
-            try:
-                dt = float(fields["dt"])
-                n = int(fields["n"])
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"bad waveform header {header!r}") from exc
-            columns = fh.readline().strip()
-            if columns != "time_s,volts":
-                raise ValueError(f"bad column header {columns!r}")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        if data.shape[0] != n:
-            raise ValueError(f"header says n={n} but file has {data.shape[0]} rows")
-        return cls(data[:, 1], dt, t0=float(data[0, 0]))
+    def to_csv(self, path) -> None:
+        write_chunks(path, table_chunks(*self.table()))
 
 
 @dataclass(frozen=True)
@@ -253,7 +238,8 @@ def synthesize_gate_train(
 
     `delay` advances the phase by 2*pi*freq*delay, so a delay of one full
     period reproduces the undelayed train. Requires dt <= 1/(8*freq) so the
-    sine is comfortably oversampled, and at least one full period.
+    sine is comfortably oversampled, at least one full period, and at most
+    `MAX_RECORD_SAMPLES` samples (duration/dt).
     """
     if not (np.isfinite(freq) and freq > 0):
         raise ValueError(f"freq must be positive, got {freq}")
@@ -271,6 +257,9 @@ def synthesize_gate_train(
         )
     if duration < 1.0 / freq:
         raise ValueError("duration must cover at least one gate period")
+    if duration / dt > MAX_RECORD_SAMPLES:  # inf when dt is subnormal
+        raise ValueError(f"duration/dt = {duration / dt}; a record holds at most "
+                         f"{MAX_RECORD_SAMPLES} samples")
     n = int(round(duration / dt))
     t = dt * np.arange(n)
     samples = 0.5 * amplitude_pp * np.sin(2.0 * np.pi * freq * (t + delay))

@@ -1,7 +1,9 @@
 """The one table format of the package, written column by column in chunks.
 
-A table is a header plus one column per field. Columns are NumPy arrays,
-`Labels`, or plain sequences, all of one length:
+Every file a subcommand writes, but its manifest, is such a table: the
+waveforms (``time_ps,volts``), histograms, records, sweeps and ``key,value``
+summaries alike. A table is a header plus one column per field. Columns are
+NumPy arrays, `Labels`, or plain sequences, all of one length:
 
 - bool arrays print as ``true``/``false``, integer arrays as ``str``, and
   float arrays as the shortest ``repr``;
@@ -36,7 +38,6 @@ import numpy as np
 
 CHUNK_ROWS = 1 << 15
 
-_EXP_PAD = re.compile(r"e([+-])0(\d)$")
 _CSV_SPECIAL = re.compile(r'[,"\r\n]')
 # a cell of a JSON row sits three levels deep: {"rows": [[cell]]}
 _JSON_CELL_INDENT = " " * 6
@@ -55,7 +56,8 @@ class Labels:
 
 
 def _unpad_exponent(text: str) -> str:
-    return _EXP_PAD.sub(r"e\1\2", text)
+    # a float repr pads only one-digit negative exponents: never e+0 nor e-010
+    return text.replace("e-0", "e-")
 
 
 def _csv_quote(text: str) -> str:
@@ -98,11 +100,10 @@ def _float_cells(values: np.ndarray, fmt: str) -> list[str]:
         raise ValueError("Out of range float values are not JSON compliant")
     cells = list(map(float.__repr__, values.tolist()))
     if fmt == "csv":
-        # repr switches to an exponent only below 1e-4 or from 1e16 on
+        # repr pads an exponent only below 1e-4; one pass unpads the whole column
         mag = np.abs(values)
-        for i in np.flatnonzero(((mag < 1e-3) & (mag != 0)) | (mag >= 1e15)).tolist():
-            if "e" in cells[i]:
-                cells[i] = _unpad_exponent(cells[i])
+        if ((mag < 1e-3) & (mag != 0)).any():
+            cells = _unpad_exponent("\n".join(cells)).split("\n")
     return cells
 
 
@@ -161,21 +162,6 @@ def table_chunks(header: Sequence[str], columns: Sequence, fmt: str = "csv") -> 
     layout = _csv_table if fmt == "csv" else _json_table
     for text in layout(header, blocks):
         yield text.encode("utf-8")
-
-
-def waveform_chunks(dt: float, times: np.ndarray, samples: np.ndarray) -> Iterator[bytes]:
-    """The waveform CSV that `SampledWaveform.from_csv` reads back.
-
-    A ``# dt=<s> n=<count>`` line and a ``time_s,volts`` header precede the
-    rows, which keep the plain float ``repr`` (exponent padding included).
-    """
-    n = len(samples)
-    yield f"# dt={float(dt)!r} n={n}\ntime_s,volts\n".encode("utf-8")
-    for a in range(0, n, CHUNK_ROWS):
-        b = min(a + CHUNK_ROWS, n)
-        cells = [list(map(float.__repr__, np.asarray(col[a:b], dtype=float).tolist()))
-                 for col in (times, samples)]
-        yield _csv_lines(cells).encode("utf-8")
 
 
 def write_chunks(path, chunks: Iterable[bytes]) -> tuple[str, int]:

@@ -255,7 +255,7 @@ def test_08_qber_endpoints():
 
 def test_09_key_rate_sweep():
     cfg = load_config(None)
-    grid = grid_values(cfg.sweeps["fiber_loss_db"])
+    grid = grid_values(cfg.merged["sweeps"]["fiber_loss_db"])
     reports = sweep(cfg.qkd, "fiber_loss_db", grid)
     above = [loss for loss, r in zip(grid, reports) if r.rate_after_ec >= 1e6]
     crossing = max(above) if above else -1.0

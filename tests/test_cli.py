@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, file contracts, reproducibility."""
 
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -24,6 +26,11 @@ def write_cfg(tmp_path, doc, name="cfg.json"):
 def read_dir(out_dir):
     """Map of file name to raw bytes for every file under out_dir."""
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def read_notes(blob: bytes) -> dict:
+    """The `key,value` rows of a qkd_notes.csv (`secret_rate_method` holds a comma)."""
+    return dict(csv.reader(io.StringIO(blob.decode("utf-8"))))
 
 
 SMALL = {
@@ -67,6 +74,26 @@ def test_chain_demo_outputs(tmp_path):
     assert summary[b"n_crossings"] == summary[b"n_avalanches"]
 
 
+def test_chain_demo_waveforms_are_tables(tmp_path):
+    # 40 ns at the default 25 ps is 1600 samples, one table row each
+    cfg = write_cfg(tmp_path, SMALL)
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt
+        run_ok(["chain-demo", "--config", cfg, "--format", fmt, "--out", str(out)])
+        for base in ("gate_waveform", "diode_waveform", "filtered_waveform"):
+            blob = (out / f"{base}.{fmt}").read_bytes()
+            if fmt == "json":
+                doc = json.loads(blob)
+                assert doc["header"] == ["time_ps", "volts"]
+                rows = doc["rows"]
+            else:
+                lines = blob.decode().splitlines()
+                assert lines[0] == "time_ps,volts"  # no `# dt=` line before it
+                rows = [[float(c) for c in line.split(",")] for line in lines[1:]]
+            assert len(rows) == 1600
+            assert [r[0] for r in rows[:2]] == [0.0, pytest.approx(25.0, rel=1e-12)]
+
+
 def test_sweep_headers(tmp_path):
     cfg = write_cfg(tmp_path, SMALL)
     cases = [
@@ -98,10 +125,14 @@ def test_qkd_outputs_and_header(tmp_path):
         b"axis_value,mu_detector,raw_rate_hz,qber,qber_dark,qber_ext,"
         b"qber_tail,rate_after_ec_hz,secret_rate_hz"
     )
-    assert "qkd_notes.json" in files
+    assert "qkd_notes.json" not in files
     assert "qkd_mc_check.csv" in files
-    notes = json.loads(files["qkd_notes.json"])
+    assert b"dead_time_model,nonparalyzable" in files["qkd_notes.csv"].splitlines()
+    notes = read_notes(files["qkd_notes.csv"])
+    assert notes["key"] == "value"
     assert notes["dead_time_model"] == "nonparalyzable"
+    assert notes["secret_rate_method"].startswith(
+        "rate_after_ec scaled by (1 - pa_fraction); placeholder")
 
 
 def test_qkd_temp_and_stability(tmp_path):
@@ -113,6 +144,7 @@ def test_qkd_temp_and_stability(tmp_path):
         out = tmp_path / ("out_" + sub)
         run_ok([sub, "--config", cfg, "--out", str(out)])
         assert (out / name).exists()
+    assert (tmp_path / "out_qkd-temp" / "qkd_notes.csv").exists()
 
 
 def test_tcspc_outputs(tmp_path):
@@ -249,7 +281,7 @@ def qkd_link(tmp_path, run, name):
     run_ok(["qkd", "--config", write_cfg(tmp_path, doc, name + ".json"), "--out", str(out)])
     rows = [line.split(",") for line in (out / "qkd_vs_loss.csv").read_text().splitlines()]
     col = rows[0].index("raw_rate_hz")
-    notes = json.loads((out / "qkd_notes.json").read_text())
+    notes = read_notes((out / "qkd_notes.csv").read_bytes())
     return notes, [float(r[col]) for r in rows[1:]]
 
 

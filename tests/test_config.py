@@ -30,7 +30,7 @@ from sinegate.config import (
 from sinegate.detector_model import DetectorParams, GateConfig
 from sinegate.mc_engine import RECORD_DTYPE, SourceConfig, tcspc_histogram
 from sinegate.qkd_budget import QkdLinkConfig
-from sinegate.signal_chain import synthesize_gate_train
+from sinegate.signal_chain import MAX_RECORD_SAMPLES, synthesize_gate_train
 
 SCHEMA_VALIDATOR = jsonschema.Draft7Validator(json.loads(schema_text()))
 
@@ -48,8 +48,8 @@ def test_defaults_headline_operating_point():
     assert cfg.detector.gate.peak_efficiency == 0.1
     assert cfg.detector.temperature_c == -43.0
     assert cfg.detector.bias == 53.5
-    assert cfg.run["holdoff_gates"] == 10
-    assert cfg.run["holdoff_anchor"] == "accepted"
+    assert cfg.merged["run"]["holdoff_gates"] == 10
+    assert cfg.merged["run"]["holdoff_anchor"] == "accepted"
     assert cfg.source.kind == "pulsed-trigger"
     assert cfg.source.trigger_rate == 31.25e6
     assert cfg.qkd.bit_rate == 625e6
@@ -77,7 +77,7 @@ def test_override_reaches_built_objects(tmp_path):
     path = write_json(tmp_path, {"qkd": {"fiber_loss_db": 6.0}, "run": {"master_seed": 7}})
     cfg = load_config(path)
     assert cfg.qkd.fiber_loss_db == 6.0
-    assert cfg.run["master_seed"] == 7
+    assert cfg.merged["run"]["master_seed"] == 7
 
 
 def test_tree_defaults_equal_the_dataclass_defaults():
@@ -400,6 +400,17 @@ def test_positive_leaves_that_underflow_in_si_are_refused():
     ]
 
 
+def test_records_too_large_to_allocate_are_refused_at_chain_dt():
+    # 1e-310 ps is 1e-322 s, a subnormal: duration/dt is inf, which round()
+    # cannot take; 1e-300 ps would ask the synthesizer for ~6e304 samples
+    refusal = f"chain.dt_ps: must split chain.duration_ns into at most {MAX_RECORD_SAMPLES} samples"
+    for dt_ps in (1e-310, 1e-300):
+        doc = deep_merge(default_config(), {"chain": {"dt_ps": dt_ps}})
+        assert validate_config(doc) == [refusal]
+        with pytest.raises(ValueError, match=f"at most {MAX_RECORD_SAMPLES}"):
+            synthesize_gate_train(1.25e9, 8.0, 64e-9, dt=dt_ps / 1e12)
+
+
 def _edges(*values):
     """Each value and its float neighbours on either side."""
     return [e for x in values for e in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
@@ -409,16 +420,24 @@ def _edges(*values):
 def gate_boundary_docs(draw):
     """A gate clock, with the fwhm, time bin, dt and duration at one gate
     period or one eighth of it, or one float either side; the tcspc bin the
-    same against the trigger period."""
+    same against the trigger period. One chain in four is instead a whole
+    number of periods (two or more, so the duration stands) with dt at
+    duration / `MAX_RECORD_SAMPLES`, or one float either side."""
     f = draw(st.integers(10, 2000).map(lambda k: k * 1e7) | st.floats(1e8, 2e10))
     trigger = f / draw(st.integers(1, 64))
     ps = st.sampled_from(_edges(1e12 / f, 1e12 / (8.0 * f)))
+    if draw(st.integers(0, 3)) == 0:
+        duration_ns = draw(st.integers(2, 64)) * 1e9 / f
+        chain = {"dt_ps": draw(st.sampled_from(_edges(1e3 * duration_ns / MAX_RECORD_SAMPLES))),
+                 "duration_ns": duration_ns}
+    else:
+        chain = {"dt_ps": draw(ps),
+                 "duration_ns": draw(st.sampled_from(_edges(1e9 / f, 1e9 / (8.0 * f))))}
     return deep_merge(default_config(), {
         "detector": {"gate": {"gate_frequency_hz": f, "gate_fwhm_ps": draw(ps)}},
         "source": {"trigger_rate_hz": trigger},
         "qkd": {"timebin_width_ps": draw(ps)},
-        "chain": {"dt_ps": draw(ps),
-                  "duration_ns": draw(st.sampled_from(_edges(1e9 / f, 1e9 / (8.0 * f))))},
+        "chain": chain,
         "tcspc": {"bin_width_ps": draw(st.sampled_from(
             _edges(1e12 / trigger, 1e12 / (8.0 * trigger))))},
     })
@@ -448,7 +467,9 @@ def _model_refusals(doc) -> set:
             DetectorParams(gate=GateConfig(f, gate_fwhm=1.0 / (8.0 * f))))),
         "tcspc.bin_width_ps": lambda: tcspc_histogram(
             np.zeros(0, dtype=RECORD_DTYPE), trigger, si(None, "tcspc")["bin_width"]),
-        "chain.dt_ps": lambda: synthesize_gate_train(f, 1.0, 1.0 / f, dt=chain["dt"]),
+        # dt against the document's duration, or one period if that is refused
+        "chain.dt_ps": lambda: synthesize_gate_train(
+            f, 1.0, max(chain["duration"], 1.0 / f), dt=chain["dt"]),
         "chain.duration_ns": lambda: synthesize_gate_train(
             f, 1.0, chain["duration"], dt=1.0 / (8.0 * f)),
     }

@@ -59,17 +59,6 @@ def test_waveform_arithmetic_and_grid_check():
         a + d
 
 
-def test_waveform_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(5)
-    w = SampledWaveform(rng.normal(size=64), DT, t0=3.5e-10)
-    path = tmp_path / "w.csv"
-    w.to_csv(path)
-    back = SampledWaveform.from_csv(path)
-    assert back.dt == w.dt
-    assert back.t0 == w.t0
-    assert np.array_equal(back.samples, w.samples)
-
-
 def test_gate_train_amplitude_and_frequency():
     g = synthesize_gate_train(GATE_FREQ, 8.0, 64e-9, dt=DT)
     assert g.samples.max() == pytest.approx(4.0, rel=1e-6)

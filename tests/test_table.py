@@ -59,12 +59,6 @@ def oracle_table(header, rows, fmt) -> bytes:
     return buf.getvalue().encode()
 
 
-def oracle_waveform_csv(wf) -> bytes:
-    lines = [f"# dt={float(wf.dt)!r} n={wf.n}", "time_s,volts"]
-    lines.extend(f"{float(t)!r},{float(v)!r}" for t, v in zip(wf.times, wf.samples))
-    return ("\n".join(lines) + "\n").encode()
-
-
 def rows_of(columns) -> list[list]:
     """Columns turned back into rows of scalars, as the per-row writer took them."""
     cols = [[c.names[i] for i in c.codes] if isinstance(c, Labels) else list(c)
@@ -101,15 +95,6 @@ def oracle_emit_table(self, base, header, columns):
     self._write(f"{base}.{self.fmt}", [oracle_table(header, rows_of(columns), self.fmt)])
 
 
-def oracle_emit_waveform(self, base, wf):
-    if self.fmt == "json":
-        doc = {"dt_s": wf.dt, "t0_s": wf.t0, "samples_v": [float(v) for v in wf.samples]}
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-        self._write(f"{base}.json", [text.encode()])
-    else:
-        self._write(f"{base}.csv", [oracle_waveform_csv(wf)])
-
-
 def run_cli(args, out):
     assert cli.main(args + ["--out", str(out)]) == 0
     files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
@@ -127,7 +112,6 @@ def test_cli_output_matches_per_row_oracle(tmp_path, monkeypatch, command, fmt):
     out = tmp_path / "out"
     fast = run_cli(args, out)
     monkeypatch.setattr(cli.Emitter, "emit_table", oracle_emit_table)
-    monkeypatch.setattr(cli.Emitter, "emit_waveform", oracle_emit_waveform)
     assert run_cli(args, out) == fast  # manifest.json included
     if command == "tcspc":
         records = fast[f"records.{fmt}"]
@@ -151,6 +135,15 @@ def test_float_column_csv_rules():
     lines = fast_table(["x"], [values], "csv").decode().splitlines()
     assert lines[1:4] == ["7e-7", "-0.0", "0.0"]
     assert lines[4] == "nan"
+    # every decimal exponent a double can carry, subnormals included, in a
+    # float column and in a mixed one
+    rng = np.random.default_rng(14)
+    exponents = np.repeat(np.arange(-320, 309), 16)
+    signs = rng.choice([-1.0, 1.0], size=exponents.size)
+    sweep = signs * rng.uniform(1.0, 1.7, size=exponents.size) * 10.0 ** exponents
+    assert np.isfinite(sweep).all() and (sweep != 0).all()
+    assert_matches_oracle(["x"], [sweep], "csv")
+    assert_matches_oracle(["k", "v"], [[str(e) for e in exponents], list(sweep)], "csv")
 
 
 def test_float_column_json():
@@ -274,7 +267,7 @@ def test_waveform_csv_single_builder(tmp_path):
     wf = sc.SampledWaveform(rng.normal(size=CHUNK_ROWS + 9) * 1e-5, 2.5e-12, t0=3.5e-10)
     path = tmp_path / "w.csv"
     wf.to_csv(path)
-    assert path.read_bytes() == oracle_waveform_csv(wf)
-    em = cli.Emitter(tmp_path, "csv")
-    em.emit_waveform("w2", wf)
-    assert (tmp_path / "w2.csv").read_bytes() == oracle_waveform_csv(wf)
+    header, columns = wf.table()
+    assert header == ["time_ps", "volts"]
+    assert np.array_equal(columns[0], wf.times * 1e12)
+    assert path.read_bytes() == oracle_table(header, rows_of(columns), "csv")
