@@ -22,7 +22,7 @@ import numpy as np
 from . import signal_chain as sc
 from . import qkd_budget as qb
 from .config import ConfigError, FullConfig, grid_values, load_config
-from .detector_model import ModelRangeError, dark_prob, efficiency_at_bias, gate_profile
+from .detector_model import ModelRangeError, dark_prob, efficiency_at_bias
 from .mc_engine import (
     RunConfig,
     ORIGIN_NAMES,
@@ -166,11 +166,11 @@ def _cmd_sweep_bias(cfg: FullConfig, em: Emitter, args) -> None:
 
 
 def _cmd_sweep_delay(cfg: FullConfig, em: Emitter, args) -> None:
-    gate = cfg.detector.gate
+    det = cfg.detector
     grid = grid_values(cfg.merged["sweeps"]["delay_ps"])
     em.emit_table("gate_profile", ["delay_ps", "efficiency"],
                   [np.asarray(grid, dtype=float),
-                   np.array([gate_profile(gate, d / 1e12) for d in grid], dtype=float)])
+                   np.array([det.effective_efficiency(d / 1e12) for d in grid], dtype=float)])
 
 
 def _sweep_temperatures(cfg: FullConfig) -> list[float]:
@@ -300,7 +300,7 @@ _HANDLERS = {
 _DESCRIPTIONS = {
     "chain-demo": "gate, feedthrough, avalanche, filtering, spectra, discrimination",
     "sweep-bias": "detection efficiency versus dc bias",
-    "sweep-delay": "gate temporal profile versus laser delay",
+    "sweep-delay": "detection efficiency versus laser delay, through the gate window",
     "sweep-temp": "dark count probability versus temperature",
     "tcspc": "pulsed-source timing histogram, jitter, and correlation analysis",
     "qkd": "link budget versus fiber loss, with a Monte Carlo cross-check",

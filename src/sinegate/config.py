@@ -39,6 +39,7 @@ __all__ = [
     "validate_config",
     "load_config",
     "grid_values",
+    "MAX_GRID_POINTS",
     "schema_text",
 ]
 
@@ -109,6 +110,10 @@ def _list(items, min_items: int, description: str) -> dict:
     return {"type": "array", "description": description, "minItems": min_items, "items": items}
 
 
+# The most points a sweep grid may hold; the default grids hold 33 to 81.
+MAX_GRID_POINTS = 2**20
+
+
 def _grid(start: float, stop: float, step: float) -> dict:
     return _obj(start=_num(start), stop=_num(stop), step=_num(step, gt=0))
 
@@ -128,7 +133,6 @@ _SCHEMA = {
             gate=_obj(
                 gate_frequency_hz=_num(1.25e9, gt=0),
                 gate_fwhm_ps=_num(130.0, gt=0),
-                peak_efficiency=_num(0.1, ge=0, le=1),
             ),
             bias_law=_obj(
                 anchor_bias_v=_num(53.5),
@@ -446,9 +450,12 @@ def validate_config(doc: dict) -> list[str]:
     if None not in (trigger, bin_width) and not bin_width < 1.0 / trigger:
         errors.append("tcspc.bin_width_ps: must be below the trigger period")
     for name in ("bias_v", "delay_ps", "fiber_loss_db"):
-        start, stop = value(f"sweeps.{name}.start"), value(f"sweeps.{name}.stop")
+        start, stop, step = (value(f"sweeps.{name}.{k}") for k in ("start", "stop", "step"))
         if None not in (start, stop) and stop < start:
             errors.append(f"sweeps.{name}.stop: must be >= start")
+        elif None not in (start, stop, step) and not _grid_steps(start, stop, step) < MAX_GRID_POINTS:
+            errors.append(f"sweeps.{name}.step: must split the span into at most "
+                          f"{MAX_GRID_POINTS} grid points")
     dt = value("chain.dt_ps")
     dt_ok = None not in (f_gate, dt) and not dt > 1.0 / (8.0 * f_gate)
     if None not in (f_gate, dt) and not dt_ok:
@@ -524,11 +531,18 @@ def load_config(path=None) -> FullConfig:
     return _build(merged)
 
 
+def _grid_steps(start: float, stop: float, step: float) -> float:
+    """Whole steps in an inclusive grid's span, before the floor; inf when it overflows."""
+    return (stop - start) / step + 1e-9
+
+
 def grid_values(grid: dict) -> list[float]:
     """Inclusive arithmetic grid; endpoint kept when step divides the span."""
     start, stop, step = grid["start"], grid["stop"], grid["step"]
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + k * step for k in range(max(1, n))]
+    steps = _grid_steps(start, stop, step)
+    if not steps < MAX_GRID_POINTS:  # an inf or NaN quotient fails too
+        raise ValueError(f"grid holds more than {MAX_GRID_POINTS} points")
+    return [start + k * step for k in range(max(1, int(math.floor(steps)) + 1))]
 
 
 def schema_text() -> str:

@@ -2,11 +2,12 @@
 
 Calibrated laws, each usable on its own:
 
-* `GateConfig` / `gate_profile`: Gaussian temporal sensitivity window,
-  periodic with the gate clock (default: 130 ps FWHM every 800 ps, peak
-  detection efficiency 0.10).
+* `GateConfig` / `gate_profile`: Gaussian temporal sensitivity window with
+  unit peak, periodic with the gate clock (default: 130 ps FWHM every
+  800 ps).
 * `BiasEfficiencyLaw`: linear peak-efficiency vs. bias anchored at
-  0.10 @ 53.5 V, zero at/below breakdown.
+  0.10 @ 53.5 V, zero at/below breakdown; the only source of the peak
+  detection efficiency.
 * `TemperatureDarkLaw`: per-gate dark-avalanche probability vs. temperature,
   log-linear between table anchors.
 * `JitterModel`: Gaussian timing core (sigma ~ 29.7 ps, i.e. 70 ps FWHM) plus
@@ -17,7 +18,8 @@ Calibrated laws, each usable on its own:
   retrigger later gates.
 
 `DetectorParams` bundles the laws with the operating point (bias voltage,
-temperature) and serializes to/from JSON with units in the field names.
+temperature), owns the one click law (`click_prob`), and serializes to/from
+JSON with units in the field names.
 """
 
 from __future__ import annotations
@@ -55,11 +57,13 @@ class ModelRangeError(ValueError):
 
 @dataclass(frozen=True)
 class GateConfig:
-    """Periodic Gaussian sensitivity window of the gated diode."""
+    """Periodic Gaussian sensitivity window of the gated diode.
+
+    Only the window's clock and width: the peak efficiency is the bias law's.
+    """
 
     gate_frequency: float = 1.25e9
     gate_fwhm: float = 130e-12
-    peak_efficiency: float = 0.10
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.gate_frequency) and self.gate_frequency > 0):
@@ -69,8 +73,6 @@ class GateConfig:
             raise ValueError(
                 f"gate_fwhm must be in (0, {period}) for a {self.gate_frequency} Hz gate"
             )
-        if not (0.0 <= self.peak_efficiency <= 1.0):
-            raise ValueError("peak_efficiency must be in [0, 1]")
 
     @property
     def gate_period(self) -> float:
@@ -78,19 +80,17 @@ class GateConfig:
 
 
 def gate_profile(cfg: GateConfig, delay) -> np.ndarray | float:
-    """Detection efficiency at a photon-vs-gate delay, periodic in the gate clock.
+    """Relative sensitivity at a photon-vs-gate delay, periodic in the gate clock.
 
-    Gaussian with the configured FWHM, maximum `peak_efficiency` at zero
-    delay (and every whole gate period). Accepts scalars or arrays.
+    Gaussian with the configured FWHM and unit peak at zero delay (and every
+    whole gate period). Accepts scalars or arrays.
     """
     delay = np.asarray(delay, dtype=float)
     if not np.all(np.isfinite(delay)):
         raise ValueError("delay must be finite")
     period = cfg.gate_period
     wrapped = delay - period * np.round(delay / period)
-    value = cfg.peak_efficiency * np.exp(
-        -4.0 * math.log(2.0) * (wrapped / cfg.gate_fwhm) ** 2
-    )
+    value = np.exp(-4.0 * math.log(2.0) * (wrapped / cfg.gate_fwhm) ** 2)
     return float(value) if value.ndim == 0 else value
 
 
@@ -320,19 +320,15 @@ class DetectorParams:
         if not np.isfinite(self.temperature_c):
             raise ValueError("temperature_c must be finite")
 
-    def peak_efficiency_at_bias(self) -> float:
-        return efficiency_at_bias(self.bias_law, self.bias)
-
     def effective_efficiency(self, alignment_delay: float = 0.0) -> float:
-        """Gate profile at the alignment delay, rescaled by the bias law.
+        """Detection efficiency at the alignment delay: the bias law's peak
+        efficiency at the operating bias, seen through the gate window."""
+        return efficiency_at_bias(self.bias_law, self.bias) * gate_profile(self.gate, alignment_delay)
 
-        The bias law sets the profile peak: at the anchor bias the peak is
-        `gate.peak_efficiency`, other biases scale the whole profile.
-        """
-        profile = gate_profile(self.gate, alignment_delay)
-        if self.gate.peak_efficiency == 0.0:
-            return 0.0
-        return float(profile * self.peak_efficiency_at_bias() / self.gate.peak_efficiency)
+    def click_prob(self, mean_photons: float, alignment_delay: float = 0.0) -> float:
+        """Probability that a Poisson pulse of `mean_photons` makes an avalanche,
+        1 - exp(-eta * mean_photons) at the efficiency of `alignment_delay`."""
+        return 1.0 - math.exp(-self.effective_efficiency(alignment_delay) * mean_photons)
 
     def dark_prob_per_gate(self) -> float:
         if self.dark_law is None:

@@ -3,7 +3,7 @@
 The simulation advances gate by gate (no waveforms): each gate can host at
 most one avalanche, drawn from three independent per-gate processes:
 
-* photon click with probability 1 - exp(-eta_eff * mu_gate),
+* photon click with probability `DetectorParams.click_prob(mu_gate)`,
 * afterpulse click per the expected-value trap state,
 * dark click with the per-gate dark probability.
 
@@ -212,13 +212,12 @@ def _simulate_chunk(cfg: RunConfig, chunk_index: int, m: int):
     det = cfg.detector
     src = cfg.source
     period = det.gate.gate_period
-    eta = det.effective_efficiency(src.alignment_delay)
 
     bits = None
     if src.kind == "pulsed-trigger":
         start = ((g0 + m - 1) // m) * m
         n_lit = len(range(start, g0 + n_local, m))
-        p_click = 1.0 - math.exp(-eta * src.mean_photons)
+        p_click = det.click_prob(src.mean_photons, src.alignment_delay)
         photon_gates = start + m * _clicks(rng, n_lit, p_click)
     elif src.kind == "cow-ppm":
         n_bits = (n_local + 1) // 2  # chunk starts are even, so bits align
@@ -226,8 +225,8 @@ def _simulate_chunk(cfg: RunConfig, chunk_index: int, m: int):
         packed = rng.integers(0, 256, size=(n_bits + 7) // 8, dtype=np.uint8)
         bits = np.unpackbits(packed)[:n_bits]
         eps = 10.0 ** (-src.extinction_db / 10.0)
-        p_pulse = 1.0 - math.exp(-eta * src.mean_photons / (1.0 + eps))
-        p_empty = 1.0 - math.exp(-eta * src.mean_photons * eps / (1.0 + eps))
+        p_pulse = det.click_prob(src.mean_photons / (1.0 + eps), src.alignment_delay)
+        p_empty = det.click_prob(src.mean_photons * eps / (1.0 + eps), src.alignment_delay)
         b_pulse = _clicks(rng, n_bits, p_pulse)
         b_empty = _clicks(rng, n_bits, p_empty)
         local = np.concatenate([2 * b_pulse + bits[b_pulse], 2 * b_empty + 1 - bits[b_empty]])

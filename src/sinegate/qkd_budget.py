@@ -5,7 +5,7 @@ gate clock (`QkdLinkConfig.bit_rate`); the pulse sits in one of the two
 400 ps time bins and the other bin carries only the transmitter's
 extinction leakage. The analytic model composes, per bit:
 
-* signal click probability 1 - exp(-eta * mu_detector),
+* signal click probability `DetectorParams.click_prob(mu_detector)`,
 * dark click probability over the bit's two gates,
 * a dead-time correction for the counting hold-off,
 * a QBER split into dark, extinction, and timing-tail components, all on
@@ -183,8 +183,7 @@ def mu_at_detector(cfg: QkdLinkConfig) -> float:
 
 def _click_probabilities(cfg: QkdLinkConfig) -> tuple[float, float]:
     """(signal click, dark click) probabilities per bit."""
-    eta = cfg.detector.effective_efficiency(0.0)
-    p_signal = 1.0 - math.exp(-eta * mu_at_detector(cfg))
+    p_signal = cfg.detector.click_prob(mu_at_detector(cfg))
     p_dark_gate = cfg.detector.dark_prob_per_gate()
     p_dark_bit = 1.0 - (1.0 - p_dark_gate) ** 2
     return p_signal, p_dark_bit

@@ -116,10 +116,6 @@ class SampledWaveform:
 
     __rmul__ = __mul__
 
-    def shifted(self, offset: float) -> "SampledWaveform":
-        """Same samples, time axis moved by `offset` seconds."""
-        return SampledWaveform(self.samples, self.dt, self.t0 + offset)
-
     def table(self) -> tuple[list[str], list[np.ndarray]]:
         """Header and columns of the `time_ps,volts` table, one row per sample."""
         return ["time_ps", "volts"], [self.times * 1e12, self.samples]
@@ -493,12 +489,8 @@ class DiscriminatorConfig:
     def __post_init__(self) -> None:
         if not np.isfinite(self.threshold):
             raise ValueError("threshold must be finite")
-        normalized = {"negative": "negative-going", "positive": "positive-going"}.get(
-            self.polarity, self.polarity
-        )
-        if normalized not in ("negative-going", "positive-going"):
+        if self.polarity not in ("negative-going", "positive-going"):
             raise ValueError(f"unknown polarity {self.polarity!r}")
-        object.__setattr__(self, "polarity", normalized)
         if not (np.isfinite(self.refractory_time) and self.refractory_time >= 0):
             raise ValueError("refractory_time must be >= 0")
 

@@ -14,6 +14,7 @@ import pytest
 
 import sinegate
 from sinegate.cli import main
+from sinegate.config import load_config
 from sinegate.table import CHUNK_ROWS
 
 
@@ -106,6 +107,29 @@ def test_sweep_headers(tmp_path):
         run_ok(args + ["--config", cfg, "--out", str(out)])
         data = (out / name).read_bytes()
         assert data.splitlines()[0] == header
+
+
+def test_sweep_delay_tabulates_the_efficiency_the_engine_uses(tmp_path):
+    # above the anchor bias the bias law raises the peak: 0.15 at 54.5 V
+    cfg = write_cfg(tmp_path, {**SMALL, "detector": {"operating": {"bias_v": 54.5}}})
+    rows = {}
+    for sub, name in (("sweep-delay", "gate_profile.csv"), ("sweep-bias", "bias_efficiency.csv")):
+        out = tmp_path / sub
+        run_ok([sub, "--config", cfg, "--out", str(out)])
+        rows[sub] = dict(line.split(",") for line in (out / name).read_text().splitlines()[1:])
+    eta = load_config(cfg).detector.effective_efficiency(0.0)
+    assert float(rows["sweep-delay"]["0.0"]) == float(rows["sweep-bias"]["54.5"]) == eta
+    assert rows["sweep-delay"]["0.0"] == "0.15000000000000002"
+
+
+def test_gate_peak_efficiency_is_an_unknown_key(tmp_path, capsys):
+    # the bias law holds the peak efficiency; the gate holds only the window
+    cfg = write_cfg(tmp_path, {"detector": {"gate": {"peak_efficiency": 0.2}}})
+    rc = main(["sweep-delay", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "detector.gate.peak_efficiency: unknown key" in err
+    assert "Traceback" not in err
 
 
 def test_dark_sweep_prints_exact_anchor(tmp_path):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sinegate.config import (
+    MAX_GRID_POINTS,
     _SCHEMA,
     _SECTIONS,
     ConfigError,
@@ -45,7 +46,7 @@ def test_defaults_headline_operating_point():
     cfg = load_config(None)
     assert cfg.detector.gate.gate_frequency == 1.25e9
     assert cfg.detector.gate.gate_fwhm == 130e-12
-    assert cfg.detector.gate.peak_efficiency == 0.1
+    assert cfg.detector.effective_efficiency(0.0) == 0.1
     assert cfg.detector.temperature_c == -43.0
     assert cfg.detector.bias == 53.5
     assert cfg.merged["run"]["holdoff_gates"] == 10
@@ -93,8 +94,7 @@ def test_tree_defaults_equal_the_dataclass_defaults():
 EVERY_LEAF = {
     "run": {"holdoff_gates": 7, "holdoff_anchor": "any"},
     "detector": {
-        "gate": {"gate_frequency_hz": 1000000000, "gate_fwhm_ps": 120.0,
-                 "peak_efficiency": 0.2},
+        "gate": {"gate_frequency_hz": 1000000000, "gate_fwhm_ps": 120.0},
         "bias_law": {"anchor_bias_v": 50, "anchor_efficiency": 0.15, "slope_per_v": 0.04,
                      "breakdown_bias_v": 48.0},
         "dark_table_c_prob": [[-50, 1e-7], [0.0, 1e-6], [25.0, 2e-5]],
@@ -114,7 +114,6 @@ EVERY_LEAF = {
 EVERY_LEAF_SI = {
     "detector.gate.gate_frequency": 1e9,
     "detector.gate.gate_fwhm": 120e-12,
-    "detector.gate.peak_efficiency": 0.2,
     "detector.bias_law.anchor_bias": 50.0,
     "detector.bias_law.anchor_efficiency": 0.15,
     "detector.bias_law.slope_per": 0.04,
@@ -504,6 +503,27 @@ def test_grid_values_inclusive():
     assert grid_values({"start": 3.0, "stop": 3.0, "step": 1.0}) == [3.0]
 
 
+def test_sweep_grids_too_large_to_build_are_refused_at_their_step():
+    at_cap = {"start": 0.0, "stop": MAX_GRID_POINTS - 1.0, "step": 1.0}
+    too_large = [
+        {**at_cap, "stop": float(MAX_GRID_POINTS)},  # one point over the cap
+        {"step": 1e-300},  # ~8e302 points over the default span
+        {"step": 5e-324},  # subnormal: the span over it is inf
+        {"start": -1e308, "stop": 1e308},  # the span itself is inf
+    ]
+    for name in ("bias_v", "delay_ps", "fiber_loss_db"):
+        doc = deep_merge(default_config(), {"sweeps": {name: at_cap}})
+        assert validate_config(doc) == []
+        assert len(grid_values(doc["sweeps"][name])) == MAX_GRID_POINTS
+        for grid in too_large:
+            doc = deep_merge(default_config(), {"sweeps": {name: grid}})
+            assert validate_config(doc) == [
+                f"sweeps.{name}.step: must split the span into at most "
+                f"{MAX_GRID_POINTS} grid points"], grid
+            with pytest.raises(ValueError, match=f"more than {MAX_GRID_POINTS} points"):
+                grid_values(doc["sweeps"][name])
+
+
 def test_schema_accepts_defaults_and_flags_bad_docs():
     schema = json.loads(schema_text())
     doc = default_config()
@@ -534,7 +554,7 @@ def test_schema_text_is_a_draft7_schema_of_the_one_tree():
 def test_leaf_messages_generated_from_the_tree(tmp_path):
     doc = {
         "run": {"master_seed": -1, "holdoff_anchor": "late"},
-        "detector": {"gate": {"peak_efficiency": 2.0},
+        "detector": {"bias_law": {"anchor_efficiency": 2.0},
                      "afterpulse": {"enabled": 1}},
         "chain": {"stages": 0, "threshold_mv": "low"},
         "sweeps": {"temperatures_c": []},
@@ -544,7 +564,7 @@ def test_leaf_messages_generated_from_the_tree(tmp_path):
     assert exc.value.errors == [
         "run.master_seed: must be an integer in [0, 2**64)",
         "run.holdoff_anchor: must be one of ('accepted', 'any')",
-        "detector.gate.peak_efficiency: must be a number in [0, 1]",
+        "detector.bias_law.anchor_efficiency: must be a number in [0, 1]",
         "detector.afterpulse.enabled: must be true or false",
         "chain.stages: must be an integer >= 1",
         "chain.threshold_mv: must be a finite number",

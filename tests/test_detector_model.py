@@ -27,9 +27,9 @@ from sinegate.detector_model import (
 
 def test_gate_profile_peak_and_fwhm():
     g = GateConfig()
-    assert gate_profile(g, 0.0) == pytest.approx(0.10)
-    assert gate_profile(g, g.gate_fwhm / 2) == pytest.approx(0.05)
-    assert gate_profile(g, -g.gate_fwhm / 2) == pytest.approx(0.05)
+    assert gate_profile(g, 0.0) == 1.0
+    assert gate_profile(g, g.gate_fwhm / 2) == pytest.approx(0.5)
+    assert gate_profile(g, -g.gate_fwhm / 2) == pytest.approx(0.5)
 
 
 def test_gate_profile_periodic_and_vectorized():
@@ -47,7 +47,7 @@ def test_gate_config_validation():
     with pytest.raises(ValueError):
         GateConfig(gate_fwhm=-5e-12)
     with pytest.raises(ValueError):
-        GateConfig(peak_efficiency=1.5)
+        GateConfig(gate_fwhm=0.8e-9)  # a window as wide as the gate period
     with pytest.raises(ValueError):
         GateConfig(gate_frequency=0.0)
 
@@ -229,7 +229,7 @@ def _leaves(obj, prefix=""):
 
 def test_params_file_round_trip_every_field(tmp_path):
     d = DetectorParams(
-        gate=GateConfig(gate_frequency=1e9, gate_fwhm=120e-12, peak_efficiency=0.2),
+        gate=GateConfig(gate_frequency=1e9, gate_fwhm=120e-12),
         bias_law=BiasEfficiencyLaw(anchor_bias=50.0, anchor_efficiency=0.15, slope_per=0.04,
                                    breakdown_bias=48.0),
         dark_law=TemperatureDarkLaw(((-50.0, 1e-7), (0.0, 1e-6), (25.0, 2e-5))),
@@ -246,7 +246,7 @@ def test_params_file_round_trip_every_field(tmp_path):
     path = tmp_path / "det.json"
     d.save_json(path)
     assert json.loads(path.read_text(encoding="utf-8")) == {
-        "gate": {"gate_frequency_hz": 1e9, "gate_fwhm_ps": 120.0, "peak_efficiency": 0.2},
+        "gate": {"gate_frequency_hz": 1e9, "gate_fwhm_ps": 120.0},
         "bias_law": {"anchor_bias_v": 50.0, "anchor_efficiency": 0.15, "slope_per_v": 0.04,
                      "breakdown_bias_v": 48.0},
         "dark_table_c_prob": [[-50.0, 1e-7], [0.0, 1e-6], [25.0, 2e-5]],
@@ -261,6 +261,7 @@ def test_params_file_round_trip_every_field(tmp_path):
 def test_calibration_file_with_retired_delay_step_still_loads(tmp_path):
     doc = DetectorParams().to_json_dict()
     doc["gate"]["delay_step_ps"] = 10.0  # written by older versions, now ignored
+    doc["gate"]["peak_efficiency"] = 0.1  # likewise: the bias law sets the peak
     path = tmp_path / "detector.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert DetectorParams.load_json(path) == DetectorParams()
