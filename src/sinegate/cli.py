@@ -167,10 +167,9 @@ def _cmd_sweep_bias(cfg: FullConfig, em: Emitter, args) -> None:
 
 def _cmd_sweep_delay(cfg: FullConfig, em: Emitter, args) -> None:
     det = cfg.detector
-    grid = grid_values(cfg.merged["sweeps"]["delay_ps"])
+    delay_ps = np.asarray(grid_values(cfg.merged["sweeps"]["delay_ps"]), dtype=float)
     em.emit_table("gate_profile", ["delay_ps", "efficiency"],
-                  [np.asarray(grid, dtype=float),
-                   np.array([det.effective_efficiency(d / 1e12) for d in grid], dtype=float)])
+                  [delay_ps, det.effective_efficiency(delay_ps / 1e12)])
 
 
 def _sweep_temperatures(cfg: FullConfig) -> list[float]:

@@ -320,9 +320,10 @@ class DetectorParams:
         if not np.isfinite(self.temperature_c):
             raise ValueError("temperature_c must be finite")
 
-    def effective_efficiency(self, alignment_delay: float = 0.0) -> float:
+    def effective_efficiency(self, alignment_delay=0.0) -> np.ndarray | float:
         """Detection efficiency at the alignment delay: the bias law's peak
-        efficiency at the operating bias, seen through the gate window."""
+        efficiency at the operating bias, seen through the gate window.
+        Accepts scalars or arrays, like `gate_profile`."""
         return efficiency_at_bias(self.bias_law, self.bias) * gate_profile(self.gate, alignment_delay)
 
     def click_prob(self, mean_photons: float, alignment_delay: float = 0.0) -> float:

@@ -22,14 +22,18 @@ photon/dark candidates and their detection times from
 on the seed and its index, never on how many gates follow it. Afterpulse
 chains (which couple gates across chunk boundaries) and their detection
 times are generated in a single sequential pass from
-``SeedSequence((master_seed, 2))``: in gate order, the thinning walk draws
-per candidate one exponential, then one uniform when the candidate lies in
-range (nothing when the first hazard after a fill is >= 1, and nothing
-more to relabel a dark candidate), then the detection times of all
-afterpulses. Per-chunk draw order is fixed: (cow bits, one byte per 8
-bits), photon clicks (count, subset; pulse bin then empty bin for cow),
-dark clicks (count, subset), tail uniforms, Gaussian offsets, tail gate
-choices, laser offsets.
+``SeedSequence((master_seed, 2))``. The gaps between intrinsic avalanches
+(the last one runs to the end of the run) go in blocks of ``_GAP_BLOCK``:
+a block first draws one exponential per gap, the first thinning
+candidate's; then, in gate order, the gaps with a candidate in range (or a
+first hazard >= 1) draw their continuation: one uniform per candidate in
+range, and one exponential per later candidate (nothing when a hazard
+after a fill is >= 1, and nothing more to relabel a dark candidate).
+After the last block come the detection times of all afterpulses.
+Per-chunk draw order is fixed: (cow bits, one byte per 8 bits), photon
+clicks (count, subset; pulse bin then empty bin for cow), dark clicks
+(count, subset), tail uniforms, Gaussian offsets, tail gate choices, laser
+offsets.
 Identical RunConfig therefore yields identical records.
 """
 
@@ -257,13 +261,16 @@ def _simulate_chunk(cfg: RunConfig, chunk_index: int, m: int):
     return gates, phys, times, in_tail, bits
 
 
-def _next_fire(c: float, r: float, n: int, rng: np.random.Generator) -> int:
+def _next_fire(c: float, r: float, n: int, rng: np.random.Generator,
+               first: float | None = None) -> int:
     """First of `n` gates to fire when gate j fires with probability c*r**j, or n for none.
 
     Thinning: from gate j the bound b = c*r**j covers every later gate. b >= 1
     fires gate j with no draw; otherwise one exponential skips s gates (s + 1
     is geometric in b) to a candidate, which one uniform keeps with
-    probability r**s, the hazard over the bound. Needs 0 <= c <= 1, 0 <= r < 1.
+    probability r**s, the hazard over the bound. `first`, when given, is the
+    first exponential, drawn by the caller; the rest come from `rng`. Needs
+    0 <= c <= 1, 0 <= r < 1.
     """
     j = 0
     while True:
@@ -272,13 +279,20 @@ def _next_fire(c: float, r: float, n: int, rng: np.random.Generator) -> int:
             return j
         if b == 0.0:
             return n
-        x = rng.standard_exponential() / -math.log1p(-b)
+        e = rng.standard_exponential() if first is None else first
+        first = None
+        x = e / -math.log1p(-b)
         if j + x >= n:  # in floats: the skip may be too large for an int
             return n
         s = int(x)
         if rng.random() < r**s:
             return j + s
         j += s + 1
+
+
+# Gaps per bulk draw of first exponentials: a block's Python lists hold
+# ~0.3 MB, so the pass adds no peak memory however many gaps the run has.
+_GAP_BLOCK = 1 << 12
 
 
 def _afterpulse_pass(cfg: RunConfig, gates, phys, times, in_tail):
@@ -294,41 +308,53 @@ def _afterpulse_pass(cfg: RunConfig, gates, phys, times, in_tail):
     exponential, then one uniform when it lies in range. The walk runs up
     to and including each intrinsic gate, where a kept candidate only
     relabels a dark candidate (photon outranks afterpulse outranks dark)
-    and the traps fill once.
+    and the traps fill once. The first exponential of every gap between
+    intrinsic avalanches is drawn in blocks of `_GAP_BLOCK`. When c < 1 and
+    it skips past the gap's n gates (e / -log1p(-c) >= n), or c == 0, the
+    gap holds no fire and costs one test and the trap update; only the
+    other gaps walk.
     """
     ap_model = cfg.detector.afterpulse
     period = cfg.detector.gate.gate_period
     r = math.exp(-period / ap_model.release_lifetime)
-    fill, trigger = ap_model.trap_fill_per_detection, ap_model.trigger_prob_per_gate
+    fill = ap_model.trap_fill_per_detection
+    trigger_r = ap_model.trigger_prob_per_gate * r
     rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, 2)))
+    log1p = math.log1p
 
     ap_gates: list[int] = []
     relabel: list[int] = []
     n_state = 0.0
     g_fill = -1
-
-    def scan(last: int, intrinsic: bool) -> bool:
-        """Add the afterpulses in gates (g_fill, last]; report, not add, one on an intrinsic `last`."""
-        nonlocal n_state, g_fill
-        while g_fill < last:
-            c = min(1.0, trigger * n_state * r)
-            g_ap = g_fill + 1 + _next_fire(c, r, last - g_fill, rng)
-            if g_ap > last:
-                return False
-            if intrinsic and g_ap == last:
-                return True
-            ap_gates.append(g_ap)
-            n_state = n_state * r ** (g_ap - g_fill) + fill
-            g_fill = g_ap
-        return False
-
-    is_dark = (phys == ORIGIN_DARK).tolist()
-    for i, g in enumerate(gates.tolist()):
-        if scan(g, True) and is_dark[i]:
-            relabel.append(i)
-        n_state = n_state * r ** (g - g_fill) + fill
-        g_fill = g
-    scan(cfg.n_gates - 1, False)
+    for start in range(0, gates.size + 1, _GAP_BLOCK):
+        ends = gates[start:start + _GAP_BLOCK].tolist()
+        dark = (phys[start:start + _GAP_BLOCK] == ORIGIN_DARK).tolist()
+        if len(ends) < _GAP_BLOCK:
+            # the last gap ends at an intrinsic gate one past the run: a fire
+            # there is dropped, like any fire beyond the last gate
+            ends.append(cfg.n_gates)
+            dark.append(False)
+        firsts = rng.standard_exponential(len(ends)).tolist()
+        for i, g, e, is_dark in zip(range(start, start + len(ends)), ends, firsts, dark):
+            n = g - g_fill
+            c = trigger_r * n_state
+            if c == 0.0 or (c < 1.0 and e / -log1p(-c) >= n):
+                n_state = n_state * r**n + fill
+                g_fill = g
+                continue
+            while True:
+                g_ap = g_fill + 1 + _next_fire(min(1.0, c), r, g - g_fill, rng, e)
+                e = None
+                if g_ap >= g:
+                    if g_ap == g and is_dark:
+                        relabel.append(i)
+                    break
+                ap_gates.append(g_ap)
+                n_state = n_state * r ** (g_ap - g_fill) + fill
+                g_fill = g_ap
+                c = trigger_r * n_state
+            n_state = n_state * r ** (g - g_fill) + fill
+            g_fill = g
 
     if relabel:
         phys[np.asarray(relabel, dtype=np.intp)] = ORIGIN_AFTERPULSE

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sinegate
@@ -120,6 +121,26 @@ def test_sweep_delay_tabulates_the_efficiency_the_engine_uses(tmp_path):
     eta = load_config(cfg).detector.effective_efficiency(0.0)
     assert float(rows["sweep-delay"]["0.0"]) == float(rows["sweep-bias"]["54.5"]) == eta
     assert rows["sweep-delay"]["0.0"] == "0.15000000000000002"
+
+
+def test_sweep_delay_matches_the_efficiency_point_by_point(tmp_path):
+    # one array call for the whole grid; 10 000 ps spans 12.5 gate periods
+    cfg = write_cfg(tmp_path, {"sweeps": {"delay_ps": {"start": 0.0, "stop": 9999.0,
+                                                       "step": 1.0}}})
+    out = tmp_path / "out"
+    run_ok(["sweep-delay", "--config", cfg, "--out", str(out)])
+    rows = list(csv.reader(io.StringIO((out / "gate_profile.csv").read_text())))[1:]
+    assert len(rows) == 10_000
+    delay_ps, swept = (np.array(column, dtype=float) for column in zip(*rows))
+    det = load_config(cfg).detector
+    per_point = np.array([det.effective_efficiency(d / 1e12) for d in delay_ps.tolist()])
+    # a scalar squares the window argument with pow, an array with x*x, so the
+    # exponent may differ by an ulp; exp turns that absolute error into a
+    # relative one. Allow 4 ulp of the value and 4 ulp of the exponent.
+    exponent = np.log(per_point / det.effective_efficiency(0.0))
+    tolerance = 4 * np.spacing(per_point) + 4 * per_point * np.spacing(np.abs(exponent))
+    assert np.all(np.abs(swept - per_point) <= tolerance), \
+        np.max(np.abs(swept - per_point) / tolerance)
 
 
 def test_gate_peak_efficiency_is_an_unknown_key(tmp_path, capsys):
@@ -367,6 +388,28 @@ def test_rerun_byte_identical_and_worker_independent(tmp_path):
     assert read_dir(out) == first
     run_ok(args + ["--workers", "2"])
     assert read_dir(out) == first
+
+
+def test_afterpulse_rerun_byte_identical_and_worker_independent(tmp_path):
+    # subcritical afterpulsing (branching ~0.025): the sequential pass runs
+    cfg = write_cfg(tmp_path, {
+        "source": {"mean_photons": 1.0},
+        "detector": {"afterpulse": {"enabled": True, "trigger_prob_per_gate": 0.002,
+                                    "release_lifetime_ns": 100.0}},
+        "tcspc": {"n_pulses": 20000, "max_lag_gates": 60},
+        "stability": {"n_segments": 3, "bits_per_segment": 20000},
+    })
+    for command in ("tcspc", "stability"):
+        out = tmp_path / command
+        args = [command, "--config", cfg, "--seed", "99", "--out", str(out)]
+        run_ok(args)
+        first = read_dir(out)
+        run_ok(args)
+        assert read_dir(out) == first
+        run_ok(args + ["--workers", "2"])
+        assert read_dir(out) == first
+    summary = dict(csv.reader(io.StringIO((tmp_path / "tcspc" / "summary.csv").read_text())))
+    assert int(summary["n_afterpulse"]) > 0
 
 
 def test_stability_pool_byte_identical(tmp_path):

@@ -33,6 +33,7 @@ from sinegate.mc_engine import (
     short_lag_excess_pvalue,
     subsequent_gate_fraction,
     tcspc_histogram,
+    _GAP_BLOCK,
     _afterpulse_pass,
     _clicks,
     _next_fire,
@@ -632,12 +633,27 @@ def test_log_survival_matches_direct_sum(c, r):
     n_gates, n_draws = 10**6, 20_000
     rng = np.random.default_rng(17)
     fires = np.array([_next_fire(c, r, n_gates, rng) for _ in range(n_draws)])
+    _assert_fires_follow_survival(fires, c, r, n_gates)
+
+
+@pytest.mark.parametrize("c, r", [(0.5, 0.5), (0.01, 0.992), (1e-6, 0.99999)])
+def test_log_survival_holds_with_a_first_exponential_given(c, r):
+    # the pass draws each gap's first exponential itself; the walk draws the rest
+    n_gates, n_draws = 10**6, 20_000
+    rng = np.random.default_rng(19)
+    fires = np.array([_next_fire(c, r, n_gates, rng, rng.standard_exponential())
+                      for _ in range(n_draws)])
+    _assert_fires_follow_survival(fires, c, r, n_gates)
+
+
+def _assert_fires_follow_survival(fires, c, r, n_gates):
+    """First fires against the survival summed gate by gate, at a few depths."""
     assert fires.min() >= 0 and fires.max() <= n_gates
     log_survival = np.cumsum(np.log1p(-c * r ** np.arange(n_gates)))
     for k in (1, 2, 17, 1000, 65_537, 10**6):
         survived = int(np.count_nonzero(fires >= k))  # no fire in the first k gates
-        p_value = stats.binomtest(survived, n_draws, math.exp(log_survival[k - 1])).pvalue
-        assert p_value > 1e-4, (k, survived, n_draws * math.exp(log_survival[k - 1]))
+        p_value = stats.binomtest(survived, fires.size, math.exp(log_survival[k - 1])).pvalue
+        assert p_value > 1e-4, (k, survived, fires.size * math.exp(log_survival[k - 1]))
 
 
 def _afterpulse_config(n_gates, seed, lifetime_gates, fill, trigger):
@@ -669,6 +685,16 @@ def test_certain_hazard_fires_the_first_gate():
     cfg = _afterpulse_config(50, 3, 10.0, 1.5, 1.0)
     ap = _pass_on(cfg, np.array([5], dtype=np.int64))
     assert ap.tolist() == list(range(6, 50))
+
+
+@pytest.mark.parametrize("n_intrinsic", [_GAP_BLOCK - 1, _GAP_BLOCK, _GAP_BLOCK + 1])
+def test_certain_hazard_fills_every_gate_across_gap_blocks(n_intrinsic):
+    # the gaps go in blocks; the last gap, to the end of the run, is walked
+    # whether or not the intrinsic count fills its last block
+    intrinsic = np.arange(0, 3 * n_intrinsic, 3, dtype=np.int64)
+    n_gates = 3 * n_intrinsic + 5
+    ap = _pass_on(_afterpulse_config(n_gates, 3, 10.0, 1.5, 1.0), intrinsic)
+    assert np.array_equal(ap, np.setdiff1d(np.arange(1, n_gates), intrinsic))
 
 
 def brute_force_afterpulses(intrinsic, n_gates, model, gate_period, seed, relabeled=None):
@@ -736,30 +762,62 @@ def _count_z(a, b):
     return (a.mean() - b.mean()) / math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
 
 
-def test_relabels_and_added_afterpulses_match_per_gate_oracle():
-    # dark candidates are dense enough that afterpulses often land on one
-    n_gates, n_seeds = 100_000, 30
-    model = _afterpulse_config(n_gates, 0, 4.0, 0.25, 0.4424).detector.afterpulse
+def _pass_and_oracle_on_darks(n_gates, n_seeds, lifetime_gates, fill, trigger, density, tag):
+    """Per-seed added and relabeled counts, and the added lags, of the pass and the oracle.
+
+    Each seed puts dark candidates at `density` per gate, drawn from
+    (seed, tag); the oracle draws from (seed, tag + 1). Asserts that both
+    kinds of count agree at |z| < 4.
+    """
+    model = _afterpulse_config(n_gates, 0, lifetime_gates, fill, trigger).detector.afterpulse
     counts = {key: [] for key in ("pass_added", "pass_relabeled", "oracle_added",
                                   "oracle_relabeled")}
+    lags = {"pass": [], "oracle": []}
     for seed in range(n_seeds):
-        rng = np.random.default_rng((seed, 9))
-        intrinsic = np.flatnonzero(rng.random(n_gates) < 5e-2).astype(np.int64)
-        ap = _pass_on(_afterpulse_config(n_gates, seed, 4.0, 0.25, 0.4424), intrinsic,
-                      ORIGIN_DARK)
+        rng = np.random.default_rng((seed, tag))
+        intrinsic = np.flatnonzero(rng.random(n_gates) < density).astype(np.int64)
+        ap = _pass_on(_afterpulse_config(n_gates, seed, lifetime_gates, fill, trigger),
+                      intrinsic, ORIGIN_DARK)
         on_intrinsic = np.isin(ap, intrinsic)
         counts["pass_relabeled"].append(np.count_nonzero(on_intrinsic))
         counts["pass_added"].append(np.count_nonzero(~on_intrinsic))
+        lags["pass"] += _lags_to_previous_avalanche(intrinsic, ap[~on_intrinsic])
         relabeled = []
-        added = brute_force_afterpulses(intrinsic, n_gates, model, GATE_PERIOD, (seed, 10),
+        added = brute_force_afterpulses(intrinsic, n_gates, model, GATE_PERIOD, (seed, tag + 1),
                                         relabeled)
         counts["oracle_relabeled"].append(len(relabeled))
         counts["oracle_added"].append(added.size)
+        lags["oracle"] += _lags_to_previous_avalanche(intrinsic, added)
     for kind in ("relabeled", "added"):
         z = _count_z(counts[f"pass_{kind}"], counts[f"oracle_{kind}"])
         assert abs(z) < 4.0, (kind, np.mean(counts[f"pass_{kind}"]),
                               np.mean(counts[f"oracle_{kind}"]), z)
+    return counts, lags
+
+
+def test_relabels_and_added_afterpulses_match_per_gate_oracle():
+    # dark candidates are dense enough that afterpulses often land on one
+    counts, _ = _pass_and_oracle_on_darks(100_000, 30, 4.0, 0.25, 0.4424, 5e-2, 9)
+    for kind in ("relabeled", "added"):
         assert np.mean(counts[f"pass_{kind}"]) > 100  # enough to carry the comparison
+
+
+def test_pass_matches_per_gate_oracle_where_most_gaps_exit_early():
+    # lifetime 125 gates and one avalanche per ~400 gates: the hazard is
+    # small and long-lived, so most gaps leave by the first-exponential test
+    lifetime, fill = 125.0, 0.1
+    trigger = 0.3 * (1.0 - math.exp(-1.0 / lifetime)) / fill
+    model = _afterpulse_config(1, 0, lifetime, fill, trigger).detector.afterpulse
+    assert 0.29 < model.branching_ratio(GATE_PERIOD) < 0.31
+    counts, lags = _pass_and_oracle_on_darks(300_000, 20, lifetime, fill, trigger, 1 / 400, 11)
+    assert np.mean(counts["pass_added"]) > 100  # enough to carry the comparison
+    # lag histograms in octaves up to 4 lifetimes, the rest in one tail bin
+    edges = [2, 4, 8, 16, 32, 64, 128, 256, 512]
+    table = np.asarray([np.bincount(np.searchsorted(edges, lags[name], side="right"),
+                                    minlength=len(edges) + 1)
+                        for name in ("pass", "oracle")])
+    _, p_value, _, _ = stats.chi2_contingency(table, correction=False)
+    assert p_value > 1e-3, table
 
 
 def test_walk_edge_cases():
