@@ -9,29 +9,23 @@ versus room-temperature operation.
 
 import numpy as np
 
-from sinegate.qkd_budget import (
-    QkdLinkConfig,
-    evaluate,
-    fiber_db_to_length,
-    mc_link_run,
-    sweep,
-)
+from sinegate.qkd_budget import QkdLinkConfig, fiber_db_to_length, mc_link_run, sweep
 
 
 def main():
     cfg = QkdLinkConfig()  # 0.3 photons/bit at the source, 625 Mbps, 8 ns hold-off
     grid = np.arange(0.0, 16.5, 1.0)
-    reports = sweep(cfg, "fiber_loss_db", grid)
+    r = sweep(cfg, "fiber_loss_db", grid)  # one report, one column per field
 
     print("loss   km     raw rate     QBER   dark   ext    tail   after-EC   secret")
-    for loss, r in zip(grid, reports):
+    for i, loss in enumerate(grid):
         print(f"{loss:4.0f} {fiber_db_to_length(loss):5.0f} "
-              f"{r.raw_rate / 1e6:9.2f} Mbps "
-              f"{r.qber_total * 100:6.2f} {r.qber_dark * 100:6.3f} "
-              f"{r.qber_extinction * 100:6.3f} {r.qber_timing_tail * 100:6.3f} "
-              f"{r.rate_after_ec / 1e6:7.2f} M {r.secret_rate / 1e6:7.2f} M")
+              f"{r.raw_rate[i] / 1e6:9.2f} Mbps "
+              f"{r.qber_total[i] * 100:6.2f} {r.qber_dark[i] * 100:6.3f} "
+              f"{r.qber_extinction[i] * 100:6.3f} {r.qber_timing_tail[i] * 100:6.3f} "
+              f"{r.rate_after_ec[i] / 1e6:7.2f} M {r.secret_rate[i] / 1e6:7.2f} M")
 
-    crossing = max(loss for loss, r in zip(grid, reports) if r.rate_after_ec >= 1e6)
+    crossing = grid[r.rate_after_ec >= 1e6].max()
     print(f"\nstays above 1 Mbps after error correction up to {crossing:.0f} dB "
           f"({fiber_db_to_length(crossing):.0f} km at 0.2 dB/km)")
 
@@ -42,16 +36,11 @@ def main():
           f"(analytic {mc['analytic_raw_rate_hz'] / 1e6:.2f}), "
           f"QBER {mc['qber'] * 100:.2f} % (analytic {mc['analytic_qber'] * 100:.2f})")
 
-    warm = QkdLinkConfig(
-        mu_source=0.1,
-        detector=point.detector.with_operating_point(temperature_c=20.0),
-    )
-    r_cold, r_warm = evaluate(point), evaluate(warm)
-    print(f"\ncooled (-43 C):  QBER {r_cold.qber_total * 100:.2f} %, "
-          f"after-EC {r_cold.rate_after_ec / 1e6:.2f} Mbps")
-    print(f"room temp (+20 C): QBER {r_warm.qber_total * 100:.2f} %, "
-          f"after-EC {r_warm.rate_after_ec / 1e6:.2f} Mbps "
-          f"({r_warm.rate_after_ec / r_cold.rate_after_ec * 100:.1f} % of cooled)")
+    by_temp = sweep(point, "temperature", [-43.0, 20.0])
+    (q_cold, q_warm), (ec_cold, ec_warm) = by_temp.qber_total, by_temp.rate_after_ec
+    print(f"\ncooled (-43 C):  QBER {q_cold * 100:.2f} %, after-EC {ec_cold / 1e6:.2f} Mbps")
+    print(f"room temp (+20 C): QBER {q_warm * 100:.2f} %, "
+          f"after-EC {ec_warm / 1e6:.2f} Mbps ({ec_warm / ec_cold * 100:.1f} % of cooled)")
 
 
 if __name__ == "__main__":

@@ -79,7 +79,6 @@ from .qkd_budget import (
     binary_entropy,
     evaluate,
     fiber_db_to_length,
-    fiber_length_to_db,
     mc_link_run,
     mu_at_detector,
     qber,
@@ -125,7 +124,6 @@ __all__ = [
     "estimate_fwhm",
     "evaluate",
     "fiber_db_to_length",
-    "fiber_length_to_db",
     "gate_profile",
     "geometric_lag_gof",
     "inter_detection_correlation",

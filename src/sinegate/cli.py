@@ -158,27 +158,24 @@ def _cmd_chain_demo(cfg: FullConfig, em: Emitter, args) -> None:
 
 
 def _cmd_sweep_bias(cfg: FullConfig, em: Emitter, args) -> None:
-    law = cfg.detector.bias_law
     grid = grid_values(cfg.merged["sweeps"]["bias_v"])
     em.emit_table("bias_efficiency", ["bias_v", "efficiency"],
-                  [np.asarray(grid, dtype=float),
-                   np.array([efficiency_at_bias(law, b) for b in grid], dtype=float)])
+                  [grid, efficiency_at_bias(cfg.detector.bias_law, grid)])
 
 
 def _cmd_sweep_delay(cfg: FullConfig, em: Emitter, args) -> None:
-    det = cfg.detector
-    delay_ps = np.asarray(grid_values(cfg.merged["sweeps"]["delay_ps"]), dtype=float)
-    em.emit_table("gate_profile", ["delay_ps", "efficiency"],
-                  [delay_ps, det.effective_efficiency(delay_ps / 1e12)])
+    delay_ps = grid_values(cfg.merged["sweeps"]["delay_ps"])
+    em.emit_table("delay_efficiency", ["delay_ps", "efficiency"],
+                  [delay_ps, cfg.detector.effective_efficiency(delay_ps / 1e12)])
 
 
-def _sweep_temperatures(cfg: FullConfig) -> list[float]:
+def _sweep_temperatures(cfg: FullConfig) -> np.ndarray:
     explicit = cfg.merged["sweeps"]["temperatures_c"]
     if explicit is not None:
-        return [float(t) for t in explicit]
+        return np.asarray(explicit, dtype=float)
     if cfg.detector.dark_law is None:
         raise _CliError("sweep needs sweeps.temperatures_c when the dark table is null")
-    return [float(t) for t in cfg.detector.dark_law.temperatures]
+    return cfg.detector.dark_law.temperatures
 
 
 def _cmd_sweep_temp(cfg: FullConfig, em: Emitter, args) -> None:
@@ -186,8 +183,7 @@ def _cmd_sweep_temp(cfg: FullConfig, em: Emitter, args) -> None:
         raise _CliError("sweep-temp needs a dark table (detector.dark_table_c_prob)")
     temps = _sweep_temperatures(cfg)
     em.emit_table("dark_counts", ["temperature_c", "dark_prob_per_gate"],
-                  [np.asarray(temps, dtype=float),
-                   np.array([dark_prob(cfg.detector.dark_law, t) for t in temps], dtype=float)])
+                  [temps, dark_prob(cfg.detector.dark_law, temps)])
 
 
 def _cmd_tcspc(cfg: FullConfig, em: Emitter, args) -> None:
@@ -232,20 +228,11 @@ def _cmd_tcspc(cfg: FullConfig, em: Emitter, args) -> None:
     _emit_mapping(em, "summary", summary)
 
 
-def _qkd_table(axis_values, reports) -> tuple[list[str], list[np.ndarray]]:
-    """Header and columns: the axis, then every numeric field of QkdReport.to_json_dict."""
-    docs = [r.to_json_dict() for r in reports]
-    fields = [key for key in docs[0] if key != "notes"]
-    return ["axis_value"] + fields, [np.asarray(axis_values, dtype=float)] + [
-        np.array([d[key] for d in docs], dtype=float) for key in fields
-    ]
-
-
 def _cmd_qkd(cfg: FullConfig, em: Emitter, args) -> None:
     grid = grid_values(cfg.merged["sweeps"]["fiber_loss_db"])
-    reports = qb.sweep(cfg.qkd, "fiber_loss_db", grid)
-    em.emit_table("qkd_vs_loss", *_qkd_table(grid, reports))
-    _emit_mapping(em, "qkd_notes", reports[0].notes)
+    report = qb.sweep(cfg.qkd, "fiber_loss_db", grid)
+    em.emit_table("qkd_vs_loss", *report.table(grid))
+    _emit_mapping(em, "qkd_notes", report.notes)
     n_bits = cfg.merged["qkd"]["mc_check_bits"]
     if n_bits > 0:
         mc = qb.mc_link_run(cfg.qkd, n_bits, args.seed)
@@ -254,9 +241,9 @@ def _cmd_qkd(cfg: FullConfig, em: Emitter, args) -> None:
 
 def _cmd_qkd_temp(cfg: FullConfig, em: Emitter, args) -> None:
     temps = _sweep_temperatures(cfg)
-    reports = qb.sweep(cfg.qkd, "temperature", temps)
-    em.emit_table("qkd_vs_temperature", *_qkd_table(temps, reports))
-    _emit_mapping(em, "qkd_notes", reports[0].notes)
+    report = qb.sweep(cfg.qkd, "temperature", temps)
+    em.emit_table("qkd_vs_temperature", *report.table(temps))
+    _emit_mapping(em, "qkd_notes", report.notes)
 
 
 def _cmd_stability(cfg: FullConfig, em: Emitter, args) -> None:

@@ -19,6 +19,8 @@ import math
 import operator
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .detector_model import (
     DARK_TABLE_SPAN_C,
     DEFAULT_DARK_TABLE,
@@ -114,8 +116,8 @@ def _list(items, min_items: int, description: str) -> dict:
 MAX_GRID_POINTS = 2**20
 
 
-def _grid(start: float, stop: float, step: float) -> dict:
-    return _obj(start=_num(start), stop=_num(stop), step=_num(step, gt=0))
+def _grid(start: float, stop: float, step: float, **start_bounds) -> dict:
+    return _obj(start=_num(start, **start_bounds), stop=_num(stop), step=_num(step, gt=0))
 
 
 _SCHEMA = {
@@ -197,7 +199,7 @@ _SCHEMA = {
         sweeps=_obj(
             bias_v=_grid(51.0, 54.5, 0.05),
             delay_ps=_grid(-400.0, 400.0, 10.0),
-            fiber_loss_db=_grid(0.0, 16.0, 0.5),
+            fiber_loss_db=_grid(0.0, 16.0, 0.5, ge=0),
             temperatures_c=_nullable(_list(_num(), 1, "a non-empty list of temperatures")),
         ),
         stability=_obj(
@@ -536,13 +538,14 @@ def _grid_steps(start: float, stop: float, step: float) -> float:
     return (stop - start) / step + 1e-9
 
 
-def grid_values(grid: dict) -> list[float]:
-    """Inclusive arithmetic grid; endpoint kept when step divides the span."""
+def grid_values(grid: dict) -> np.ndarray:
+    """Inclusive arithmetic grid as a float64 array, `start + step * k`;
+    endpoint kept when step divides the span."""
     start, stop, step = grid["start"], grid["stop"], grid["step"]
     steps = _grid_steps(start, stop, step)
     if not steps < MAX_GRID_POINTS:  # an inf or NaN quotient fails too
         raise ValueError(f"grid holds more than {MAX_GRID_POINTS} points")
-    return [start + k * step for k in range(max(1, int(math.floor(steps)) + 1))]
+    return start + step * np.arange(max(1, int(math.floor(steps)) + 1), dtype=float)
 
 
 def schema_text() -> str:

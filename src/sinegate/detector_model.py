@@ -55,6 +55,11 @@ class ModelRangeError(ValueError):
     """An input lies outside the calibrated range of a model law."""
 
 
+def _float_or_array(value):
+    """A law's result: a Python float for a scalar input, else the array."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
 @dataclass(frozen=True)
 class GateConfig:
     """Periodic Gaussian sensitivity window of the gated diode.
@@ -90,8 +95,7 @@ def gate_profile(cfg: GateConfig, delay) -> np.ndarray | float:
         raise ValueError("delay must be finite")
     period = cfg.gate_period
     wrapped = delay - period * np.round(delay / period)
-    value = np.exp(-4.0 * math.log(2.0) * (wrapped / cfg.gate_fwhm) ** 2)
-    return float(value) if value.ndim == 0 else value
+    return _float_or_array(np.exp(-4.0 * math.log(2.0) * (wrapped / cfg.gate_fwhm) ** 2))
 
 
 @dataclass(frozen=True)
@@ -117,14 +121,14 @@ class BiasEfficiencyLaw:
             raise ValueError("breakdown_bias must lie below the anchor bias")
 
 
-def efficiency_at_bias(law: BiasEfficiencyLaw, bias: float) -> float:
-    """Peak efficiency at a bias voltage: 0 at/below breakdown, else linear, clamped."""
-    if not np.isfinite(bias):
+def efficiency_at_bias(law: BiasEfficiencyLaw, bias) -> np.ndarray | float:
+    """Peak efficiency at a bias voltage: 0 at/below breakdown, else linear, clamped.
+    Accepts scalars or arrays, like `gate_profile`."""
+    bias = np.asarray(bias, dtype=float)
+    if not np.all(np.isfinite(bias)):
         raise ValueError("bias must be finite")
-    if bias <= law.breakdown_bias:
-        return 0.0
-    value = law.anchor_efficiency + law.slope_per * (bias - law.anchor_bias)
-    return float(min(1.0, max(0.0, value)))
+    value = np.clip(law.anchor_efficiency + law.slope_per * (bias - law.anchor_bias), 0.0, 1.0)
+    return _float_or_array(np.where(bias <= law.breakdown_bias, 0.0, value))
 
 
 # Anchors: quoted operating points at -43 C (6e-7), -35 C (7e-7) and +20 C
@@ -174,25 +178,27 @@ class TemperatureDarkLaw:
         return np.asarray([p for _, p in self.table])
 
 
-def dark_prob(law: TemperatureDarkLaw, temperature_c: float) -> float:
-    """Per-gate dark probability at a temperature inside the table range.
+def dark_prob(law: TemperatureDarkLaw, temperature_c) -> np.ndarray | float:
+    """Per-gate dark probability at temperatures inside the table range.
 
-    Interpolation is linear in log(probability) vs. temperature, so table
-    anchors reproduce exactly. Extrapolation is refused.
+    Interpolation is linear in log(probability) vs. temperature, and table
+    anchors reproduce exactly. Extrapolation is refused, naming the first
+    temperature outside the table. Accepts scalars or arrays.
     """
-    if not np.isfinite(temperature_c):
+    t = np.asarray(temperature_c, dtype=float)
+    if not np.all(np.isfinite(t)):
         raise ValueError("temperature must be finite")
-    temps = law.temperatures
-    if temperature_c < temps[0] or temperature_c > temps[-1]:
+    temps, probs = law.temperatures, law.probabilities
+    outside = (t < temps[0]) | (t > temps[-1])
+    if outside.any():
         raise ModelRangeError(
-            f"temperature {temperature_c} C outside calibrated range "
+            f"temperature {t[outside][0]} C outside calibrated range "
             f"[{temps[0]}, {temps[-1]}] C"
         )
-    hit = np.nonzero(temps == temperature_c)[0]
-    if hit.size:  # anchors reproduce bit-exactly, not through log round-trip
-        return float(law.probabilities[hit[0]])
-    log_p = np.interp(temperature_c, temps, np.log(law.probabilities))
-    return float(np.exp(log_p))
+    nearest = np.minimum(np.searchsorted(temps, t), temps.size - 1)
+    # anchors reproduce bit-exactly, not through the log round trip
+    interpolated = np.exp(np.interp(t, temps, np.log(probs)))
+    return _float_or_array(np.where(temps[nearest] == t, probs[nearest], interpolated))
 
 
 @dataclass(frozen=True)
@@ -303,7 +309,8 @@ class DetectorParams:
 
     `dark_law=None` switches the dark channel off entirely (useful for
     photon-only studies); otherwise the per-gate dark probability comes from
-    the temperature law at `temperature_c`.
+    the temperature law at `temperature_c`. `temperature_c` may be an array
+    of temperatures, as `qkd_budget.sweep` builds it for a temperature axis.
     """
 
     gate: GateConfig = field(default_factory=GateConfig)
@@ -317,7 +324,7 @@ class DetectorParams:
     def __post_init__(self) -> None:
         if not np.isfinite(self.bias):
             raise ValueError("bias must be finite")
-        if not np.isfinite(self.temperature_c):
+        if not np.all(np.isfinite(self.temperature_c)):
             raise ValueError("temperature_c must be finite")
 
     def effective_efficiency(self, alignment_delay=0.0) -> np.ndarray | float:
@@ -326,10 +333,12 @@ class DetectorParams:
         Accepts scalars or arrays, like `gate_profile`."""
         return efficiency_at_bias(self.bias_law, self.bias) * gate_profile(self.gate, alignment_delay)
 
-    def click_prob(self, mean_photons: float, alignment_delay: float = 0.0) -> float:
+    def click_prob(self, mean_photons, alignment_delay=0.0) -> np.ndarray | float:
         """Probability that a Poisson pulse of `mean_photons` makes an avalanche,
-        1 - exp(-eta * mean_photons) at the efficiency of `alignment_delay`."""
-        return 1.0 - math.exp(-self.effective_efficiency(alignment_delay) * mean_photons)
+        1 - exp(-eta * mean_photons) at the efficiency of `alignment_delay`.
+        Accepts scalars or arrays."""
+        eta = self.effective_efficiency(alignment_delay)
+        return _float_or_array(1.0 - np.exp(-eta * mean_photons))
 
     def dark_prob_per_gate(self) -> float:
         if self.dark_law is None:

@@ -11,6 +11,10 @@ extinction leakage. The analytic model composes, per bit:
 * a QBER split into dark, extinction, and timing-tail components, all on
   the same detected-bit denominator so the components sum to the total.
 
+Every law runs on arrays: `evaluate` returns floats at one operating point,
+and `sweep` evaluates a whole fiber-loss or temperature grid in one array
+pass, returning one report whose fields are columns.
+
 The timing-tail error weight comes from the tail geometry of the jitter
 model: a detection that slips k gates (k uniform in 1..span) lands in the
 wrong bin with probability 1/2 + 1/(4*span) once the carried bit values are
@@ -22,21 +26,19 @@ time bins discarded.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
 
-from .detector_model import DetectorParams
+from .detector_model import DetectorParams, _float_or_array
 from .mc_engine import RunConfig, SourceConfig, check_holdoff, run_simulation
 
 __all__ = [
     "FIBER_DB_PER_KM",
     "QkdLinkConfig",
     "QkdReport",
-    "fiber_length_to_db",
     "fiber_db_to_length",
     "binary_entropy",
     "mu_at_detector",
@@ -53,14 +55,7 @@ __all__ = [
 
 FIBER_DB_PER_KM = 0.2
 
-SWEEP_AXES = ("fiber_loss_db", "temperature", "mu_source", "bias")
-
-
-def fiber_length_to_db(length_km: float) -> float:
-    """Standard single-mode fiber attenuation, 0.2 dB/km."""
-    if not (np.isfinite(length_km) and length_km >= 0):
-        raise ValueError("length_km must be >= 0")
-    return length_km * FIBER_DB_PER_KM
+SWEEP_AXES = ("fiber_loss_db", "temperature")
 
 
 def fiber_db_to_length(loss_db: float) -> float:
@@ -69,13 +64,14 @@ def fiber_db_to_length(loss_db: float) -> float:
     return loss_db / FIBER_DB_PER_KM
 
 
-def binary_entropy(q: float) -> float:
-    """h2(q) in bits; 0 at q = 0 and q = 1."""
-    if not (0.0 <= q <= 1.0):
+def binary_entropy(q) -> np.ndarray | float:
+    """h2(q) in bits; 0 at q = 0 and q = 1. Accepts scalars or arrays."""
+    q = np.asarray(q, dtype=float)
+    if not np.all((q >= 0.0) & (q <= 1.0)):
         raise ValueError("q must be in [0, 1]")
-    if q == 0.0 or q == 1.0:
-        return 0.0
-    return float(-q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q))
+    inside = (q > 0.0) & (q < 1.0)
+    r = np.where(inside, q, 0.5)  # keeps log2 off the endpoints
+    return _float_or_array(np.where(inside, -r * np.log2(r) - (1.0 - r) * np.log2(1.0 - r), 0.0))
 
 
 @dataclass(frozen=True)
@@ -94,6 +90,7 @@ class QkdLinkConfig:
     estimate, not a security-proof bound.
     `holdoff_gates` and `holdoff_anchor` are the counter's hold-off as in
     `RunConfig`; the analytic dead-time law and the Monte Carlo both read them.
+    `fiber_loss_db` may be an array of losses, as `sweep` builds it.
     """
 
     mu_source: float = 0.3
@@ -111,7 +108,7 @@ class QkdLinkConfig:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.mu_source) and self.mu_source >= 0):
             raise ValueError("mu_source must be >= 0")
-        if not (np.isfinite(self.fiber_loss_db) and self.fiber_loss_db >= 0):
+        if not np.all(np.isfinite(self.fiber_loss_db) & (self.fiber_loss_db >= 0)):
             raise ValueError("fiber_loss_db must be >= 0")
         if not (0 < self.timebin_width <= self.detector.gate.gate_period):
             raise ValueError("timebin_width must be positive and at most half the bit period")
@@ -138,9 +135,18 @@ class QkdLinkConfig:
         return 10.0 ** (-self.extinction_db / 10.0)
 
 
+# table header -> QkdReport field
+_TABLE_COLUMNS = {"mu_detector": "mu_detector", "raw_rate_hz": "raw_rate", "qber": "qber_total",
+                  "qber_dark": "qber_dark", "qber_ext": "qber_extinction",
+                  "qber_tail": "qber_timing_tail", "rate_after_ec_hz": "rate_after_ec",
+                  "secret_rate_hz": "secret_rate"}
+
+
 @dataclass(frozen=True)
 class QkdReport:
-    """One link-budget evaluation; components sum to qber_total by construction."""
+    """A link-budget evaluation; components sum to qber_total by construction.
+    The numeric fields are floats at one point, or columns of one length along
+    a sweep, and every check holds elementwise."""
 
     mu_detector: float
     raw_rate: float
@@ -153,35 +159,32 @@ class QkdReport:
     notes: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        names = list(_TABLE_COLUMNS.values())
+        # a field constant along the sweep (mu_detector over temperature) becomes a column
+        for name, value in zip(names, np.broadcast_arrays(*(getattr(self, n) for n in names))):
+            object.__setattr__(self, name, _float_or_array(value))
         for name in ("raw_rate", "rate_after_ec", "secret_rate"):
-            if getattr(self, name) < 0:
+            if np.any(getattr(self, name) < 0):
                 raise ValueError(f"{name} must be >= 0")
         parts = (self.qber_dark, self.qber_extinction, self.qber_timing_tail)
-        if any(p < 0 for p in parts):
+        if any(np.any(p < 0) for p in parts):
             raise ValueError("QBER components must be >= 0")
-        if abs(sum(parts) - self.qber_total) > 1e-9 * max(1.0, self.qber_total):
+        if np.any(np.abs(sum(parts) - self.qber_total) > 1e-9 * np.maximum(1.0, self.qber_total)):
             raise ValueError("QBER components must sum to qber_total")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "mu_detector": self.mu_detector,
-            "raw_rate_hz": self.raw_rate,
-            "qber": self.qber_total,
-            "qber_dark": self.qber_dark,
-            "qber_ext": self.qber_extinction,
-            "qber_tail": self.qber_timing_tail,
-            "rate_after_ec_hz": self.rate_after_ec,
-            "secret_rate_hz": self.secret_rate,
-            "notes": dict(self.notes),
-        }
+    def table(self, axis_values) -> tuple[list[str], list[np.ndarray]]:
+        """Header and columns of a sweep: `axis_values`, then every numeric field."""
+        return ["axis_value", *_TABLE_COLUMNS], [np.asarray(axis_values, dtype=float)] + [
+            getattr(self, name) for name in _TABLE_COLUMNS.values()
+        ]
 
 
-def mu_at_detector(cfg: QkdLinkConfig) -> float:
+def mu_at_detector(cfg: QkdLinkConfig) -> np.ndarray | float:
     """Photons per bit impinging the detector after the fiber."""
     return cfg.mu_source * 10.0 ** (-cfg.fiber_loss_db / 10.0)
 
 
-def _click_probabilities(cfg: QkdLinkConfig) -> tuple[float, float]:
+def _click_probabilities(cfg: QkdLinkConfig) -> tuple:
     """(signal click, dark click) probabilities per bit."""
     p_signal = cfg.detector.click_prob(mu_at_detector(cfg))
     p_dark_gate = cfg.detector.dark_prob_per_gate()
@@ -189,7 +192,7 @@ def _click_probabilities(cfg: QkdLinkConfig) -> tuple[float, float]:
     return p_signal, p_dark_bit
 
 
-def raw_detection_rate(cfg: QkdLinkConfig) -> float:
+def raw_detection_rate(cfg: QkdLinkConfig) -> np.ndarray | float:
     """Detected-bit rate after the dead-time correction.
 
     R0 = bit_rate * (p_signal + p_dark_bit), tau = holdoff_gates / gate clock;
@@ -200,8 +203,8 @@ def raw_detection_rate(cfg: QkdLinkConfig) -> float:
     r0 = cfg.bit_rate * (p_signal + p_dark_bit)
     tau = cfg.holdoff_gates / cfg.detector.gate.gate_frequency
     if cfg.holdoff_anchor == "any":
-        return r0 * math.exp(-r0 * tau)
-    return r0 / (1.0 + r0 * tau)
+        return _float_or_array(r0 * np.exp(-r0 * tau))
+    return _float_or_array(r0 / (1.0 + r0 * tau))
 
 
 def _optical_error_fractions(cfg: QkdLinkConfig) -> tuple[float, float]:
@@ -227,47 +230,48 @@ def qber(cfg: QkdLinkConfig) -> dict:
                  with weight 1/2 + 1/(4*span).
     total = dark + extinction + timing_tail. Detections outside the two time
     bins are excluded from numerator and denominator alike (the window loss
-    itself is negligible at these jitter values).
+    itself is negligible at these jitter values). Without clicks every
+    component is 0.
     """
     p_signal, p_dark_bit = _click_probabilities(cfg)
     denom = p_signal + p_dark_bit
-    if denom <= 0.0:
-        return {"total": 0.0, "dark": 0.0, "extinction": 0.0, "timing_tail": 0.0}
+    denom = np.where(denom > 0.0, denom, 1.0)  # no clicks: both numerators are 0
     ext_fraction, tail_fraction = _optical_error_fractions(cfg)
     dark = 0.5 * p_dark_bit / denom
     ext = ext_fraction * p_signal / denom
     tail = tail_fraction * p_signal / denom
-    return {"total": dark + ext + tail, "dark": dark, "extinction": ext, "timing_tail": tail}
+    parts = {"total": dark + ext + tail, "dark": dark, "extinction": ext, "timing_tail": tail}
+    return {key: _float_or_array(value) for key, value in parts.items()}
 
 
-def rate_after_ec(raw_rate: float, qber_value: float, ec_efficiency: float) -> float:
-    """Rate surviving error correction: max(0, r * (1 - f*h2(q)))."""
-    if not (0.0 <= qber_value <= 0.5):
+def rate_after_ec(raw_rate, qber_value, ec_efficiency: float) -> np.ndarray | float:
+    """Rate surviving error correction: max(0, r * (1 - f*h2(q))).
+    Accepts scalars or arrays for the rate and the QBER."""
+    qber_value = np.asarray(qber_value, dtype=float)
+    if not np.all((qber_value >= 0.0) & (qber_value <= 0.5)):
         raise ValueError("qber must be in [0, 0.5]")
     if not (np.isfinite(ec_efficiency) and ec_efficiency >= 1.0):
         raise ValueError("ec_efficiency must be >= 1")
-    if raw_rate < 0:
+    if np.any(np.asarray(raw_rate) < 0):
         raise ValueError("raw_rate must be >= 0")
-    return max(0.0, raw_rate * (1.0 - ec_efficiency * binary_entropy(qber_value)))
+    h2 = binary_entropy(qber_value)
+    return _float_or_array(np.maximum(0.0, raw_rate * (1.0 - ec_efficiency * h2)))
 
 
-def secret_rate_estimate(cfg: QkdLinkConfig, report) -> float:
-    """Labeled estimate: post-EC rate minus the privacy-amplification slice.
-
-    Accepts a QkdReport or a bare post-EC rate in Hz. This is a placeholder
-    scaling, not a security-proof bound.
-    """
-    after_ec = report.rate_after_ec if isinstance(report, QkdReport) else float(report)
-    if after_ec < 0:
+def secret_rate_estimate(cfg: QkdLinkConfig, after_ec) -> np.ndarray | float:
+    """Labeled estimate: the post-EC rate in Hz minus the privacy-amplification
+    slice; a placeholder scaling, not a security-proof bound. Takes arrays too."""
+    if np.any(np.asarray(after_ec) < 0):
         raise ValueError("rate_after_ec must be >= 0")
-    return max(0.0, after_ec * (1.0 - cfg.pa_fraction))
+    return _float_or_array(np.maximum(0.0, after_ec * (1.0 - cfg.pa_fraction)))
 
 
 def evaluate(cfg: QkdLinkConfig) -> QkdReport:
-    """Full analytic link evaluation at one operating point."""
+    """Full analytic link evaluation: floats at one operating point, columns
+    when `cfg` holds a loss or temperature grid (see `sweep`)."""
     raw = raw_detection_rate(cfg)
     q = qber(cfg)
-    after_ec = rate_after_ec(raw, min(0.5, q["total"]), cfg.ec_efficiency)
+    after_ec = rate_after_ec(raw, np.minimum(0.5, q["total"]), cfg.ec_efficiency)
     secret = secret_rate_estimate(cfg, after_ec)
     eps = cfg.extinction_ratio
     notes = {
@@ -295,25 +299,21 @@ def evaluate(cfg: QkdLinkConfig) -> QkdReport:
     )
 
 
-def sweep(cfg: QkdLinkConfig, axis: str, grid) -> list[QkdReport]:
-    """One evaluate() per grid point along `axis` (see SWEEP_AXES)."""
-    if axis not in SWEEP_AXES:
+def sweep(cfg: QkdLinkConfig, axis: str, grid) -> QkdReport:
+    """evaluate() over a whole grid along `axis` (see SWEEP_AXES) in one array
+    pass; the report's fields are columns, one row per grid point."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("sweep grid must be a non-empty sequence")
+    if axis == "fiber_loss_db":
+        cfg = replace(cfg, fiber_loss_db=grid)
+    elif axis == "temperature":
+        cfg = replace(cfg, detector=replace(cfg.detector, temperature_c=grid))
+    else:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-    values = [float(v) for v in grid]
-    if not values:
-        raise ValueError("sweep grid is empty")
-    reports = []
-    for v in values:
-        if axis == "fiber_loss_db":
-            point = replace(cfg, fiber_loss_db=v)
-        elif axis == "mu_source":
-            point = replace(cfg, mu_source=v)
-        elif axis == "temperature":
-            point = replace(cfg, detector=cfg.detector.with_operating_point(temperature_c=v))
-        else:
-            point = replace(cfg, detector=cfg.detector.with_operating_point(bias=v))
-        reports.append(evaluate(point))
-    return reports
+    report = evaluate(cfg)
+    # with no dark law a temperature leaves every field constant: still columns
+    return replace(report, mu_detector=np.broadcast_to(report.mu_detector, grid.shape))
 
 
 def mc_link_run(cfg: QkdLinkConfig, n_bits: int, master_seed: int) -> dict:

@@ -100,7 +100,7 @@ def test_sweep_headers(tmp_path):
     cfg = write_cfg(tmp_path, SMALL)
     cases = [
         (["sweep-bias"], "bias_efficiency.csv", b"bias_v,efficiency"),
-        (["sweep-delay"], "gate_profile.csv", b"delay_ps,efficiency"),
+        (["sweep-delay"], "delay_efficiency.csv", b"delay_ps,efficiency"),
         (["sweep-temp"], "dark_counts.csv", b"temperature_c,dark_prob_per_gate"),
     ]
     for args, name, header in cases:
@@ -114,7 +114,8 @@ def test_sweep_delay_tabulates_the_efficiency_the_engine_uses(tmp_path):
     # above the anchor bias the bias law raises the peak: 0.15 at 54.5 V
     cfg = write_cfg(tmp_path, {**SMALL, "detector": {"operating": {"bias_v": 54.5}}})
     rows = {}
-    for sub, name in (("sweep-delay", "gate_profile.csv"), ("sweep-bias", "bias_efficiency.csv")):
+    for sub, name in (("sweep-delay", "delay_efficiency.csv"),
+                      ("sweep-bias", "bias_efficiency.csv")):
         out = tmp_path / sub
         run_ok([sub, "--config", cfg, "--out", str(out)])
         rows[sub] = dict(line.split(",") for line in (out / name).read_text().splitlines()[1:])
@@ -129,7 +130,7 @@ def test_sweep_delay_matches_the_efficiency_point_by_point(tmp_path):
                                                        "step": 1.0}}})
     out = tmp_path / "out"
     run_ok(["sweep-delay", "--config", cfg, "--out", str(out)])
-    rows = list(csv.reader(io.StringIO((out / "gate_profile.csv").read_text())))[1:]
+    rows = list(csv.reader(io.StringIO((out / "delay_efficiency.csv").read_text())))[1:]
     assert len(rows) == 10_000
     delay_ps, swept = (np.array(column, dtype=float) for column in zip(*rows))
     det = load_config(cfg).detector
@@ -270,6 +271,9 @@ def test_tcspc_needs_pulsed_source(tmp_path, capsys):
     ("tcspc", {"tcspc": {"bin_width_ps": 40000.0, "n_pulses": 100}}, "tcspc.bin_width_ps"),
     # a lag longer than the run: 2**63 used to overflow np.bincount
     ("tcspc", {"tcspc": {"n_pulses": 1000, "max_lag_gates": 2**63}}, "tcspc.max_lag_gates"),
+    # no loss is negative: the whole grid used to reach the model and raise there
+    ("qkd", {"sweeps": {"fiber_loss_db": {"start": -1.0, "stop": 2.0, "step": 0.5}}},
+     "sweeps.fiber_loss_db.start"),
 ])
 def test_unusable_config_exit_1_with_field_path(tmp_path, capsys, sub, override, field):
     rc = main([sub, "--config", write_cfg(tmp_path, override), "--out", str(tmp_path / "o")])

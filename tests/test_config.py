@@ -281,6 +281,13 @@ def test_cross_field_sweep_grid_order(tmp_path):
     assert any("sweeps.bias_v.stop" in e for e in exc.value.errors)
 
 
+def test_negative_loss_grid_refused_at_its_start(tmp_path):
+    grid = {"start": -1.0, "stop": 2.0, "step": 0.5}
+    with pytest.raises(ConfigError) as exc:
+        load_config(write_json(tmp_path, {"sweeps": {"fiber_loss_db": grid}}))
+    assert exc.value.errors == ["sweeps.fiber_loss_db.start: must be a number >= 0"]
+
+
 def test_cross_field_operating_temperature_in_table(tmp_path):
     path = write_json(tmp_path, {"detector": {"operating": {"temperature_c": -60.0}}})
     with pytest.raises(ConfigError) as exc:
@@ -496,11 +503,18 @@ def test_qkd_holdoff_keys_removed(tmp_path):
 
 
 def test_grid_values_inclusive():
-    assert grid_values({"start": 52.0, "stop": 55.0, "step": 1.0}) == [
+    assert grid_values({"start": 52.0, "stop": 55.0, "step": 1.0}).tolist() == [
         52.0, 53.0, 54.0, 55.0,
     ]
     assert grid_values({"start": 0.0, "stop": 16.0, "step": 0.5})[-1] == 16.0
-    assert grid_values({"start": 3.0, "stop": 3.0, "step": 1.0}) == [3.0]
+    assert grid_values({"start": 3.0, "stop": 3.0, "step": 1.0}).tolist() == [3.0]
+    # a float64 array, bit for bit the points start + k*step, integer bounds too
+    grid = {"start": 51.0, "stop": 54.5, "step": 0.05}
+    values = grid_values(grid)
+    assert values.dtype == np.float64
+    assert values.tolist() == [51.0 + k * 0.05 for k in range(71)]
+    ints = grid_values({"start": 0, "stop": 2, "step": 1})
+    assert ints.dtype == np.float64 and ints.tolist() == [0.0, 1.0, 2.0]
 
 
 def test_sweep_grids_too_large_to_build_are_refused_at_their_step():
@@ -517,9 +531,12 @@ def test_sweep_grids_too_large_to_build_are_refused_at_their_step():
         assert len(grid_values(doc["sweeps"][name])) == MAX_GRID_POINTS
         for grid in too_large:
             doc = deep_merge(default_config(), {"sweeps": {name: grid}})
-            assert validate_config(doc) == [
-                f"sweeps.{name}.step: must split the span into at most "
-                f"{MAX_GRID_POINTS} grid points"], grid
+            expected = [f"sweeps.{name}.step: must split the span into at most "
+                        f"{MAX_GRID_POINTS} grid points"]
+            if name == "fiber_loss_db" and grid.get("start", 0.0) < 0:
+                # a loss grid starts at 0 dB or above, so its span is never inf
+                expected = ["sweeps.fiber_loss_db.start: must be a number >= 0"]
+            assert validate_config(doc) == expected, grid
             with pytest.raises(ValueError, match=f"more than {MAX_GRID_POINTS} points"):
                 grid_values(doc["sweeps"][name])
 

@@ -59,6 +59,14 @@ def test_bias_law_endpoints():
     assert efficiency_at_bias(law, law.anchor_bias) == pytest.approx(0.10)
     assert efficiency_at_bias(law, 54.5) == pytest.approx(0.15)
     assert efficiency_at_bias(law, 1e3) == 1.0  # clamped
+    # an array gives each element's scalar result, bit for bit
+    biases = np.array([law.breakdown_bias - 1.0, law.breakdown_bias, 51.7, law.anchor_bias,
+                       54.5, 1e3])
+    swept = efficiency_at_bias(law, biases)
+    assert np.array_equal(swept, [efficiency_at_bias(law, b) for b in biases.tolist()])
+    assert isinstance(efficiency_at_bias(law, 54.5), float)
+    with pytest.raises(ValueError):
+        efficiency_at_bias(law, np.array([53.5, np.nan]))
 
 
 def test_bias_law_validation():
@@ -73,6 +81,11 @@ def test_dark_law_anchors_are_exact():
     assert dark_prob(law, -43.0) == 6e-7
     assert dark_prob(law, -35.0) == 7e-7
     assert dark_prob(law, 20.0) == 1.5e-5
+    # in an array too, anchors come back as the table's own numbers
+    temps, probs = law.temperatures, law.probabilities
+    assert np.array_equal(dark_prob(law, temps), probs)
+    assert np.array_equal(dark_prob(law, temps[::-1]), probs[::-1])
+    assert isinstance(dark_prob(law, -43.0), float)
 
 
 def test_dark_law_monotone_above_minus_35():
@@ -80,6 +93,8 @@ def test_dark_law_monotone_above_minus_35():
     temps = np.linspace(-35.0, 20.0, 551)
     probs = np.array([dark_prob(law, t) for t in temps])
     assert np.all(np.diff(probs) >= 0.0)
+    # the array call gives each element's scalar result, bit for bit
+    assert np.array_equal(dark_prob(law, temps), probs)
 
 
 def test_dark_law_log_linear_between_anchors():
@@ -94,6 +109,13 @@ def test_dark_law_range_errors():
         dark_prob(law, -45.1)
     with pytest.raises(ModelRangeError):
         dark_prob(law, 20.1)
+    # any element out of range refuses the whole array, naming the first one
+    with pytest.raises(ModelRangeError, match=r"temperature 20.1 C outside calibrated range"):
+        dark_prob(law, np.array([-43.0, 20.1, -45.1]))
+    with pytest.raises(ModelRangeError, match=r"temperature -45.1 C outside"):
+        dark_prob(law, np.array([[-45.1, 0.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        dark_prob(law, np.array([0.0, np.inf]))
 
 
 def test_dark_law_table_validation():
@@ -182,6 +204,10 @@ def test_effective_efficiency_follows_bias_and_delay():
     # off-peak delay scales the whole profile
     half = d.gate.gate_fwhm / 2
     assert d_hi.effective_efficiency(half) == pytest.approx(0.075)
+    # the click law 1 - exp(-eta*mu) takes arrays of photon numbers element by element
+    mu = np.array([0.0, 1e-3, 0.1, 1.0, 30.0])
+    assert np.array_equal(d.click_prob(mu), [d.click_prob(m) for m in mu.tolist()])
+    assert d.click_prob(1.0) == pytest.approx(1.0 - math.exp(-0.1), rel=1e-15)
 
 
 def test_dark_prob_per_gate_and_none_law():

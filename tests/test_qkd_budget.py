@@ -3,18 +3,19 @@
 import concurrent.futures
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sinegate.detector_model import DetectorParams, GateConfig, JitterModel
+from sinegate.detector_model import DetectorParams, GateConfig, JitterModel, ModelRangeError
 from sinegate.qkd_budget import (
+    FIBER_DB_PER_KM,
     QkdLinkConfig,
     QkdReport,
     binary_entropy,
     evaluate,
     fiber_db_to_length,
-    fiber_length_to_db,
     mc_link_run,
     mu_at_detector,
     qber,
@@ -37,13 +38,18 @@ def test_binary_entropy_landmarks():
         binary_entropy(-0.01)
     with pytest.raises(ValueError):
         binary_entropy(1.01)
+    # arrays: each element as its own scalar call, endpoints included
+    q = np.array([0.0, 0.016, 0.25, 0.5, 0.75, 1.0])
+    assert np.array_equal(binary_entropy(q), [binary_entropy(v) for v in q.tolist()])
+    with pytest.raises(ValueError):
+        binary_entropy(np.array([0.1, -0.01]))
 
 
 def test_fiber_conversion_round_trip():
     for db in np.arange(0.0, 16.5, 0.5):
-        assert fiber_length_to_db(fiber_db_to_length(db)) == db
+        assert fiber_db_to_length(db) * FIBER_DB_PER_KM == db
     assert fiber_db_to_length(1.0) == pytest.approx(5.0)
-    assert fiber_length_to_db(50.0) == pytest.approx(10.0)
+    assert fiber_db_to_length(10.0) == pytest.approx(50.0)
 
 
 def test_mu_at_detector_follows_loss():
@@ -170,13 +176,25 @@ def test_rate_after_ec_endpoints():
         rate_after_ec(1e6, 0.6, 1.2)
     with pytest.raises(ValueError):
         rate_after_ec(-1.0, 0.1, 1.2)
+    # arrays: each element as its own scalar call, and every element is checked
+    q = np.array([0.0, 0.02, 0.3, 0.5])
+    assert np.array_equal(rate_after_ec(1e6, q, 1.2),
+                          [rate_after_ec(1e6, v, 1.2) for v in q.tolist()])
+    with pytest.raises(ValueError):
+        rate_after_ec(1e6, np.array([0.1, 0.6]), 1.2)
+    with pytest.raises(ValueError):
+        rate_after_ec(np.array([1e6, -1.0]), 0.1, 1.2)
 
 
-def test_secret_rate_accepts_report_or_float():
+def test_secret_rate_scales_the_post_ec_rate():
     cfg = QkdLinkConfig()
     report = evaluate(cfg)
-    assert secret_rate_estimate(cfg, report) == pytest.approx(report.rate_after_ec * 0.5)
+    assert secret_rate_estimate(cfg, report.rate_after_ec) == report.secret_rate
+    assert report.secret_rate == pytest.approx(report.rate_after_ec * 0.5)
     assert secret_rate_estimate(cfg, 2e6) == pytest.approx(1e6)
+    assert np.array_equal(secret_rate_estimate(cfg, np.array([0.0, 2e6])), [0.0, 1e6])
+    with pytest.raises(ValueError):
+        secret_rate_estimate(cfg, np.array([2e6, -1.0]))
 
 
 def test_report_component_sum_enforced():
@@ -186,6 +204,14 @@ def test_report_component_sum_enforced():
             qber_extinction=0.01, qber_timing_tail=0.01,  # sums to 0.03, not 0.05
             rate_after_ec=1e5, secret_rate=5e4,
         )
+    # columns are checked element by element
+    ok = dict(mu_detector=0.1, raw_rate=1e6, qber_total=0.03, qber_dark=0.01,
+              qber_extinction=0.01, qber_timing_tail=0.01, rate_after_ec=1e5, secret_rate=5e4)
+    QkdReport(**{**ok, "raw_rate": np.array([1e6, 2e6])})
+    for name, bad in (("raw_rate", [1e6, -1.0]), ("secret_rate", [5e4, -1.0]),
+                      ("qber_dark", [0.01, -0.01]), ("qber_total", [0.03, 0.05])):
+        with pytest.raises(ValueError):
+            QkdReport(**{**ok, name: np.array(bad)})
 
 
 def test_evaluate_report_contents():
@@ -197,35 +223,121 @@ def test_evaluate_report_contents():
     assert report.notes["dead_time_model"] == "nonparalyzable"
     assert report.notes["extinction_qber_alternate"] == 0.002
     assert "not a security-proof bound" in report.notes["secret_rate_method"]
-    doc = report.to_json_dict()
-    assert set(doc) == {
-        "mu_detector", "raw_rate_hz", "qber", "qber_dark", "qber_ext",
-        "qber_tail", "rate_after_ec_hz", "secret_rate_hz", "notes",
-    }
+    assert all(type(getattr(report, name)) is float for name in (
+        "mu_detector", "raw_rate", "qber_total", "qber_dark", "qber_extinction",
+        "qber_timing_tail", "rate_after_ec", "secret_rate"))
+    header, columns = sweep(QkdLinkConfig(), "fiber_loss_db", [0.0]).table([0.0])
+    assert header == [
+        "axis_value", "mu_detector", "raw_rate_hz", "qber", "qber_dark", "qber_ext",
+        "qber_tail", "rate_after_ec_hz", "secret_rate_hz",
+    ]
+    assert [float(c[0]) for c in columns] == [
+        0.0, report.mu_detector, report.raw_rate, report.qber_total, report.qber_dark,
+        report.qber_extinction, report.qber_timing_tail, report.rate_after_ec,
+        report.secret_rate,
+    ]
 
 
 def test_secret_rate_monotone_in_loss():
     grid = np.arange(0.0, 16.5, 0.5)
-    reports = sweep(QkdLinkConfig(), "fiber_loss_db", grid)
-    secret = [r.secret_rate for r in reports]
+    report = sweep(QkdLinkConfig(), "fiber_loss_db", grid)
+    secret = report.secret_rate.tolist()
     for a, b in zip(secret, secret[1:]):
         assert b < a or (a == 0.0 and b == 0.0)
-    qbers = [r.qber_total for r in reports]
-    assert all(b >= a for a, b in zip(qbers, qbers[1:]))
+    assert np.all(np.diff(report.qber_total) >= 0)
 
 
 def test_sweep_axes_and_errors():
     cfg = QkdLinkConfig()
     by_temp = sweep(cfg, "temperature", [-43.0, 20.0])
-    assert by_temp[1].qber_dark > by_temp[0].qber_dark
-    by_mu = sweep(cfg, "mu_source", [0.1, 0.2])
+    assert by_temp.qber_dark[1] > by_temp.qber_dark[0]
+    assert by_temp.mu_detector.shape == (2,)  # constant along the axis, still a column
+    # mu and bias are no axes, but the rate still rises with each
+    by_mu = [evaluate(replace(cfg, mu_source=mu)) for mu in (0.1, 0.2)]
     assert by_mu[1].raw_rate > by_mu[0].raw_rate
-    by_bias = sweep(cfg, "bias", [53.5, 54.5])
+    by_bias = [evaluate(replace(cfg, detector=cfg.detector.with_operating_point(bias=b)))
+               for b in (53.5, 54.5)]
     assert by_bias[1].raw_rate > by_bias[0].raw_rate
-    with pytest.raises(ValueError):
-        sweep(cfg, "fiber_loss_db", [])
-    with pytest.raises(ValueError):
-        sweep(cfg, "wavelength", [1.55])
+    for axis in ("mu_source", "bias", "wavelength"):
+        with pytest.raises(ValueError, match="axis must be one of"):
+            sweep(cfg, axis, [0.1, 0.2])
+    for grid in ([], [[0.0, 1.0]]):
+        with pytest.raises(ValueError, match="non-empty sequence"):
+            sweep(cfg, "fiber_loss_db", grid)
+    with pytest.raises(ValueError, match="fiber_loss_db must be >= 0"):
+        sweep(cfg, "fiber_loss_db", [0.0, -1.0])
+
+
+# Independent oracle of `sweep`: every grid point built as its own
+# QkdLinkConfig, the way a caller would, and evaluated on its own.
+_NO_DARK = DetectorParams(dark_law=None)
+_SWEEP_CASES = {
+    "defaults": QkdLinkConfig(),
+    "any-anchor": QkdLinkConfig(mu_source=1.0, holdoff_anchor="any"),
+    "no-holdoff": QkdLinkConfig(holdoff_gates=0),
+    "qber-floor": QkdLinkConfig(mu_source=0.001, qber_floor=0.016),
+    "no-dark-law": QkdLinkConfig(detector=_NO_DARK),
+    "no-dark-law-any": QkdLinkConfig(detector=_NO_DARK, holdoff_anchor="any"),
+    "room-temperature": QkdLinkConfig(detector=DetectorParams(temperature_c=20.0)),
+    "no-light": QkdLinkConfig(mu_source=0.0),
+    "no-light-no-dark": QkdLinkConfig(mu_source=0.0, detector=_NO_DARK),  # zero denominator
+}
+_LOSS_GRID = np.arange(0.0, 40.25, 0.25)
+# table anchors, points between them, and the ends of the table
+_TEMPERATURE_GRID = np.array([-45.0, -44.0, -43.0, -39.5, -35.0, -30.0, -25.0, -24.9, -5.0,
+                              0.0, 5.0, 12.3, 15.0, 19.99, 20.0])
+
+
+def _points(cfg, axis, grid):
+    if axis == "fiber_loss_db":
+        return [replace(cfg, fiber_loss_db=v) for v in grid.tolist()]
+    return [replace(cfg, detector=cfg.detector.with_operating_point(temperature_c=v))
+            for v in grid.tolist()]
+
+
+@pytest.mark.parametrize("case", sorted(_SWEEP_CASES))
+@pytest.mark.parametrize("axis, grid", [("fiber_loss_db", _LOSS_GRID),
+                                        ("temperature", _TEMPERATURE_GRID)])
+def test_sweep_matches_evaluate_point_by_point(case, axis, grid):
+    cfg = _SWEEP_CASES[case]
+    report = sweep(cfg, axis, grid)
+    _, columns = report.table(grid)
+    assert all(c.shape == grid.shape for c in columns)
+    assert np.array_equal(columns[0], grid)
+    for i, point in enumerate(_points(cfg, axis, grid)):
+        expected = evaluate(point)
+        for name in ("mu_detector", "raw_rate", "qber_total", "qber_dark", "qber_extinction",
+                     "qber_timing_tail", "rate_after_ec", "secret_rate"):
+            got = getattr(report, name)[i]
+            assert got == pytest.approx(getattr(expected, name), rel=1e-12, abs=0.0), \
+                (name, grid[i])
+    assert report.notes == evaluate(cfg).notes
+
+
+def test_sweep_refuses_a_temperature_outside_the_dark_table():
+    with pytest.raises(ModelRangeError, match="temperature 20.5 C outside"):
+        sweep(QkdLinkConfig(), "temperature", [-43.0, 20.5, 30.0])
+
+
+def test_default_loss_sweep_rows_are_frozen():
+    # rows of the default `qkd_vs_loss` table as the per-point model wrote them;
+    # the array pass may move only their last bits
+    frozen = {
+        0.0: [0.3, 16093953.86969444, 0.017171913446155377, 2.030066961902708e-05,
+              0.0031521811952856795, 0.01399943158125067, 13674981.275150126,
+              6837490.637575063],
+        4.0: [0.11943215116604916, 7004996.403571175, 0.017201108863921982,
+              5.053320290216402e-05, 0.0031519905907010765, 0.013998585070318743,
+              5950690.467173404, 2975345.233586702],
+        14.0: [0.01194321511660492, 742320.7149107672, 0.01763725468703587,
+               0.0005021723340494484, 0.0031491431783398057, 0.013985939174646618,
+               628335.4163795394, 314167.7081897697],
+    }
+    grid = np.arange(0.0, 16.5, 0.5)
+    _, columns = sweep(QkdLinkConfig(), "fiber_loss_db", grid).table(grid)
+    for loss, row in frozen.items():
+        i = int(np.flatnonzero(grid == loss)[0])
+        assert [float(c[i]) for c in columns[1:]] == pytest.approx(row, rel=1e-12, abs=0.0)
 
 
 def test_mc_link_run_matches_analytics_within_3_sigma():
