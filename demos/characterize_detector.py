@@ -6,6 +6,8 @@ the effective gate profile scanned with a delayed pulsed source, and the
 dark-count law over the calibrated temperature range.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from sinegate.detector_model import DetectorParams, dark_prob, efficiency_at_bias
@@ -34,7 +36,7 @@ def main():
         per_second = p * det.gate.gate_frequency
         print(f"  {t:+5.0f} C  {p:.3e} per gate  ({per_second / 1e3:7.1f} kcps)")
 
-    warm = det.with_operating_point(temperature_c=20.0, bias=54.5)
+    warm = replace(det, temperature_c=20.0, bias=54.5)
     print(f"\nat +20 C and 54.5 V: efficiency "
           f"{warm.effective_efficiency(0.0) * 100:.1f} %, dark "
           f"{warm.dark_prob_per_gate():.1e} per gate")

@@ -329,14 +329,15 @@ def main(argv=None) -> int:
         return 1
     args.seed = cfg.merged["run"]["master_seed"] if args.seed is None else args.seed
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"--out {args.out}: cannot create the output directory ({exc})", file=sys.stderr)
+        return 1
     emitter = Emitter(out_dir, args.format)
     try:
         args.handler(cfg, emitter, args)
-    except _CliError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    except ConfigError as exc:
+    except (_CliError, ConfigError) as exc:
         print(exc, file=sys.stderr)
         return 1
     except ModelRangeError as exc:

@@ -253,10 +253,8 @@ def _value(schema: dict, v, scale: float | None):
 
 
 def _args(cls, schema: dict, doc: dict) -> dict:
-    """Constructor arguments of dataclass `cls` (None: every leaf) from a section of the tree.
-
-    Walks the tree's leaves: keys it no longer has (`delay_step_ps`) are ignored.
-    """
+    """Constructor arguments of dataclass `cls` (None: every leaf) from a
+    validated section of the tree."""
     params = {f.name: f for f in fields(cls)} if cls else {}
     args = {}
     for key, sub in schema["properties"].items():
@@ -272,22 +270,6 @@ def _args(cls, schema: dict, doc: dict) -> dict:
         else:
             args.update(_args(cls, sub, doc[key]))
     return args
-
-
-def _to_json(obj, schema: dict) -> dict:
-    """The inverse of `_args`: the section document of a model object."""
-    doc = {}
-    for key, sub in schema["properties"].items():
-        name, scale = _arg(key)
-        if key == _DARK_TABLE:
-            law = getattr(obj, _DARK_LAW)
-            doc[key] = None if law is None else [list(row) for row in law.table]
-        elif sub.get("type") == "object":
-            doc[key] = _to_json(getattr(obj, name) if hasattr(obj, name) else obj, sub)
-        else:
-            value = getattr(obj, name)
-            doc[key] = value if scale is None else value * scale
-    return doc
 
 
 def _finite(v) -> bool:

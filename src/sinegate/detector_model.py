@@ -18,15 +18,15 @@ Calibrated laws, each usable on its own:
   retrigger later gates.
 
 `DetectorParams` bundles the laws with the operating point (bias voltage,
-temperature), owns the one click law (`click_prob`), and serializes to/from
-JSON with units in the field names.
+temperature) and owns the one click law (`click_prob`). A calibration on
+disk is a configuration's `detector` section, read and validated by
+`config.load_config`.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -344,32 +344,3 @@ class DetectorParams:
         if self.dark_law is None:
             return 0.0
         return dark_prob(self.dark_law, self.temperature_c)
-
-    def with_operating_point(self, *, bias=None, temperature_c=None) -> "DetectorParams":
-        changes = {}
-        if bias is not None:
-            changes["bias"] = float(bias)
-        if temperature_c is not None:
-            changes["temperature_c"] = float(temperature_c)
-        return replace(self, **changes)
-
-    # JSON round trip. Field names carry explicit units; the config tree
-    # declares them, and config imports this module, hence the local imports.
-    def to_json_dict(self) -> dict:
-        from .config import _SECTIONS, _to_json
-        return _to_json(self, _SECTIONS["detector"])
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "DetectorParams":
-        from .config import _SECTIONS, _args
-        return cls(**_args(cls, _SECTIONS["detector"], doc))
-
-    def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load_json(cls, path) -> "DetectorParams":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))

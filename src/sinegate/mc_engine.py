@@ -49,7 +49,7 @@ from .detector_model import (
     DetectorParams,
     sample_detection_times,
 )
-from .table import Labels, table_chunks, write_chunks
+from .table import Labels
 
 __all__ = [
     "SourceConfig",
@@ -67,7 +67,7 @@ __all__ = [
     "subsequent_gate_fraction",
     "geometric_lag_gof",
     "short_lag_excess_pvalue",
-    "records_to_csv",
+    "records_table",
 ]
 
 CHUNK_GATES = 1 << 20
@@ -508,10 +508,6 @@ class Histogram:
         """Header and columns of the `bin_start_ps,count` table."""
         return ["bin_start_ps", "count"], [self.bin_starts * 1e12, self.counts]
 
-    def to_csv(self, path) -> None:
-        write_chunks(path, table_chunks(*self.table()))
-
-
 def tcspc_histogram(
     records: np.ndarray,
     trigger_rate: float,
@@ -718,8 +714,3 @@ def records_table(records: np.ndarray) -> tuple[list[str], list]:
         [records["gate_index"], records["time"] * 1e12,
          Labels(ORIGIN_NAMES, records["origin"]), records["accepted"]],
     )
-
-
-def records_to_csv(records: np.ndarray, path) -> None:
-    """Write `records_table(records)` as CSV (times in picoseconds)."""
-    write_chunks(path, table_chunks(*records_table(records)))

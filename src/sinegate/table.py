@@ -36,6 +36,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+__all__ = ["Labels", "table_chunks", "write_chunks", "CHUNK_ROWS"]
+
 CHUNK_ROWS = 1 << 15
 
 _CSV_SPECIAL = re.compile(r'[,"\r\n]')

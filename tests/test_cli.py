@@ -16,6 +16,7 @@ import pytest
 import sinegate
 from sinegate.cli import main
 from sinegate.config import load_config
+from sinegate.detector_model import DetectorParams
 from sinegate.table import CHUNK_ROWS
 
 
@@ -336,7 +337,7 @@ def qkd_link(tmp_path, run, name):
 
 def test_holdoff_gates_zero_leaves_the_bare_qkd_rate(tmp_path):
     notes, rates = qkd_link(tmp_path, {"holdoff_gates": 0}, "bare")
-    det = sinegate.DetectorParams()
+    det = DetectorParams()
     p_dark_bit = 1.0 - (1.0 - det.dark_prob_per_gate()) ** 2
     eta = det.effective_efficiency(0.0)
     r0 = [625e6 * (1.0 - math.exp(-eta * 10 ** (-loss / 10)) + p_dark_bit)
@@ -464,6 +465,16 @@ def test_json_format(tmp_path):
 def test_bad_seed_and_workers_rejected(tmp_path, capsys):
     assert main(["qkd", "--seed", "-1", "--out", str(tmp_path / "o")]) == 1
     assert main(["qkd", "--workers", "0", "--out", str(tmp_path / "o2")]) == 1
+
+
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_out_naming_a_file_exit_1(tmp_path, capsys, below):
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    assert main(["sweep-bias", "--out", str(taken / below)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"--out {taken / below}: ") and err.count("\n") == 1
+    assert taken.read_text() == "a file\n"
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -175,6 +175,13 @@ def test_every_leaf_reaches_its_object_in_si_units(tmp_path):
     assert cfg.merged["qkd"]["mc_check_bits"] == 5
 
 
+def test_a_calibration_is_the_detector_section(tmp_path):
+    # load_config is the one detector reader; a null dark table switches darks off
+    assert load_config().detector == DetectorParams()
+    cfg = load_config(write_json(tmp_path, {"detector": {"dark_table_c_prob": None}}))
+    assert cfg.detector == DetectorParams(dark_law=None)
+
+
 def test_unknown_key_rejected(tmp_path):
     path = write_json(tmp_path, {"detektor": {}})
     with pytest.raises(ConfigError) as exc:

@@ -1,7 +1,5 @@
 """Device-law tests: gate profile, bias, dark counts, jitter, afterpulsing."""
 
-import dataclasses
-import json
 import math
 
 import numpy as np
@@ -213,81 +211,3 @@ def test_effective_efficiency_follows_bias_and_delay():
 def test_dark_prob_per_gate_and_none_law():
     assert DetectorParams().dark_prob_per_gate() == 6e-7
     assert DetectorParams(dark_law=None).dark_prob_per_gate() == 0.0
-
-
-def test_params_json_round_trip():
-    d = DetectorParams(
-        gate=GateConfig(gate_fwhm=120e-12),
-        bias_law=BiasEfficiencyLaw(anchor_efficiency=0.12),
-        jitter=JitterModel(tail_fraction=0.01),
-        afterpulse=AfterpulseModel(enabled=True, release_lifetime=200e-9),
-        bias=54.0,
-        temperature_c=-35.0,
-    )
-    back = DetectorParams.from_json_dict(d.to_json_dict())
-    assert back == d
-
-
-def test_params_json_round_trip_without_dark_law(tmp_path):
-    d = DetectorParams(dark_law=None)
-    assert DetectorParams.from_json_dict(d.to_json_dict()) == d
-    path = tmp_path / "det.json"
-    d.save_json(path)
-    assert DetectorParams.load_json(path) == d
-
-
-def test_params_file_round_trip(tmp_path):
-    d = DetectorParams(temperature_c=20.0)
-    path = tmp_path / "det.json"
-    d.save_json(path)
-    assert DetectorParams.load_json(path) == d
-
-
-def _leaves(obj, prefix=""):
-    """Every field of `obj` that is not itself a dataclass, by dotted name."""
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if dataclasses.is_dataclass(value):
-            yield from _leaves(value, f"{prefix}{f.name}.")
-        else:
-            yield prefix + f.name, value
-
-
-def test_params_file_round_trip_every_field(tmp_path):
-    d = DetectorParams(
-        gate=GateConfig(gate_frequency=1e9, gate_fwhm=120e-12),
-        bias_law=BiasEfficiencyLaw(anchor_bias=50.0, anchor_efficiency=0.15, slope_per=0.04,
-                                   breakdown_bias=48.0),
-        dark_law=TemperatureDarkLaw(((-50.0, 1e-7), (0.0, 1e-6), (25.0, 2e-5))),
-        jitter=JitterModel(sigma=25e-12, tail_fraction=0.01, tail_span_gates=2),
-        afterpulse=AfterpulseModel(trap_fill_per_detection=0.05, release_lifetime=2e-9,
-                                   trigger_prob_per_gate=0.003, enabled=True),
-        bias=51.0,
-        temperature_c=-20.0,
-    )
-    defaults = dict(_leaves(DetectorParams()))
-    for name, value in _leaves(d):
-        assert value != defaults[name], name
-
-    path = tmp_path / "det.json"
-    d.save_json(path)
-    assert json.loads(path.read_text(encoding="utf-8")) == {
-        "gate": {"gate_frequency_hz": 1e9, "gate_fwhm_ps": 120.0},
-        "bias_law": {"anchor_bias_v": 50.0, "anchor_efficiency": 0.15, "slope_per_v": 0.04,
-                     "breakdown_bias_v": 48.0},
-        "dark_table_c_prob": [[-50.0, 1e-7], [0.0, 1e-6], [25.0, 2e-5]],
-        "jitter": {"sigma_ps": 25.0, "tail_fraction": 0.01, "tail_span_gates": 2},
-        "afterpulse": {"trap_fill_per_detection": 0.05, "release_lifetime_ns": 2.0,
-                       "trigger_prob_per_gate": 0.003, "enabled": True},
-        "operating": {"bias_v": 51.0, "temperature_c": -20.0},
-    }
-    assert DetectorParams.load_json(path) == d
-
-
-def test_calibration_file_with_retired_delay_step_still_loads(tmp_path):
-    doc = DetectorParams().to_json_dict()
-    doc["gate"]["delay_step_ps"] = 10.0  # written by older versions, now ignored
-    doc["gate"]["peak_efficiency"] = 0.1  # likewise: the bias law sets the peak
-    path = tmp_path / "detector.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    assert DetectorParams.load_json(path) == DetectorParams()

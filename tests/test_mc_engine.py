@@ -28,7 +28,7 @@ from sinegate.mc_engine import (
     estimate_fwhm,
     geometric_lag_gof,
     inter_detection_correlation,
-    records_to_csv,
+    records_table,
     run_simulation,
     short_lag_excess_pvalue,
     subsequent_gate_fraction,
@@ -38,6 +38,7 @@ from sinegate.mc_engine import (
     _clicks,
     _next_fire,
 )
+from sinegate.table import table_chunks, write_chunks
 
 GATE_PERIOD = 0.8e-9
 
@@ -427,7 +428,7 @@ def test_records_csv_format(tmp_path):
     recs["origin"] = [0, 1]
     recs["accepted"] = [True, False]
     path = tmp_path / "r.csv"
-    records_to_csv(recs, path)
+    write_chunks(path, table_chunks(*records_table(recs)))
     lines = path.read_text().splitlines()
     assert lines[0] == "gate_index,time_ps,origin,accepted"
     assert lines[1] == "3,2400.0,photon,true"
@@ -454,7 +455,7 @@ def test_histogram_validation():
 def test_histogram_csv(tmp_path):
     h = Histogram(4e-12, 0.0, np.array([5, 7]))
     path = tmp_path / "h.csv"
-    h.to_csv(path)
+    write_chunks(path, table_chunks(*h.table()))
     assert path.read_text() == "bin_start_ps,count\n0.0,5\n4.0,7\n"
 
 

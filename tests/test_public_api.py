@@ -1,0 +1,32 @@
+"""The public surface: each submodule's `__all__`, and nothing at the package root."""
+
+import importlib
+import types
+
+import pytest
+
+import sinegate
+
+MODULES = ("signal_chain", "detector_model", "mc_engine", "qkd_budget", "config", "cli", "table")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_lists_names_the_module_defines(name):
+    module = importlib.import_module(f"sinegate.{name}")
+    assert len(set(module.__all__)) == len(module.__all__)
+    missing = [n for n in module.__all__ if n not in vars(module)]
+    assert missing == []
+    # a class or function is public where it is defined, not where it is imported
+    foreign = [n for n in module.__all__
+               if getattr(vars(module)[n], "__module__", module.__name__) != module.__name__]
+    assert foreign == []
+
+
+def test_package_root_exports_only_the_version():
+    for name in MODULES:
+        importlib.import_module(f"sinegate.{name}")  # submodules become attributes
+    public = [n for n, v in vars(sinegate).items()
+              if not n.startswith("_") and not isinstance(v, types.ModuleType)]
+    assert public == []
+    assert not hasattr(sinegate, "__all__")
+    assert isinstance(sinegate.__version__, str)

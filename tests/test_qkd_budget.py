@@ -255,7 +255,7 @@ def test_sweep_axes_and_errors():
     # mu and bias are no axes, but the rate still rises with each
     by_mu = [evaluate(replace(cfg, mu_source=mu)) for mu in (0.1, 0.2)]
     assert by_mu[1].raw_rate > by_mu[0].raw_rate
-    by_bias = [evaluate(replace(cfg, detector=cfg.detector.with_operating_point(bias=b)))
+    by_bias = [evaluate(replace(cfg, detector=replace(cfg.detector, bias=b)))
                for b in (53.5, 54.5)]
     assert by_bias[1].raw_rate > by_bias[0].raw_rate
     for axis in ("mu_source", "bias", "wavelength"):
@@ -291,7 +291,7 @@ _TEMPERATURE_GRID = np.array([-45.0, -44.0, -43.0, -39.5, -35.0, -30.0, -25.0, -
 def _points(cfg, axis, grid):
     if axis == "fiber_loss_db":
         return [replace(cfg, fiber_loss_db=v) for v in grid.tolist()]
-    return [replace(cfg, detector=cfg.detector.with_operating_point(temperature_c=v))
+    return [replace(cfg, detector=replace(cfg.detector, temperature_c=v))
             for v in grid.tolist()]
 
 

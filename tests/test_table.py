@@ -16,7 +16,7 @@ import pytest
 
 from sinegate import cli
 from sinegate import signal_chain as sc
-from sinegate.mc_engine import Histogram, records_table, records_to_csv
+from sinegate.mc_engine import Histogram, records_table
 from sinegate.table import CHUNK_ROWS, Labels, table_chunks, write_chunks
 
 # --------------------------------------------------------------------- oracle
@@ -249,7 +249,7 @@ def test_records_to_csv_is_the_table_writer(tmp_path):
     recs["origin"] = rng.integers(0, 4, size=recs.size)
     recs["accepted"] = rng.random(recs.size) < 0.9
     path = tmp_path / "r.csv"
-    records_to_csv(recs, path)
+    write_chunks(path, table_chunks(*records_table(recs)))
     header, columns = records_table(recs)
     assert path.read_bytes() == oracle_table(header, rows_of(columns), "csv")
 
@@ -257,7 +257,7 @@ def test_records_to_csv_is_the_table_writer(tmp_path):
 def test_histogram_to_csv_is_the_table_writer(tmp_path):
     h = Histogram(4e-12, -1.6e-8, np.arange(50) % 7)
     path = tmp_path / "h.csv"
-    h.to_csv(path)
+    write_chunks(path, table_chunks(*h.table()))
     header, columns = h.table()
     assert path.read_bytes() == oracle_table(header, rows_of(columns), "csv")
 
