@@ -9,7 +9,7 @@ versus room-temperature operation.
 
 import numpy as np
 
-from sinegate.qkd_budget import QkdLinkConfig, fiber_db_to_length, mc_link_run, sweep
+from sinegate.qkd_budget import QkdLinkConfig, evaluate, fiber_db_to_length, mc_link_run, sweep
 
 
 def main():
@@ -31,10 +31,11 @@ def main():
 
     point = QkdLinkConfig(mu_source=0.1)
     mc = mc_link_run(point, 2_000_000, master_seed=1)
+    analytic = evaluate(point)
     print(f"\nMonte Carlo cross-check at 0.1 photons/bit, 2e6 bits:")
     print(f"  raw rate {mc['raw_rate_hz'] / 1e6:.2f} Mbps "
-          f"(analytic {mc['analytic_raw_rate_hz'] / 1e6:.2f}), "
-          f"QBER {mc['qber'] * 100:.2f} % (analytic {mc['analytic_qber'] * 100:.2f})")
+          f"(analytic {analytic.raw_rate / 1e6:.2f}), "
+          f"QBER {mc['qber'] * 100:.2f} % (analytic {analytic.qber_total * 100:.2f})")
 
     by_temp = sweep(point, "temperature", [-43.0, 20.0])
     (q_cold, q_warm), (ec_cold, ec_warm) = by_temp.qber_total, by_temp.rate_after_ec

@@ -58,7 +58,10 @@ class Emitter:
         self.files: list[dict] = []
 
     def _write(self, name: str, chunks) -> None:
-        digest, size = write_chunks(self.out_dir / name, chunks)
+        try:
+            digest, size = write_chunks(self.out_dir / name, chunks)
+        except OSError as exc:
+            raise _CliError(f"cannot write {self.out_dir / name}: {exc.strerror or exc}") from None
         self.files.append({"name": name, "sha256": digest, "bytes": size})
 
     def emit_table(self, base: str, header: list[str], columns: list) -> None:
@@ -68,11 +71,8 @@ class Emitter:
         self.emit_table(base, *hist.table())
 
     def write_manifest(self, info: dict) -> None:
-        doc = dict(info)
-        doc["emitted_files"] = self.files
-        (self.out_dir / "manifest.json").write_bytes(
-            (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
-        )
+        doc = dict(info, emitted_files=list(self.files))  # the manifest lists the others
+        self._write("manifest.json", [(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()])
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +93,6 @@ def _cmd_chain_demo(cfg: FullConfig, em: Emitter, args) -> None:
         raise _CliError("chain-demo needs a gate clock the extraction filter can reject "
                         f"(detector.gate.gate_frequency_hz = {f_gate}): {exc}") from None
     duration = ch["duration"]
-    gate = sc.synthesize_gate_train(f_gate, ch["amplitude_pp"], duration,
-                                    dt=ch["dt"], delay=ch["delay"])
-    feedthrough = sc.synthesize_feedthrough(gate, ch["coupling_gain"])
-
     rng = np.random.default_rng(args.seed)
     shape = sc.AvalanchePulseShape()
     margin = 5e-9
@@ -104,17 +100,28 @@ def _cmd_chain_demo(cfg: FullConfig, em: Emitter, args) -> None:
     if ch["refractory"] > 0:  # onsets half a segment apart must clear the refractory time
         # rounded first: float noise must not floor a whole ratio (12 ns at 0.2 ns is 5)
         n_av = min(n_av, int(round((duration - 2 * margin) / (2 * ch["refractory"]), 9)))
-    diode = feedthrough
     event_times = []
-    if n_av and duration > 2 * margin:
-        seg = (duration - 2 * margin) / n_av  # spaced out so each one resolves
-        for i in range(n_av):
-            t_ev = margin + (i + float(rng.uniform(0.25, 0.75))) * seg
-            event_times.append(t_ev)
-            diode = diode + sc.synthesize_avalanche(shape, gate, t_ev, rng)
-
-    filtered = sc.apply_filter(diode, spec, stages=ch["stages"])
-    residual = sc.apply_filter(feedthrough, spec, stages=ch["stages"])
+    try:  # every argument is validated: what the waveforms refuse is an overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            gate = sc.synthesize_gate_train(f_gate, ch["amplitude_pp"], duration,
+                                            dt=ch["dt"], delay=ch["delay"])
+            feedthrough = sc.synthesize_feedthrough(gate, ch["coupling_gain"])
+            diode = feedthrough
+            if n_av and duration > 2 * margin:
+                seg = (duration - 2 * margin) / n_av  # spaced out so each one resolves
+                for i in range(n_av):
+                    t_ev = margin + (i + float(rng.uniform(0.25, 0.75))) * seg
+                    event_times.append(t_ev)
+                    diode = diode + sc.synthesize_avalanche(shape, gate, t_ev, rng)
+            filtered = sc.apply_filter(diode, spec, stages=ch["stages"])
+            residual = sc.apply_filter(feedthrough, spec, stages=ch["stages"])
+            spectra = {base: sc.power_spectrum(wf) for base, wf in
+                       (("spectrum_diode", diode), ("spectrum_filtered", filtered))}
+    except ValueError as exc:
+        leaves = cfg.merged["chain"]
+        raise _CliError("chain-demo waveforms overflow at chain.amplitude_pp_v = "
+                        f"{leaves['amplitude_pp_v']} and chain.coupling_gain = "
+                        f"{leaves['coupling_gain']}: {exc}") from None
     disc = sc.DiscriminatorConfig(
         threshold=ch["threshold"],
         polarity="negative-going",
@@ -126,8 +133,7 @@ def _cmd_chain_demo(cfg: FullConfig, em: Emitter, args) -> None:
     for base, wf in (("gate_waveform", gate), ("diode_waveform", diode),
                      ("filtered_waveform", filtered)):
         em.emit_table(base, *wf.table())
-    for base, wf in (("spectrum_diode", diode), ("spectrum_filtered", filtered)):
-        freqs, power_db = sc.power_spectrum(wf)
+    for base, (freqs, power_db) in spectra.items():
         em.emit_table(base, ["frequency_hz", "power_db"], [freqs, power_db])
     em.emit_table("filter_response", ["frequency_hz", "gain_db"],
                   [contract.response[:, 0], contract.response[:, 1]])
@@ -213,7 +219,7 @@ def _cmd_tcspc(cfg: FullConfig, em: Emitter, args) -> None:
     for name in ORIGIN_NAMES:
         summary[f"n_{name}"] = result.counters[f"generated_{name}"]
     summary["histogram_total"] = hist.total
-    if hist.total > 0 and records.size > 0:
+    if np.ptp(hist.counts) > 0:  # an empty or flat histogram has no peak
         fwhm = estimate_fwhm(hist)
         summary["fwhm_ps"] = float(fwhm * 1e12)
         if fwhm >= src.laser_fwhm:
@@ -236,6 +242,8 @@ def _cmd_qkd(cfg: FullConfig, em: Emitter, args) -> None:
     n_bits = cfg.merged["qkd"]["mc_check_bits"]
     if n_bits > 0:
         mc = qb.mc_link_run(cfg.qkd, n_bits, args.seed)
+        point = qb.evaluate(cfg.qkd)
+        mc.update(analytic_raw_rate_hz=point.raw_rate, analytic_qber=point.qber_total)
         _emit_mapping(em, "qkd_mc_check", mc, header=("metric", "value"))
 
 
@@ -337,21 +345,21 @@ def main(argv=None) -> int:
     emitter = Emitter(out_dir, args.format)
     try:
         args.handler(cfg, emitter, args)
+        emitter.write_manifest(
+            {
+                "subcommand": args.command,
+                "config_path": args.config,
+                "master_seed": args.seed,
+                "output_dir": str(args.out),
+                "format": args.format,
+            }
+        )
     except (_CliError, ConfigError) as exc:
         print(exc, file=sys.stderr)
         return 1
     except ModelRangeError as exc:
         print(f"model range error: {exc}", file=sys.stderr)
         return 2
-    emitter.write_manifest(
-        {
-            "subcommand": args.command,
-            "config_path": args.config,
-            "master_seed": args.seed,
-            "output_dir": str(args.out),
-            "format": args.format,
-        }
-    )
     return 0
 
 

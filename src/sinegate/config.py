@@ -29,7 +29,7 @@ from .detector_model import (
     DetectorParams,
     TemperatureDarkLaw,
 )
-from .mc_engine import SourceConfig, gates_per_trigger
+from .mc_engine import MAX_HISTOGRAM_BINS, SourceConfig, gates_per_trigger
 from .qkd_budget import QkdLinkConfig
 from .signal_chain import MAX_RECORD_SAMPLES
 
@@ -433,6 +433,9 @@ def validate_config(doc: dict) -> list[str]:
     bin_width = value("tcspc.bin_width_ps")
     if None not in (trigger, bin_width) and not bin_width < 1.0 / trigger:
         errors.append("tcspc.bin_width_ps: must be below the trigger period")
+    elif None not in (per_pulse, bin_width) and not 1.0 / trigger / bin_width <= MAX_HISTOGRAM_BINS:
+        errors.append("tcspc.bin_width_ps: must split the trigger period into at most "
+                      f"{MAX_HISTOGRAM_BINS} bins")
     for name in ("bias_v", "delay_ps", "fiber_loss_db"):
         start, stop, step = (value(f"sweeps.{name}.{k}") for k in ("start", "stop", "step"))
         if None not in (start, stop) and stop < start:

@@ -56,6 +56,7 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "Histogram",
+    "MAX_HISTOGRAM_BINS",
     "RECORD_DTYPE",
     "ORIGIN_NAMES",
     "run_simulation",
@@ -71,6 +72,9 @@ __all__ = [
 ]
 
 CHUNK_GATES = 1 << 20
+
+# The most bins a TCSPC histogram may split one trigger period into.
+MAX_HISTOGRAM_BINS = 2**20
 
 ORIGIN_PHOTON, ORIGIN_DARK, ORIGIN_AFTERPULSE, ORIGIN_TAIL = 0, 1, 2, 3
 ORIGIN_NAMES = ("photon", "dark", "afterpulse", "tail")
@@ -523,13 +527,16 @@ def tcspc_histogram(
     period, so a peak sitting at phase 0 can be moved off the wrap-around
     (e.g. phase_origin = -period/2 centers it). Summing the counts of
     partitioned runs' histograms is exact when the partitions respect
-    trigger-cycle boundaries.
+    trigger-cycle boundaries. A period holds at most `MAX_HISTOGRAM_BINS` bins.
     """
     if not (np.isfinite(trigger_rate) and trigger_rate > 0):
         raise ValueError("trigger_rate must be positive")
     period = 1.0 / trigger_rate
     if not (0 < bin_width < period):
         raise ValueError("bin_width must be positive and below the trigger period")
+    if not period / bin_width <= MAX_HISTOGRAM_BINS:  # inf when bin_width is subnormal
+        raise ValueError("bin_width splits the trigger period into more than "
+                         f"{MAX_HISTOGRAM_BINS} bins")
     if not np.isfinite(phase_origin):
         raise ValueError("phase_origin must be finite")
     shifted = np.sort(np.asarray(records["time"], dtype=float), kind="stable") - phase_origin

@@ -3,13 +3,15 @@
 Each bit spans two consecutive detector gates, so bits arrive at half the
 gate clock (`QkdLinkConfig.bit_rate`); the pulse sits in one of the two
 400 ps time bins and the other bin carries only the transmitter's
-extinction leakage. The analytic model composes, per bit:
+extinction leakage. `evaluate` is the one place the budget is put
+together. It computes, once per call, the photons per bit at the detector,
+the signal click probability `DetectorParams.click_prob(mu_detector)` and
+the dark click probability over the bit's two gates, and derives from them:
 
-* signal click probability `DetectorParams.click_prob(mu_detector)`,
-* dark click probability over the bit's two gates,
-* a dead-time correction for the counting hold-off,
+* the detected-bit rate after a dead-time correction for the hold-off,
 * a QBER split into dark, extinction, and timing-tail components, all on
-  the same detected-bit denominator so the components sum to the total.
+  the same detected-bit denominator so the components sum to the total,
+* the rates after error correction and after privacy amplification.
 
 Every law runs on arrays: `evaluate` returns floats at one operating point,
 and `sweep` evaluates a whole fiber-loss or temperature grid in one array
@@ -21,8 +23,8 @@ wrong bin with probability 1/2 + 1/(4*span) once the carried bit values are
 averaged out. Monte Carlo counterparts (`mc_link_run`, `stability_run`)
 drive the event engine in cow-ppm mode and count errors the way the
 receiver logic would: nearest-gate assignment, detections outside the two
-time bins discarded.
-"""
+time bins discarded. They return counters only; a comparison against the
+analytic budget calls `evaluate` on the same config."""
 
 from __future__ import annotations
 
@@ -42,10 +44,7 @@ __all__ = [
     "fiber_db_to_length",
     "binary_entropy",
     "mu_at_detector",
-    "raw_detection_rate",
-    "qber",
     "rate_after_ec",
-    "secret_rate_estimate",
     "evaluate",
     "sweep",
     "mc_link_run",
@@ -184,66 +183,6 @@ def mu_at_detector(cfg: QkdLinkConfig) -> np.ndarray | float:
     return cfg.mu_source * 10.0 ** (-cfg.fiber_loss_db / 10.0)
 
 
-def _click_probabilities(cfg: QkdLinkConfig) -> tuple:
-    """(signal click, dark click) probabilities per bit."""
-    p_signal = cfg.detector.click_prob(mu_at_detector(cfg))
-    p_dark_gate = cfg.detector.dark_prob_per_gate()
-    p_dark_bit = 1.0 - (1.0 - p_dark_gate) ** 2
-    return p_signal, p_dark_bit
-
-
-def raw_detection_rate(cfg: QkdLinkConfig) -> np.ndarray | float:
-    """Detected-bit rate after the dead-time correction.
-
-    R0 = bit_rate * (p_signal + p_dark_bit), tau = holdoff_gates / gate clock;
-    R0 / (1 + R0*tau) for "accepted" anchoring (non-paralyzable, default) or
-    R0 * exp(-R0*tau) for "any" (paralyzable), named in the report notes.
-    """
-    p_signal, p_dark_bit = _click_probabilities(cfg)
-    r0 = cfg.bit_rate * (p_signal + p_dark_bit)
-    tau = cfg.holdoff_gates / cfg.detector.gate.gate_frequency
-    if cfg.holdoff_anchor == "any":
-        return _float_or_array(r0 * np.exp(-r0 * tau))
-    return _float_or_array(r0 / (1.0 + r0 * tau))
-
-
-def _optical_error_fractions(cfg: QkdLinkConfig) -> tuple[float, float]:
-    """(extinction, timing-tail) error fractions among signal detections."""
-    eps = cfg.extinction_ratio
-    ext = eps / (1.0 + eps)
-    j = cfg.detector.jitter
-    wrong_bin_weight = 0.5 + 1.0 / (4.0 * j.tail_span_gates)
-    tail = j.tail_fraction * wrong_bin_weight
-    if cfg.qber_floor is not None:
-        scale = cfg.qber_floor / (ext + tail) if ext + tail > 0 else 0.0
-        ext *= scale
-        tail *= scale
-    return ext, tail
-
-
-def qber(cfg: QkdLinkConfig) -> dict:
-    """QBER decomposition on the detected-bit denominator.
-
-    dark:        half the dark detections land in the wrong bin;
-    extinction:  epsilon/(1+eps) of signal detections come from the empty bin;
-    timing_tail: tail_fraction of signal detections slip gates and land wrong
-                 with weight 1/2 + 1/(4*span).
-    total = dark + extinction + timing_tail. Detections outside the two time
-    bins are excluded from numerator and denominator alike (the window loss
-    itself is negligible at these jitter values). Without clicks every
-    component is 0.
-    """
-    p_signal, p_dark_bit = _click_probabilities(cfg)
-    denom = p_signal + p_dark_bit
-    denom = np.where(denom > 0.0, denom, 1.0)  # no clicks: both numerators are 0
-    ext_fraction, tail_fraction = _optical_error_fractions(cfg)
-    dark = 0.5 * p_dark_bit / denom
-    ext = ext_fraction * p_signal / denom
-    tail = tail_fraction * p_signal / denom
-    parts = {"total": dark + ext + tail, "dark": dark, "extinction": ext, "timing_tail": tail}
-    return {key: _float_or_array(value) for key, value in parts.items()}
-
-
 def rate_after_ec(raw_rate, qber_value, ec_efficiency: float) -> np.ndarray | float:
     """Rate surviving error correction: max(0, r * (1 - f*h2(q))).
     Accepts scalars or arrays for the rate and the QBER."""
@@ -258,25 +197,46 @@ def rate_after_ec(raw_rate, qber_value, ec_efficiency: float) -> np.ndarray | fl
     return _float_or_array(np.maximum(0.0, raw_rate * (1.0 - ec_efficiency * h2)))
 
 
-def secret_rate_estimate(cfg: QkdLinkConfig, after_ec) -> np.ndarray | float:
-    """Labeled estimate: the post-EC rate in Hz minus the privacy-amplification
-    slice; a placeholder scaling, not a security-proof bound. Takes arrays too."""
-    if np.any(np.asarray(after_ec) < 0):
-        raise ValueError("rate_after_ec must be >= 0")
-    return _float_or_array(np.maximum(0.0, after_ec * (1.0 - cfg.pa_fraction)))
-
-
 def evaluate(cfg: QkdLinkConfig) -> QkdReport:
     """Full analytic link evaluation: floats at one operating point, columns
-    when `cfg` holds a loss or temperature grid (see `sweep`)."""
-    raw = raw_detection_rate(cfg)
-    q = qber(cfg)
-    after_ec = rate_after_ec(raw, np.minimum(0.5, q["total"]), cfg.ec_efficiency)
-    secret = secret_rate_estimate(cfg, after_ec)
+    when `cfg` holds a loss or temperature grid (see `sweep`).
+
+    Rate: R0 = bit_rate * (p_signal + p_dark) and tau = holdoff_gates / gate
+    clock give R0/(1 + R0*tau) for "accepted" anchoring (non-paralyzable) or
+    R0*exp(-R0*tau) for "any" (paralyzable), named in the notes. QBER: half
+    the dark detections land in the wrong bin; epsilon/(1+eps) of signal
+    detections come from the empty bin; tail_fraction of them slip gates and
+    land wrong with weight 1/2 + 1/(4*span). `qber_floor` replaces the last
+    two and rescales them in proportion. Detections outside the two time
+    bins leave numerator and denominator alike (the window loss is
+    negligible at these jitter values); without clicks every part is 0.
+    """
+    mu = mu_at_detector(cfg)
+    p_signal = cfg.detector.click_prob(mu)
+    p_dark_bit = 1.0 - (1.0 - cfg.detector.dark_prob_per_gate()) ** 2
+    r0 = cfg.bit_rate * (p_signal + p_dark_bit)
+    tau = cfg.holdoff_gates / cfg.detector.gate.gate_frequency
+    raw = r0 * np.exp(-r0 * tau) if cfg.holdoff_anchor == "any" else r0 / (1.0 + r0 * tau)
+
     eps = cfg.extinction_ratio
+    ext_from_ratio = eps / (1.0 + eps)
+    j = cfg.detector.jitter
+    tail_fraction = j.tail_fraction * (0.5 + 1.0 / (4.0 * j.tail_span_gates))
+    scale = 1.0
+    if cfg.qber_floor is not None:
+        optical = ext_from_ratio + tail_fraction
+        scale = cfg.qber_floor / optical if optical > 0 else 0.0
+    denom = p_signal + p_dark_bit
+    denom = np.where(denom > 0.0, denom, 1.0)  # no clicks: both numerators are 0
+    dark = 0.5 * p_dark_bit / denom
+    ext = ext_from_ratio * scale * p_signal / denom
+    tail = tail_fraction * scale * p_signal / denom
+    total = dark + ext + tail
+    after_ec = rate_after_ec(raw, np.minimum(0.5, total), cfg.ec_efficiency)
+
     notes = {
         "dead_time_model": "paralyzable" if cfg.holdoff_anchor == "any" else "nonparalyzable",
-        "extinction_qber_from_ratio": eps / (1.0 + eps),
+        "extinction_qber_from_ratio": ext_from_ratio,
         "extinction_qber_alternate": 0.002,
         "secret_rate_method": (
             "rate_after_ec scaled by (1 - pa_fraction); "
@@ -287,14 +247,14 @@ def evaluate(cfg: QkdLinkConfig) -> QkdReport:
     if cfg.qber_floor is not None:
         notes["qber_floor"] = cfg.qber_floor
     return QkdReport(
-        mu_detector=mu_at_detector(cfg),
+        mu_detector=mu,
         raw_rate=raw,
-        qber_total=q["total"],
-        qber_dark=q["dark"],
-        qber_extinction=q["extinction"],
-        qber_timing_tail=q["timing_tail"],
+        qber_total=total,
+        qber_dark=dark,
+        qber_extinction=ext,
+        qber_timing_tail=tail,
         rate_after_ec=after_ec,
-        secret_rate=secret,
+        secret_rate=after_ec * (1.0 - cfg.pa_fraction),
         notes=notes,
     )
 
@@ -365,8 +325,6 @@ def mc_link_run(cfg: QkdLinkConfig, n_bits: int, master_seed: int) -> dict:
         "duration_s": duration,
         "raw_rate_hz": times.size / duration,
         "qber": wrong / n_windowed if n_windowed else 0.0,
-        "analytic_raw_rate_hz": raw_detection_rate(cfg),
-        "analytic_qber": qber(cfg)["total"],
     }
 
 

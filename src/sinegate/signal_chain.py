@@ -463,12 +463,15 @@ def power_spectrum(w: SampledWaveform) -> tuple[np.ndarray, np.ndarray]:
 
     Normalized so a unit DC level reports 0 dB and a unit-amplitude sine
     reports -3.01 dB; the linear bin powers sum to the mean square of the
-    samples (Parseval). Empty bins are clamped at SPECTRUM_FLOOR_DB.
+    samples (Parseval). Empty bins are clamped at SPECTRUM_FLOOR_DB; a bin
+    power past the float range is refused.
     """
     if w.n < 2:
         raise ValueError("power_spectrum needs at least 2 samples")
     spectrum = np.fft.rfft(w.samples) / w.n
     power = np.abs(spectrum) ** 2
+    if not np.all(np.isfinite(power)):
+        raise ValueError("bin power overflows")
     power[1:] *= 2.0
     if w.n % 2 == 0:
         power[-1] /= 2.0  # Nyquist bin is not duplicated

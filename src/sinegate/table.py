@@ -169,13 +169,15 @@ def table_chunks(header: Sequence[str], columns: Sequence, fmt: str = "csv") -> 
 def write_chunks(path, chunks: Iterable[bytes]) -> tuple[str, int]:
     """Stream `chunks` into `path`; returns (SHA-256 hex digest, byte count).
 
-    If producing a chunk fails, the partly written file is removed.
+    If producing or writing a chunk fails, the partly written file is
+    removed; if `path` cannot be opened, nothing is touched.
     """
     path = Path(path)
     digest = hashlib.sha256()
     size = 0
+    fh = open(path, "wb")
     try:
-        with open(path, "wb") as fh:
+        with fh:
             for data in chunks:
                 digest.update(data)
                 fh.write(data)

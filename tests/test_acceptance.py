@@ -31,7 +31,6 @@ from sinegate.qkd_budget import (
     QkdLinkConfig,
     evaluate,
     mc_link_run,
-    raw_detection_rate,
     sweep,
 )
 
@@ -227,9 +226,9 @@ def test_06_holdoff_property_and_oracle(bright_run, correlation_runs):
 
 def test_07_qkd_rate():
     cfg = QkdLinkConfig(mu_source=1.0)
-    analytic = raw_detection_rate(cfg)
+    analytic = evaluate(cfg).raw_rate
     mc = mc_link_run(cfg, 10_000_000, master_seed=2024)
-    rel = abs(mc["raw_rate_hz"] / mc["analytic_raw_rate_hz"] - 1.0)
+    rel = abs(mc["raw_rate_hz"] / analytic - 1.0)
     _criterion(7, "qkd_rate", [
         (f"analytic rate {analytic / 1e6:.1f} Mbps in [0.7, 1.4] x 33 Mbps",
          0.7 * 33e6 <= analytic <= 1.4 * 33e6),

@@ -182,6 +182,30 @@ def test_qkd_outputs_and_header(tmp_path):
         "rate_after_ec scaled by (1 - pa_fraction); placeholder")
 
 
+# the `qkd_mc_check` rows at seed 20260816 and 50000 bits: the Monte Carlo
+# counters, then the analytic rate and QBER at the configured operating point
+QKD_MC_CHECK_ROWS = [
+    ["n_bits", 50000], ["accepted_total", 1338], ["accepted_in_windows", 1338],
+    ["discarded_outside_windows", 0], ["wrong_bin", 24], ["duration_s", 8e-05],
+    ["raw_rate_hz", 16724999.999999998], ["qber", 0.017937219730941704],
+    ["analytic_raw_rate_hz", 16093953.86969444], ["analytic_qber", 0.017171913446155377],
+]
+
+
+def test_qkd_mc_check_table_is_pinned(tmp_path):
+    cfg = write_cfg(tmp_path, {"qkd": {"mc_check_bits": 50000}})
+    run_ok(["qkd", "--config", cfg, "--out", str(tmp_path / "csv")])
+    assert (tmp_path / "csv" / "qkd_mc_check.csv").read_text() == (
+        "metric,value\nn_bits,50000\naccepted_total,1338\naccepted_in_windows,1338\n"
+        "discarded_outside_windows,0\nwrong_bin,24\nduration_s,8e-5\n"
+        "raw_rate_hz,16724999.999999998\nqber,0.017937219730941704\n"
+        "analytic_raw_rate_hz,16093953.86969444\nanalytic_qber,0.017171913446155377\n"
+    )
+    run_ok(["qkd", "--config", cfg, "--format", "json", "--out", str(tmp_path / "json")])
+    doc = json.loads((tmp_path / "json" / "qkd_mc_check.json").read_text())
+    assert doc == {"header": ["metric", "value"], "rows": QKD_MC_CHECK_ROWS}
+
+
 def test_qkd_temp_and_stability(tmp_path):
     cfg = write_cfg(tmp_path, SMALL)
     for sub, name in (
@@ -206,6 +230,18 @@ def test_tcspc_outputs(tmp_path):
         line.split(b",", 1) for line in files["summary.csv"].splitlines()[1:]
     )
     assert int(summary[b"n_pulses"]) == 2000
+
+
+def test_tcspc_histogram_without_a_peak(tmp_path):
+    # a 30 ns bin rounds the 32 ns period to one bin: counts, but no peak to measure
+    cfg = write_cfg(tmp_path, {"tcspc": {"bin_width_ps": 30000.0, "n_pulses": 2000}})
+    out = tmp_path / "out"
+    run_ok(["tcspc", "--config", cfg, "--out", str(out)])
+    summary = dict(line.split(",", 1)
+                   for line in (out / "summary.csv").read_text().splitlines()[1:])
+    assert int(summary["histogram_total"]) > 0
+    for key in ("fwhm_ps", "jitter_fwhm_ps", "subsequent_gate_fraction"):
+        assert key not in summary
 
 
 def test_missing_config_exit_1(tmp_path, capsys):
@@ -275,6 +311,8 @@ def test_tcspc_needs_pulsed_source(tmp_path, capsys):
     # no loss is negative: the whole grid used to reach the model and raise there
     ("qkd", {"sweeps": {"fiber_loss_db": {"start": -1.0, "stop": 2.0, "step": 0.5}}},
      "sweeps.fiber_loss_db.start"),
+    # more than 2**20 bins per trigger period: 1e-300 ps used to overflow np.bincount
+    ("tcspc", {"tcspc": {"bin_width_ps": 1e-300}}, "tcspc.bin_width_ps"),
 ])
 def test_unusable_config_exit_1_with_field_path(tmp_path, capsys, sub, override, field):
     rc = main([sub, "--config", write_cfg(tmp_path, override), "--out", str(tmp_path / "o")])
@@ -299,6 +337,17 @@ def test_chain_demo_refuses_what_it_cannot_run(tmp_path, capsys, gate_hz, trigge
     assert needle in capsys.readouterr().err
     if gate_hz == 7e8:  # no global rule: tcspc runs at that clock
         run_ok(["tcspc", "--config", cfg, "--out", str(tmp_path / "t")])
+
+
+@pytest.mark.parametrize("chain", [{"amplitude_pp_v": 1e308}, {"coupling_gain": 1e308},
+                                   {"amplitude_pp_v": 1e300}],
+                         ids=["gate-amplitude", "coupling-gain", "spectrum-power"])
+def test_chain_demo_overflow_exit_1(tmp_path, capsys, chain):
+    cfg = write_cfg(tmp_path, {"chain": chain})
+    assert main(["chain-demo", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "chain.amplitude_pp_v" in err and "chain.coupling_gain" in err
 
 
 def test_chain_demo_reports_the_avalanches_it_injects(tmp_path):
@@ -475,6 +524,18 @@ def test_out_naming_a_file_exit_1(tmp_path, capsys, below):
     err = capsys.readouterr().err
     assert err.startswith(f"--out {taken / below}: ") and err.count("\n") == 1
     assert taken.read_text() == "a file\n"
+
+
+def test_output_named_by_a_directory_exit_1(tmp_path, capsys):
+    # open() fails on the directory; it is neither written nor removed
+    out = tmp_path / "o"
+    (out / "bias_efficiency.csv").mkdir(parents=True)
+    assert main(["sweep-bias", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write {out / 'bias_efficiency.csv'}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert (out / "bias_efficiency.csv").is_dir()
+    assert not (out / "manifest.json").exists()
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

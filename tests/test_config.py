@@ -29,7 +29,7 @@ from sinegate.config import (
     validate_config,
 )
 from sinegate.detector_model import DetectorParams, GateConfig
-from sinegate.mc_engine import RECORD_DTYPE, SourceConfig, tcspc_histogram
+from sinegate.mc_engine import MAX_HISTOGRAM_BINS, RECORD_DTYPE, SourceConfig, tcspc_histogram
 from sinegate.qkd_budget import QkdLinkConfig
 from sinegate.signal_chain import MAX_RECORD_SAMPLES, synthesize_gate_train
 
@@ -362,6 +362,22 @@ def test_cross_field_tcspc_bin_below_trigger_period():
     assert validate_config(at_period) == ["tcspc.bin_width_ps: must be below the trigger period"]
 
 
+def test_cross_field_tcspc_bins_per_trigger_period_capped():
+    # 1e-300 ps split the 32 ns period into inf bins (np.bincount overflowed);
+    # 1e-3 ps into 32 M; 32 ns / 2**20 is exactly the most bins a period holds
+    refusal = ("tcspc.bin_width_ps: must split the trigger period into at most "
+               f"{MAX_HISTOGRAM_BINS} bins")
+    for bin_ps in (1e-300, 1e-3, math.nextafter(32000.0 / 2**20, 0.0)):
+        doc = deep_merge(default_config(), {"tcspc": {"bin_width_ps": bin_ps}})
+        assert validate_config(doc) == [refusal], bin_ps
+        with pytest.raises(ValueError, match=f"more than {MAX_HISTOGRAM_BINS} bins"):
+            tcspc_histogram(np.zeros(0, dtype=RECORD_DTYPE), 31.25e6, bin_ps / 1e12)
+    finest = deep_merge(default_config(), {"tcspc": {"bin_width_ps": 32000.0 / 2**20}})
+    assert validate_config(finest) == []
+    h = tcspc_histogram(np.zeros(0, dtype=RECORD_DTYPE), 31.25e6, 32e-9 / 2**20)
+    assert h.n_bins == MAX_HISTOGRAM_BINS
+
+
 def test_cross_field_max_lag_below_run_length():
     # 100 pulses of 40 gates: lags 1..3999 fit in the run
     fits = deep_merge(default_config(), {"tcspc": {"n_pulses": 100, "max_lag_gates": 3999}})
@@ -433,7 +449,8 @@ def _edges(*values):
 def gate_boundary_docs(draw):
     """A gate clock, with the fwhm, time bin, dt and duration at one gate
     period or one eighth of it, or one float either side; the tcspc bin the
-    same against the trigger period. One chain in four is instead a whole
+    same against the trigger period and its `MAX_HISTOGRAM_BINS`-th part.
+    One chain in four is instead a whole
     number of periods (two or more, so the duration stands) with dt at
     duration / `MAX_RECORD_SAMPLES`, or one float either side."""
     f = draw(st.integers(10, 2000).map(lambda k: k * 1e7) | st.floats(1e8, 2e10))
@@ -452,7 +469,7 @@ def gate_boundary_docs(draw):
         "qkd": {"timebin_width_ps": draw(ps)},
         "chain": chain,
         "tcspc": {"bin_width_ps": draw(st.sampled_from(
-            _edges(1e12 / trigger, 1e12 / (8.0 * trigger))))},
+            _edges(1e12 / trigger, 1e12 / (8.0 * trigger), 1e12 / trigger / MAX_HISTOGRAM_BINS)))},
     })
 
 

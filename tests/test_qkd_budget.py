@@ -18,10 +18,7 @@ from sinegate.qkd_budget import (
     fiber_db_to_length,
     mc_link_run,
     mu_at_detector,
-    qber,
     rate_after_ec,
-    raw_detection_rate,
-    secret_rate_estimate,
     stability_run,
     sweep,
 )
@@ -99,14 +96,14 @@ def test_raw_rate_small_signal_limit():
     # with a tiny mu the dead-time correction is negligible: R ~ R0
     cfg = QkdLinkConfig(mu_source=1e-6, detector=DetectorParams(dark_law=None))
     r0 = 625e6 * (1.0 - math.exp(-0.1 * 1e-6))
-    assert raw_detection_rate(cfg) == pytest.approx(r0, rel=1e-4)
+    assert evaluate(cfg).raw_rate == pytest.approx(r0, rel=1e-4)
 
 
 def test_raw_rate_nonparalyzable_formula():
     cfg = QkdLinkConfig(mu_source=1.0, detector=DetectorParams(dark_law=None))
     p = 1.0 - math.exp(-0.1)
     r0 = 625e6 * p
-    assert raw_detection_rate(cfg) == pytest.approx(r0 / (1.0 + r0 * 8e-9), rel=1e-12)
+    assert evaluate(cfg).raw_rate == pytest.approx(r0 / (1.0 + r0 * 8e-9), rel=1e-12)
 
 
 def test_raw_rate_paralyzable_formula():
@@ -115,55 +112,55 @@ def test_raw_rate_paralyzable_formula():
     )
     p = 1.0 - math.exp(-0.1)
     r0 = 625e6 * p
-    assert raw_detection_rate(cfg) == pytest.approx(r0 * math.exp(-r0 * 8e-9), rel=1e-12)
+    assert evaluate(cfg).raw_rate == pytest.approx(r0 * math.exp(-r0 * 8e-9), rel=1e-12)
 
 
 def test_qber_extinction_only_limit():
     # dark off, tail off: the only error source is the extinction leak
     det = DetectorParams(dark_law=None, jitter=JitterModel(tail_fraction=0.0))
     cfg = QkdLinkConfig(mu_source=0.1, detector=det)
-    q = qber(cfg)
+    q = evaluate(cfg)
     eps = 10 ** -2.5
-    assert q["total"] == pytest.approx(eps / (1 + eps), rel=1e-12)
-    assert q["dark"] == 0.0
-    assert q["timing_tail"] == 0.0
+    assert q.qber_total == pytest.approx(eps / (1 + eps), rel=1e-12)
+    assert q.qber_dark == 0.0
+    assert q.qber_timing_tail == 0.0
     # and it does not depend on mu
-    q2 = qber(QkdLinkConfig(mu_source=2.0, detector=det))
-    assert q2["extinction"] == pytest.approx(q["extinction"], rel=1e-12)
+    q2 = evaluate(QkdLinkConfig(mu_source=2.0, detector=det))
+    assert q2.qber_extinction == pytest.approx(q.qber_extinction, rel=1e-12)
 
 
 def test_qber_dark_dominated_limit():
     det = DetectorParams(temperature_c=20.0, jitter=JitterModel(tail_fraction=0.0))
     cfg = QkdLinkConfig(mu_source=1e-9, detector=det, extinction_db=200.0)
-    q = qber(cfg)
-    assert q["total"] == pytest.approx(0.5, rel=1e-3)  # all-dark detections guess the bin
+    q = evaluate(cfg)
+    assert q.qber_total == pytest.approx(0.5, rel=1e-3)  # all-dark detections guess the bin
 
 
 def test_qber_tail_weight():
     # tail weight is 1/2 + 1/(4*span): 7/12 for the default 3-gate span
     det = DetectorParams(dark_law=None)
     cfg = QkdLinkConfig(mu_source=0.1, detector=det, extinction_db=500.0)
-    q = qber(cfg)
-    assert q["timing_tail"] == pytest.approx(0.024 * (7.0 / 12.0), rel=1e-9)
+    q = evaluate(cfg)
+    assert q.qber_timing_tail == pytest.approx(0.024 * (7.0 / 12.0), rel=1e-9)
 
 
 def test_qber_floor_rescales_components():
     cfg = QkdLinkConfig(mu_source=0.001, qber_floor=0.016)
-    q = qber(cfg)
-    p_sig_share = q["extinction"] + q["timing_tail"]
+    q = evaluate(cfg)
+    p_sig_share = q.qber_extinction + q.qber_timing_tail
     # floor applies to the signal-detection share of the denominator
-    assert q["total"] == pytest.approx(q["dark"] + p_sig_share, rel=1e-12)
-    no_floor = qber(QkdLinkConfig(mu_source=0.001))
-    ratio_floor = q["extinction"] / q["timing_tail"]
-    ratio_model = no_floor["extinction"] / no_floor["timing_tail"]
+    assert q.qber_total == pytest.approx(q.qber_dark + p_sig_share, rel=1e-12)
+    no_floor = evaluate(QkdLinkConfig(mu_source=0.001))
+    ratio_floor = q.qber_extinction / q.qber_timing_tail
+    ratio_model = no_floor.qber_extinction / no_floor.qber_timing_tail
     assert ratio_floor == pytest.approx(ratio_model, rel=1e-9)
-    assert q["dark"] == pytest.approx(no_floor["dark"], rel=1e-12)
+    assert q.qber_dark == pytest.approx(no_floor.qber_dark, rel=1e-12)
 
 
 def test_qber_zero_denominator():
     det = DetectorParams(dark_law=None)
-    q = qber(QkdLinkConfig(mu_source=0.0, detector=det))
-    assert q == {"total": 0.0, "dark": 0.0, "extinction": 0.0, "timing_tail": 0.0}
+    q = evaluate(QkdLinkConfig(mu_source=0.0, detector=det))
+    assert (q.qber_total, q.qber_dark, q.qber_extinction, q.qber_timing_tail) == (0.0,) * 4
 
 
 def test_rate_after_ec_endpoints():
@@ -189,12 +186,17 @@ def test_rate_after_ec_endpoints():
 def test_secret_rate_scales_the_post_ec_rate():
     cfg = QkdLinkConfig()
     report = evaluate(cfg)
-    assert secret_rate_estimate(cfg, report.rate_after_ec) == report.secret_rate
+    assert report.secret_rate == report.rate_after_ec * (1.0 - cfg.pa_fraction)
     assert report.secret_rate == pytest.approx(report.rate_after_ec * 0.5)
-    assert secret_rate_estimate(cfg, 2e6) == pytest.approx(1e6)
-    assert np.array_equal(secret_rate_estimate(cfg, np.array([0.0, 2e6])), [0.0, 1e6])
-    with pytest.raises(ValueError):
-        secret_rate_estimate(cfg, np.array([2e6, -1.0]))
+    for pa in (0.0, 1.0):
+        assert evaluate(replace(cfg, pa_fraction=pa)).secret_rate == pytest.approx(
+            report.rate_after_ec * (1.0 - pa))
+    # columns too: at 400 dB only darks click, QBER 0.5 leaves no post-EC rate
+    by_loss = sweep(cfg, "fiber_loss_db", [400.0, 0.0])
+    assert by_loss.rate_after_ec[0] == 0.0
+    assert np.array_equal(by_loss.secret_rate, [0.0, report.secret_rate])
+    with pytest.raises(ValueError, match="secret_rate must be >= 0"):
+        replace(report, secret_rate=np.array([2e6, -1.0]))
 
 
 def test_report_component_sum_enforced():
@@ -345,14 +347,15 @@ def test_mc_link_run_matches_analytics_within_3_sigma():
     # well inside the statistical band at 1e7 bits
     cfg = QkdLinkConfig(mu_source=0.1)
     mc = mc_link_run(cfg, 10_000_000, master_seed=404)
+    analytic = evaluate(cfg)
     n = mc["accepted_total"]
     p_hat = n / mc["n_bits"]
-    p_ana = mc["analytic_raw_rate_hz"] / cfg.bit_rate
+    p_ana = analytic.raw_rate / cfg.bit_rate
     sigma_p = math.sqrt(p_ana * (1 - p_ana) / mc["n_bits"])
     assert abs(p_hat - p_ana) < 3 * sigma_p
 
     q_hat = mc["qber"]
-    q_ana = mc["analytic_qber"]
+    q_ana = analytic.qber_total
     sigma_q = math.sqrt(q_ana * (1 - q_ana) / mc["accepted_in_windows"])
     assert abs(q_hat - q_ana) < 3 * sigma_q
 
@@ -362,9 +365,10 @@ def test_mc_link_run_matches_analytics_at_room_temperature_past_25_km(seed):
     # the abstract's claim, QKD beyond 25 km (5 dB) at +20 C, in Monte Carlo
     cfg = QkdLinkConfig(fiber_loss_db=5.0, detector=DetectorParams(temperature_c=20.0))
     mc = mc_link_run(cfg, 4_000_000, seed)
-    expected = mc["analytic_raw_rate_hz"] * mc["duration_s"]
+    analytic = evaluate(cfg)
+    expected = analytic.raw_rate * mc["duration_s"]
     z_rate = (mc["accepted_total"] - expected) / math.sqrt(expected)
-    n, q = mc["accepted_in_windows"], mc["analytic_qber"]
+    n, q = mc["accepted_in_windows"], analytic.qber_total
     z_qber = (mc["wrong_bin"] - n * q) / math.sqrt(n * q * (1 - q))
     assert abs(z_rate) < 4.0, z_rate
     assert abs(z_qber) < 4.0, z_qber
@@ -374,7 +378,7 @@ def test_mc_paralyzable_dead_time_matches_analytic_rate():
     # the simulated hold-off restarts on every detection, as the paralyzable law assumes
     cfg = QkdLinkConfig(mu_source=1.0, fiber_loss_db=0.0, holdoff_anchor="any")
     mc = mc_link_run(cfg, 4_000_000, master_seed=21)
-    assert abs(mc["raw_rate_hz"] / mc["analytic_raw_rate_hz"] - 1.0) < 0.02
+    assert abs(mc["raw_rate_hz"] / evaluate(cfg).raw_rate - 1.0) < 0.02
 
 
 def test_mc_link_run_deterministic_and_parallel_safe():
@@ -418,6 +422,10 @@ def test_stability_pool_capped_by_segments_and_cpus(monkeypatch):
 def test_mc_link_run_counters_add_up():
     cfg = QkdLinkConfig(mu_source=0.3)
     mc = mc_link_run(cfg, 200_000, master_seed=3)
+    # counters only: the analytic budget is `evaluate`'s
+    assert list(mc) == ["n_bits", "accepted_total", "accepted_in_windows",
+                        "discarded_outside_windows", "wrong_bin", "duration_s",
+                        "raw_rate_hz", "qber"]
     assert mc["accepted_in_windows"] + mc["discarded_outside_windows"] == mc["accepted_total"]
     assert 0 <= mc["wrong_bin"] <= mc["accepted_in_windows"]
     assert mc["duration_s"] == pytest.approx(200_000 / 625e6)

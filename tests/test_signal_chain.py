@@ -324,6 +324,13 @@ def test_power_spectrum_parseval_and_landmarks():
     assert p.max() == pytest.approx(10 * math.log10(0.5), abs=1e-6)
 
 
+def test_power_spectrum_refuses_a_bin_power_past_the_float_range():
+    # finite 1e300 V samples square to inf, which the dB column would carry
+    loud = SampledWaveform(1e300 * np.ones(1024), DT)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="bin power overflows"):
+        power_spectrum(loud)
+
+
 def test_discriminate_interpolates_crossing():
     # 1 V/ns falling ramp through -4 mV: crossing at t = 4 ps exactly
     samples = np.array([1e-3, -9e-3])
