@@ -233,9 +233,12 @@ def sample_detection_times(
     gate_indices: np.ndarray,
     gate_period: float,
     rng: np.random.Generator,
+    sigma=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Discriminated times of avalanches in `gate_indices`; returns (times, in_tail).
 
+    Each time is one Gaussian around its (tail) gate center, of width `sigma`
+    (default `j.sigma`), a scalar or one width per avalanche.
     Draw protocol is fixed (tail uniforms, Gaussian offsets, tail gate
     choices, in that order) so a given generator state maps to one output.
     """
@@ -248,7 +251,8 @@ def sample_detection_times(
     k = rng.integers(1, j.tail_span_gates + 1, size=n)
     in_tail = u < j.tail_fraction
     offset_gates = np.where(in_tail, k, 0)
-    times = (gate_indices + offset_gates) * gate_period + j.sigma * z
+    sigma = j.sigma if sigma is None else sigma
+    times = (gate_indices + offset_gates) * gate_period + sigma * z
     return times, in_tail
 
 

@@ -9,10 +9,12 @@ most one avalanche, drawn from three independent per-gate processes:
 
 When several fire in one gate the record is labeled by priority
 photon > afterpulse > dark (the discriminator cannot resolve two avalanches
-within one gate). Discriminated times come from the jitter model; a record
-whose time slipped into a subsequent gate is labeled "tail". A hold-off of
-`holdoff_gates` is applied afterwards: by default a record is accepted iff
-its gate index exceeds the last accepted record's by more than the hold-off.
+within one gate). Discriminated times come from the jitter model; a
+photon's is shifted by the alignment delay and its one Gaussian also holds
+the laser spread in quadrature. A record whose time slipped into a
+subsequent gate is labeled "tail". A hold-off of `holdoff_gates` is applied
+afterwards: by default a record is accepted iff its gate index exceeds the
+last accepted record's by more than the hold-off.
 
 Determinism
 -----------
@@ -32,8 +34,7 @@ after a fill is >= 1, and nothing more to relabel a dark candidate).
 After the last block come the detection times of all afterpulses.
 Per-chunk draw order is fixed: (cow bits, one byte per 8 bits), photon
 clicks (count, subset; pulse bin then empty bin for cow), dark clicks
-(count, subset), tail uniforms, Gaussian offsets, tail gate choices, laser
-offsets.
+(count, subset), tail uniforms, Gaussian offsets, tail gate choices.
 Identical RunConfig therefore yields identical records.
 """
 
@@ -55,6 +56,7 @@ __all__ = [
     "SourceConfig",
     "RunConfig",
     "RunResult",
+    "packed_bit",
     "Histogram",
     "MAX_HISTOGRAM_BINS",
     "RECORD_DTYPE",
@@ -183,16 +185,29 @@ class RunConfig:
 
 @dataclass
 class RunResult:
-    """Records (sorted by gate index), summary counters, and cow bit values."""
+    """Records (sorted by gate index), summary counters, and cow bits packed
+    eight to a byte (`packed_bit` reads one; the last byte pads), else None."""
 
     config: RunConfig
     records: np.ndarray
     counters: dict
-    bits: np.ndarray | None = None
+    packed_bits: np.ndarray | None = None
 
     @property
     def accepted(self) -> np.ndarray:
         return self.records[self.records["accepted"]]
+
+    @property
+    def bits(self) -> np.ndarray | None:
+        """One uint8 0/1 per cow bit, unpacked from `packed_bits`."""
+        if self.packed_bits is None:
+            return None
+        return np.unpackbits(self.packed_bits, count=(self.config.n_gates + 1) // 2)
+
+
+def packed_bit(packed: np.ndarray, index) -> np.ndarray:
+    """Bits `index` of `packed`, in `np.unpackbits` order (first bit = a byte's high bit)."""
+    return (packed[index >> 3] >> (7 - (index & 7))) & 1
 
 
 def _clicks(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
@@ -207,11 +222,13 @@ def _clicks(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
     return offsets
 
 
-def _simulate_chunk(cfg: RunConfig, chunk_index: int, m: int):
+def _simulate_chunk(cfg: RunConfig, chunk_index: int, m: int, p_photon: tuple,
+                    p_dark: float, photon_sigma: float):
     """Photon/dark candidates for gates [chunk*C, min((chunk+1)*C, n)).
 
     `m` is the number of gates per pulsed trigger; a cow bit is always two
-    gates. Returns (gates, phys_origin, times, in_tail, bits_or_None);
+    gates. `p_photon` holds the click probabilities (pulse, or pulse bin and
+    empty bin). Returns (gates, phys_origin, times, in_tail, packed_or_None);
     afterpulsing and hold-off are applied later in the sequential merge.
     """
     g0 = chunk_index * CHUNK_GATES
@@ -219,50 +236,40 @@ def _simulate_chunk(cfg: RunConfig, chunk_index: int, m: int):
     rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, 1, chunk_index)))
     det = cfg.detector
     src = cfg.source
-    period = det.gate.gate_period
 
-    bits = None
+    packed = None
     if src.kind == "pulsed-trigger":
         start = ((g0 + m - 1) // m) * m
         n_lit = len(range(start, g0 + n_local, m))
-        p_click = det.click_prob(src.mean_photons, src.alignment_delay)
-        photon_gates = start + m * _clicks(rng, n_lit, p_click)
+        photon_gates = start + m * _clicks(rng, n_lit, p_photon[0])
     elif src.kind == "cow-ppm":
         n_bits = (n_local + 1) // 2  # chunk starts are even, so bits align
-        # one uniform byte carries 8 fair bits; the last byte is cut to n_bits
+        # one uniform byte carries 8 fair bits; bits past n_bits are never read
         packed = rng.integers(0, 256, size=(n_bits + 7) // 8, dtype=np.uint8)
-        bits = np.unpackbits(packed)[:n_bits]
-        eps = 10.0 ** (-src.extinction_db / 10.0)
-        p_pulse = det.click_prob(src.mean_photons / (1.0 + eps), src.alignment_delay)
-        p_empty = det.click_prob(src.mean_photons * eps / (1.0 + eps), src.alignment_delay)
-        b_pulse = _clicks(rng, n_bits, p_pulse)
-        b_empty = _clicks(rng, n_bits, p_empty)
-        local = np.concatenate([2 * b_pulse + bits[b_pulse], 2 * b_empty + 1 - bits[b_empty]])
+        b_pulse = _clicks(rng, n_bits, p_photon[0])
+        b_empty = _clicks(rng, n_bits, p_photon[1])
+        local = np.concatenate([2 * b_pulse + packed_bit(packed, b_pulse),
+                                2 * b_empty + 1 - packed_bit(packed, b_empty)])
         photon_gates = g0 + local[local < n_local]  # an odd chunk cuts its last bit
     else:  # cw-dark-only
         photon_gates = np.empty(0, dtype=np.int64)
 
-    dark_gates = g0 + _clicks(rng, n_local, det.dark_prob_per_gate())
+    dark_gates = g0 + _clicks(rng, n_local, p_dark)
 
-    # photon wins a shared gate; the avalanche is single either way
-    dark_gates = np.setdiff1d(dark_gates, photon_gates, assume_unique=True)
+    # photons come first in the stable sort, so a dark sharing a gate sorts
+    # right after its photon and is dropped: the avalanche is single either way
     gates = np.concatenate([photon_gates, dark_gates])
-    phys = np.concatenate(
-        [
-            np.full(photon_gates.size, ORIGIN_PHOTON, dtype=np.uint8),
-            np.full(dark_gates.size, ORIGIN_DARK, dtype=np.uint8),
-        ]
-    )
     order = np.argsort(gates, kind="stable")
     gates = gates[order]
-    phys = phys[order]
+    keep = np.diff(gates, prepend=-1) != 0
+    gates = gates[keep]
+    is_photon = order[keep] < photon_gates.size
+    phys = np.where(is_photon, np.uint8(ORIGIN_PHOTON), np.uint8(ORIGIN_DARK))
 
-    times, in_tail = sample_detection_times(det.jitter, gates, period, rng)
-    laser_sigma = src.laser_fwhm * FWHM_TO_SIGMA
-    z_laser = rng.standard_normal(gates.size)
-    is_photon = phys == ORIGIN_PHOTON
-    times = times + is_photon * (src.alignment_delay + laser_sigma * z_laser)
-    return gates, phys, times, in_tail, bits
+    sigma = np.where(is_photon, photon_sigma, det.jitter.sigma)
+    times, in_tail = sample_detection_times(det.jitter, gates, det.gate.gate_period, rng, sigma)
+    times += is_photon * src.alignment_delay
+    return gates, phys, times, in_tail, packed
 
 
 def _next_fire(c: float, r: float, n: int, rng: np.random.Generator,
@@ -425,21 +432,31 @@ def apply_holdoff(records, holdoff_gates: int, anchor: str = "accepted"):
 
 def run_simulation(cfg: RunConfig) -> RunResult:
     """Simulate `cfg.n_gates` gates; see the module docstring for semantics."""
-    _ = cfg.detector.dark_prob_per_gate()  # fail fast on out-of-range temperature
-    cfg.detector.afterpulse.refuse_runaway(cfg.detector.gate.gate_period)
+    det, src = cfg.detector, cfg.source
+    p_dark = det.dark_prob_per_gate()  # refuses an out-of-range temperature first
+    det.afterpulse.refuse_runaway(det.gate.gate_period)
     m = 1  # gates per trigger, read by pulsed-trigger only
-    if cfg.source.kind == "pulsed-trigger":
-        m = gates_per_trigger(cfg.detector.gate.gate_frequency, cfg.source.trigger_rate)
+    p_photon = ()
+    if src.kind == "pulsed-trigger":
+        m = gates_per_trigger(det.gate.gate_frequency, src.trigger_rate)
+        p_photon = (det.click_prob(src.mean_photons, src.alignment_delay),)
+    elif src.kind == "cow-ppm":
+        eps = 10.0 ** (-src.extinction_db / 10.0)
+        p_photon = (det.click_prob(src.mean_photons / (1.0 + eps), src.alignment_delay),
+                    det.click_prob(src.mean_photons * eps / (1.0 + eps), src.alignment_delay))
+    # the laser pulse's spread adds to the jitter's in quadrature: one Gaussian
+    photon_sigma = math.hypot(det.jitter.sigma, src.laser_fwhm * FWHM_TO_SIGMA)
     n_chunks = (cfg.n_gates + CHUNK_GATES - 1) // CHUNK_GATES
-    chunk_results = [_simulate_chunk(cfg, i, m) for i in range(n_chunks)]
+    chunk_results = [_simulate_chunk(cfg, i, m, p_photon, p_dark, photon_sigma)
+                     for i in range(n_chunks)]
 
     gates = np.concatenate([c[0] for c in chunk_results])
     phys = np.concatenate([c[1] for c in chunk_results])
     times = np.concatenate([c[2] for c in chunk_results])
     in_tail = np.concatenate([c[3] for c in chunk_results])
-    bits = None
-    if cfg.source.kind == "cow-ppm":
-        bits = np.concatenate([c[4] for c in chunk_results])
+    packed = None  # a full chunk's bits fill whole bytes: only the last chunk pads
+    if src.kind == "cow-ppm":
+        packed = np.concatenate([c[4] for c in chunk_results])
 
     if cfg.detector.afterpulse.enabled:
         gates, phys, times, in_tail = _afterpulse_pass(cfg, gates, phys, times, in_tail)
@@ -464,7 +481,7 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     for name, n_generated, n_kept in zip(ORIGIN_NAMES, generated, kept):
         counters[f"generated_{name}"] = n_generated
         counters[f"accepted_{name}"] = n_kept
-    return RunResult(config=cfg, records=records, counters=counters, bits=bits)
+    return RunResult(config=cfg, records=records, counters=counters, packed_bits=packed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -540,9 +557,10 @@ def tcspc_histogram(
     if not np.isfinite(phase_origin):
         raise ValueError("phase_origin must be finite")
     shifted = np.sort(np.asarray(records["time"], dtype=float), kind="stable") - phase_origin
-    cycles = np.floor(shifted / period).astype(np.int64)
-    _, first_idx = np.unique(cycles, return_index=True)
-    phase = shifted[first_idx] - cycles[first_idx] * period
+    cycles = np.floor(shifted / period).astype(np.int64)  # sorted, as the times are
+    first = np.ones(cycles.size, dtype=bool)
+    first[1:] = cycles[1:] != cycles[:-1]
+    phase = shifted[first] - cycles[first] * period
     n_bins = max(1, int(round(period / bin_width)))
     return Histogram.from_times(phase, bin_width, 0.0, n_bins)
 

@@ -35,7 +35,7 @@ from functools import partial
 import numpy as np
 
 from .detector_model import DetectorParams, _float_or_array
-from .mc_engine import RunConfig, SourceConfig, check_holdoff, run_simulation
+from .mc_engine import RunConfig, SourceConfig, check_holdoff, packed_bit, run_simulation
 
 __all__ = [
     "FIBER_DB_PER_KM",
@@ -312,8 +312,8 @@ def mc_link_run(cfg: QkdLinkConfig, n_bits: int, master_seed: int) -> dict:
         & (nearest_gate < 2 * n_bits)
     )
     assigned = nearest_gate[in_window]
-    sent = result.bits[assigned >> 1]
-    wrong = np.count_nonzero(sent != (assigned & 1).astype(np.uint8))
+    sent = packed_bit(result.packed_bits, assigned >> 1)
+    wrong = np.count_nonzero(sent != (assigned & 1))
     duration = n_bits / cfg.bit_rate
     n_windowed = int(np.count_nonzero(in_window))
     return {

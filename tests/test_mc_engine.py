@@ -8,6 +8,7 @@ from scipy import stats
 
 from conftest import quiet_detector
 from sinegate.detector_model import (
+    FWHM_TO_SIGMA,
     AfterpulseModel,
     DetectorParams,
     JitterModel,
@@ -250,6 +251,27 @@ def test_photon_times_cluster_on_trigger_gates():
     sigma = math.hypot(70e-12, 30e-12) / 2.3548
     assert np.abs(resid).max() < 8 * sigma
     assert resid.std() == pytest.approx(sigma, rel=0.05)
+
+
+def test_record_times_follow_the_timing_law_of_their_origin():
+    # a photon sits at the alignment delay with the jitter and the laser width
+    # in quadrature; a dark sits on its gate center with the jitter alone
+    delay = 40e-12
+    det = DetectorParams(temperature_c=20.0,
+                         dark_law=TemperatureDarkLaw(table=((-45.0, 1e-4), (20.0, 1e-3))))
+    recs = run_simulation(RunConfig(
+        n_gates=1 << 22, master_seed=31, detector=det,
+        source=SourceConfig.pulsed(mean_photons=1.0, laser_fwhm=30e-12, alignment_delay=delay),
+    )).records
+    resid = recs["time"] - recs["gate_index"] * GATE_PERIOD
+    for origin, mean, sigma in ((ORIGIN_PHOTON, delay, math.hypot(70e-12, 30e-12) * FWHM_TO_SIGMA),
+                                (ORIGIN_DARK, 0.0, det.jitter.sigma)):
+        r = resid[recs["origin"] == origin]
+        assert r.size > 3_000
+        z_mean = (r.mean() - mean) / (sigma / math.sqrt(r.size))
+        z_std = (r.std() - sigma) / (sigma / math.sqrt(2 * (r.size - 1)))
+        assert abs(z_mean) < 4, (ORIGIN_NAMES[origin], z_mean)
+        assert abs(z_std) < 4, (ORIGIN_NAMES[origin], z_std)
 
 
 def test_dark_only_run_poisson_count():

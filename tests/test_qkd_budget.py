@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from sinegate.detector_model import DetectorParams, GateConfig, JitterModel, ModelRangeError
+from sinegate.mc_engine import RunConfig, SourceConfig, packed_bit, run_simulation
 from sinegate.qkd_budget import (
     FIBER_DB_PER_KM,
     QkdLinkConfig,
@@ -372,6 +373,21 @@ def test_mc_link_run_matches_analytics_at_room_temperature_past_25_km(seed):
     z_qber = (mc["wrong_bin"] - n * q) / math.sqrt(n * q * (1 - q))
     assert abs(z_rate) < 4.0, z_rate
     assert abs(z_qber) < 4.0, z_qber
+
+
+def test_cow_bits_read_packed_across_a_chunk_boundary():
+    # 600 001 bits: two chunks, the second 75 713 bits, not a whole number of bytes
+    cfg = QkdLinkConfig(mu_source=0.3)
+    assert mc_link_run(cfg, 600_001, master_seed=8) == {
+        "n_bits": 600_001, "accepted_total": 15533, "accepted_in_windows": 15533,
+        "discarded_outside_windows": 0, "wrong_bin": 259, "duration_s": 0.0009600016,
+        "raw_rate_hz": 16180181.36636439, "qber": 0.016674177557458314,
+    }
+    result = run_simulation(RunConfig(n_gates=2 * 600_001, master_seed=8,
+                                      source=SourceConfig.cow(mean_photons_per_bit=0.3)))
+    bits = np.unpackbits(result.packed_bits, count=600_001)
+    assert np.array_equal(result.bits, bits)
+    assert np.array_equal(packed_bit(result.packed_bits, np.arange(600_001)), bits)
 
 
 def test_mc_paralyzable_dead_time_matches_analytic_rate():
