@@ -42,7 +42,6 @@ __all__ = [
     "efficiency_at_bias",
     "dark_prob",
     "sample_detection_times",
-    "afterpulse_prob",
     "FWHM_TO_SIGMA",
     "DEFAULT_DARK_TABLE",
 ]
@@ -295,16 +294,6 @@ class AfterpulseModel:
         """Raise ValueError when the model is enabled and its chains run away."""
         if self.enabled and (ratio := self.branching_ratio(gate_period)) >= 1.0:
             raise ValueError(f"branching ratio {ratio:.3g} >= 1; afterpulse chains would run away")
-
-
-def afterpulse_prob(m: AfterpulseModel, trap_population: float, dt_since_fill: float) -> float:
-    """Afterpulse probability for one gate, `dt_since_fill` after the last fill."""
-    if not (math.isfinite(trap_population) and trap_population >= 0):
-        raise ValueError("trap_population must be >= 0")
-    if not (math.isfinite(dt_since_fill) and dt_since_fill >= 0):
-        raise ValueError("dt_since_fill must be >= 0")
-    return min(1.0, m.trigger_prob_per_gate * trap_population
-               * math.exp(-dt_since_fill / m.release_lifetime))
 
 
 @dataclass(frozen=True)

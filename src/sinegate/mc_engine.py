@@ -312,9 +312,9 @@ def _afterpulse_pass(cfg: RunConfig, gates, phys, times, in_tail):
     Walks intrinsic avalanches in gate order, carrying the expected trap
     population N (decays exp(-dt/lifetime), +fill per avalanche). Gate j
     after the last fill fires an afterpulse with probability c*r**j, r the
-    per-gate decay and c = min(1, trigger*N*r) the `afterpulse_prob` hazard
-    one gate after the fill; a fire is itself an avalanche and refills the
-    traps (chains allowed).
+    per-gate decay and c = min(1, trigger*N*r) the hazard one gate after the
+    fill; a fire is itself an avalanche and refills the traps (chains
+    allowed).
     The falling hazard is thinned (`_next_fire`): per candidate one
     exponential, then one uniform when it lies in range. The walk runs up
     to and including each intrinsic gate, where a kept candidate only
@@ -375,14 +375,13 @@ def _afterpulse_pass(cfg: RunConfig, gates, phys, times, in_tail):
         ap_times, ap_tail = sample_detection_times(
             cfg.detector.jitter, ap_gates_arr, period, rng
         )
-        gates = np.concatenate([gates, ap_gates_arr])
-        phys = np.concatenate(
-            [phys, np.full(ap_gates_arr.size, ORIGIN_AFTERPULSE, dtype=np.uint8)]
-        )
-        times = np.concatenate([times, ap_times])
-        in_tail = np.concatenate([in_tail, ap_tail])
-        order = np.argsort(gates, kind="stable")
-        gates, phys, times, in_tail = gates[order], phys[order], times[order], in_tail[order]
+        # afterpulses come sorted and never share a gate with an intrinsic
+        # record: each field takes them in with one copy at its insertion points
+        at = np.searchsorted(gates, ap_gates_arr)
+        gates = np.insert(gates, at, ap_gates_arr)
+        phys = np.insert(phys, at, ORIGIN_AFTERPULSE)
+        times = np.insert(times, at, ap_times)
+        in_tail = np.insert(in_tail, at, ap_tail)
     return gates, phys, times, in_tail
 
 
@@ -447,31 +446,29 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     # the laser pulse's spread adds to the jitter's in quadrature: one Gaussian
     photon_sigma = math.hypot(det.jitter.sigma, src.laser_fwhm * FWHM_TO_SIGMA)
     n_chunks = (cfg.n_gates + CHUNK_GATES - 1) // CHUNK_GATES
-    chunk_results = [_simulate_chunk(cfg, i, m, p_photon, p_dark, photon_sigma)
-                     for i in range(n_chunks)]
-
-    gates = np.concatenate([c[0] for c in chunk_results])
-    phys = np.concatenate([c[1] for c in chunk_results])
-    times = np.concatenate([c[2] for c in chunk_results])
-    in_tail = np.concatenate([c[3] for c in chunk_results])
-    packed = None  # a full chunk's bits fill whole bytes: only the last chunk pads
-    if src.kind == "cow-ppm":
-        packed = np.concatenate([c[4] for c in chunk_results])
+    # one tuple of chunk pieces per field, popped (and so dropped) as soon as
+    # the field's merged copy exists
+    pieces = list(zip(*[_simulate_chunk(cfg, i, m, p_photon, p_dark, photon_sigma)
+                        for i in range(n_chunks)]))
+    gates, phys, times, in_tail = (np.concatenate(pieces.pop(0)) for _ in range(4))
+    # a full chunk's bits fill whole bytes: only the last chunk pads
+    packed = np.concatenate(pieces.pop()) if src.kind == "cow-ppm" else None
 
     if cfg.detector.afterpulse.enabled:
         gates, phys, times, in_tail = _afterpulse_pass(cfg, gates, phys, times, in_tail)
 
-    origin = np.where(in_tail, np.uint8(ORIGIN_TAIL), phys)
+    phys[in_tail] = ORIGIN_TAIL
+    del in_tail
     accepted = _holdoff_flags(gates, cfg.holdoff_gates, cfg.holdoff_anchor)
-    records = np.empty(gates.size, dtype=RECORD_DTYPE)
-    records["gate_index"] = gates
-    records["time"] = times
-    records["origin"] = origin
-    records["accepted"] = accepted
-
     n_origins = len(ORIGIN_NAMES)
-    generated = np.bincount(origin, minlength=n_origins).tolist()
-    kept = np.bincount(origin[accepted], minlength=n_origins).tolist()
+    generated = np.bincount(phys, minlength=n_origins).tolist()
+    kept = np.bincount(phys[accepted], minlength=n_origins).tolist()
+    records = np.empty(gates.size, dtype=RECORD_DTYPE)
+    fields = {"gate_index": gates, "time": times, "origin": phys, "accepted": accepted}
+    del gates, times, phys, accepted
+    for name in RECORD_DTYPE.names:
+        records[name] = fields.pop(name)  # each field is dropped once copied
+
     counters = {
         "n_gates": cfg.n_gates,
         "duration_s": cfg.n_gates * cfg.detector.gate.gate_period,
@@ -482,6 +479,17 @@ def run_simulation(cfg: RunConfig) -> RunResult:
         counters[f"generated_{name}"] = n_generated
         counters[f"accepted_{name}"] = n_kept
     return RunResult(config=cfg, records=records, counters=counters, packed_bits=packed)
+
+
+def _bin_counts(x: np.ndarray, bin_width: float, origin: float, n_bins: int) -> np.ndarray:
+    """Counts of `x` in bins [origin + k*w, origin + (k+1)*w), k < n_bins.
+
+    Overwrites `x`: the caller hands over its own float copy.
+    """
+    x -= origin
+    x /= bin_width
+    np.floor(x, out=x)
+    return np.bincount(x[(x >= 0) & (x < n_bins)].astype(np.int64), minlength=n_bins)
 
 
 @dataclass(frozen=True, eq=False)
@@ -520,10 +528,8 @@ class Histogram:
 
     @classmethod
     def from_times(cls, times, bin_width: float, origin: float, n_bins: int) -> "Histogram":
-        times = np.asarray(times, dtype=float)
-        idx = np.floor((times - origin) / bin_width).astype(np.int64)
-        idx = idx[(idx >= 0) & (idx < n_bins)]
-        return cls(bin_width, origin, np.bincount(idx, minlength=n_bins))
+        return cls(bin_width, origin,
+                   _bin_counts(np.array(times, dtype=float), bin_width, origin, n_bins))
 
     def table(self) -> tuple[list[str], list[np.ndarray]]:
         """Header and columns of the `bin_start_ps,count` table."""
@@ -556,13 +562,21 @@ def tcspc_histogram(
                          f"{MAX_HISTOGRAM_BINS} bins")
     if not np.isfinite(phase_origin):
         raise ValueError("phase_origin must be finite")
-    shifted = np.sort(np.asarray(records["time"], dtype=float), kind="stable") - phase_origin
-    cycles = np.floor(shifted / period).astype(np.int64)  # sorted, as the times are
+    # the one copy of the times; every step below works on it or on a subset
+    shifted = np.sort(np.asarray(records["time"], dtype=float), kind="stable")
+    shifted -= phase_origin
+    cycles = shifted / period
+    np.floor(cycles, out=cycles)  # whole numbers, sorted as the times are
     first = np.ones(cycles.size, dtype=bool)
-    first[1:] = cycles[1:] != cycles[:-1]
-    phase = shifted[first] - cycles[first] * period
+    np.not_equal(cycles[1:], cycles[:-1], out=first[1:])
+    phase = shifted[first]
+    del shifted
+    cycles = cycles[first]
+    cycles *= period
+    phase -= cycles
+    del cycles
     n_bins = max(1, int(round(period / bin_width)))
-    return Histogram.from_times(phase, bin_width, 0.0, n_bins)
+    return Histogram(bin_width, 0.0, _bin_counts(phase, bin_width, 0.0, n_bins))
 
 
 def estimate_fwhm(h: Histogram) -> float:
@@ -623,8 +637,10 @@ def inter_detection_correlation(
         raise ValueError("max_lag_gates must be >= 1")
     gates = np.asarray(records["gate_index"][records["accepted"]], dtype=np.int64)
     lags = np.diff(gates)
-    lags = lags[(lags >= 1) & (lags <= max_lag_gates)]
-    counts = np.bincount(lags - 1, minlength=max_lag_gates)
+    del gates
+    # lags outside [1, max_lag_gates] land in the two end bins, which are cut off
+    np.clip(lags, 0, max_lag_gates + 1, out=lags)
+    counts = np.bincount(lags, minlength=max_lag_gates + 2)[1:-1]
     return Histogram(gate_period, gate_period, counts)
 
 

@@ -20,7 +20,11 @@ allow_nan=False)` plus a newline.
 
 `table_chunks` yields the encoded table `CHUNK_ROWS` rows at a time, so no
 whole-table string is ever held; `write_chunks` streams such chunks into a
-file and returns their digest.
+file and returns their digest. A block is 2**13 rows because its transient
+strings, not the columns, set the writer's memory: one Python string per
+formatted cell (~60 bytes each), the flat list of cells and separators, and
+the joined text and its bytes. For a four-column records table that is
+~2 MB however long the table is, and four times that at 2**15 rows.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import numpy as np
 
 __all__ = ["Labels", "table_chunks", "write_chunks", "CHUNK_ROWS"]
 
-CHUNK_ROWS = 1 << 15
+CHUNK_ROWS = 1 << 13
 
 _CSV_SPECIAL = re.compile(r'[,"\r\n]')
 # a cell of a JSON row sits three levels deep: {"rows": [[cell]]}
@@ -124,27 +128,43 @@ def _column_cells(col, fmt: str) -> Callable[[int, int], list[str]]:
     return lambda a, b: [_cell(v, fmt) for v in col[a:b]]
 
 
-def _csv_lines(cells: list[list[str]]) -> str:
-    if len(cells) == 1:  # csv.writer quotes a row's lone empty field
-        return "".join((c or '""') + "\n" for c in cells[0])
-    return "\n".join(map(",".join, zip(*cells))) + "\n"
+def _rows_text(formatters, a: int, b: int, cell_sep: str, row_sep: str, end: str) -> str:
+    """Rows [a, b) as text: each cell followed by `cell_sep`, or by `row_sep` at
+    the end of its row, and by `end` at the end of the last row.
+
+    Cells and separators go into one flat list, one column at a time by slice
+    assignment, and are joined once: no string is built per row.
+    """
+    step = 2 * len(formatters)
+    flat = [cell_sep] * (step * (b - a))
+    flat[step - 1::step] = [row_sep] * (b - a)
+    for j, cells in enumerate(formatters):
+        flat[2 * j::step] = cells(a, b)
+    flat[-1] = end
+    return "".join(flat)
 
 
-def _csv_table(header: Sequence[str], blocks: Iterable[list[list[str]]]) -> Iterator[str]:
-    yield _csv_lines([[_cell(str(h), "csv")] for h in header])
-    for cells in blocks:
-        yield _csv_lines(cells)
+def _csv_table(header: Sequence[str], formatters: list, spans: list) -> Iterator[str]:
+    head = [_cell(str(h), "csv") for h in header]
+    if len(formatters) == 1:  # csv.writer quotes a row's lone empty field
+        head = [head[0] or '""']
+        only = formatters[0]
+        formatters = [lambda a, b: [c or '""' for c in only(a, b)]]
+    yield ",".join(head) + "\n"
+    for a, b in spans:
+        yield _rows_text(formatters, a, b, ",", "\n", "\n")
 
 
-def _json_table(header: Sequence[str], blocks: Iterable[list[list[str]]]) -> Iterator[str]:
+def _json_table(header: Sequence[str], formatters: list, spans: list) -> Iterator[str]:
     head = json.dumps(list(header), indent=2).replace("\n", "\n  ")
     yield f'{{\n  "header": {head},\n  "rows": ['
     open_row = "    [\n" + _JSON_CELL_INDENT
     between_rows = "\n    ],\n" + open_row
     between_cells = ",\n" + _JSON_CELL_INDENT
     sep = "\n"
-    for cells in blocks:
-        yield sep + open_row + between_rows.join(map(between_cells.join, zip(*cells))) + "\n    ]"
+    for a, b in spans:
+        yield sep + open_row  # the block's opening, apart from its body
+        yield _rows_text(formatters, a, b, between_cells, between_rows, "\n    ]")
         sep = ",\n"
     yield ("]" if sep == "\n" else "\n  ]") + "\n}\n"
 
@@ -159,11 +179,10 @@ def table_chunks(header: Sequence[str], columns: Sequence, fmt: str = "csv") -> 
     if any(len(c) != n_rows for c in columns):
         raise ValueError("table columns differ in length")
     formatters = [_column_cells(c, fmt) for c in columns]
-    blocks = ([f(a, min(a + CHUNK_ROWS, n_rows)) for f in formatters]
-              for a in range(0, n_rows, CHUNK_ROWS))
+    spans = [(a, min(a + CHUNK_ROWS, n_rows)) for a in range(0, n_rows, CHUNK_ROWS)]
     layout = _csv_table if fmt == "csv" else _json_table
-    for text in layout(header, blocks):
-        yield text.encode("utf-8")
+    # map keeps no reference to a block's text once it is encoded
+    yield from map(str.encode, layout(header, formatters, spans))
 
 
 def write_chunks(path, chunks: Iterable[bytes]) -> tuple[str, int]:

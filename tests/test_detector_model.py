@@ -15,7 +15,6 @@ from sinegate.detector_model import (
     JitterModel,
     ModelRangeError,
     TemperatureDarkLaw,
-    afterpulse_prob,
     dark_prob,
     efficiency_at_bias,
     gate_profile,
@@ -165,19 +164,6 @@ def test_fwhm_sigma_conversion():
     assert JitterModel().fwhm == pytest.approx(70e-12)
 
 
-def test_afterpulse_prob_decay_and_clamp():
-    m = AfterpulseModel(trap_fill_per_detection=0.5, release_lifetime=100e-9,
-                        trigger_prob_per_gate=0.02)
-    p0 = afterpulse_prob(m, 1.0, 0.0)
-    assert p0 == pytest.approx(0.02)
-    p1 = afterpulse_prob(m, 1.0, 100e-9)
-    assert p1 == pytest.approx(0.02 / math.e)
-    assert afterpulse_prob(m, 0.0, 0.0) == 0.0
-    assert afterpulse_prob(m, 1e9, 0.0) == 1.0  # clamped
-    with pytest.raises(ValueError):
-        afterpulse_prob(m, -1.0, 0.0)
-
-
 def test_afterpulse_disabled_by_default():
     assert AfterpulseModel().enabled is False
 
@@ -189,7 +175,8 @@ def test_branching_ratio_sums_the_hazard_one_fill_adds():
     assert m.branching_ratio(0.8e-9) == pytest.approx(1e-3 / (1 - r), rel=1e-12)
     assert 1.25 < m.branching_ratio(0.8e-9) < 1.26
     short = AfterpulseModel(release_lifetime=100e-9, trigger_prob_per_gate=2e-3)
-    hazards = [afterpulse_prob(short, short.trap_fill_per_detection, j * 0.8e-9)
+    # gate j after a fill fires with min(1, trigger * fill * exp(-j T_gate / lifetime))
+    hazards = [min(1.0, 2e-3 * short.trap_fill_per_detection * math.exp(-j * 0.8e-9 / 100e-9))
                for j in range(20_000)]
     assert short.branching_ratio(0.8e-9) == pytest.approx(math.fsum(hazards), rel=1e-9)
 

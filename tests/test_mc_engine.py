@@ -574,6 +574,58 @@ def test_correlation_histogram_counts_lags():
     assert h.total == 3
 
 
+def oracle_bin_counts(times, bin_width, origin, n_bins):
+    """The out-of-place binning the histogram passes used to run."""
+    times = np.asarray(times, dtype=float)
+    idx = np.floor((times - origin) / bin_width).astype(np.int64)
+    idx = idx[(idx >= 0) & (idx < n_bins)]
+    return np.bincount(idx, minlength=n_bins)
+
+
+def oracle_tcspc_counts(times, period, bin_width, phase_origin):
+    shifted = np.sort(np.asarray(times, dtype=float), kind="stable") - phase_origin
+    cycles = np.floor(shifted / period).astype(np.int64)
+    first = np.ones(cycles.size, dtype=bool)
+    first[1:] = cycles[1:] != cycles[:-1]
+    phase = shifted[first] - cycles[first] * period
+    return oracle_bin_counts(phase, bin_width, 0.0, max(1, int(round(period / bin_width))))
+
+
+def test_in_place_passes_leave_their_inputs_and_match_the_out_of_place_counts():
+    period, width = 32e-9, 1e-9
+    rng = np.random.default_rng(23)
+    cycles = np.arange(-3, 4)[:, None]
+    edges = (cycles * period + np.arange(0, 33)[None, :] * width).ravel()  # bin edges, both wraps
+    times = np.concatenate([
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        rng.uniform(-5 * period, 5 * period, size=3000),  # negative phases included
+        np.repeat(rng.uniform(0, period, size=50), 3),  # ties within a cycle
+    ])
+    rng.shuffle(times)
+    recs = make_records(times)
+    recs["gate_index"] = rng.integers(-5, 400, size=times.size)  # unsorted, repeats, jumps
+    recs["accepted"] = rng.random(times.size) < 0.8
+    before = recs.copy()
+    for phase_origin in (0.0, -period / 2, 0.3 * width, period):
+        h = tcspc_histogram(recs, 1.0 / period, width, phase_origin=phase_origin)
+        assert np.array_equal(h.counts, oracle_tcspc_counts(times, period, width, phase_origin))
+    for max_lag in (1, 7, 50):
+        gates = recs["gate_index"][recs["accepted"]]
+        lags = np.diff(gates)
+        lags = lags[(lags >= 1) & (lags <= max_lag)]
+        corr = inter_detection_correlation(recs, max_lag, GATE_PERIOD)
+        assert np.array_equal(corr.counts, np.bincount(lags - 1, minlength=max_lag))
+    assert recs.tobytes() == before.tobytes()
+    given = times.copy()
+    for origin in (0.0, -period, 2.5 * width):
+        h = Histogram.from_times(given, width, origin, 40)
+        assert np.array_equal(h.counts, oracle_bin_counts(times, width, origin, 40))
+    assert np.array_equal(given, times)
+    ints = [3, -1, 0, 7, 39, 40]  # a non-float input is converted, not overwritten
+    assert Histogram.from_times(ints, 1.0, 0.0, 40).total == 4
+    assert ints == [3, -1, 0, 7, 39, 40]
+
+
 # ------------------------------------------------------------------ statistics
 
 def test_geometric_lag_gof_accepts_geometric_sample():

@@ -1,0 +1,108 @@
+"""Memory bounds of the tcspc path.
+
+Each stage holds one copy of its records plus one bounded block: the table
+writer a block of `CHUNK_ROWS` rows whatever the table's length, and the
+simulation, histogram and correlation passes a small multiple of
+`records.nbytes`. Peaks are tracemalloc's, which also sees NumPy's buffers.
+"""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from sinegate.config import load_config
+from sinegate.mc_engine import (
+    ORIGIN_NAMES,
+    RunConfig,
+    gates_per_trigger,
+    inter_detection_correlation,
+    run_simulation,
+    tcspc_histogram,
+)
+from sinegate.table import Labels, table_chunks, write_chunks
+
+# The benchmark's bright tcspc run: 500 k pulses at 30 photons, darks and
+# afterpulsing off, ~475 k records of 18 bytes.
+BRIGHT = {
+    "source": {"kind": "pulsed-trigger", "mean_photons": 30.0, "laser_fwhm_ps": 30.0},
+    "detector": {"dark_table_c_prob": None, "jitter": {"sigma_ps": 29.726263010080668},
+                 "afterpulse": {"enabled": False}},
+    "tcspc": {"n_pulses": 500000},
+}
+
+MB = 1 << 20
+
+
+def held(fn, *args, **kwargs):
+    """(result, most bytes the call held at once): its own allocations, result included."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def bright(tmp_path_factory):
+    path = tmp_path_factory.mktemp("bright") / "bright.json"
+    path.write_text(json.dumps(BRIGHT), encoding="utf-8")
+    cfg = load_config(path)
+    src = cfg.source
+    n_gates = (cfg.tcspc["n_pulses"]
+               * gates_per_trigger(cfg.detector.gate.gate_frequency, src.trigger_rate))
+    run_cfg = RunConfig(n_gates=n_gates, master_seed=1, detector=cfg.detector, source=src)
+    result, peak = held(run_simulation, run_cfg)
+    return cfg, result.records, peak
+
+
+def test_run_simulation_holds_little_more_than_two_copies_of_its_records(bright):
+    _, records, peak = bright
+    assert records.size > 400_000
+    assert peak <= 2.3 * records.nbytes
+
+
+def test_tcspc_histogram_holds_under_two_more_copies_of_the_records(bright):
+    cfg, records, _ = bright
+    period = 1.0 / cfg.source.trigger_rate
+    hist, peak = held(tcspc_histogram, records, cfg.source.trigger_rate,
+                      cfg.tcspc["bin_width"], phase_origin=-period / 2)
+    assert hist.total > 0
+    assert records.nbytes + peak <= 3.0 * records.nbytes
+
+
+def test_inter_detection_correlation_holds_about_one_more_copy_of_the_records(bright):
+    cfg, records, _ = bright
+    corr, peak = held(inter_detection_correlation, records, cfg.tcspc["max_lag_gates"],
+                      cfg.detector.gate.gate_period)
+    assert corr.total > 0
+    assert records.nbytes + peak <= 2.2 * records.nbytes
+
+
+def records_like_columns(n: int) -> list:
+    """gate_index, time_ps, origin, accepted: the records table's four column kinds."""
+    rng = np.random.default_rng(5)
+    gates = np.cumsum(rng.integers(1, 80, size=n))
+    return [gates, gates * 800.0 + rng.normal(0.0, 30.0, size=n),
+            Labels(ORIGIN_NAMES, rng.integers(0, 4, size=n).astype(np.uint8)),
+            rng.random(n) < 0.9]
+
+
+# A 2**13-row block of the four columns holds ~2 MB of transient strings.
+WRITER_BOUND = 4 * MB
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_writer_memory_does_not_grow_with_the_table(tmp_path, fmt):
+    header = ["gate_index", "time_ps", "origin", "accepted"]
+    peaks = []
+    for n in (2**16, 2**18):
+        columns = records_like_columns(n)  # allocated before tracing: not counted
+        (_, size), peak = held(write_chunks, tmp_path / f"t.{fmt}",
+                               table_chunks(header, columns, fmt))
+        assert size > 30 * n  # the table was written
+        assert peak < WRITER_BOUND, (n, peak)
+        peaks.append(peak)
+    assert peaks[1] < peaks[0] + MB // 2  # four times the rows, the same block

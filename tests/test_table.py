@@ -214,11 +214,21 @@ def test_table_longer_than_one_chunk(fmt):
     assert len(chunks) >= 3
 
 
-@pytest.mark.parametrize("n", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+# the first block boundary, and the boundary at 1 << 15 rows (a multiple of CHUNK_ROWS)
+BOUNDARY_ROWS = sorted({m + d for m in (CHUNK_ROWS, 1 << 15) for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("n", BOUNDARY_ROWS)
 def test_chunk_boundaries(n):
+    assert (1 << 15) % CHUNK_ROWS == 0
     columns = [np.arange(n), np.linspace(0.0, 1.0, n)]
+    # one-column tables: csv quotes a row's lone empty cell, a json row holds one cell;
+    # with n one past a boundary an empty and a filled cell straddle it
+    lone = ["" if i % 2 else f"r{i}" for i in range(n)]
     for fmt in ("csv", "json"):
         assert_matches_oracle(["i", "x"], columns, fmt)
+        assert_matches_oracle(["s"], [lone], fmt)
+        assert_matches_oracle([""], [columns[0]], fmt)
 
 
 def test_mismatched_columns_rejected():
