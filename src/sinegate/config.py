@@ -7,7 +7,10 @@ Each field is declared once, as a leaf of the JSON Schema tree `_SCHEMA`
 with its bounds and its draft-07 `default`: validation walks the tree,
 `default_config()` collects the defaults, `schema_text()` prints it, and one
 unit-suffix rule (`_args`) scales every leaf to the SI value that the model
-objects, the subcommand handlers and the cross-field rules all read.
+objects and the subcommand handlers read. The cross-field rules are the
+model's own checks: validation builds the model objects, reports each
+`ArgumentError` at the leaf that names its argument, and `load_config`
+returns the objects it built.
 """
 
 from __future__ import annotations
@@ -22,16 +25,19 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .detector_model import (
-    DARK_TABLE_SPAN_C,
     DEFAULT_DARK_TABLE,
     FWHM_TO_SIGMA,
     AfterpulseModel,
+    ArgumentError,
+    BiasEfficiencyLaw,
     DetectorParams,
+    GateConfig,
+    JitterModel,
     TemperatureDarkLaw,
 )
-from .mc_engine import MAX_HISTOGRAM_BINS, SourceConfig, gates_per_trigger
-from .qkd_budget import QkdLinkConfig
-from .signal_chain import MAX_RECORD_SAMPLES
+from .mc_engine import SourceConfig, check_tcspc_bin, gates_per_trigger
+from .qkd_budget import QkdLinkConfig, check_timebin
+from .signal_chain import check_record, check_sampling
 
 __all__ = [
     "ConfigError",
@@ -224,17 +230,17 @@ def default_config() -> dict:
 # ---------------------------------------------------------------------------
 # One rule from the tree to the model objects. A leaf is the constructor
 # argument named like it minus its unit suffix, coerced by the leaf's type
-# and scaled to SI by `_UNITS`, the only place a unit is applied. A sub-object
-# builds the argument of its name or, with no such argument (`operating`),
-# adds to the enclosing one. Leaves that name no argument (`run.master_seed`,
-# `qkd.mc_check_bits`) are read where used. The dark table builds
-# `TemperatureDarkLaw`; null switches the dark channel off.
+# and scaled to SI by `_UNITS`, the only place a unit is applied. Each
+# sub-object of `detector` builds the law of its name, the dark table builds
+# `TemperatureDarkLaw` (null switches the dark channel off) and `operating`
+# adds to `DetectorParams`. Leaves that name no argument (`run.master_seed`,
+# `qkd.mc_check_bits`) are read where used.
 
 _UNITS = {"_hz": None, "_v": None, "_ps": 1e12, "_ns": 1e9, "_mv": 1e3}  # factor from SI
 _COERCE = {"number": float, "integer": int, "boolean": bool}
-_DARK_TABLE, _DARK_LAW = "dark_table_c_prob", "dark_law"
 
 
+@functools.cache
 def _arg(key: str) -> tuple[str, float | None]:
     """A leaf's constructor argument and the factor from SI to its unit."""
     for suffix, scale in _UNITS.items():
@@ -254,21 +260,13 @@ def _value(schema: dict, v, scale: float | None):
 
 def _args(cls, schema: dict, doc: dict) -> dict:
     """Constructor arguments of dataclass `cls` (None: every leaf) from a
-    validated section of the tree."""
-    params = {f.name: f for f in fields(cls)} if cls else {}
+    validated section of leaves."""
+    params = {f.name for f in fields(cls)} if cls else None
     args = {}
     for key, sub in schema["properties"].items():
         name, scale = _arg(key)
-        if key == _DARK_TABLE:
-            args[_DARK_LAW] = None if doc[key] is None else TemperatureDarkLaw(doc[key])
-        elif sub.get("type") != "object":
-            if cls is None or name in params:
-                args[name] = _value(sub, doc[key], scale)
-        elif name in params:
-            inner = params[name].default_factory
-            args[name] = inner(**_args(inner, sub, doc[key]))
-        else:
-            args.update(_args(cls, sub, doc[key]))
+        if params is None or name in params:
+            args[name] = _value(sub, doc[key], scale)
     return args
 
 
@@ -359,106 +357,111 @@ def _check(schema: dict, doc, path: str, errors: list[str]) -> None:
         _check(sub, doc[key], sub_path, errors)
 
 
-def validate_config(doc: dict) -> list[str]:
-    """Structural and cross-field validation; returns ALL error messages."""
-    errors: list[str] = []
-    if not isinstance(doc, dict):
-        return ["configuration root must be a JSON object"]
-    _check(_SCHEMA, doc, "", errors)
-    # Cross-field rules, on the SI values and by the arithmetic of the model
-    # checks they guard, so what passes here builds. Each runs only when the
-    # fields it reads passed the shape check, so a bad leaf elsewhere does not
-    # hide its error.
-    flagged = [e.split(":", 1)[0] for e in errors]
+# ---------------------------------------------------------------------------
+# The cross-field rules are the model's own checks: validation builds each
+# model object, and calls each `check_*`, on the SI values, so what passes
+# builds. A call runs only when the leaves it reads passed the shape pass.
+# Its `ArgumentError` is reported at the leaf of its section that names the
+# argument through `_arg`, or at the section. Two rules have no model twin.
 
-    def value(path):
-        """The value at dotted `path` as the model receives it, or None if flagged."""
-        if any(path == f or path.startswith(f + ".") for f in flagged):
-            return None
-        keys = path.split(".")
-        leaf = functools.reduce(lambda schema, k: schema["properties"][k], keys, _SCHEMA)
-        v = _value(leaf, functools.reduce(operator.getitem, keys, doc), _arg(keys[-1])[1])
-        if "exclusiveMinimum" in leaf and not v > 0:  # 1e-320 ps is 0 s
+_REFUSED = object()  # a leaf or a result whose error is already reported
+
+
+@functools.cache
+def _schema_at(path: str) -> dict:
+    return functools.reduce(lambda schema, key: schema["properties"][key], path.split("."), _SCHEMA)
+
+
+def _check_in_table(law: TemperatureDarkLaw | None, temperature_c: float) -> None:
+    """Refuse an operating temperature outside the dark table, if there is one."""
+    if law is not None and not law.table[0][0] <= temperature_c <= law.table[-1][0]:
+        raise ArgumentError("temperature_c", "must lie inside the dark table range "
+                            f"[{law.table[0][0]}, {law.table[-1][0]}]")
+
+
+def _check_max_lag(n_pulses: int, max_lag_gates: int, gates_per_pulse: int) -> None:
+    """Refuse a lag as long as the run: each lag is a histogram bin."""
+    if max_lag_gates >= n_pulses * gates_per_pulse:
+        raise ArgumentError("max_lag_gates", "must be below the run length "
+                            f"(n_pulses x gates per trigger = {n_pulses * gates_per_pulse})")
+
+
+def _validate(doc) -> tuple[list[str], FullConfig | None]:
+    """`validate_config`'s errors, and the configuration built on the way."""
+    if not isinstance(doc, dict):
+        return ["configuration root must be a JSON object"], None
+    errors: list[str] = []
+    _check(_SCHEMA, doc, "", errors)
+    refused = [e.split(":", 1)[0] for e in errors]
+
+    def read(path, cls=None):
+        """The SI value of the leaf at dotted `path`, or the arguments of `cls`
+        (None: every leaf) from the section there; `_REFUSED` if one is."""
+        schema, keys = _schema_at(path), path.split(".")
+        if "properties" in schema:  # every leaf is read, so each underflow is reported
+            if any([read(f"{path}.{key}") is _REFUSED for key in schema["properties"]]):
+                return _REFUSED
+            return _args(cls, schema, functools.reduce(operator.getitem, keys, doc))
+        if any(path == r or path.startswith(r + ".") for r in refused):
+            return _REFUSED
+        v = _value(schema, functools.reduce(operator.getitem, keys, doc), _arg(keys[-1])[1])
+        if "exclusiveMinimum" in schema and not v > 0:  # 1e-320 ps is 0 s
             errors.append(f"{path}: underflows to 0 in SI units")
-            flagged.append(path)
-            return None
+            refused.append(path)
+            return _REFUSED
         return v
 
-    f_gate = value("detector.gate.gate_frequency_hz")
-    fwhm = value("detector.gate.gate_fwhm_ps")
-    if None not in (f_gate, fwhm) and not fwhm < 1.0 / f_gate:
-        errors.append("detector.gate.gate_fwhm_ps: must be below one gate period")
-    law = [value(f"detector.bias_law.{k}") for k in
-           ("anchor_bias_v", "anchor_efficiency", "breakdown_bias_v")]
-    if None not in law and law[2] >= law[0] and law[1] > 0:
-        errors.append("detector.bias_law.breakdown_bias_v: must lie below anchor_bias_v "
-                      "when anchor_efficiency > 0")
-    table = value("detector.dark_table_c_prob")
-    t_op = value("detector.operating.temperature_c")
-    if table is not None:
-        temps = [t for t, _ in table]
-        if any(b <= a for a, b in zip(temps, temps[1:])):
-            errors.append("detector.dark_table_c_prob: temperatures must be strictly increasing")
-        else:
-            if temps[0] > DARK_TABLE_SPAN_C[0] or temps[-1] < DARK_TABLE_SPAN_C[1]:
-                errors.append("detector.dark_table_c_prob: must cover [-45, +20] C")
-            if t_op is not None and not (temps[0] <= t_op <= temps[-1]):
-                errors.append(
-                    "detector.operating.temperature_c: outside the dark table range "
-                    f"[{temps[0]}, {temps[-1]}]"
-                )
-    section = _SECTIONS["detector"]["properties"]["afterpulse"]["properties"]
-    ap = {_arg(key)[0]: value(f"detector.afterpulse.{key}") for key in section}
-    if f_gate is not None and None not in ap.values():
+    def run(path, call, *args):
+        """`call(*args)`, or `_REFUSED`: unrun when an argument is, or when it
+        raises `ArgumentError`, which is reported once a leaf."""
+        if any(a is _REFUSED for a in args):
+            return _REFUSED
         try:
-            AfterpulseModel(**ap).refuse_runaway(1.0 / f_gate)
-        except ValueError as exc:
-            errors.append(f"detector.afterpulse: {exc}")
-    timebin = value("qkd.timebin_width_ps")
-    if None not in (f_gate, timebin) and timebin > 1.0 / f_gate:
-        errors.append("qkd.timebin_width_ps: must be at most half the bit period")
-    trigger = value("source.trigger_rate_hz")
-    per_pulse = None
-    if None not in (f_gate, trigger):
-        try:
-            per_pulse = gates_per_trigger(f_gate, trigger)
-        except ValueError:
-            errors.append("source.trigger_rate_hz: must divide the gate clock "
-                          f"(gate/trigger = {f_gate / trigger})")
-    n_pulses, max_lag = value("tcspc.n_pulses"), value("tcspc.max_lag_gates")
-    if None not in (per_pulse, n_pulses, max_lag) and max_lag >= n_pulses * per_pulse:
-        # no lag is longer than the run, and each lag is a histogram bin
-        errors.append("tcspc.max_lag_gates: must be below the run length "
-                      f"(n_pulses x gates per trigger = {n_pulses * per_pulse})")
-    bin_width = value("tcspc.bin_width_ps")
-    if None not in (trigger, bin_width) and not bin_width < 1.0 / trigger:
-        errors.append("tcspc.bin_width_ps: must be below the trigger period")
-    elif None not in (per_pulse, bin_width) and not 1.0 / trigger / bin_width <= MAX_HISTOGRAM_BINS:
-        errors.append("tcspc.bin_width_ps: must split the trigger period into at most "
-                      f"{MAX_HISTOGRAM_BINS} bins")
+            return call(*args)
+        except ArgumentError as exc:
+            keys = _schema_at(path).get("properties", {})
+            leaf = next((f"{path}.{k}" for k in keys if _arg(k)[0] == exc.arg), path)
+            if not any(e.startswith(f"{leaf}: ") for e in errors):
+                errors.append(f"{leaf}: {exc.reason}")
+            return _REFUSED
+
+    def build(path, cls):
+        return run(path, lambda args: cls(**args), read(path, cls))
+
+    f_gate, trigger = read("detector.gate.gate_frequency_hz"), read("source.trigger_rate_hz")
+    gate = build("detector.gate", GateConfig)
+    bias_law = build("detector.bias_law", BiasEfficiencyLaw)
+    dark = "detector.dark_table_c_prob"
+    dark_law = run(dark, lambda table: None if table is None else TemperatureDarkLaw(table),
+                   read(dark))
+    jitter = build("detector.jitter", JitterModel)
+    afterpulse = build("detector.afterpulse", AfterpulseModel)
+    run("detector.afterpulse", lambda model, f: model.refuse_runaway(1.0 / f), afterpulse, f_gate)
+    run("detector.operating", _check_in_table, dark_law, read("detector.operating.temperature_c"))
+    detector = run("detector.operating", lambda operating, *laws: DetectorParams(*laws, **operating),
+                   read("detector.operating", DetectorParams),
+                   gate, bias_law, dark_law, jitter, afterpulse)
+    run("qkd", lambda width, f: check_timebin(width, 1.0 / f), read("qkd.timebin_width_ps"), f_gate)
+    qkd = run("qkd", lambda link, holdoff, det: QkdLinkConfig(**link, **holdoff, detector=det),
+              read("qkd", QkdLinkConfig), read("run", QkdLinkConfig), detector)
+    source = build("source", SourceConfig)
+    per_pulse = run("source", gates_per_trigger, f_gate, trigger)
+    run("tcspc", _check_max_lag, read("tcspc.n_pulses"), read("tcspc.max_lag_gates"), per_pulse)
+    run("tcspc", check_tcspc_bin, trigger, read("tcspc.bin_width_ps"))
     for name in ("bias_v", "delay_ps", "fiber_loss_db"):
-        start, stop, step = (value(f"sweeps.{name}.{k}") for k in ("start", "stop", "step"))
-        if None not in (start, stop) and stop < start:
-            errors.append(f"sweeps.{name}.stop: must be >= start")
-        elif None not in (start, stop, step) and not _grid_steps(start, stop, step) < MAX_GRID_POINTS:
-            errors.append(f"sweeps.{name}.step: must split the span into at most "
-                          f"{MAX_GRID_POINTS} grid points")
-    dt = value("chain.dt_ps")
-    dt_ok = None not in (f_gate, dt) and not dt > 1.0 / (8.0 * f_gate)
-    if None not in (f_gate, dt) and not dt_ok:
-        errors.append("chain.dt_ps: must sample the gate frequency at least 8x")
-    duration = value("chain.duration_ns")
-    if None not in (f_gate, duration) and duration < 1.0 / f_gate:
-        errors.append("chain.duration_ns: must cover at least one gate period")
-    elif dt_ok and duration is not None and duration / dt > MAX_RECORD_SAMPLES:
-        errors.append(f"chain.dt_ps: must split chain.duration_ns into at most "
-                      f"{MAX_RECORD_SAMPLES} samples")
-    elif dt_ok and duration is not None:
-        # the FFT filter wraps the record, so a partial last period leaks feedthrough
-        periods = round(duration / dt) * dt * f_gate  # the synthesizer's sample count
-        if abs(periods - round(periods)) > 1e-6:
-            errors.append("chain.duration_ns: must be a whole number of gate periods")
-    return errors
+        run(f"sweeps.{name}", grid_values, read(f"sweeps.{name}"))
+    dt = read("chain.dt_ps")
+    run("chain", check_sampling, f_gate, dt)
+    run("chain", check_record, f_gate, read("chain.duration_ns"), dt)
+    if errors:
+        return errors, None
+    return errors, FullConfig(detector=detector, source=source, qkd=qkd, chain=read("chain"),
+                              tcspc=read("tcspc"), merged=doc)
+
+
+def validate_config(doc: dict) -> list[str]:
+    """Shape and cross-field validation; returns ALL error messages."""
+    return _validate(doc)[0]
 
 
 @dataclass(frozen=True)
@@ -473,22 +476,6 @@ class FullConfig:
     chain: dict
     tcspc: dict
     merged: dict
-
-
-def _build(doc: dict) -> FullConfig:
-    def args(cls, section):
-        return _args(cls, _SECTIONS[section], doc[section])
-
-    detector = DetectorParams(**args(DetectorParams, "detector"))
-    return FullConfig(
-        detector=detector,
-        source=SourceConfig(**args(SourceConfig, "source")),
-        qkd=QkdLinkConfig(**args(QkdLinkConfig, "qkd"), **args(QkdLinkConfig, "run"),
-                          detector=detector),
-        chain=args(None, "chain"),
-        tcspc=args(None, "tcspc"),
-        merged=doc,
-    )
 
 
 def load_config(path=None) -> FullConfig:
@@ -511,25 +498,21 @@ def load_config(path=None) -> FullConfig:
             raise ConfigError([f"config file is not valid JSON: {path} ({exc})"]) from None
         if not isinstance(override, dict):
             raise ConfigError([f"config root must be a JSON object: {path}"])
-    merged = deep_merge(default_config(), override)
-    errors = validate_config(merged)
+    errors, cfg = _validate(deep_merge(default_config(), override))
     if errors:
         raise ConfigError(errors)
-    return _build(merged)
-
-
-def _grid_steps(start: float, stop: float, step: float) -> float:
-    """Whole steps in an inclusive grid's span, before the floor; inf when it overflows."""
-    return (stop - start) / step + 1e-9
+    return cfg
 
 
 def grid_values(grid: dict) -> np.ndarray:
     """Inclusive arithmetic grid as a float64 array, `start + step * k`;
     endpoint kept when step divides the span."""
     start, stop, step = grid["start"], grid["stop"], grid["step"]
-    steps = _grid_steps(start, stop, step)
+    if stop < start:
+        raise ArgumentError("stop", "must be >= start")
+    steps = (stop - start) / step + 1e-9  # whole steps in the span, before the floor
     if not steps < MAX_GRID_POINTS:  # an inf or NaN quotient fails too
-        raise ValueError(f"grid holds more than {MAX_GRID_POINTS} points")
+        raise ArgumentError("step", f"must split the span into at most {MAX_GRID_POINTS} grid points")
     return start + step * np.arange(max(1, int(math.floor(steps)) + 1), dtype=float)
 
 

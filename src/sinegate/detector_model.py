@@ -32,6 +32,7 @@ import numpy as np
 
 __all__ = [
     "ModelRangeError",
+    "ArgumentError",
     "GateConfig",
     "BiasEfficiencyLaw",
     "TemperatureDarkLaw",
@@ -54,6 +55,14 @@ class ModelRangeError(ValueError):
     """An input lies outside the calibrated range of a model law."""
 
 
+class ArgumentError(ValueError):
+    """A model check refused argument `arg`; `reason` says what it must be."""
+
+    def __init__(self, arg: str, reason: str):
+        self.arg, self.reason = arg, reason
+        super().__init__(f"{arg} {reason}")
+
+
 def _float_or_array(value):
     """A law's result: a Python float for a scalar input, else the array."""
     return float(value) if np.ndim(value) == 0 else value
@@ -71,12 +80,11 @@ class GateConfig:
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.gate_frequency) and self.gate_frequency > 0):
-            raise ValueError("gate_frequency must be positive")
-        period = 1.0 / self.gate_frequency
-        if not (np.isfinite(self.gate_fwhm) and 0 < self.gate_fwhm < period):
-            raise ValueError(
-                f"gate_fwhm must be in (0, {period}) for a {self.gate_frequency} Hz gate"
-            )
+            raise ArgumentError("gate_frequency", "must be positive")
+        if not (np.isfinite(self.gate_fwhm) and self.gate_fwhm > 0):
+            raise ArgumentError("gate_fwhm", "must be positive")
+        if not self.gate_fwhm < self.gate_period:
+            raise ArgumentError("gate_fwhm", "must be below one gate period")
 
     @property
     def gate_period(self) -> float:
@@ -110,14 +118,16 @@ class BiasEfficiencyLaw:
     breakdown_bias: float = 51.5
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.anchor_bias) and np.isfinite(self.breakdown_bias)):
-            raise ValueError("bias anchors must be finite")
+        for name in ("anchor_bias", "breakdown_bias"):
+            if not np.isfinite(getattr(self, name)):
+                raise ArgumentError(name, "must be finite")
         if not (0.0 <= self.anchor_efficiency <= 1.0):
-            raise ValueError("anchor_efficiency must be in [0, 1]")
+            raise ArgumentError("anchor_efficiency", "must be in [0, 1]")
         if not (np.isfinite(self.slope_per) and self.slope_per > 0):
-            raise ValueError("slope_per must be positive")
+            raise ArgumentError("slope_per", "must be positive")
         if self.breakdown_bias >= self.anchor_bias and self.anchor_efficiency > 0:
-            raise ValueError("breakdown_bias must lie below the anchor bias")
+            raise ArgumentError("breakdown_bias", "must lie below the anchor bias "
+                                "when the anchor efficiency is above 0")
 
 
 def efficiency_at_bias(law: BiasEfficiencyLaw, bias) -> np.ndarray | float:
@@ -158,14 +168,16 @@ class TemperatureDarkLaw:
     def __post_init__(self) -> None:
         table = tuple((float(t), float(p)) for t, p in self.table)
         if len(table) < 2:
-            raise ValueError("dark table needs at least two anchors")
+            raise ArgumentError("table", "must hold at least two anchors")
         temps = [t for t, _ in table]
+        if not all(map(math.isfinite, temps)):  # NaN would slip past the order checks
+            raise ArgumentError("table", "must hold finite temperatures")
         if any(b <= a for a, b in zip(temps, temps[1:])):
-            raise ValueError("dark table temperatures must be strictly increasing")
+            raise ArgumentError("table", "must hold strictly increasing temperatures")
         if any(not (0.0 < p < 1.0) for _, p in table):
-            raise ValueError("dark table probabilities must be in (0, 1)")
+            raise ArgumentError("table", "must hold probabilities in (0, 1)")
         if temps[0] > DARK_TABLE_SPAN_C[0] or temps[-1] < DARK_TABLE_SPAN_C[1]:
-            raise ValueError("dark table must cover [-45, +20] C")
+            raise ArgumentError("table", "must cover [-45, +20] C")
         object.__setattr__(self, "table", table)
 
     @property
@@ -216,11 +228,11 @@ class JitterModel:
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError("sigma must be >= 0")
+            raise ArgumentError("sigma", "must be >= 0")
         if not (0.0 <= self.tail_fraction < 1.0):
-            raise ValueError("tail_fraction must be in [0, 1)")
+            raise ArgumentError("tail_fraction", "must be in [0, 1)")
         if not (isinstance(self.tail_span_gates, int) and self.tail_span_gates >= 1):
-            raise ValueError("tail_span_gates must be a positive integer")
+            raise ArgumentError("tail_span_gates", "must be a positive integer")
 
     @property
     def fwhm(self) -> float:
@@ -275,25 +287,30 @@ class AfterpulseModel:
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.trap_fill_per_detection) and self.trap_fill_per_detection >= 0):
-            raise ValueError("trap_fill_per_detection must be >= 0")
+            raise ArgumentError("trap_fill_per_detection", "must be >= 0")
         if not (np.isfinite(self.release_lifetime) and self.release_lifetime > 0):
-            raise ValueError("release_lifetime must be positive")
+            raise ArgumentError("release_lifetime", "must be positive")
         if not (0.0 <= self.trigger_prob_per_gate <= 1.0):
-            raise ValueError("trigger_prob_per_gate must be in [0, 1]")
+            raise ArgumentError("trigger_prob_per_gate", "must be in [0, 1]")
 
     def branching_ratio(self, gate_period: float) -> float:
         """Mean afterpulses per avalanche, fill*trigger/(1 - exp(-T_gate/lifetime)).
 
         Sums the hazard from the filling gate on, so it errs high by
-        exp(T_gate/lifetime). Chains are finite only below 1.
+        exp(T_gate/lifetime). Chains are finite only below 1. The ratio is 0
+        when fill*trigger is, and inf when T_gate/lifetime underflows to 0.
         """
-        return (self.trap_fill_per_detection * self.trigger_prob_per_gate
-                / -math.expm1(-gate_period / self.release_lifetime))
+        fill = self.trap_fill_per_detection * self.trigger_prob_per_gate
+        release = -math.expm1(-gate_period / self.release_lifetime)
+        if fill == 0:
+            return 0.0
+        return fill / release if release > 0 else math.inf
 
     def refuse_runaway(self, gate_period: float) -> None:
-        """Raise ValueError when the model is enabled and its chains run away."""
+        """Raise `ArgumentError` when the model is enabled and its chains run away."""
         if self.enabled and (ratio := self.branching_ratio(gate_period)) >= 1.0:
-            raise ValueError(f"branching ratio {ratio:.3g} >= 1; afterpulse chains would run away")
+            raise ArgumentError("afterpulse", f"must have a branching ratio below 1, not "
+                                f"{ratio:.3g}: afterpulse chains would run away")
 
 
 @dataclass(frozen=True)
@@ -316,9 +333,9 @@ class DetectorParams:
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.bias):
-            raise ValueError("bias must be finite")
+            raise ArgumentError("bias", "must be finite")
         if not np.all(np.isfinite(self.temperature_c)):
-            raise ValueError("temperature_c must be finite")
+            raise ArgumentError("temperature_c", "must be finite")
 
     def effective_efficiency(self, alignment_delay=0.0) -> np.ndarray | float:
         """Detection efficiency at the alignment delay: the bias law's peak

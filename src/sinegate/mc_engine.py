@@ -47,6 +47,7 @@ import numpy as np
 
 from .detector_model import (
     FWHM_TO_SIGMA,
+    ArgumentError,
     DetectorParams,
     sample_detection_times,
 )
@@ -115,17 +116,17 @@ class SourceConfig:
 
     def __post_init__(self) -> None:
         if self.kind not in ("pulsed-trigger", "cw-dark-only", "cow-ppm"):
-            raise ValueError(f"unknown source kind {self.kind!r}")
+            raise ArgumentError("kind", f"must be a known source kind, not {self.kind!r}")
         if not (np.isfinite(self.trigger_rate) and self.trigger_rate > 0):
-            raise ValueError("trigger_rate must be positive")
+            raise ArgumentError("trigger_rate", "must be positive")
         if not (np.isfinite(self.mean_photons) and self.mean_photons >= 0):
-            raise ValueError("mean_photons must be >= 0")
+            raise ArgumentError("mean_photons", "must be >= 0")
         if not (np.isfinite(self.laser_fwhm) and self.laser_fwhm >= 0):
-            raise ValueError("laser_fwhm must be >= 0")
+            raise ArgumentError("laser_fwhm", "must be >= 0")
         if not np.isfinite(self.alignment_delay):
-            raise ValueError("alignment_delay must be finite")
+            raise ArgumentError("alignment_delay", "must be finite")
         if not (np.isfinite(self.extinction_db) and self.extinction_db > 0):
-            raise ValueError("extinction_db must be positive")
+            raise ArgumentError("extinction_db", "must be positive")
 
     @classmethod
     def pulsed(cls, mean_photons: float = 0.1, trigger_rate: float = 31.25e6,
@@ -147,9 +148,9 @@ class SourceConfig:
 def check_holdoff(holdoff_gates: int, anchor: str) -> None:
     """Refuse a hold-off that is not whole gates, or an unknown anchor."""
     if not (isinstance(holdoff_gates, int) and holdoff_gates >= 0):
-        raise ValueError("holdoff_gates must be a non-negative integer")
+        raise ArgumentError("holdoff_gates", "must be a non-negative integer")
     if anchor not in ("accepted", "any"):
-        raise ValueError("holdoff_anchor must be 'accepted' or 'any'")
+        raise ArgumentError("holdoff_anchor", "must be 'accepted' or 'any'")
 
 
 def gates_per_trigger(gate_frequency: float, trigger_rate: float) -> int:
@@ -157,10 +158,7 @@ def gates_per_trigger(gate_frequency: float, trigger_rate: float) -> int:
     ratio = gate_frequency / trigger_rate
     m = int(round(ratio)) if math.isfinite(ratio) else 0
     if m < 1 or abs(ratio - m) > 1e-9 * max(1.0, ratio):
-        raise ValueError(
-            f"trigger rate {trigger_rate} Hz must divide the "
-            f"{gate_frequency} Hz gate clock (got ratio {ratio})"
-        )
+        raise ArgumentError("trigger_rate", f"must divide the gate clock (gate/trigger = {ratio})")
     return m
 
 
@@ -535,6 +533,21 @@ class Histogram:
         """Header and columns of the `bin_start_ps,count` table."""
         return ["bin_start_ps", "count"], [self.bin_starts * 1e12, self.counts]
 
+
+def check_tcspc_bin(trigger_rate: float, bin_width: float) -> None:
+    """Refuse a bin that is not below the trigger period, or that splits it
+    into more than `MAX_HISTOGRAM_BINS` bins."""
+    if not (np.isfinite(trigger_rate) and trigger_rate > 0):
+        raise ArgumentError("trigger_rate", "must be positive")
+    if not bin_width > 0:
+        raise ArgumentError("bin_width", "must be positive")
+    if not bin_width < 1.0 / trigger_rate:
+        raise ArgumentError("bin_width", "must be below the trigger period")
+    if not 1.0 / trigger_rate / bin_width <= MAX_HISTOGRAM_BINS:  # inf when bin_width is subnormal
+        raise ArgumentError("bin_width", "must split the trigger period into at most "
+                            f"{MAX_HISTOGRAM_BINS} bins")
+
+
 def tcspc_histogram(
     records: np.ndarray,
     trigger_rate: float,
@@ -550,18 +563,12 @@ def tcspc_histogram(
     period, so a peak sitting at phase 0 can be moved off the wrap-around
     (e.g. phase_origin = -period/2 centers it). Summing the counts of
     partitioned runs' histograms is exact when the partitions respect
-    trigger-cycle boundaries. A period holds at most `MAX_HISTOGRAM_BINS` bins.
+    trigger-cycle boundaries. The bin must pass `check_tcspc_bin`.
     """
-    if not (np.isfinite(trigger_rate) and trigger_rate > 0):
-        raise ValueError("trigger_rate must be positive")
-    period = 1.0 / trigger_rate
-    if not (0 < bin_width < period):
-        raise ValueError("bin_width must be positive and below the trigger period")
-    if not period / bin_width <= MAX_HISTOGRAM_BINS:  # inf when bin_width is subnormal
-        raise ValueError("bin_width splits the trigger period into more than "
-                         f"{MAX_HISTOGRAM_BINS} bins")
+    check_tcspc_bin(trigger_rate, bin_width)
     if not np.isfinite(phase_origin):
         raise ValueError("phase_origin must be finite")
+    period = 1.0 / trigger_rate
     # the one copy of the times; every step below works on it or on a subset
     shifted = np.sort(np.asarray(records["time"], dtype=float), kind="stable")
     shifted -= phase_origin

@@ -34,7 +34,7 @@ from functools import partial
 
 import numpy as np
 
-from .detector_model import DetectorParams, _float_or_array
+from .detector_model import ArgumentError, DetectorParams, _float_or_array
 from .mc_engine import RunConfig, SourceConfig, check_holdoff, packed_bit, run_simulation
 
 __all__ = [
@@ -73,6 +73,14 @@ def binary_entropy(q) -> np.ndarray | float:
     return _float_or_array(np.where(inside, -r * np.log2(r) - (1.0 - r) * np.log2(1.0 - r), 0.0))
 
 
+def check_timebin(timebin_width: float, gate_period: float) -> None:
+    """Refuse a time bin wider than one gate: a bit is two bins of its gates."""
+    if not timebin_width > 0:
+        raise ArgumentError("timebin_width", "must be positive")
+    if not timebin_width <= gate_period:
+        raise ArgumentError("timebin_width", "must be at most half the bit period")
+
+
 @dataclass(frozen=True)
 class QkdLinkConfig:
     """Transmitter, fiber, and receiver settings for one link evaluation.
@@ -106,22 +114,21 @@ class QkdLinkConfig:
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.mu_source) and self.mu_source >= 0):
-            raise ValueError("mu_source must be >= 0")
+            raise ArgumentError("mu_source", "must be >= 0")
         if not np.all(np.isfinite(self.fiber_loss_db) & (self.fiber_loss_db >= 0)):
-            raise ValueError("fiber_loss_db must be >= 0")
-        if not (0 < self.timebin_width <= self.detector.gate.gate_period):
-            raise ValueError("timebin_width must be positive and at most half the bit period")
+            raise ArgumentError("fiber_loss_db", "must be >= 0")
+        check_timebin(self.timebin_width, self.detector.gate.gate_period)
         if not (np.isfinite(self.extinction_db) and self.extinction_db > 0):
-            raise ValueError("extinction_db must be positive dB")
+            raise ArgumentError("extinction_db", "must be positive dB")
         check_holdoff(self.holdoff_gates, self.holdoff_anchor)
         if not (np.isfinite(self.ec_efficiency) and self.ec_efficiency >= 1.0):
-            raise ValueError("ec_efficiency must be >= 1")
+            raise ArgumentError("ec_efficiency", "must be >= 1")
         if not (0.0 <= self.pa_fraction <= 1.0):
-            raise ValueError("pa_fraction must be in [0, 1]")
+            raise ArgumentError("pa_fraction", "must be in [0, 1]")
         if self.qber_floor is not None and not (0.0 <= self.qber_floor < 0.5):
-            raise ValueError("qber_floor must be in [0, 0.5)")
+            raise ArgumentError("qber_floor", "must be in [0, 0.5)")
         if not (np.isfinite(self.laser_fwhm) and self.laser_fwhm >= 0):
-            raise ValueError("laser_fwhm must be >= 0")
+            raise ArgumentError("laser_fwhm", "must be >= 0")
 
     @property
     def bit_rate(self) -> float:

@@ -21,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .detector_model import ArgumentError
 from .table import table_chunks, write_chunks
 
 __all__ = [
@@ -223,6 +224,34 @@ def lowpass_design(spec: FilterResponseSpec) -> tuple[int, float]:
     raise ValueError(f"no Butterworth order up to 40 satisfies {spec}")
 
 
+def check_sampling(freq: float, dt: float) -> None:
+    """Refuse a sample step `dt` coarser than an eighth of the gate period,
+    so the sine is comfortably oversampled."""
+    if not (np.isfinite(freq) and freq > 0):
+        raise ArgumentError("freq", "must be positive")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ArgumentError("dt", "must be positive")
+    if dt > 1.0 / (8.0 * freq):
+        raise ArgumentError("dt", "must sample the gate frequency at least 8x")
+
+
+def check_record(freq: float, duration: float, dt: float) -> None:
+    """Refuse a record that is not a whole number of gate periods, at least
+    one, in at most `MAX_RECORD_SAMPLES` samples of a `dt` that passes
+    `check_sampling`; `freq` must be positive. The FFT filter treats the
+    record as periodic, so a partial last period leaks feedthrough."""
+    if not (np.isfinite(duration) and duration > 0):
+        raise ArgumentError("duration", "must be positive")
+    if duration < 1.0 / freq:
+        raise ArgumentError("duration", "must cover at least one gate period")
+    check_sampling(freq, dt)
+    if duration / dt > MAX_RECORD_SAMPLES:  # inf when dt is subnormal
+        raise ArgumentError("dt", f"must split the duration into at most {MAX_RECORD_SAMPLES} samples")
+    periods = round(duration / dt) * dt * freq  # the record is round(duration/dt) samples
+    if abs(periods - round(periods)) > 1e-6:
+        raise ArgumentError("duration", "must be a whole number of gate periods")
+
+
 def synthesize_gate_train(
     freq: float,
     amplitude_pp: float,
@@ -233,29 +262,14 @@ def synthesize_gate_train(
     """Sinusoidal gate train: 0.5*amplitude_pp*sin(2*pi*freq*(t + delay)).
 
     `delay` advances the phase by 2*pi*freq*delay, so a delay of one full
-    period reproduces the undelayed train. Requires dt <= 1/(8*freq) so the
-    sine is comfortably oversampled, at least one full period, and at most
-    `MAX_RECORD_SAMPLES` samples (duration/dt).
+    period reproduces the undelayed train. The record must pass `check_record`.
     """
-    if not (np.isfinite(freq) and freq > 0):
-        raise ValueError(f"freq must be positive, got {freq}")
+    check_sampling(freq, dt)  # first: `check_record` divides by freq
+    check_record(freq, duration, dt)
     if not (np.isfinite(amplitude_pp) and amplitude_pp >= 0):
         raise ValueError(f"amplitude_pp must be >= 0, got {amplitude_pp}")
-    if not (np.isfinite(duration) and duration > 0):
-        raise ValueError(f"duration must be positive, got {duration}")
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive, got {dt}")
     if not np.isfinite(delay):
         raise ValueError("delay must be finite")
-    if dt > 1.0 / (8.0 * freq):
-        raise ValueError(
-            f"dt={dt} undersamples a {freq} Hz gate; need dt <= {1.0 / (8.0 * freq)}"
-        )
-    if duration < 1.0 / freq:
-        raise ValueError("duration must cover at least one gate period")
-    if duration / dt > MAX_RECORD_SAMPLES:  # inf when dt is subnormal
-        raise ValueError(f"duration/dt = {duration / dt}; a record holds at most "
-                         f"{MAX_RECORD_SAMPLES} samples")
     n = int(round(duration / dt))
     t = dt * np.arange(n)
     samples = 0.5 * amplitude_pp * np.sin(2.0 * np.pi * freq * (t + delay))

@@ -280,7 +280,8 @@ def test_supercritical_afterpulsing_exit_1(tmp_path, capsys):
                                "tcspc": {"n_pulses": 100}})
     rc = main(["tcspc", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 1
-    assert "branching ratio 1.25 >= 1" in capsys.readouterr().err
+    assert "detector.afterpulse: must have a branching ratio below 1, not 1.25" in (
+        capsys.readouterr().err)
 
 
 def test_qkd_runs_at_any_gate_clock(tmp_path):
@@ -313,6 +314,10 @@ def test_tcspc_needs_pulsed_source(tmp_path, capsys):
      "sweeps.fiber_loss_db.start"),
     # more than 2**20 bins per trigger period: 1e-300 ps used to overflow np.bincount
     ("tcspc", {"tcspc": {"bin_width_ps": 1e-300}}, "tcspc.bin_width_ps"),
+    # 1 - exp(-T_gate / lifetime) underflows to 0: the branching ratio is inf, not 1/0
+    ("qkd", {"detector": {"gate": {"gate_frequency_hz": 1e308},
+                          "afterpulse": {"enabled": True, "release_lifetime_ns": 1e300}}},
+     "detector.afterpulse"),
 ])
 def test_unusable_config_exit_1_with_field_path(tmp_path, capsys, sub, override, field):
     rc = main([sub, "--config", write_cfg(tmp_path, override), "--out", str(tmp_path / "o")])

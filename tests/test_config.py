@@ -28,8 +28,21 @@ from sinegate.config import (
     schema_text,
     validate_config,
 )
-from sinegate.detector_model import DetectorParams, GateConfig
-from sinegate.mc_engine import MAX_HISTOGRAM_BINS, RECORD_DTYPE, SourceConfig, tcspc_histogram
+from sinegate.detector_model import (
+    AfterpulseModel,
+    ArgumentError,
+    BiasEfficiencyLaw,
+    DetectorParams,
+    GateConfig,
+    TemperatureDarkLaw,
+)
+from sinegate.mc_engine import (
+    MAX_HISTOGRAM_BINS,
+    RECORD_DTYPE,
+    SourceConfig,
+    gates_per_trigger,
+    tcspc_histogram,
+)
 from sinegate.qkd_budget import QkdLinkConfig
 from sinegate.signal_chain import MAX_RECORD_SAMPLES, synthesize_gate_train
 
@@ -259,14 +272,17 @@ def test_cross_field_trigger_rate_ratio_not_finite():
     # gate/trigger overflows to inf; the rule reports it instead of crashing
     doc = deep_merge(default_config(), {"source": {"trigger_rate_hz": 1e-300}})
     assert validate_config(doc) == [
-        "source.trigger_rate_hz: must divide the gate clock (gate/trigger = inf)"
+        "source.trigger_rate_hz: must divide the gate clock (gate/trigger = inf)",
+        "tcspc.bin_width_ps: must split the trigger period into at most "
+        f"{MAX_HISTOGRAM_BINS} bins",
     ]
 
 
 def test_cross_field_supercritical_afterpulsing():
     doc = deep_merge(default_config(), {"detector": {"afterpulse": {"enabled": True}}})
     assert validate_config(doc) == [
-        "detector.afterpulse: branching ratio 1.25 >= 1; afterpulse chains would run away"
+        "detector.afterpulse: must have a branching ratio below 1, not 1.25: "
+        "afterpulse chains would run away"
     ]
     # disabled, the same model is fine; so is a subcritical one
     assert validate_config(default_config()) == []
@@ -330,8 +346,8 @@ def test_cross_field_breakdown_below_anchor_bias(tmp_path):
         load_config(write_json(tmp_path, override))
     # a field path, and the qkd rules still run
     assert exc.value.errors == [
-        "detector.bias_law.breakdown_bias_v: must lie below anchor_bias_v "
-        "when anchor_efficiency > 0",
+        "detector.bias_law.breakdown_bias_v: must lie below the anchor bias "
+        "when the anchor efficiency is above 0",
         "qkd.timebin_width_ps: must be at most half the bit period",
     ]
     zero = {"detector": {"bias_law": {"breakdown_bias_v": 54.0, "anchor_efficiency": 0.0}}}
@@ -370,7 +386,7 @@ def test_cross_field_tcspc_bins_per_trigger_period_capped():
     for bin_ps in (1e-300, 1e-3, math.nextafter(32000.0 / 2**20, 0.0)):
         doc = deep_merge(default_config(), {"tcspc": {"bin_width_ps": bin_ps}})
         assert validate_config(doc) == [refusal], bin_ps
-        with pytest.raises(ValueError, match=f"more than {MAX_HISTOGRAM_BINS} bins"):
+        with pytest.raises(ValueError, match=f"at most {MAX_HISTOGRAM_BINS} bins"):
             tcspc_histogram(np.zeros(0, dtype=RECORD_DTYPE), 31.25e6, bin_ps / 1e12)
     finest = deep_merge(default_config(), {"tcspc": {"bin_width_ps": 32000.0 / 2**20}})
     assert validate_config(finest) == []
@@ -432,7 +448,7 @@ def test_positive_leaves_that_underflow_in_si_are_refused():
 def test_records_too_large_to_allocate_are_refused_at_chain_dt():
     # 1e-310 ps is 1e-322 s, a subnormal: duration/dt is inf, which round()
     # cannot take; 1e-300 ps would ask the synthesizer for ~6e304 samples
-    refusal = f"chain.dt_ps: must split chain.duration_ns into at most {MAX_RECORD_SAMPLES} samples"
+    refusal = f"chain.dt_ps: must split the duration into at most {MAX_RECORD_SAMPLES} samples"
     for dt_ps in (1e-310, 1e-300):
         doc = deep_merge(default_config(), {"chain": {"dt_ps": dt_ps}})
         assert validate_config(doc) == [refusal]
@@ -516,6 +532,77 @@ def test_validation_accepts_exactly_what_the_model_accepts(doc):
             load_config(write_json(Path(tmp), doc))
 
 
+NO_RECORDS = np.zeros(0, dtype=RECORD_DTYPE)
+
+# one case per cross-field rule: the document, the leaf it is reported at, and
+# the model call that refuses the same values in SI units (1.25 GHz gates,
+# 31.25 MHz trigger, 64 ns of 25 ps samples by default)
+MODEL_RULES = {
+    "gate-fwhm": ({"detector": {"gate": {"gate_fwhm_ps": 900.0}}}, "detector.gate.gate_fwhm_ps",
+                  lambda: GateConfig(1.25e9, 900e-12)),
+    "breakdown": ({"detector": {"bias_law": {"breakdown_bias_v": 54.0}}},
+                  "detector.bias_law.breakdown_bias_v",
+                  lambda: BiasEfficiencyLaw(breakdown_bias=54.0)),
+    "dark-order": ({"detector": {"dark_table_c_prob": [[20.0, 1e-3], [-45.0, 1e-6]]}},
+                   "detector.dark_table_c_prob",
+                   lambda: TemperatureDarkLaw(((20.0, 1e-3), (-45.0, 1e-6)))),
+    "dark-span": ({"detector": {"dark_table_c_prob": [[-43.0, 1e-6], [20.0, 1e-5]]}},
+                  "detector.dark_table_c_prob",
+                  lambda: TemperatureDarkLaw(((-43.0, 1e-6), (20.0, 1e-5)))),
+    "runaway": ({"detector": {"afterpulse": {"enabled": True}}}, "detector.afterpulse",
+                lambda: AfterpulseModel(enabled=True).refuse_runaway(0.8e-9)),
+    "timebin": ({"qkd": {"timebin_width_ps": 900.0}}, "qkd.timebin_width_ps",
+                lambda: QkdLinkConfig(timebin_width=900e-12)),
+    "trigger": ({"source": {"trigger_rate_hz": 30e6}}, "source.trigger_rate_hz",
+                lambda: gates_per_trigger(1.25e9, 30e6)),
+    "tcspc-bin": ({"tcspc": {"bin_width_ps": 40000.0}}, "tcspc.bin_width_ps",
+                  lambda: tcspc_histogram(NO_RECORDS, 31.25e6, 40e-9)),
+    "tcspc-bins": ({"tcspc": {"bin_width_ps": 1e-3}}, "tcspc.bin_width_ps",
+                   lambda: tcspc_histogram(NO_RECORDS, 31.25e6, 1e-15)),
+    "grid-order": ({"sweeps": {"bias_v": {"start": 54.0, "stop": 52.0}}}, "sweeps.bias_v.stop",
+                   lambda: grid_values({"start": 54.0, "stop": 52.0, "step": 0.05})),
+    "grid-points": ({"sweeps": {"delay_ps": {"step": 1e-300}}}, "sweeps.delay_ps.step",
+                    lambda: grid_values({"start": -400.0, "stop": 400.0, "step": 1e-300})),
+    "chain-dt": ({"chain": {"dt_ps": 200.0}}, "chain.dt_ps",
+                 lambda: synthesize_gate_train(1.25e9, 8.0, 64e-9, dt=200e-12)),
+    "chain-samples": ({"chain": {"dt_ps": 1e-300}}, "chain.dt_ps",
+                      lambda: synthesize_gate_train(1.25e9, 8.0, 64e-9, dt=1e-312)),
+    "chain-short": ({"chain": {"duration_ns": 0.5}}, "chain.duration_ns",
+                    lambda: synthesize_gate_train(1.25e9, 8.0, 0.5e-9, dt=25e-12)),
+    "chain-periods": ({"chain": {"duration_ns": 34.0}}, "chain.duration_ns",
+                      lambda: synthesize_gate_train(1.25e9, 8.0, 34e-9, dt=25e-12)),
+}
+
+
+@pytest.mark.parametrize("override, leaf, model_call", MODEL_RULES.values(), ids=MODEL_RULES)
+def test_each_rule_has_one_wording_the_models(override, leaf, model_call):
+    with pytest.raises(ArgumentError) as exc:
+        model_call()
+    assert exc.value.reason.startswith("must")
+    assert validate_config(deep_merge(default_config(), override)) == [f"{leaf}: {exc.value.reason}"]
+
+
+def test_every_refused_model_object_is_reported_at_once():
+    doc = deep_merge(default_config(), {
+        "detector": {"gate": {"gate_fwhm_ps": 900.0},
+                     "bias_law": {"breakdown_bias_v": 54.0},
+                     "dark_table_c_prob": [[-43.0, 1e-6], [20.0, 1e-5]]},
+        "qkd": {"timebin_width_ps": 900.0},
+        "tcspc": {"bin_width_ps": 40000.0},
+        "sweeps": {"bias_v": {"start": 54.0, "stop": 52.0}},
+        "chain": {"dt_ps": 200.0},
+    })
+    assert [e.split(":", 1)[0] for e in validate_config(doc)] == [
+        "detector.gate.gate_fwhm_ps",
+        "detector.bias_law.breakdown_bias_v",
+        "detector.dark_table_c_prob",
+        "qkd.timebin_width_ps",
+        "tcspc.bin_width_ps",
+        "sweeps.bias_v.stop",
+        "chain.dt_ps",
+    ]
+
+
 def test_qkd_holdoff_keys_removed(tmp_path):
     # the hold-off is run.holdoff_gates and run.holdoff_anchor for every subcommand
     path = write_json(tmp_path, {"qkd": {"holdoff_time_ns": 8.0,
@@ -561,7 +648,7 @@ def test_sweep_grids_too_large_to_build_are_refused_at_their_step():
                 # a loss grid starts at 0 dB or above, so its span is never inf
                 expected = ["sweeps.fiber_loss_db.start: must be a number >= 0"]
             assert validate_config(doc) == expected, grid
-            with pytest.raises(ValueError, match=f"more than {MAX_GRID_POINTS} points"):
+            with pytest.raises(ValueError, match=f"at most {MAX_GRID_POINTS} grid points"):
                 grid_values(doc["sweeps"][name])
 
 
@@ -651,7 +738,7 @@ def test_code_only_rules_keep_their_messages():
     doc = deep_merge(default_config(), {"detector": {"dark_table_c_prob": table}})
     assert SCHEMA_VALIDATOR.is_valid(doc)
     assert validate_config(doc) == [
-        "detector.dark_table_c_prob: temperatures must be strictly increasing"
+        "detector.dark_table_c_prob: must hold strictly increasing temperatures"
     ]
 
 

@@ -9,6 +9,7 @@ from sinegate.detector_model import (
     DEFAULT_DARK_TABLE,
     FWHM_TO_SIGMA,
     AfterpulseModel,
+    ArgumentError,
     BiasEfficiencyLaw,
     DetectorParams,
     GateConfig,
@@ -118,6 +119,20 @@ def test_dark_law_range_errors():
 def test_dark_law_table_validation():
     with pytest.raises(ValueError):
         TemperatureDarkLaw(table=((0.0, 1e-6),))  # single point is no law
+
+
+@pytest.mark.parametrize("table", [
+    ((math.nan, 1e-6), (-45.0, 6e-7), (20.0, 1.5e-5)),
+    ((-45.0, 6e-7), (math.nan, 1e-6), (20.0, 1.5e-5)),
+    ((-45.0, 6e-7), (20.0, 1.5e-5), (math.inf, 1e-5)),
+    ((-math.inf, 1e-6), (-45.0, 6e-7), (20.0, 1.5e-5)),
+])
+def test_dark_law_refuses_non_finite_temperatures(table):
+    # a NaN anchor compares false both ways, so it slipped past the order check
+    # and moved the interpolation off the -45 C anchor
+    with pytest.raises(ArgumentError, match="must hold finite temperatures") as exc:
+        TemperatureDarkLaw(table)
+    assert exc.value.arg == "table"
     with pytest.raises(ValueError):
         TemperatureDarkLaw(table=((0.0, 1e-6), (0.0, 2e-6)))  # not increasing
     with pytest.raises(ValueError):
@@ -179,6 +194,22 @@ def test_branching_ratio_sums_the_hazard_one_fill_adds():
     hazards = [min(1.0, 2e-3 * short.trap_fill_per_detection * math.exp(-j * 0.8e-9 / 100e-9))
                for j in range(20_000)]
     assert short.branching_ratio(0.8e-9) == pytest.approx(math.fsum(hazards), rel=1e-9)
+
+
+def test_branching_ratio_without_fill_or_release():
+    # T_gate / lifetime = 1e-308 / 1e291 underflows, so 1 - exp(-T_gate / lifetime) is 0
+    gate_period, lifetime = 1e-308, 1e291
+    model = AfterpulseModel(release_lifetime=lifetime, enabled=True)
+    assert model.branching_ratio(gate_period) == math.inf
+    with pytest.raises(ArgumentError, match="branching ratio below 1, not inf"):
+        model.refuse_runaway(gate_period)
+    # nothing fills the traps: 0, also where the release term is 0
+    for period in (gate_period, 0.8e-9):
+        empty = AfterpulseModel(trap_fill_per_detection=0.0, release_lifetime=lifetime,
+                                enabled=True)
+        assert empty.branching_ratio(period) == 0.0
+        empty.refuse_runaway(period)
+    assert AfterpulseModel(trigger_prob_per_gate=0.0).branching_ratio(gate_period) == 0.0
 
 
 def test_effective_efficiency_follows_bias_and_delay():

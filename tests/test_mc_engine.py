@@ -424,7 +424,7 @@ def test_run_rejects_trigger_rate_overflowing_the_ratio():
 
 def test_run_rejects_supercritical_afterpulsing():
     det = quiet_detector(afterpulse=AfterpulseModel(enabled=True))  # ratio 1.25
-    with pytest.raises(ValueError, match="branching ratio 1.25 >= 1"):
+    with pytest.raises(ValueError, match="branching ratio below 1, not 1.25"):
         run_simulation(RunConfig(n_gates=1000, master_seed=1, detector=det))
     # the same model disabled, or made subcritical, runs
     run_simulation(RunConfig(n_gates=1000, master_seed=1, detector=quiet_detector(
