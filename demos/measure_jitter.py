@@ -18,11 +18,11 @@ from sinegate.mc_engine import (
     SourceConfig,
     deconvolve_jitter,
     estimate_fwhm,
-    geometric_lag_gof,
     run_simulation,
     subsequent_gate_fraction,
     tcspc_histogram,
 )
+from sinegate.lag_stats import geometric_lag_gof
 
 TRIGGER = 31.25e6
 GATE_PERIOD = 0.8e-9

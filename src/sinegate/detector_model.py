@@ -257,13 +257,17 @@ def sample_detection_times(
     if not (np.isfinite(gate_period) and gate_period > 0):
         raise ValueError("gate_period must be positive")
     n = gate_indices.size
-    u = rng.random(n)
+    in_tail = rng.random(n) < j.tail_fraction
     z = rng.standard_normal(n)
     k = rng.integers(1, j.tail_span_gates + 1, size=n)
-    in_tail = u < j.tail_fraction
-    offset_gates = np.where(in_tail, k, 0)
-    sigma = j.sigma if sigma is None else sigma
-    times = (gate_indices + offset_gates) * gate_period + sigma * z
+    # in place: k becomes each avalanche's (tail) gate and z its offset; only
+    # `times` is a new array
+    k *= in_tail
+    k += gate_indices
+    times = k * gate_period
+    del k
+    z *= j.sigma if sigma is None else sigma
+    times += z
     return times, in_tail
 
 

@@ -21,7 +21,10 @@ Determinism
 Gates are processed in absolute chunks of 2**20. Chunk ``i`` draws all its
 photon/dark candidates and their detection times from
 ``SeedSequence((master_seed, 1, i))``, so a chunk's candidates depend only
-on the seed and its index, never on how many gates follow it. Afterpulse
+on the seed and its index, never on how many gates follow it. A chunk
+draws its candidates first and keeps its generator; its time draws happen
+when its records are written into the run's one record array, after the
+afterpulse pass, from the same generator in the same order. Afterpulse
 chains (which couple gates across chunk boundaries) and their detection
 times are generated in a single sequential pass from
 ``SeedSequence((master_seed, 2))``. The gaps between intrinsic avalanches
@@ -51,7 +54,7 @@ from .detector_model import (
     DetectorParams,
     sample_detection_times,
 )
-from .table import Labels
+from .table import Labels, Scaled
 
 __all__ = [
     "SourceConfig",
@@ -69,8 +72,6 @@ __all__ = [
     "deconvolve_jitter",
     "inter_detection_correlation",
     "subsequent_gate_fraction",
-    "geometric_lag_gof",
-    "short_lag_excess_pvalue",
     "records_table",
 ]
 
@@ -221,18 +222,18 @@ def _clicks(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
 
 
 def _simulate_chunk(cfg: RunConfig, chunk_index: int, m: int, p_photon: tuple,
-                    p_dark: float, photon_sigma: float):
+                    p_dark: float):
     """Photon/dark candidates for gates [chunk*C, min((chunk+1)*C, n)).
 
     `m` is the number of gates per pulsed trigger; a cow bit is always two
     gates. `p_photon` holds the click probabilities (pulse, or pulse bin and
-    empty bin). Returns (gates, phys_origin, times, in_tail, packed_or_None);
-    afterpulsing and hold-off are applied later in the sequential merge.
+    empty bin). Returns (gates, phys_origin, packed_or_None, rng): the
+    chunk's generator stays with it, since its detection times are drawn
+    only when `run_simulation` writes its records.
     """
     g0 = chunk_index * CHUNK_GATES
     n_local = min(CHUNK_GATES, cfg.n_gates - g0)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, 1, chunk_index)))
-    det = cfg.detector
     src = cfg.source
 
     packed = None
@@ -263,11 +264,7 @@ def _simulate_chunk(cfg: RunConfig, chunk_index: int, m: int, p_photon: tuple,
     gates = gates[keep]
     is_photon = order[keep] < photon_gates.size
     phys = np.where(is_photon, np.uint8(ORIGIN_PHOTON), np.uint8(ORIGIN_DARK))
-
-    sigma = np.where(is_photon, photon_sigma, det.jitter.sigma)
-    times, in_tail = sample_detection_times(det.jitter, gates, det.gate.gate_period, rng, sigma)
-    times += is_photon * src.alignment_delay
-    return gates, phys, times, in_tail, packed
+    return gates, phys, packed, rng
 
 
 def _next_fire(c: float, r: float, n: int, rng: np.random.Generator,
@@ -299,13 +296,17 @@ def _next_fire(c: float, r: float, n: int, rng: np.random.Generator,
         j += s + 1
 
 
+# Records per block of the passes that read a run's records: a block's
+# copies and temporaries stay near 1 MB however many records there are.
+_RECORD_BLOCK = 1 << 15
+
 # Gaps per bulk draw of first exponentials: a block's Python lists hold
 # ~0.3 MB, so the pass adds no peak memory however many gaps the run has.
 _GAP_BLOCK = 1 << 12
 
 
-def _afterpulse_pass(cfg: RunConfig, gates, phys, times, in_tail):
-    """Sequential afterpulse generation over the merged candidate stream.
+def _afterpulse_pass(cfg: RunConfig, gates, phys):
+    """Sequential afterpulse generation over the run's candidate stream.
 
     Walks intrinsic avalanches in gate order, carrying the expected trap
     population N (decays exp(-dt/lifetime), +fill per avalanche). Gate j
@@ -322,6 +323,8 @@ def _afterpulse_pass(cfg: RunConfig, gates, phys, times, in_tail):
     it skips past the gap's n gates (e / -log1p(-c) >= n), or c == 0, the
     gap holds no fire and costs one test and the trap update; only the
     other gaps walk.
+    Relabels in `phys` in place. Returns the added afterpulses' gates,
+    times and tail flags, sorted by gate and never on a candidate's gate.
     """
     ap_model = cfg.detector.afterpulse
     period = cfg.detector.gate.gate_period
@@ -365,22 +368,9 @@ def _afterpulse_pass(cfg: RunConfig, gates, phys, times, in_tail):
             n_state = n_state * r ** (g - g_fill) + fill
             g_fill = g
 
-    if relabel:
-        phys[np.asarray(relabel, dtype=np.intp)] = ORIGIN_AFTERPULSE
-
-    if ap_gates:
-        ap_gates_arr = np.asarray(ap_gates, dtype=np.int64)
-        ap_times, ap_tail = sample_detection_times(
-            cfg.detector.jitter, ap_gates_arr, period, rng
-        )
-        # afterpulses come sorted and never share a gate with an intrinsic
-        # record: each field takes them in with one copy at its insertion points
-        at = np.searchsorted(gates, ap_gates_arr)
-        gates = np.insert(gates, at, ap_gates_arr)
-        phys = np.insert(phys, at, ORIGIN_AFTERPULSE)
-        times = np.insert(times, at, ap_times)
-        in_tail = np.insert(in_tail, at, ap_tail)
-    return gates, phys, times, in_tail
+    phys[relabel] = ORIGIN_AFTERPULSE
+    ap_gates_arr = np.asarray(ap_gates, dtype=np.int64)
+    return (ap_gates_arr,) + sample_detection_times(cfg.detector.jitter, ap_gates_arr, period, rng)
 
 
 def _holdoff_flags(gate_indices: np.ndarray, holdoff_gates: int, anchor: str) -> np.ndarray:
@@ -444,29 +434,56 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     # the laser pulse's spread adds to the jitter's in quadrature: one Gaussian
     photon_sigma = math.hypot(det.jitter.sigma, src.laser_fwhm * FWHM_TO_SIGMA)
     n_chunks = (cfg.n_gates + CHUNK_GATES - 1) // CHUNK_GATES
-    # one tuple of chunk pieces per field, popped (and so dropped) as soon as
-    # the field's merged copy exists
-    pieces = list(zip(*[_simulate_chunk(cfg, i, m, p_photon, p_dark, photon_sigma)
-                        for i in range(n_chunks)]))
-    gates, phys, times, in_tail = (np.concatenate(pieces.pop(0)) for _ in range(4))
+    # one list per field, each holding one piece per chunk
+    gates, phys, packed, rngs = map(list, zip(*[_simulate_chunk(cfg, i, m, p_photon, p_dark)
+                                                 for i in range(n_chunks)]))
     # a full chunk's bits fill whole bytes: only the last chunk pads
-    packed = np.concatenate(pieces.pop()) if src.kind == "cow-ppm" else None
+    packed = np.concatenate(packed) if src.kind == "cow-ppm" else None
+    ap_gates = ap_times = ap_tail = np.empty(0, dtype=np.intp)  # none by default
+    if det.afterpulse.enabled:
+        # the pass relabels in the run's origins; each chunk keeps a view of its part
+        phys = np.concatenate(phys)
+        ap_gates, ap_times, ap_tail = _afterpulse_pass(cfg, np.concatenate(gates), phys)
+        phys = np.split(phys, np.cumsum([g.size for g in gates[:-1]]))
+    # chunk i's afterpulses are ap_gates[ap_at[i]:ap_at[i + 1]]
+    ap_at = np.searchsorted(ap_gates, CHUNK_GATES * np.arange(n_chunks + 1))
 
-    if cfg.detector.afterpulse.enabled:
-        gates, phys, times, in_tail = _afterpulse_pass(cfg, gates, phys, times, in_tail)
+    records = np.empty(sum(g.size for g in gates) + ap_gates.size, dtype=RECORD_DTYPE)
+    tallies = np.zeros(2 * len(ORIGIN_NAMES), dtype=np.int64)  # 2 * origin + accepted
+    # the gate the hold-off window runs from at a chunk's start, once there is one: the
+    # last accepted record's ("accepted") or the last record's ("any"); flags of later
+    # records depend on nothing else, so the chunks' flags are those of the whole run
+    written, window = 0, np.empty(0, dtype=np.int64)
+    for i in range(n_chunks):
+        g, origin, rng = gates[i], phys[i], rngs[i]
+        gates[i] = phys[i] = rngs[i] = None  # the chunk's pieces go once written
+        is_photon = origin == ORIGIN_PHOTON
+        sigma = np.where(is_photon, photon_sigma, det.jitter.sigma)
+        times, in_tail = sample_detection_times(det.jitter, g, det.gate.gate_period, rng, sigma)
+        times += is_photon * src.alignment_delay
+        del is_photon, sigma
+        ap = slice(ap_at[i], ap_at[i + 1])
+        if ap.stop > ap.start:
+            # afterpulses come sorted and never share a gate with a candidate
+            at = np.searchsorted(g, ap_gates[ap])
+            g = np.insert(g, at, ap_gates[ap])
+            origin = np.insert(origin, at, ORIGIN_AFTERPULSE)
+            times = np.insert(times, at, ap_times[ap])
+            in_tail = np.insert(in_tail, at, ap_tail[ap])
+        origin[in_tail] = ORIGIN_TAIL
+        accepted = _holdoff_flags(np.concatenate([window, g]), cfg.holdoff_gates,
+                                  cfg.holdoff_anchor)[window.size:]
+        window = np.concatenate([window, g if cfg.holdoff_anchor == "any" else g[accepted]])
+        window = window[-1:].copy()
+        tallies += np.bincount(origin * 2 + accepted, minlength=tallies.size)
+        block = records[written:written + g.size]
+        written += g.size
+        block["gate_index"] = g
+        block["time"] = times
+        block["origin"] = origin
+        block["accepted"] = accepted
 
-    phys[in_tail] = ORIGIN_TAIL
-    del in_tail
-    accepted = _holdoff_flags(gates, cfg.holdoff_gates, cfg.holdoff_anchor)
-    n_origins = len(ORIGIN_NAMES)
-    generated = np.bincount(phys, minlength=n_origins).tolist()
-    kept = np.bincount(phys[accepted], minlength=n_origins).tolist()
-    records = np.empty(gates.size, dtype=RECORD_DTYPE)
-    fields = {"gate_index": gates, "time": times, "origin": phys, "accepted": accepted}
-    del gates, times, phys, accepted
-    for name in RECORD_DTYPE.names:
-        records[name] = fields.pop(name)  # each field is dropped once copied
-
+    generated, kept = tallies.reshape(-1, 2).sum(axis=1).tolist(), tallies[1::2].tolist()
     counters = {
         "n_gates": cfg.n_gates,
         "duration_s": cfg.n_gates * cfg.detector.gate.gate_period,
@@ -569,21 +586,27 @@ def tcspc_histogram(
     if not np.isfinite(phase_origin):
         raise ValueError("phase_origin must be finite")
     period = 1.0 / trigger_rate
-    # the one copy of the times; every step below works on it or on a subset
-    shifted = np.sort(np.asarray(records["time"], dtype=float), kind="stable")
-    shifted -= phase_origin
-    cycles = shifted / period
-    np.floor(cycles, out=cycles)  # whole numbers, sorted as the times are
-    first = np.ones(cycles.size, dtype=bool)
-    np.not_equal(cycles[1:], cycles[:-1], out=first[1:])
-    phase = shifted[first]
-    del shifted
-    cycles = cycles[first]
-    cycles *= period
-    phase -= cycles
-    del cycles
     n_bins = max(1, int(round(period / bin_width)))
-    return Histogram(bin_width, 0.0, _bin_counts(phase, bin_width, 0.0, n_bins))
+    times = np.asarray(records["time"], dtype=float)
+    # Blocks go in record order, which times follow only roughly (jitter,
+    # tails, a photon-only delay). A cycle's first detection is known once
+    # the cycle lies below the earliest time of every later block; until
+    # then the cycle's earliest shifted time so far waits in `pending`.
+    starts = range(0, times.size, _RECORD_BLOCK)
+    later = np.minimum.accumulate(
+        [np.inf] + [times[a:a + _RECORD_BLOCK].min() for a in starts[:0:-1]])[::-1]
+    counts = np.zeros(n_bins, dtype=np.int64)
+    pending = np.empty(0)
+    for a, t_later in zip(starts, later):
+        shifted = np.concatenate([pending, times[a:a + _RECORD_BLOCK] - phase_origin])
+        shifted.sort()
+        cycles = np.floor(shifted / period)  # whole numbers, sorted as the times are
+        first = np.diff(cycles, prepend=-np.inf) > 0
+        shifted, cycles = shifted[first], cycles[first]
+        done = np.searchsorted(cycles, np.floor((t_later - phase_origin) / period))
+        pending = shifted[done:]
+        counts += _bin_counts(shifted[:done] - cycles[:done] * period, bin_width, 0.0, n_bins)
+    return Histogram(bin_width, 0.0, counts)
 
 
 def estimate_fwhm(h: Histogram) -> float:
@@ -642,13 +665,16 @@ def inter_detection_correlation(
     """
     if max_lag_gates < 1:
         raise ValueError("max_lag_gates must be >= 1")
-    gates = np.asarray(records["gate_index"][records["accepted"]], dtype=np.int64)
-    lags = np.diff(gates)
-    del gates
-    # lags outside [1, max_lag_gates] land in the two end bins, which are cut off
-    np.clip(lags, 0, max_lag_gates + 1, out=lags)
-    counts = np.bincount(lags, minlength=max_lag_gates + 2)[1:-1]
-    return Histogram(gate_period, gate_period, counts)
+    counts = np.zeros(max_lag_gates + 2, dtype=np.int64)
+    last = np.empty(0, dtype=np.int64)  # the last accepted gate so far, once there is one
+    for a in range(0, len(records), _RECORD_BLOCK):
+        block = records[a:a + _RECORD_BLOCK]
+        gates = np.concatenate([last, block["gate_index"][block["accepted"]]])
+        last = gates[-1:].copy()
+        # lags outside [1, max_lag_gates] land in the two end bins, which are cut off
+        block_counts = np.bincount(np.clip(np.diff(gates), 0, max_lag_gates + 1))
+        counts[:block_counts.size] += block_counts
+    return Histogram(gate_period, gate_period, counts[1:-1])
 
 
 def subsequent_gate_fraction(
@@ -671,94 +697,10 @@ def subsequent_gate_fraction(
     return float(h.counts[in_windows].sum() / h.total)
 
 
-def geometric_lag_gof(
-    lags, holdoff_gates: int, p_per_gate: float, min_expected: float = 5.0
-) -> tuple[float, int, float]:
-    """Chi-square goodness of fit of accepted lags against the renewal law.
-
-    After an accepted detection with per-gate click probability p and a
-    hold-off of H gates, the lag L satisfies P(L = H+1+k) = p*(1-p)^k.
-    Bins are grown until each expects at least `min_expected` counts, with
-    one open tail bin. Returns (chi2, dof, p_value).
-    """
-    from scipy import stats  # deferred: no CLI path needs it, and it dominates import time
-
-    lags = np.asarray(lags, dtype=np.int64)
-    if lags.size < 10:
-        raise ValueError("need at least 10 lags for a goodness-of-fit test")
-    if np.any(lags <= holdoff_gates):
-        raise ValueError("lags at or below the hold-off are impossible post-acceptance")
-    if not (0.0 < p_per_gate < 1.0):
-        raise ValueError("p_per_gate must be in (0, 1)")
-    k = lags - (holdoff_gates + 1)
-    n = k.size
-    q = 1.0 - p_per_gate
-    edges = []  # bin = [lo, hi)
-    lo = 0
-    while True:
-        # grow the bin until it expects min_expected counts or holds all the
-        # mass left at or above lo (which the closed form reaches in floating point)
-        left = q**lo
-        hi = lo + 1
-        while (left - q**hi) * n < min_expected and left - q**hi < left:
-            hi += 1
-        if q**hi * n < min_expected:
-            edges.append((lo, None))  # open tail bin
-            break
-        edges.append((lo, hi))
-        lo = hi
-    observed = []
-    expected = []
-    for lo, hi in edges:
-        if hi is None:
-            observed.append(int(np.count_nonzero(k >= lo)))
-            expected.append(n * q**lo)
-        else:
-            observed.append(int(np.count_nonzero((k >= lo) & (k < hi))))
-            expected.append(n * (q**lo - q**hi))
-    observed = np.asarray(observed, dtype=float)
-    expected = np.asarray(expected, dtype=float)
-    chi2 = float(np.sum((observed - expected) ** 2 / expected))
-    dof = max(1, len(edges) - 1)
-    return chi2, dof, float(stats.chi2.sf(chi2, dof))
-
-
-def short_lag_excess_pvalue(
-    lags_test,
-    lags_baseline,
-    holdoff_gates: int,
-    short_window_gates: int,
-) -> float:
-    """One-sided two-sample chi-square: is the short-lag share larger than the baseline's?
-
-    Splits each lag sample at holdoff + short_window_gates and tests the 2x2
-    contingency table. Small p-value = the test run has a short-lag excess
-    (afterpulsing signature) relative to the baseline; a short-lag deficit
-    gives p >= 0.5.
-    """
-    from scipy import stats  # deferred: no CLI path needs it, and it dominates import time
-
-    cut = holdoff_gates + short_window_gates
-    table = np.asarray(
-        [
-            [np.count_nonzero(np.asarray(lags_test) <= cut),
-             np.count_nonzero(np.asarray(lags_test) > cut)],
-            [np.count_nonzero(np.asarray(lags_baseline) <= cut),
-             np.count_nonzero(np.asarray(lags_baseline) > cut)],
-        ],
-        dtype=float,
-    )
-    if np.any(table.sum(axis=1) == 0) or np.any(table.sum(axis=0) == 0):
-        return 1.0  # degenerate table carries no evidence
-    _, p_two_sided, _, _ = stats.chi2_contingency(table, correction=False)
-    shares = table[:, 0] / table.sum(axis=1)  # short-lag share of test, baseline
-    return float(p_two_sided / 2 if shares[0] > shares[1] else 1.0 - p_two_sided / 2)
-
-
 def records_table(records: np.ndarray) -> tuple[list[str], list]:
     """Header and columns of the `gate_index,time_ps,origin,accepted` table."""
     return (
         ["gate_index", "time_ps", "origin", "accepted"],
-        [records["gate_index"], records["time"] * 1e12,
+        [records["gate_index"], Scaled(records["time"], 1e12),
          Labels(ORIGIN_NAMES, records["origin"]), records["accepted"]],
     )

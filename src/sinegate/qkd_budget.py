@@ -312,25 +312,34 @@ def mc_link_run(cfg: QkdLinkConfig, n_bits: int, master_seed: int) -> dict:
     result = run_simulation(run_cfg)
     period = cfg.detector.gate.gate_period
     times = result.records["time"][result.records["accepted"]]
-    nearest_gate = np.rint(times / period).astype(np.int64)
-    in_window = (
-        (np.abs(times - nearest_gate * period) <= cfg.timebin_width / 2.0)
-        & (nearest_gate >= 0)
-        & (nearest_gate < 2 * n_bits)
-    )
-    assigned = nearest_gate[in_window]
+    # in place where it can be: at most three float arrays of the accepted
+    # count are alive at once
+    nearest_gate = times / period
+    np.rint(nearest_gate, out=nearest_gate)  # whole gates, kept as floats
+    offset = nearest_gate * period
+    np.subtract(times, offset, out=offset)
+    n_accepted = times.size
+    del times
+    np.abs(offset, out=offset)
+    in_window = offset <= cfg.timebin_width / 2.0
+    del offset
+    in_window &= nearest_gate >= 0
+    in_window &= nearest_gate < 2 * n_bits
+    assigned = nearest_gate[in_window].astype(np.int64)
+    del nearest_gate
     sent = packed_bit(result.packed_bits, assigned >> 1)
-    wrong = np.count_nonzero(sent != (assigned & 1))
+    sent ^= assigned & 1
+    wrong = np.count_nonzero(sent)
     duration = n_bits / cfg.bit_rate
     n_windowed = int(np.count_nonzero(in_window))
     return {
         "n_bits": n_bits,
-        "accepted_total": times.size,
+        "accepted_total": n_accepted,
         "accepted_in_windows": n_windowed,
-        "discarded_outside_windows": times.size - n_windowed,
+        "discarded_outside_windows": n_accepted - n_windowed,
         "wrong_bin": int(wrong),
         "duration_s": duration,
-        "raw_rate_hz": times.size / duration,
+        "raw_rate_hz": n_accepted / duration,
         "qber": wrong / n_windowed if n_windowed else 0.0,
     }
 

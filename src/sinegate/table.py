@@ -8,6 +8,8 @@ NumPy arrays, `Labels`, or plain sequences, all of one length:
 - bool arrays print as ``true``/``false``, integer arrays as ``str``, and
   float arrays as the shortest ``repr``;
 - `Labels` (string codes) print their names;
+- `Scaled` columns print as float arrays of their values times a factor,
+  scaled one block at a time;
 - any other sequence, e.g. the mixed ``value`` column of a ``key,value``
   summary, is formatted cell by cell: ``None`` is an empty cell (``null`` in
   JSON) and NumPy scalars print like their Python counterparts.
@@ -40,7 +42,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["Labels", "table_chunks", "write_chunks", "CHUNK_ROWS"]
+__all__ = ["Labels", "Scaled", "table_chunks", "write_chunks", "CHUNK_ROWS"]
 
 CHUNK_ROWS = 1 << 13
 
@@ -59,6 +61,21 @@ class Labels:
 
     def __len__(self) -> int:
         return len(self.codes)
+
+
+@dataclass(frozen=True)
+class Scaled:
+    """A float column stored as `values`, printed as `values * factor`.
+
+    Each block is scaled as it is written, so no scaled copy of the whole
+    column is held.
+    """
+
+    values: np.ndarray
+    factor: float
+
+    def __len__(self) -> int:
+        return len(self.values)
 
 
 def _unpad_exponent(text: str) -> str:
@@ -118,6 +135,8 @@ def _column_cells(col, fmt: str) -> Callable[[int, int], list[str]]:
     if isinstance(col, Labels):
         names = np.array([_cell(str(n), fmt) for n in col.names], dtype=object)
         return lambda a, b: names[col.codes[a:b]].tolist()
+    if isinstance(col, Scaled):
+        return lambda a, b: _float_cells(col.values[a:b] * col.factor, fmt)
     kind = col.dtype.kind if isinstance(col, np.ndarray) else "O"
     if kind == "b":
         return lambda a, b: _BOOL_WORDS[col[a:b].astype(np.intp)].tolist()

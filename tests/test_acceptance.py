@@ -21,12 +21,11 @@ from sinegate.mc_engine import (
     apply_holdoff,
     deconvolve_jitter,
     estimate_fwhm,
-    geometric_lag_gof,
     run_simulation,
-    short_lag_excess_pvalue,
     subsequent_gate_fraction,
     tcspc_histogram,
 )
+from sinegate.lag_stats import geometric_lag_gof, short_lag_excess_pvalue
 from sinegate.qkd_budget import (
     QkdLinkConfig,
     evaluate,

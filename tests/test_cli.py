@@ -568,3 +568,62 @@ def test_cli_import_leaves_the_process_pool_unloaded():
         check=True,
     )
     assert proc.stdout.strip() == "False"
+
+
+# Small fixed-seed runs whose every output file is pinned by its SHA-256: the
+# record stream (chunk candidates, afterpulse pass, time draws, hold-off) and
+# the link counters must not move when the engine's passes are restructured.
+# Each tcspc run spans three 2**20-gate chunks; the stability segments span
+# two, the second holding an odd number of bits. `manifest.json` names the
+# output directory, so its digest varies; its file list must match the pins.
+GOLDEN_RUNS = {
+    "tcspc-delay-tails": (["tcspc", "--seed", "11", "--format", "csv"], {
+        "source": {"mean_photons": 30.0, "alignment_delay_ps": 40.0},
+        "detector": {"operating": {"temperature_c": 0.0}, "jitter": {"tail_fraction": 0.1}},
+        "tcspc": {"n_pulses": 60000},
+    }),
+    "tcspc-afterpulse": (["tcspc", "--seed", "12", "--format", "json"], {
+        "source": {"mean_photons": 1.0},
+        "detector": {"operating": {"temperature_c": 0.0},
+                     "afterpulse": {"enabled": True, "trigger_prob_per_gate": 0.004,
+                                    "release_lifetime_ns": 100.0}},
+        "run": {"holdoff_gates": 3},
+        "tcspc": {"n_pulses": 60000},
+    }),
+    "stability-afterpulse": (["stability", "--seed", "13"], {
+        "detector": {"afterpulse": {"enabled": True, "trigger_prob_per_gate": 0.002,
+                                    "release_lifetime_ns": 100.0}},
+        "stability": {"n_segments": 2, "bits_per_segment": 600001},
+    }),
+}
+
+GOLDEN_DIGESTS = {
+    "stability-afterpulse": {
+        "stability_segments.csv": "b2f9e24ab3183c68225250cfc90021291371283962aebe4ea2b8964afffbb990",
+        "stability_summary.csv": "69ea17f0750b17a01dc0a5737b2df03b7e273c16e5c28071b75cd1e23205a0b2",
+    },
+    "tcspc-afterpulse": {
+        "correlation.json": "2f06318c511dbd0baa77b44220c10c7bf00e194fbbe3251340b54163bab2530d",
+        "records.json": "2e12813e3747797d951d53e7a6b0bf9276501c51cdf451397457e5536912defa",
+        "summary.json": "9024a3283fff5d980c7742c3659bcf5fa6265412e5d548abcb7e613a2a97e298",
+        "tcspc_histogram.json": "a7299177970affc5c4dbf66c37e63e1d42c8f1717fcc41cf565eb2e86a2b95ea",
+    },
+    "tcspc-delay-tails": {
+        "correlation.csv": "c6a56eb2e28b4ca4e82a4de008053edab22b78cb958317f2e4ffc77a07ebdc47",
+        "records.csv": "6ab34c27b17f75c422919cd93f85c3c55dc83911f099c70b9376e4cbb2bcfc21",
+        "summary.csv": "4f8b43a9eb1b1c5aead6e14c606ec39c5896b7b3405358af0a7f4260a963bb58",
+        "tcspc_histogram.csv": "dccecef08fa08bdc211c36b982be7d4dfb02c421c484ed4ab69a5704291b57ac",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_fixed_seed_outputs_are_pinned(tmp_path, name):
+    args, doc = GOLDEN_RUNS[name]
+    out = tmp_path / "out"
+    run_ok(args + ["--config", write_cfg(tmp_path, doc), "--out", str(out)])
+    files = read_dir(out)
+    manifest = json.loads(files.pop("manifest.json"))
+    digests = {n: hashlib.sha256(blob).hexdigest() for n, blob in files.items()}
+    assert digests == GOLDEN_DIGESTS[name]
+    assert {f["name"]: f["sha256"] for f in manifest["emitted_files"]} == digests

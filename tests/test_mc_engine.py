@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from conftest import quiet_detector
+from sinegate import mc_engine
 from sinegate.detector_model import (
     FWHM_TO_SIGMA,
     AfterpulseModel,
@@ -27,18 +28,19 @@ from sinegate.mc_engine import (
     apply_holdoff,
     deconvolve_jitter,
     estimate_fwhm,
-    geometric_lag_gof,
     inter_detection_correlation,
     records_table,
     run_simulation,
-    short_lag_excess_pvalue,
     subsequent_gate_fraction,
     tcspc_histogram,
     _GAP_BLOCK,
+    _RECORD_BLOCK,
     _afterpulse_pass,
     _clicks,
+    _holdoff_flags,
     _next_fire,
 )
+from sinegate.lag_stats import geometric_lag_gof, short_lag_excess_pvalue
 from sinegate.table import table_chunks, write_chunks
 
 GATE_PERIOD = 0.8e-9
@@ -188,6 +190,44 @@ def test_holdoff_preserves_record_payloads():
     assert [ORIGIN_NAMES[o] for o in out["origin"]] == ["photon", "dark"]
     assert out["accepted"].tolist() == [True, False]
     assert out[0]["time"] == 4e-9
+
+
+def spans_of_chains(gates, holdoff, block_of):
+    """Per chain of two or more records within `holdoff` of the record before,
+    how many blocks it touches (`block_of` maps a record index to its block)."""
+    return [len(set(block_of[start - 1:stop].tolist()))
+            for start, stop in short_runs(gates, holdoff) if stop - start >= 2]
+
+
+@pytest.mark.parametrize("anchor", ["accepted", "any"])
+def test_chunked_run_flags_and_counters_match_the_whole_run(monkeypatch, anchor):
+    # 64-gate chunks: chains of records within the hold-off span many chunks,
+    # some chunks hold no record, and afterpulses (some on a chunk's first
+    # gate) and tails are merged chunk by chunk
+    monkeypatch.setattr(mc_engine, "CHUNK_GATES", 64)
+    det = DetectorParams(temperature_c=20.0, jitter=JitterModel(tail_fraction=0.2),
+                         dark_law=TemperatureDarkLaw(table=((-45.0, 1e-3), (20.0, 2e-3))),
+                         afterpulse=AfterpulseModel(0.1, 20 * GATE_PERIOD, 0.2, enabled=True))
+    for mean_photons in (1.0, 0.3):
+        cfg = RunConfig(n_gates=60_001, master_seed=8, detector=det,
+                        source=SourceConfig.pulsed(mean_photons=mean_photons, trigger_rate=1.25e9),
+                        holdoff_gates=40, holdoff_anchor=anchor)
+        result = run_simulation(cfg)
+        recs, c = result.records, result.counters
+        gates = recs["gate_index"]
+        if mean_photons == 1.0:
+            assert max(spans_of_chains(gates, 40, gates // 64)) >= 3
+            assert np.any(gates[recs["origin"] == ORIGIN_AFTERPULSE] % 64 == 0)
+        else:
+            assert np.any(np.bincount(gates // 64, minlength=60_001 // 64) == 0)
+        assert np.all(np.diff(gates) > 0)
+        assert np.array_equal(recs["accepted"], _holdoff_flags(gates, 40, anchor))
+        assert c["generated_total"] == recs.size
+        assert c["accepted_total"] == np.count_nonzero(recs["accepted"])
+        for code, name in enumerate(ORIGIN_NAMES):
+            assert c[f"generated_{name}"] == np.count_nonzero(recs["origin"] == code) > 0
+            assert c[f"accepted_{name}"] == np.count_nonzero(recs["accepted"]
+                                                             & (recs["origin"] == code))
 
 
 # ------------------------------------------------------------------ run content
@@ -591,7 +631,7 @@ def oracle_tcspc_counts(times, period, bin_width, phase_origin):
     return oracle_bin_counts(phase, bin_width, 0.0, max(1, int(round(period / bin_width))))
 
 
-def test_in_place_passes_leave_their_inputs_and_match_the_out_of_place_counts():
+def test_in_place_passes_leave_their_inputs_and_match_the_out_of_place_counts(monkeypatch):
     period, width = 32e-9, 1e-9
     rng = np.random.default_rng(23)
     cycles = np.arange(-3, 4)[:, None]
@@ -606,15 +646,20 @@ def test_in_place_passes_leave_their_inputs_and_match_the_out_of_place_counts():
     recs["gate_index"] = rng.integers(-5, 400, size=times.size)  # unsorted, repeats, jumps
     recs["accepted"] = rng.random(times.size) < 0.8
     before = recs.copy()
-    for phase_origin in (0.0, -period / 2, 0.3 * width, period):
-        h = tcspc_histogram(recs, 1.0 / period, width, phase_origin=phase_origin)
-        assert np.array_equal(h.counts, oracle_tcspc_counts(times, period, width, phase_origin))
-    for max_lag in (1, 7, 50):
-        gates = recs["gate_index"][recs["accepted"]]
-        lags = np.diff(gates)
-        lags = lags[(lags >= 1) & (lags <= max_lag)]
-        corr = inter_detection_correlation(recs, max_lag, GATE_PERIOD)
-        assert np.array_equal(corr.counts, np.bincount(lags - 1, minlength=max_lag))
+    # the record passes go in blocks of `block` records: with small blocks,
+    # cycles and runs of accepted records straddle many block edges
+    for block in (1, 5, 64, _RECORD_BLOCK):
+        monkeypatch.setattr(mc_engine, "_RECORD_BLOCK", block)
+        for phase_origin in (0.0, -period / 2, 0.3 * width, period):
+            h = tcspc_histogram(recs, 1.0 / period, width, phase_origin=phase_origin)
+            assert np.array_equal(h.counts,
+                                  oracle_tcspc_counts(times, period, width, phase_origin))
+        for max_lag in (1, 7, 50):
+            gates = recs["gate_index"][recs["accepted"]]
+            lags = np.diff(gates)
+            lags = lags[(lags >= 1) & (lags <= max_lag)]
+            corr = inter_detection_correlation(recs, max_lag, GATE_PERIOD)
+            assert np.array_equal(corr.counts, np.bincount(lags - 1, minlength=max_lag))
     assert recs.tobytes() == before.tobytes()
     given = times.copy()
     for origin in (0.0, -period, 2.5 * width):
@@ -624,6 +669,33 @@ def test_in_place_passes_leave_their_inputs_and_match_the_out_of_place_counts():
     ints = [3, -1, 0, 7, 39, 40]  # a non-float input is converted, not overwritten
     assert Histogram.from_times(ints, 1.0, 0.0, 40).total == 4
     assert ints == [3, -1, 0, 7, 39, 40]
+
+
+@pytest.mark.parametrize("block", [3, 100, _RECORD_BLOCK])
+def test_blocked_tcspc_histogram_matches_the_sorted_reference(monkeypatch, block):
+    # darks, 20 % tails up to three gates late and a photon-only delay put
+    # records out of time order; a 4-gate trigger period puts many cycles in a block
+    monkeypatch.setattr(mc_engine, "_RECORD_BLOCK", block)
+    det = DetectorParams(temperature_c=20.0, jitter=JitterModel(tail_fraction=0.2),
+                         dark_law=TemperatureDarkLaw(table=((-45.0, 1e-3), (20.0, 2e-2))))
+    trigger = 1.25e9 / 4
+    recs = run_simulation(RunConfig(
+        n_gates=200_000, master_seed=19, detector=det,
+        source=SourceConfig.pulsed(mean_photons=2.0, trigger_rate=trigger,
+                                   alignment_delay=150e-12),
+    )).records
+    assert np.any(np.diff(recs["time"]) < 0)
+    assert np.all(np.bincount(recs["origin"], minlength=4)[[0, 1, 3]] > 100)
+    period = 1.0 / trigger
+    for phase_origin in (0.0, -period / 2, 0.37 * period):
+        h = tcspc_histogram(recs, trigger, 8e-12, phase_origin=phase_origin)
+        assert np.array_equal(h.counts, oracle_tcspc_counts(recs["time"], period, 8e-12,
+                                                            phase_origin))
+    # photons a thousand cycles late: their cycles wait while the darks pass them
+    late = recs.copy()
+    late["time"][late["origin"] == ORIGIN_PHOTON] += 1000 * period
+    h = tcspc_histogram(late, trigger, 8e-12)
+    assert np.array_equal(h.counts, oracle_tcspc_counts(late["time"], period, 8e-12, 0.0))
 
 
 # ------------------------------------------------------------------ statistics
@@ -746,12 +818,9 @@ def _pass_on(cfg, intrinsic, origin=ORIGIN_PHOTON):
 
     Photon candidates are never relabeled, so for them these are the added gates.
     """
-    n = intrinsic.size
-    gates, phys, _, _ = _afterpulse_pass(
-        cfg, intrinsic, np.full(n, origin, dtype=np.uint8),
-        np.zeros(n), np.zeros(n, dtype=bool),
-    )
-    return gates[phys == ORIGIN_AFTERPULSE]
+    phys = np.full(intrinsic.size, origin, dtype=np.uint8)
+    added, _, _ = _afterpulse_pass(cfg, intrinsic, phys)
+    return np.sort(np.concatenate([added, intrinsic[phys == ORIGIN_AFTERPULSE]]))
 
 
 def test_certain_hazard_fires_the_first_gate():

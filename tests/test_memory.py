@@ -1,15 +1,21 @@
 """Memory bounds of the tcspc path.
 
-Each stage holds one copy of its records plus one bounded block: the table
-writer a block of `CHUNK_ROWS` rows whatever the table's length, and the
-simulation, histogram and correlation passes a small multiple of
-`records.nbytes`. Peaks are tracemalloc's, which also sees NumPy's buffers.
+Each stage holds one copy of its records plus one bounded block. The
+simulation writes each chunk's records once into the one record array, and
+holds besides it only the chunks' candidate gates and origins (9 of the 18
+bytes of a record) and one chunk's temporaries. The histogram and
+correlation passes read the records in blocks of a fixed number of records,
+and the table writer formats a block of `CHUNK_ROWS` rows at a time,
+whatever the table's length; the records table scales its time column one
+block at a time too. Peaks are tracemalloc's, which also sees NumPy's
+buffers.
 """
 
 import json
 import tracemalloc
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy imports it lazily; here, before any tracing
 import pytest
 
 from sinegate.config import load_config
@@ -18,6 +24,7 @@ from sinegate.mc_engine import (
     RunConfig,
     gates_per_trigger,
     inter_detection_correlation,
+    records_table,
     run_simulation,
     tcspc_histogram,
 )
@@ -58,27 +65,27 @@ def bright(tmp_path_factory):
     return cfg, result.records, peak
 
 
-def test_run_simulation_holds_little_more_than_two_copies_of_its_records(bright):
+def test_run_simulation_holds_its_records_and_half_a_copy_more(bright):
     _, records, peak = bright
     assert records.size > 400_000
-    assert peak <= 2.3 * records.nbytes
+    assert peak <= 1.7 * records.nbytes
 
 
-def test_tcspc_histogram_holds_under_two_more_copies_of_the_records(bright):
+def test_tcspc_histogram_holds_a_bounded_block_beside_the_records(bright):
     cfg, records, _ = bright
     period = 1.0 / cfg.source.trigger_rate
     hist, peak = held(tcspc_histogram, records, cfg.source.trigger_rate,
                       cfg.tcspc["bin_width"], phase_origin=-period / 2)
     assert hist.total > 0
-    assert records.nbytes + peak <= 3.0 * records.nbytes
+    assert records.nbytes + peak <= 1.5 * records.nbytes
 
 
-def test_inter_detection_correlation_holds_about_one_more_copy_of_the_records(bright):
+def test_inter_detection_correlation_holds_a_bounded_block_beside_the_records(bright):
     cfg, records, _ = bright
     corr, peak = held(inter_detection_correlation, records, cfg.tcspc["max_lag_gates"],
                       cfg.detector.gate.gate_period)
     assert corr.total > 0
-    assert records.nbytes + peak <= 2.2 * records.nbytes
+    assert records.nbytes + peak <= 1.2 * records.nbytes
 
 
 def records_like_columns(n: int) -> list:
@@ -106,3 +113,12 @@ def test_table_writer_memory_does_not_grow_with_the_table(tmp_path, fmt):
         assert peak < WRITER_BOUND, (n, peak)
         peaks.append(peak)
     assert peaks[1] < peaks[0] + MB // 2  # four times the rows, the same block
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_records_table_emission_holds_one_writer_block_beside_the_records(bright, tmp_path, fmt):
+    _, records, _ = bright
+    (_, size), peak = held(lambda: write_chunks(tmp_path / f"records.{fmt}",
+                                                table_chunks(*records_table(records), fmt)))
+    assert size > 30 * records.size  # the table was written
+    assert peak < WRITER_BOUND

@@ -7,7 +7,8 @@ import pytest
 
 import sinegate
 
-MODULES = ("signal_chain", "detector_model", "mc_engine", "qkd_budget", "config", "cli", "table")
+MODULES = ("signal_chain", "detector_model", "mc_engine", "lag_stats", "qkd_budget", "config", "cli",
+           "table")
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -17,7 +17,7 @@ import pytest
 from sinegate import cli
 from sinegate import signal_chain as sc
 from sinegate.mc_engine import Histogram, records_table
-from sinegate.table import CHUNK_ROWS, Labels, table_chunks, write_chunks
+from sinegate.table import CHUNK_ROWS, Labels, Scaled, table_chunks, write_chunks
 
 # --------------------------------------------------------------------- oracle
 
@@ -59,11 +59,17 @@ def oracle_table(header, rows, fmt) -> bytes:
     return buf.getvalue().encode()
 
 
+def column_values(c) -> list:
+    if isinstance(c, Labels):
+        return [c.names[i] for i in c.codes]
+    if isinstance(c, Scaled):
+        return list(c.values * c.factor)  # the whole column scaled at once
+    return list(c)
+
+
 def rows_of(columns) -> list[list]:
     """Columns turned back into rows of scalars, as the per-row writer took them."""
-    cols = [[c.names[i] for i in c.codes] if isinstance(c, Labels) else list(c)
-            for c in columns]
-    return [list(r) for r in zip(*cols)]
+    return [list(r) for r in zip(*map(column_values, columns))]
 
 
 def fast_table(header, columns, fmt) -> bytes:
@@ -208,9 +214,11 @@ def test_table_longer_than_one_chunk(fmt):
         Labels(("photon", "dark", "afterpulse", "tail"),
                rng.integers(0, 4, size=n).astype(np.uint8)),
         rng.random(n) < 0.5,
+        Scaled(rng.normal(size=n) * 1e-9, 1e12),
     ]
-    assert_matches_oracle(["i", "x", "origin", "ok"], columns, fmt)
-    chunks = list(table_chunks(["i", "x", "origin", "ok"], columns, fmt))
+    header = ["i", "x", "origin", "ok", "t_ps"]
+    assert_matches_oracle(header, columns, fmt)
+    chunks = list(table_chunks(header, columns, fmt))
     assert len(chunks) >= 3
 
 
