@@ -3,12 +3,14 @@
 A configuration is a JSON object; every field has a default, so `{}` is a
 complete document. User files are deep-merged over the defaults and then
 validated in one pass that reports EVERY failing field, not just the first.
-Each field is declared once, as a leaf of the JSON Schema tree `_SCHEMA`
-with its bounds and its draft-07 `default`: validation walks the tree,
-`default_config()` collects the defaults, `schema_text()` prints it, and one
-unit-suffix rule (`_args`) scales every leaf to the SI value that the model
-objects and the subcommand handlers read. The cross-field rules are the
-model's own checks: validation builds the model objects, reports each
+Each field is a leaf of the JSON Schema tree `_SCHEMA`, with its bounds and
+its draft-07 `default`: validation walks the tree, `default_config()`
+collects the defaults, `schema_text()` prints it, and one unit-suffix rule
+(`_args`) scales every leaf to the SI value that the model objects and the
+subcommand handlers read. A leaf that builds a model argument is not written
+here: `_model` reads it off the argument's `detector_model.arg` field, which
+holds its SI default, bounds and unit. The cross-field rules are the model's
+own checks: validation builds the model objects, reports each
 `ArgumentError` at the leaf that names its argument, and `load_config`
 returns the objects it built.
 """
@@ -25,8 +27,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .detector_model import (
+    _COMPARE,
     DEFAULT_DARK_TABLE,
-    FWHM_TO_SIGMA,
     AfterpulseModel,
     ArgumentError,
     BiasEfficiencyLaw,
@@ -34,6 +36,8 @@ from .detector_model import (
     GateConfig,
     JitterModel,
     TemperatureDarkLaw,
+    _fragment,
+    describe,
 )
 from .mc_engine import SourceConfig, check_tcspc_bin, gates_per_trigger
 from .qkd_budget import QkdLinkConfig, check_timebin
@@ -76,19 +80,12 @@ def deep_merge(base: dict, override: dict) -> dict:
 # ---------------------------------------------------------------------------
 # The configuration shape: one tree that is itself a draft-07 JSON Schema.
 # `schema_text()` prints it and `validate_config` walks it with `_check`,
-# which reads only the keywords used here. Every leaf carries its `default`;
-# every field is required of the merged document (`missing` otherwise) and
-# optional in a user file. Two rules JSON Schema cannot state live in
-# `_valid`: numbers must be finite (`json.load` reads NaN) and integers must
-# be Python ints (JSON Schema counts 2.0 as an integer).
-
-_BOUNDS = {"gt": "exclusiveMinimum", "ge": "minimum", "lt": "exclusiveMaximum", "le": "maximum"}
-_COMPARE = {
-    "exclusiveMinimum": operator.gt,
-    "minimum": operator.ge,
-    "exclusiveMaximum": operator.lt,
-    "maximum": operator.le,
-}
+# which reads only the keywords used here. Every leaf carries its `default`
+# (`_model` builds a model argument's leaf); every field is required of the
+# merged document (`missing` otherwise) and optional in a user file. Two
+# rules JSON Schema cannot state live in `_valid`: numbers must be finite
+# (`json.load` reads NaN) and integers must be Python ints (JSON Schema
+# counts 2.0 as an integer).
 
 
 def _obj(**properties) -> dict:
@@ -97,7 +94,7 @@ def _obj(**properties) -> dict:
 
 def _num(default=None, kind: str = "number", **bounds) -> dict:
     """A number (or integer) fragment; bounds are gt/ge/lt/le keywords."""
-    fragment = {"type": kind, **{_BOUNDS[k]: v for k, v in bounds.items()}}
+    fragment = _fragment(kind, **bounds)
     return fragment if default is None else {**fragment, "default": default}
 
 
@@ -126,6 +123,24 @@ def _grid(start: float, stop: float, step: float, **start_bounds) -> dict:
     return _obj(start=_num(start, **start_bounds), stop=_num(stop), step=_num(step, gt=0))
 
 
+# The unit suffixes of leaf keys, each with its factor from SI (None: the key
+# is in SI already); the only place a unit is applied.
+_UNITS = {"hz": None, "v": None, "ps": 1e12, "ns": 1e9, "mv": 1e3}
+
+
+def _model(cls, *skip: str) -> dict:
+    """The leaves of the `arg` fields of dataclass `cls` but `skip`, in field
+    order: each key is the argument plus its unit suffix, and each default
+    the SI default in that unit."""
+    leaves = {}
+    for f in fields(cls):
+        if "schema" in f.metadata and f.name not in skip:
+            unit = f.metadata["unit"]
+            default = f.default if _UNITS.get(unit) is None else f.default * _UNITS[unit]
+            leaves[f"{f.name}_{unit}" if unit else f.name] = {**f.metadata["schema"], "default": default}
+    return leaves
+
+
 _SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "title": "sinegate configuration",
@@ -138,16 +153,8 @@ _SCHEMA = {
             holdoff_anchor=_enum("accepted", "any"),
         ),
         detector=_obj(
-            gate=_obj(
-                gate_frequency_hz=_num(1.25e9, gt=0),
-                gate_fwhm_ps=_num(130.0, gt=0),
-            ),
-            bias_law=_obj(
-                anchor_bias_v=_num(53.5),
-                anchor_efficiency=_num(0.1, ge=0, le=1),
-                slope_per_v=_num(0.05, gt=0),
-                breakdown_bias_v=_num(51.5),
-            ),
+            gate=_obj(**_model(GateConfig)),
+            bias_law=_obj(**_model(BiasEfficiencyLaw)),
             dark_table_c_prob=_nullable(_list(
                 {"type": "array", "minItems": 2, "maxItems": 2,
                  "items": [_num(), _num(gt=0, lt=1)]},
@@ -155,37 +162,12 @@ _SCHEMA = {
                 "a list of at least 2 [temperature_c, probability] pairs, "
                 "probability in (0, 1)",
             ), default=[list(row) for row in DEFAULT_DARK_TABLE]),
-            jitter=_obj(
-                sigma_ps=_num(70.0 * FWHM_TO_SIGMA, ge=0),  # 70 ps FWHM
-                tail_fraction=_num(0.024, ge=0, lt=1),
-                tail_span_gates=_int(3, ge=1),
-            ),
-            afterpulse=_obj(
-                trap_fill_per_detection=_num(0.1, ge=0),
-                release_lifetime_ns=_num(1000.0, gt=0),
-                trigger_prob_per_gate=_num(0.01, ge=0, le=1),
-                enabled={"type": "boolean", "default": False},
-            ),
-            operating=_obj(bias_v=_num(53.5), temperature_c=_num(-43.0)),
+            jitter=_obj(**_model(JitterModel)),
+            afterpulse=_obj(**_model(AfterpulseModel)),
+            operating=_obj(**_model(DetectorParams)),
         ),
-        source=_obj(
-            kind=_enum("pulsed-trigger"),
-            trigger_rate_hz=_num(31.25e6, gt=0),
-            mean_photons=_num(0.1, ge=0),
-            laser_fwhm_ps=_num(30.0, ge=0),
-            alignment_delay_ps=_num(0.0),
-        ),
-        qkd=_obj(
-            mu_source=_num(0.3, ge=0),
-            fiber_loss_db=_num(0.0, ge=0),
-            timebin_width_ps=_num(400.0, gt=0),
-            extinction_db=_num(25.0, gt=0),
-            ec_efficiency=_num(1.2, ge=1),
-            pa_fraction=_num(0.5, ge=0, le=1),
-            qber_floor=_nullable(_num(ge=0, lt=0.5)),
-            laser_fwhm_ps=_num(30.0, ge=0),
-            mc_check_bits=_int(1000000, ge=0),
-        ),
+        source=_obj(kind=_enum("pulsed-trigger"), **_model(SourceConfig, "extinction_db")),
+        qkd=_obj(**_model(QkdLinkConfig), mc_check_bits=_int(1000000, ge=0)),
         chain=_obj(
             dt_ps=_num(25.0, gt=0),
             duration_ns=_num(64.0, gt=0),
@@ -230,23 +212,19 @@ def default_config() -> dict:
 # ---------------------------------------------------------------------------
 # One rule from the tree to the model objects. A leaf is the constructor
 # argument named like it minus its unit suffix, coerced by the leaf's type
-# and scaled to SI by `_UNITS`, the only place a unit is applied. Each
-# sub-object of `detector` builds the law of its name, the dark table builds
-# `TemperatureDarkLaw` (null switches the dark channel off) and `operating`
-# adds to `DetectorParams`. Leaves that name no argument (`run.master_seed`,
+# and scaled to SI by `_UNITS`. Each sub-object of `detector` builds the law
+# of its name, the dark table builds `TemperatureDarkLaw` (null switches the
+# dark channel off) and `operating` adds to `DetectorParams`. Leaves that name no argument (`run.master_seed`,
 # `qkd.mc_check_bits`) are read where used.
 
-_UNITS = {"_hz": None, "_v": None, "_ps": 1e12, "_ns": 1e9, "_mv": 1e3}  # factor from SI
 _COERCE = {"number": float, "integer": int, "boolean": bool}
 
 
 @functools.cache
 def _arg(key: str) -> tuple[str, float | None]:
     """A leaf's constructor argument and the factor from SI to its unit."""
-    for suffix, scale in _UNITS.items():
-        if key.endswith(suffix):
-            return key[: -len(suffix)], scale
-    return key, None
+    name, _, unit = key.rpartition("_")
+    return (name, _UNITS[unit]) if unit in _UNITS else (key, None)
 
 
 def _value(schema: dict, v, scale: float | None):
@@ -303,42 +281,11 @@ def _valid(schema: dict, v) -> bool:
     )
 
 
-def _fmt(bound) -> str:
-    """A bound as message text; large powers of two read as `2**k`."""
-    if isinstance(bound, int) and bound > 2**53 and not bound & (bound - 1):
-        return f"2**{bound.bit_length() - 1}"
-    return str(bound)
-
-
-def _describe(schema: dict) -> str:
-    """What a non-object fragment demands, as the text after `must be`."""
-    if "oneOf" in schema:
-        return " or ".join(_describe(branch) for branch in schema["oneOf"])
-    if "enum" in schema:
-        return f"one of {tuple(schema['enum'])}"
-    kind = schema["type"]
-    if kind in ("null", "array"):
-        return schema.get("description", kind)
-    if kind == "boolean":
-        return "true or false"
-    noun = "an integer" if kind == "integer" else "a number"
-    # every bounded leaf of the tree has a lower bound
-    lo = schema.get("minimum", schema.get("exclusiveMinimum"))
-    hi = schema.get("maximum", schema.get("exclusiveMaximum"))
-    if lo is None:
-        return "a finite number" if kind == "number" else noun
-    closed = "minimum" in schema
-    if hi is None:
-        return f"{noun} {'>=' if closed else '>'} {_fmt(lo)}"
-    close = "]" if "maximum" in schema else ")"
-    return f"{noun} in {'[' if closed else '('}{_fmt(lo)}, {_fmt(hi)}{close}"
-
-
 def _check(schema: dict, doc, path: str, errors: list[str]) -> None:
     """Append to `errors` every way `doc` breaks `schema`; objects recurse."""
     if schema.get("type") != "object":
         if not _valid(schema, doc):
-            errors.append(f"{path}: must be {_describe(schema)}")
+            errors.append(f"{path}: must be {describe(schema)}")
         return
     if not isinstance(doc, dict):
         errors.append(f"{path}: must be an object")

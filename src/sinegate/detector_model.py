@@ -21,18 +21,30 @@ Calibrated laws, each usable on its own:
 temperature) and owns the one click law (`click_prob`). A calibration on
 disk is a configuration's `detector` section, read and validated by
 `config.load_config`.
+
+Each single-valued argument of a class that a configuration builds is
+declared once, with `arg` on its dataclass field: its SI default, its bounds
+and the unit suffix of its configuration key. `check_args` enforces the
+declarations in the class's `__post_init__`, which adds only the rules that
+tie arguments together, and `config` builds each key's schema leaf from the
+same field, so both refuse a value in the same words (`describe`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 __all__ = [
     "ModelRangeError",
     "ArgumentError",
+    "arg",
+    "check_args",
+    "describe",
+    "is_int",
     "GateConfig",
     "BiasEfficiencyLaw",
     "TemperatureDarkLaw",
@@ -63,6 +75,93 @@ class ArgumentError(ValueError):
         super().__init__(f"{arg} {reason}")
 
 
+# draft-07 keywords of the gt/ge/lt/le bounds, and how each compares
+_BOUNDS = {"gt": "exclusiveMinimum", "ge": "minimum", "lt": "exclusiveMaximum", "le": "maximum"}
+_COMPARE = {
+    "exclusiveMinimum": operator.gt,
+    "minimum": operator.ge,
+    "exclusiveMaximum": operator.lt,
+    "maximum": operator.le,
+}
+
+
+def _fragment(kind: str, **bounds) -> dict:
+    """The JSON Schema fragment of a `kind` value inside gt/ge/lt/le `bounds`."""
+    return {"type": kind, **{_BOUNDS[k]: v for k, v in bounds.items()}}
+
+
+def arg(default, *, unit: str | None = None, **bounds):
+    """A dataclass field declaring a model argument: its SI `default`, its
+    gt/ge/lt/le `bounds`, and the unit suffix of its configuration key
+    (`config._UNITS`). The default's type sets the kind: bool, int, or a
+    number; a None default makes a number that may be None. A bound reads the
+    same in every unit, so a unit-suffixed argument is bounded at 0 only."""
+    kind = "boolean" if isinstance(default, bool) else "integer" if isinstance(default, int) else "number"
+    schema = _fragment(kind, **bounds)
+    if default is None:
+        schema = {"oneOf": [{"type": "null"}, schema]}
+    return field(default=default, metadata={"schema": schema, "unit": unit})
+
+
+def is_int(v) -> bool:
+    """Whether `v` is a Python int other than a bool: what a whole count must be."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _satisfies(schema: dict, v) -> bool:
+    """Whether an argument value meets the schema fragment `arg` declared."""
+    if "oneOf" in schema:  # None, or the number
+        return v is None or _satisfies(schema["oneOf"][1], v)
+    if schema["type"] == "boolean":
+        return True  # a flag has no bound
+    bounds = [(cmp, schema[key]) for key, cmp in _COMPARE.items() if key in schema]
+    if schema["type"] == "integer":
+        return is_int(v) and all(cmp(v, bound) for cmp, bound in bounds)
+    v = np.asarray(v)  # each element of an array argument
+    return bool(np.isfinite(v).all() and all(cmp(v, bound).all() for cmp, bound in bounds))
+
+
+def check_args(obj) -> None:
+    """Refuse the first `arg` field of dataclass `obj` that breaks its
+    declaration: numbers must be finite and inside their bounds (elementwise
+    for arrays), integers Python ints other than bool inside theirs."""
+    for f in fields(obj):
+        schema = f.metadata.get("schema")
+        if schema is not None and not _satisfies(schema, getattr(obj, f.name)):
+            raise ArgumentError(f.name, f"must be {describe(schema)}")
+
+
+def _fmt(bound) -> str:
+    """A bound as message text; large powers of two read as `2**k`."""
+    if isinstance(bound, int) and bound > 2**53 and not bound & (bound - 1):
+        return f"2**{bound.bit_length() - 1}"
+    return str(bound)
+
+
+def describe(schema: dict) -> str:
+    """What a non-object JSON Schema fragment demands, as the text after `must be`."""
+    if "oneOf" in schema:
+        return " or ".join(describe(branch) for branch in schema["oneOf"])
+    if "enum" in schema:
+        return f"one of {tuple(schema['enum'])}"
+    kind = schema["type"]
+    if kind in ("null", "array"):
+        return schema.get("description", kind)
+    if kind == "boolean":
+        return "true or false"
+    noun = "an integer" if kind == "integer" else "a number"
+    # every bounded fragment has a lower bound
+    lo = schema.get("minimum", schema.get("exclusiveMinimum"))
+    hi = schema.get("maximum", schema.get("exclusiveMaximum"))
+    if lo is None:
+        return "a finite number" if kind == "number" else noun
+    closed = "minimum" in schema
+    if hi is None:
+        return f"{noun} {'>=' if closed else '>'} {_fmt(lo)}"
+    close = "]" if "maximum" in schema else ")"
+    return f"{noun} in {'[' if closed else '('}{_fmt(lo)}, {_fmt(hi)}{close}"
+
+
 def _float_or_array(value):
     """A law's result: a Python float for a scalar input, else the array."""
     return float(value) if np.ndim(value) == 0 else value
@@ -75,14 +174,11 @@ class GateConfig:
     Only the window's clock and width: the peak efficiency is the bias law's.
     """
 
-    gate_frequency: float = 1.25e9
-    gate_fwhm: float = 130e-12
+    gate_frequency: float = arg(1.25e9, gt=0, unit="hz")
+    gate_fwhm: float = arg(130e-12, gt=0, unit="ps")
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.gate_frequency) and self.gate_frequency > 0):
-            raise ArgumentError("gate_frequency", "must be positive")
-        if not (np.isfinite(self.gate_fwhm) and self.gate_fwhm > 0):
-            raise ArgumentError("gate_fwhm", "must be positive")
+        check_args(self)
         if not self.gate_fwhm < self.gate_period:
             raise ArgumentError("gate_fwhm", "must be below one gate period")
 
@@ -112,19 +208,13 @@ class BiasEfficiencyLaw:
     `slope_per` is the efficiency gained per volt above the anchor bias.
     """
 
-    anchor_bias: float = 53.5
-    anchor_efficiency: float = 0.10
-    slope_per: float = 0.05
-    breakdown_bias: float = 51.5
+    anchor_bias: float = arg(53.5, unit="v")
+    anchor_efficiency: float = arg(0.10, ge=0, le=1)
+    slope_per: float = arg(0.05, gt=0, unit="v")
+    breakdown_bias: float = arg(51.5, unit="v")
 
     def __post_init__(self) -> None:
-        for name in ("anchor_bias", "breakdown_bias"):
-            if not np.isfinite(getattr(self, name)):
-                raise ArgumentError(name, "must be finite")
-        if not (0.0 <= self.anchor_efficiency <= 1.0):
-            raise ArgumentError("anchor_efficiency", "must be in [0, 1]")
-        if not (np.isfinite(self.slope_per) and self.slope_per > 0):
-            raise ArgumentError("slope_per", "must be positive")
+        check_args(self)
         if self.breakdown_bias >= self.anchor_bias and self.anchor_efficiency > 0:
             raise ArgumentError("breakdown_bias", "must lie below the anchor bias "
                                 "when the anchor efficiency is above 0")
@@ -222,17 +312,11 @@ class JitterModel:
     around that gate's center.
     """
 
-    sigma: float = 70e-12 * FWHM_TO_SIGMA
-    tail_fraction: float = 0.024
-    tail_span_gates: int = 3
+    sigma: float = arg(70e-12 * FWHM_TO_SIGMA, ge=0, unit="ps")
+    tail_fraction: float = arg(0.024, ge=0, lt=1)
+    tail_span_gates: int = arg(3, ge=1)
 
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.sigma) and self.sigma >= 0):
-            raise ArgumentError("sigma", "must be >= 0")
-        if not (0.0 <= self.tail_fraction < 1.0):
-            raise ArgumentError("tail_fraction", "must be in [0, 1)")
-        if not (isinstance(self.tail_span_gates, int) and self.tail_span_gates >= 1):
-            raise ArgumentError("tail_span_gates", "must be a positive integer")
+    __post_init__ = check_args
 
     @property
     def fwhm(self) -> float:
@@ -284,18 +368,12 @@ class AfterpulseModel:
     trigger probability. Disabled unless `enabled` is set.
     """
 
-    trap_fill_per_detection: float = 0.1
-    release_lifetime: float = 1e-6
-    trigger_prob_per_gate: float = 1e-2
-    enabled: bool = False
+    trap_fill_per_detection: float = arg(0.1, ge=0)
+    release_lifetime: float = arg(1e-6, gt=0, unit="ns")
+    trigger_prob_per_gate: float = arg(1e-2, ge=0, le=1)
+    enabled: bool = arg(False)
 
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.trap_fill_per_detection) and self.trap_fill_per_detection >= 0):
-            raise ArgumentError("trap_fill_per_detection", "must be >= 0")
-        if not (np.isfinite(self.release_lifetime) and self.release_lifetime > 0):
-            raise ArgumentError("release_lifetime", "must be positive")
-        if not (0.0 <= self.trigger_prob_per_gate <= 1.0):
-            raise ArgumentError("trigger_prob_per_gate", "must be in [0, 1]")
+    __post_init__ = check_args
 
     def branching_ratio(self, gate_period: float) -> float:
         """Mean afterpulses per avalanche, fill*trigger/(1 - exp(-T_gate/lifetime)).
@@ -332,14 +410,10 @@ class DetectorParams:
     dark_law: TemperatureDarkLaw | None = field(default_factory=TemperatureDarkLaw)
     jitter: JitterModel = field(default_factory=JitterModel)
     afterpulse: AfterpulseModel = field(default_factory=AfterpulseModel)
-    bias: float = 53.5
-    temperature_c: float = -43.0
+    bias: float = arg(53.5, unit="v")
+    temperature_c: float = arg(-43.0)
 
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.bias):
-            raise ArgumentError("bias", "must be finite")
-        if not np.all(np.isfinite(self.temperature_c)):
-            raise ArgumentError("temperature_c", "must be finite")
+    __post_init__ = check_args
 
     def effective_efficiency(self, alignment_delay=0.0) -> np.ndarray | float:
         """Detection efficiency at the alignment delay: the bias law's peak

@@ -52,6 +52,9 @@ from .detector_model import (
     FWHM_TO_SIGMA,
     ArgumentError,
     DetectorParams,
+    arg,
+    check_args,
+    is_int,
     sample_detection_times,
 )
 from .table import Labels, Scaled
@@ -109,46 +112,34 @@ class SourceConfig:
     """
 
     kind: str
-    trigger_rate: float = 31.25e6
-    mean_photons: float = 0.1
-    laser_fwhm: float = 30e-12
-    alignment_delay: float = 0.0
-    extinction_db: float = 25.0
+    trigger_rate: float = arg(31.25e6, gt=0, unit="hz")
+    mean_photons: float = arg(0.1, ge=0)
+    laser_fwhm: float = arg(30e-12, ge=0, unit="ps")
+    alignment_delay: float = arg(0.0, unit="ps")
+    extinction_db: float = arg(25.0, gt=0)
 
     def __post_init__(self) -> None:
         if self.kind not in ("pulsed-trigger", "cw-dark-only", "cow-ppm"):
             raise ArgumentError("kind", f"must be a known source kind, not {self.kind!r}")
-        if not (np.isfinite(self.trigger_rate) and self.trigger_rate > 0):
-            raise ArgumentError("trigger_rate", "must be positive")
-        if not (np.isfinite(self.mean_photons) and self.mean_photons >= 0):
-            raise ArgumentError("mean_photons", "must be >= 0")
-        if not (np.isfinite(self.laser_fwhm) and self.laser_fwhm >= 0):
-            raise ArgumentError("laser_fwhm", "must be >= 0")
-        if not np.isfinite(self.alignment_delay):
-            raise ArgumentError("alignment_delay", "must be finite")
-        if not (np.isfinite(self.extinction_db) and self.extinction_db > 0):
-            raise ArgumentError("extinction_db", "must be positive")
+        check_args(self)
 
     @classmethod
-    def pulsed(cls, mean_photons: float = 0.1, trigger_rate: float = 31.25e6,
-               laser_fwhm: float = 30e-12, alignment_delay: float = 0.0) -> "SourceConfig":
-        return cls("pulsed-trigger", trigger_rate=trigger_rate, mean_photons=mean_photons,
-                   laser_fwhm=laser_fwhm, alignment_delay=alignment_delay)
+    def pulsed(cls, **args) -> "SourceConfig":
+        """A pulsed-trigger source; `args` are the fields that differ from their defaults."""
+        return cls("pulsed-trigger", **args)
 
     @classmethod
     def dark_only(cls) -> "SourceConfig":
         return cls("cw-dark-only", mean_photons=0.0)
 
     @classmethod
-    def cow(cls, mean_photons_per_bit: float, extinction_db: float = 25.0,
-            laser_fwhm: float = 30e-12) -> "SourceConfig":
-        return cls("cow-ppm", mean_photons=mean_photons_per_bit,
-                   laser_fwhm=laser_fwhm, extinction_db=extinction_db)
+    def cow(cls, mean_photons_per_bit: float, **args) -> "SourceConfig":
+        return cls("cow-ppm", mean_photons=mean_photons_per_bit, **args)
 
 
 def check_holdoff(holdoff_gates: int, anchor: str) -> None:
     """Refuse a hold-off that is not whole gates, or an unknown anchor."""
-    if not (isinstance(holdoff_gates, int) and holdoff_gates >= 0):
+    if not (is_int(holdoff_gates) and holdoff_gates >= 0):
         raise ArgumentError("holdoff_gates", "must be a non-negative integer")
     if anchor not in ("accepted", "any"):
         raise ArgumentError("holdoff_anchor", "must be 'accepted' or 'any'")
@@ -175,9 +166,9 @@ class RunConfig:
     holdoff_anchor: str = "accepted"
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n_gates, int) and self.n_gates >= 1):
+        if not (is_int(self.n_gates) and self.n_gates >= 1):
             raise ValueError("n_gates must be a positive integer")
-        if not (isinstance(self.master_seed, int) and 0 <= self.master_seed < 2**64):
+        if not (is_int(self.master_seed) and 0 <= self.master_seed < 2**64):
             raise ValueError("master_seed must be an unsigned 64-bit integer")
         check_holdoff(self.holdoff_gates, self.holdoff_anchor)
 
@@ -205,8 +196,17 @@ class RunResult:
 
 
 def packed_bit(packed: np.ndarray, index) -> np.ndarray:
-    """Bits `index` of `packed`, in `np.unpackbits` order (first bit = a byte's high bit)."""
-    return (packed[index >> 3] >> (7 - (index & 7))) & 1
+    """Bits `index` of `packed` as uint8 0/1, in `np.unpackbits` order (first
+    bit = a byte's high bit). Besides the result it holds the byte indices and
+    one byte per index."""
+    index = np.asarray(index)
+    bits = packed[index >> 3]
+    shift = index.astype(np.uint8)  # the low byte holds the bit's place
+    shift &= 7
+    shift ^= 7  # 7 - place
+    bits >>= shift
+    bits &= 1
+    return bits
 
 
 def _clicks(rng: np.random.Generator, n: int, p: float) -> np.ndarray:

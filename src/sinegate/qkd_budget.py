@@ -34,7 +34,7 @@ from functools import partial
 
 import numpy as np
 
-from .detector_model import ArgumentError, DetectorParams, _float_or_array
+from .detector_model import ArgumentError, DetectorParams, _float_or_array, arg, check_args
 from .mc_engine import RunConfig, SourceConfig, check_holdoff, packed_bit, run_simulation
 
 __all__ = [
@@ -75,8 +75,6 @@ def binary_entropy(q) -> np.ndarray | float:
 
 def check_timebin(timebin_width: float, gate_period: float) -> None:
     """Refuse a time bin wider than one gate: a bit is two bins of its gates."""
-    if not timebin_width > 0:
-        raise ArgumentError("timebin_width", "must be positive")
     if not timebin_width <= gate_period:
         raise ArgumentError("timebin_width", "must be at most half the bit period")
 
@@ -100,35 +98,22 @@ class QkdLinkConfig:
     `fiber_loss_db` may be an array of losses, as `sweep` builds it.
     """
 
-    mu_source: float = 0.3
-    fiber_loss_db: float = 0.0
-    timebin_width: float = 400e-12
-    extinction_db: float = 25.0
+    mu_source: float = arg(0.3, ge=0)
+    fiber_loss_db: float = arg(0.0, ge=0)
+    timebin_width: float = arg(400e-12, gt=0, unit="ps")
+    extinction_db: float = arg(25.0, gt=0)
     detector: DetectorParams = field(default_factory=DetectorParams)
     holdoff_gates: int = 10
     holdoff_anchor: str = "accepted"
-    ec_efficiency: float = 1.2
-    pa_fraction: float = 0.5
-    qber_floor: float | None = None
-    laser_fwhm: float = 30e-12
+    ec_efficiency: float = arg(1.2, ge=1)
+    pa_fraction: float = arg(0.5, ge=0, le=1)
+    qber_floor: float | None = arg(None, ge=0, lt=0.5)
+    laser_fwhm: float = arg(30e-12, ge=0, unit="ps")
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.mu_source) and self.mu_source >= 0):
-            raise ArgumentError("mu_source", "must be >= 0")
-        if not np.all(np.isfinite(self.fiber_loss_db) & (self.fiber_loss_db >= 0)):
-            raise ArgumentError("fiber_loss_db", "must be >= 0")
+        check_args(self)
         check_timebin(self.timebin_width, self.detector.gate.gate_period)
-        if not (np.isfinite(self.extinction_db) and self.extinction_db > 0):
-            raise ArgumentError("extinction_db", "must be positive dB")
         check_holdoff(self.holdoff_gates, self.holdoff_anchor)
-        if not (np.isfinite(self.ec_efficiency) and self.ec_efficiency >= 1.0):
-            raise ArgumentError("ec_efficiency", "must be >= 1")
-        if not (0.0 <= self.pa_fraction <= 1.0):
-            raise ArgumentError("pa_fraction", "must be in [0, 1]")
-        if self.qber_floor is not None and not (0.0 <= self.qber_floor < 0.5):
-            raise ArgumentError("qber_floor", "must be in [0, 0.5)")
-        if not (np.isfinite(self.laser_fwhm) and self.laser_fwhm >= 0):
-            raise ArgumentError("laser_fwhm", "must be >= 0")
 
     @property
     def bit_rate(self) -> float:
@@ -328,7 +313,7 @@ def mc_link_run(cfg: QkdLinkConfig, n_bits: int, master_seed: int) -> dict:
     assigned = nearest_gate[in_window].astype(np.int64)
     del nearest_gate
     sent = packed_bit(result.packed_bits, assigned >> 1)
-    sent ^= assigned & 1
+    sent ^= assigned.astype(np.uint8) & 1  # the low byte holds the bin
     wrong = np.count_nonzero(sent)
     duration = n_bits / cfg.bit_rate
     n_windowed = int(np.count_nonzero(in_window))

@@ -1,0 +1,105 @@
+"""Model arguments: each declared once on its field, refused by the model in
+the configuration's words, and the configuration shape unchanged by it."""
+
+import hashlib
+import json
+import math
+
+import numpy as np
+import pytest
+
+from sinegate.config import deep_merge, default_config, schema_text, validate_config
+from sinegate.detector_model import (
+    AfterpulseModel,
+    ArgumentError,
+    BiasEfficiencyLaw,
+    DetectorParams,
+    GateConfig,
+    JitterModel,
+)
+from sinegate.mc_engine import RunConfig, SourceConfig, check_holdoff
+from sinegate.qkd_budget import QkdLinkConfig
+
+NAN = math.nan
+
+# Every bounded leaf that builds a model argument: a value refused both in
+# its file unit and in SI, and the model call that takes it in SI.
+BOUNDED_LEAVES = {
+    "detector.gate.gate_frequency_hz": (0.0, lambda v: GateConfig(gate_frequency=v)),
+    "detector.gate.gate_fwhm_ps": (-1.0, lambda v: GateConfig(gate_fwhm=v)),
+    "detector.bias_law.anchor_bias_v": (NAN, lambda v: BiasEfficiencyLaw(anchor_bias=v)),
+    "detector.bias_law.anchor_efficiency": (1.5, lambda v: BiasEfficiencyLaw(anchor_efficiency=v)),
+    "detector.bias_law.slope_per_v": (0.0, lambda v: BiasEfficiencyLaw(slope_per=v)),
+    "detector.bias_law.breakdown_bias_v": (NAN, lambda v: BiasEfficiencyLaw(breakdown_bias=v)),
+    "detector.jitter.sigma_ps": (-1.0, lambda v: JitterModel(sigma=v)),
+    "detector.jitter.tail_fraction": (1.0, lambda v: JitterModel(tail_fraction=v)),
+    "detector.jitter.tail_span_gates": (0, lambda v: JitterModel(tail_span_gates=v)),
+    "detector.afterpulse.trap_fill_per_detection": (
+        -0.1, lambda v: AfterpulseModel(trap_fill_per_detection=v)),
+    "detector.afterpulse.release_lifetime_ns": (0.0, lambda v: AfterpulseModel(release_lifetime=v)),
+    "detector.afterpulse.trigger_prob_per_gate": (
+        1.5, lambda v: AfterpulseModel(trigger_prob_per_gate=v)),
+    "detector.operating.bias_v": (NAN, lambda v: DetectorParams(bias=v)),
+    "detector.operating.temperature_c": (NAN, lambda v: DetectorParams(temperature_c=v)),
+    "source.trigger_rate_hz": (-1.0, lambda v: SourceConfig.pulsed(trigger_rate=v)),
+    "source.mean_photons": (-1.0, lambda v: SourceConfig.pulsed(mean_photons=v)),
+    "source.laser_fwhm_ps": (-1.0, lambda v: SourceConfig.pulsed(laser_fwhm=v)),
+    "source.alignment_delay_ps": (NAN, lambda v: SourceConfig.pulsed(alignment_delay=v)),
+    "qkd.mu_source": (-1.0, lambda v: QkdLinkConfig(mu_source=v)),
+    "qkd.fiber_loss_db": (-1.0, lambda v: QkdLinkConfig(fiber_loss_db=v)),
+    "qkd.timebin_width_ps": (0.0, lambda v: QkdLinkConfig(timebin_width=v)),
+    "qkd.extinction_db": (0.0, lambda v: QkdLinkConfig(extinction_db=v)),
+    "qkd.ec_efficiency": (0.5, lambda v: QkdLinkConfig(ec_efficiency=v)),
+    "qkd.pa_fraction": (1.5, lambda v: QkdLinkConfig(pa_fraction=v)),
+    "qkd.qber_floor": (0.5, lambda v: QkdLinkConfig(qber_floor=v)),
+    "qkd.laser_fwhm_ps": (-1.0, lambda v: QkdLinkConfig(laser_fwhm=v)),
+}
+
+
+def _override(leaf: str, value) -> dict:
+    doc = value
+    for key in reversed(leaf.split(".")):
+        doc = {key: doc}
+    return doc
+
+
+@pytest.mark.parametrize("leaf", BOUNDED_LEAVES)
+def test_each_bound_has_one_wording(leaf):
+    value, model_call = BOUNDED_LEAVES[leaf]
+    with pytest.raises(ArgumentError) as exc:
+        model_call(value)
+    assert leaf.rsplit(".", 1)[1].startswith(exc.value.arg)  # the key is the argument plus a unit
+    assert validate_config(deep_merge(default_config(), _override(leaf, value))) == [
+        f"{leaf}: {exc.value.reason}"]
+
+
+# sha256 of the configuration shape and of the defaults document, as first
+# pinned: building the leaves from the model fields must leave both unchanged
+SCHEMA_SHA256 = "4c4cd31988ddfbbf435b69a737318ee9bc798e3592802d25eb0184f0b847a557"
+DEFAULTS_SHA256 = "fe662377645b8ffb33b49d0b05ab2ca85a4c4b2e7664bcd6ebc07ca2acca1900"
+
+
+def test_schema_text_and_defaults_are_pinned():
+    assert hashlib.sha256(schema_text().encode()).hexdigest() == SCHEMA_SHA256
+    defaults = json.dumps(default_config(), sort_keys=True)
+    assert hashlib.sha256(defaults.encode()).hexdigest() == DEFAULTS_SHA256
+
+
+@pytest.mark.parametrize("build", [
+    lambda: JitterModel(tail_span_gates=True),
+    lambda: check_holdoff(True, "accepted"),
+    lambda: RunConfig(n_gates=True, master_seed=1),
+    lambda: RunConfig(n_gates=10, master_seed=False),
+], ids=["tail_span_gates", "holdoff_gates", "n_gates", "master_seed"])
+def test_integers_refuse_bool(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_array_arguments_are_checked_elementwise():
+    DetectorParams(temperature_c=np.array([-43.0, 20.0]))
+    QkdLinkConfig(fiber_loss_db=np.array([0.0, 3.0]))
+    with pytest.raises(ArgumentError, match="temperature_c must be a finite number"):
+        DetectorParams(temperature_c=np.array([-43.0, NAN]))
+    with pytest.raises(ArgumentError, match="fiber_loss_db must be a number >= 0"):
+        QkdLinkConfig(fiber_loss_db=np.array([0.0, -1.0]))

@@ -1,4 +1,4 @@
-"""Memory bounds of the tcspc path.
+"""Memory bounds of the tcspc path, and of the cow link's packed bit reads.
 
 Each stage holds one copy of its records plus one bounded block. The
 simulation writes each chunk's records once into the one record array, and
@@ -7,7 +7,8 @@ bytes of a record) and one chunk's temporaries. The histogram and
 correlation passes read the records in blocks of a fixed number of records,
 and the table writer formats a block of `CHUNK_ROWS` rows at a time,
 whatever the table's length; the records table scales its time column one
-block at a time too. Peaks are tracemalloc's, which also sees NumPy's
+block at a time too. A packed bit read holds its byte indices and one byte
+per bit besides its result. Peaks are tracemalloc's, which also sees NumPy's
 buffers.
 """
 
@@ -24,6 +25,7 @@ from sinegate.mc_engine import (
     RunConfig,
     gates_per_trigger,
     inter_detection_correlation,
+    packed_bit,
     records_table,
     run_simulation,
     tcspc_histogram,
@@ -122,3 +124,13 @@ def test_records_table_emission_holds_one_writer_block_beside_the_records(bright
                                                 table_chunks(*records_table(records), fmt)))
     assert size > 30 * records.size  # the table was written
     assert peak < WRITER_BOUND
+
+
+def test_packed_bit_holds_its_byte_indices_and_two_bytes_per_bit():
+    # the cow link reads ~100 k bits of a 4 M-bit segment
+    rng = np.random.default_rng(3)
+    packed = rng.integers(0, 256, size=4_000_000 // 8, dtype=np.uint8)
+    index = np.sort(rng.choice(4_000_000, size=100_000, replace=False))
+    bits, peak = held(packed_bit, packed, index)
+    assert np.array_equal(bits, np.unpackbits(packed)[index])
+    assert peak <= index.nbytes + 2 * index.size

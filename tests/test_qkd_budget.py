@@ -267,7 +267,7 @@ def test_sweep_axes_and_errors():
     for grid in ([], [[0.0, 1.0]]):
         with pytest.raises(ValueError, match="non-empty sequence"):
             sweep(cfg, "fiber_loss_db", grid)
-    with pytest.raises(ValueError, match="fiber_loss_db must be >= 0"):
+    with pytest.raises(ValueError, match="fiber_loss_db must be a number >= 0"):
         sweep(cfg, "fiber_loss_db", [0.0, -1.0])
 
 
@@ -387,7 +387,9 @@ def test_cow_bits_read_packed_across_a_chunk_boundary():
                                       source=SourceConfig.cow(mean_photons_per_bit=0.3)))
     bits = np.unpackbits(result.packed_bits, count=600_001)
     assert np.array_equal(result.bits, bits)
-    assert np.array_equal(packed_bit(result.packed_bits, np.arange(600_001)), bits)
+    read = packed_bit(result.packed_bits, np.arange(600_001))
+    assert read.dtype == np.uint8
+    assert np.array_equal(read, bits)
 
 
 def test_mc_paralyzable_dead_time_matches_analytic_rate():
