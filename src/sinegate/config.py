@@ -39,7 +39,7 @@ from .detector_model import (
     _fragment,
     describe,
 )
-from .mc_engine import SourceConfig, check_tcspc_bin, gates_per_trigger
+from .mc_engine import HOLDOFF, SourceConfig, check_tcspc_bin, gates_per_trigger
 from .qkd_budget import QkdLinkConfig, check_timebin
 from .signal_chain import check_record, check_sampling
 
@@ -149,8 +149,7 @@ _SCHEMA = {
     **_obj(
         run=_obj(
             master_seed=_int(20260816, ge=0, lt=2**64),
-            holdoff_gates=_int(10, ge=0),
-            holdoff_anchor=_enum("accepted", "any"),
+            **HOLDOFF,
         ),
         detector=_obj(
             gate=_obj(**_model(GateConfig)),

@@ -54,6 +54,7 @@ from .detector_model import (
     DetectorParams,
     arg,
     check_args,
+    describe,
     is_int,
     sample_detection_times,
 )
@@ -137,12 +138,22 @@ class SourceConfig:
         return cls("cow-ppm", mean_photons=mean_photons_per_bit, **args)
 
 
+# The counter's hold-off, declared once: its length in whole gates and the
+# records that restart it. `RunConfig` and `QkdLinkConfig` take their defaults
+# from here, `check_holdoff` its rules, and the configuration's `run` section both.
+HOLDOFF = {
+    "holdoff_gates": {"type": "integer", "minimum": 0, "default": 10},
+    "holdoff_anchor": {"enum": ["accepted", "any"], "default": "accepted"},
+}
+
+
 def check_holdoff(holdoff_gates: int, anchor: str) -> None:
-    """Refuse a hold-off that is not whole gates, or an unknown anchor."""
-    if not (is_int(holdoff_gates) and holdoff_gates >= 0):
-        raise ArgumentError("holdoff_gates", "must be a non-negative integer")
-    if anchor not in ("accepted", "any"):
-        raise ArgumentError("holdoff_anchor", "must be 'accepted' or 'any'")
+    """Refuse a hold-off that breaks `HOLDOFF`, in the configuration's words."""
+    gates, anchors = HOLDOFF["holdoff_gates"], HOLDOFF["holdoff_anchor"]
+    if not (is_int(holdoff_gates) and holdoff_gates >= gates["minimum"]):
+        raise ArgumentError("holdoff_gates", f"must be {describe(gates)}")
+    if anchor not in anchors["enum"]:
+        raise ArgumentError("holdoff_anchor", f"must be {describe(anchors)}")
 
 
 def gates_per_trigger(gate_frequency: float, trigger_rate: float) -> int:
@@ -162,8 +173,8 @@ class RunConfig:
     master_seed: int
     detector: DetectorParams = field(default_factory=DetectorParams)
     source: SourceConfig = field(default_factory=SourceConfig.dark_only)
-    holdoff_gates: int = 10
-    holdoff_anchor: str = "accepted"
+    holdoff_gates: int = HOLDOFF["holdoff_gates"]["default"]
+    holdoff_anchor: str = HOLDOFF["holdoff_anchor"]["default"]
 
     def __post_init__(self) -> None:
         if not (is_int(self.n_gates) and self.n_gates >= 1):

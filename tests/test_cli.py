@@ -556,6 +556,31 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_table_writer_leaves_numpy_ma_and_scipy_stats_unloaded(tmp_path):
+    # every column kind and both formats go through the writer; numpy.ma alone
+    # (np.unique imports it) held ~1.6 MB resident
+    cfg = write_cfg(tmp_path, {"tcspc": {"n_pulses": 20000},
+                               "stability": {"n_segments": 2, "bits_per_segment": 20000}})
+    code = (
+        "import sys\n"
+        "from sinegate.cli import main\n"
+        "for cmd in ('tcspc', 'chain-demo', 'stability'):\n"
+        "    for fmt in ('csv', 'json'):\n"
+        "        out = sys.argv[2] + '/' + cmd + '-' + fmt\n"
+        "        assert main([cmd, '--config', sys.argv[1], '--format', fmt, '--out', out]) == 0\n"
+        "print(sorted(m for m in ('numpy.ma', 'scipy.stats') if m in sys.modules))\n"
+    )
+    src = Path(sinegate.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, cfg, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     # only `stability --workers` > 1 starts a pool, so only it imports one
     src = Path(sinegate.__file__).resolve().parents[1]

@@ -172,7 +172,7 @@ def test_holdoff_known_sequences():
 def test_apply_holdoff_refuses_a_fractional_or_negative_holdoff():
     recs = record_array([(0, 0.0, "dark"), (3, 2.4e-9, "dark"), (5, 4e-9, "dark")])
     for holdoff in (2.5, -1):
-        with pytest.raises(ValueError, match="non-negative integer"):
+        with pytest.raises(ValueError, match="must be an integer >= 0"):
             apply_holdoff(recs, holdoff)
     assert apply_holdoff(recs, 2)["accepted"].tolist() == [True, True, False]
 

@@ -99,7 +99,7 @@ def records_like_columns(n: int) -> list:
             rng.random(n) < 0.9]
 
 
-# A 2**13-row block of the four columns holds ~2 MB of transient strings.
+# A 2**12-row block of the four columns holds 1-1.5 MB of byte matrices and masks.
 WRITER_BOUND = 4 * MB
 
 

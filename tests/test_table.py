@@ -13,11 +13,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sinegate import cli
 from sinegate import signal_chain as sc
 from sinegate.mc_engine import Histogram, records_table
-from sinegate.table import CHUNK_ROWS, Labels, Scaled, table_chunks, write_chunks
+from sinegate.table import CHUNK_ROWS, Labels, Scaled, _shortest, table_chunks, write_chunks
 
 # --------------------------------------------------------------------- oracle
 
@@ -125,6 +127,134 @@ def test_cli_output_matches_per_row_oracle(tmp_path, monkeypatch, command, fmt):
         assert n_rows > CHUNK_ROWS
 
 
+# ------------------------------------------------- float digits, at scale
+
+def float_cells(values, fmt) -> list[str]:
+    """The cells of a one-column float table as `table_chunks` writes them."""
+    text = fast_table(["x"], [values], fmt).decode()
+    if fmt == "csv":
+        return text.split("\n")[1:-1]
+    return re.findall(r"^ {6}(.*)$", text, re.M)
+
+
+def oracle_cells(values, fmt) -> list[str]:
+    """The same cells by the oracle's rules: `oracle_cell`'s repr and exponent
+    unpadding (one pass over all cells) for CSV, and the json module's own
+    float text (its C encoder, one list) for JSON."""
+    if fmt == "csv":
+        return _EXP_PAD_LINES.sub(r"e\1\2", "\n".join(map(repr, values.tolist()))).split("\n")
+    return json.dumps(values.tolist(), allow_nan=False)[1:-1].split(", ")
+
+
+_EXP_PAD_LINES = re.compile(_EXP_PAD.pattern, re.M)
+
+
+N_FAMILY = 10**6
+
+
+def family(name: str) -> np.ndarray:
+    """10**6 seeded float64 values of one kind."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _family(name, rng)
+
+
+def _family(name: str, rng) -> np.ndarray:
+    sign = rng.choice([-1.0, 1.0], size=N_FAMILY)
+    if name == "bits":
+        values = rng.integers(0, 2**64, size=N_FAMILY, dtype=np.uint64).view(np.float64)
+        return values[np.isfinite(values)]
+    if name == "decades":  # every decade from subnormals to 1.8e308
+        exponents = rng.integers(-324, 309, size=N_FAMILY)
+        values = rng.uniform(1.0, 10.0, size=N_FAMILY) * 10.0 ** exponents.astype(np.float64)
+        small = exponents < -300  # 10.0**-324 underflows: reach subnormals in two steps
+        values[small] = rng.uniform(1.0, 10.0, small.sum()) * 1e-300 * 10.0 ** (exponents[small] + 300.0)
+        return sign * np.clip(values, 5e-324, 1.7976931348623157e308)
+    if name == "short decimals":
+        return sign * rng.integers(0, 10**9, size=N_FAMILY) / 10.0 ** rng.integers(0, 16, size=N_FAMILY)
+    if name == "integers around 2**53":
+        return sign * (2**53 + rng.integers(-2**40, 2**40, size=N_FAMILY)).astype(np.float64)
+    if name == "powers of two":  # and one ulp either side
+        powers = sign * 2.0 ** rng.integers(-1074, 1024, size=N_FAMILY).astype(np.float64)
+        return np.nextafter(powers, powers * rng.choice([0.0, 1.0, np.inf], size=N_FAMILY))
+    if name == "neighbours of powers of ten":  # up to 3 ulps either side
+        values = sign * 10.0 ** rng.integers(-323, 309, size=N_FAMILY).astype(np.float64)
+        for _ in range(3):
+            step = rng.choice([-1, 0, 1], size=N_FAMILY)
+            values = np.where(step == 0, values, np.nextafter(values, step * np.inf))
+        return values
+    raise ValueError(name)
+
+
+FAMILIES = ["bits", "decades", "short decimals", "integers around 2**53", "powers of two",
+            "neighbours of powers of ten"]
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_float_family_matches_the_oracle(name):
+    values = family(name)
+    assert values.size > 0.99 * N_FAMILY
+    # every value the kernel decides; of those it leaves to repr (slow on
+    # large exponents), a sample of 2**14
+    undecided = _shortest(values)[3]
+    left = values[undecided]
+    checked = np.concatenate([values[~undecided], left[::max(1, left.size >> 14)]])
+    assert float_cells(checked, "csv") == oracle_cells(checked, "csv")
+    # the digits are the same kernel's in JSON: a sample checks its layout
+    sample = checked[::16]
+    assert float_cells(sample, "json") == oracle_cells(sample, "json")
+
+
+def test_every_fallback_is_reached_and_the_rest_are_decided():
+    values = np.concatenate([family(name) for name in FAMILIES]
+                            + [[0.0, -0.0, np.nan, np.inf, -np.inf]])
+    _, _, _, fallback = _shortest(values)
+    undecided = values[fallback]
+    mantissa, e2 = np.frexp(np.abs(undecided))
+    q = 16 - np.floor((e2 - 1) * np.log10(2.0))
+    reasons = {
+        "zero": undecided == 0,
+        "not finite": ~np.isfinite(undecided),
+        "power-of-two mantissa": mantissa == 0.5,
+        "outside the exact range": (q < 0) | (q > 22),  # below ~1e-6, from ~1e17 up
+    }
+    named = np.logical_or.reduce(list(reasons.values()))
+    edge = undecided[~named]  # a rounding interval's edge within 1e-9 of an integer
+    for reason, hit in reasons.items():
+        assert hit.any(), reason
+    assert edge.size > 0
+    # from 2**52 an integral float's half ulp is a whole or half unit: on its edge
+    assert (edge == np.round(edge)).all() and (np.abs(edge) >= 2.0**52).all()
+    # every other value well inside the kernel's domain is decided
+    mantissa, _ = np.frexp(np.abs(values))
+    clear = ((np.abs(values) >= 1e-5) & (np.abs(values) < 1e16) & (mantissa != 0.5)
+             & ((np.abs(values) < 2.0**52) | (values != np.round(values))))
+    assert clear.sum() > N_FAMILY // 2 and not fallback[clear].any()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_any_floats_match_the_oracle(values):
+    header, columns = ["x", "y"], [np.array(values), np.array(values[::-1])]
+    for fmt in ("csv", "json"):
+        if fmt == "json" and not np.isfinite(values).all():
+            with pytest.raises(ValueError):
+                fast_table(header, columns, fmt)
+        else:
+            assert_matches_oracle(header, columns, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("dtype", [np.float16, np.float32])
+def test_narrow_float_columns(fmt, dtype):
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=1 << 15) * 10.0 ** rng.integers(-8, 8, size=1 << 15)
+    values = values[np.abs(values) < np.finfo(dtype).max].astype(dtype)
+    assert_matches_oracle(["x"], [values], fmt)
+    assert_matches_oracle(["t"], [Scaled(values, 1e-3)], fmt)
+    assert_matches_oracle(["t"], [Scaled(values.astype(np.float64), 1e-9)], fmt)
+
+
 # ----------------------------------------------------------------- edge cases
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -222,8 +352,8 @@ def test_table_longer_than_one_chunk(fmt):
     assert len(chunks) >= 3
 
 
-# the first block boundary, and the boundary at 1 << 15 rows (a multiple of CHUNK_ROWS)
-BOUNDARY_ROWS = sorted({m + d for m in (CHUNK_ROWS, 1 << 15) for d in (-1, 0, 1)})
+# the first two block boundaries, and the boundary at 1 << 15 rows (a multiple of CHUNK_ROWS)
+BOUNDARY_ROWS = sorted({m + d for m in (CHUNK_ROWS, 2 * CHUNK_ROWS, 1 << 15) for d in (-1, 0, 1)})
 
 
 @pytest.mark.parametrize("n", BOUNDARY_ROWS)
