@@ -22,7 +22,8 @@ import numpy as np
 from . import signal_chain as sc
 from . import qkd_budget as qb
 from .config import ConfigError, FullConfig, grid_values, load_config
-from .detector_model import ModelRangeError, dark_prob, efficiency_at_bias
+from .detector_model import (ArgumentError, ModelRangeError, check_args, dark_prob,
+                             efficiency_at_bias)
 from .mc_engine import (
     RunConfig,
     ORIGIN_NAMES,
@@ -328,8 +329,11 @@ def main(argv=None) -> int:
         return 1
     try:
         cfg = load_config(args.config)
-        if args.seed is not None and not 0 <= args.seed < 2**64:
-            raise ConfigError(["--seed must be in [0, 2**64)"])
+        if args.seed is not None:
+            try:
+                check_args(RunConfig, master_seed=args.seed)
+            except ArgumentError as exc:
+                raise ConfigError([f"--seed {exc.reason}"]) from None
         if args.workers < 1:
             raise ConfigError(["--workers must be >= 1"])
     except ConfigError as exc:

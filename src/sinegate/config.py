@@ -27,7 +27,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .detector_model import (
-    _COMPARE,
     DEFAULT_DARK_TABLE,
     AfterpulseModel,
     ArgumentError,
@@ -38,8 +37,9 @@ from .detector_model import (
     TemperatureDarkLaw,
     _fragment,
     describe,
+    satisfies,
 )
-from .mc_engine import HOLDOFF, SourceConfig, check_tcspc_bin, gates_per_trigger
+from .mc_engine import RunConfig, SourceConfig, check_tcspc_bin, gates_per_trigger
 from .qkd_budget import QkdLinkConfig, check_timebin
 from .signal_chain import check_record, check_sampling
 
@@ -80,12 +80,11 @@ def deep_merge(base: dict, override: dict) -> dict:
 # ---------------------------------------------------------------------------
 # The configuration shape: one tree that is itself a draft-07 JSON Schema.
 # `schema_text()` prints it and `validate_config` walks it with `_check`,
-# which reads only the keywords used here. Every leaf carries its `default`
-# (`_model` builds a model argument's leaf); every field is required of the
-# merged document (`missing` otherwise) and optional in a user file. Two
-# rules JSON Schema cannot state live in `_valid`: numbers must be finite
-# (`json.load` reads NaN) and integers must be Python ints (JSON Schema
-# counts 2.0 as an integer).
+# which reads the object keywords and hands every other fragment to
+# `detector_model.satisfies`, the interpreter the model's own checks use.
+# Every leaf carries its `default` (`_model` builds a model argument's
+# leaf); every field is required of the merged document (`missing`
+# otherwise) and optional in a user file.
 
 
 def _obj(**properties) -> dict:
@@ -147,10 +146,7 @@ _SCHEMA = {
     "description": "All fields are optional; omitted fields take the documented "
     "defaults. Unit suffixes are part of the field names.",
     **_obj(
-        run=_obj(
-            master_seed=_int(20260816, ge=0, lt=2**64),
-            **HOLDOFF,
-        ),
+        run=_obj(**_model(RunConfig)),
         detector=_obj(
             gate=_obj(**_model(GateConfig)),
             bias_law=_obj(**_model(BiasEfficiencyLaw)),
@@ -166,7 +162,8 @@ _SCHEMA = {
             operating=_obj(**_model(DetectorParams)),
         ),
         source=_obj(kind=_enum("pulsed-trigger"), **_model(SourceConfig, "extinction_db")),
-        qkd=_obj(**_model(QkdLinkConfig), mc_check_bits=_int(1000000, ge=0)),
+        qkd=_obj(**_model(QkdLinkConfig, "holdoff_gates", "holdoff_anchor"),  # `run` holds those
+                 mc_check_bits=_int(1000000, ge=0)),
         chain=_obj(
             dt_ps=_num(25.0, gt=0),
             duration_ns=_num(64.0, gt=0),
@@ -213,8 +210,9 @@ def default_config() -> dict:
 # argument named like it minus its unit suffix, coerced by the leaf's type
 # and scaled to SI by `_UNITS`. Each sub-object of `detector` builds the law
 # of its name, the dark table builds `TemperatureDarkLaw` (null switches the
-# dark channel off) and `operating` adds to `DetectorParams`. Leaves that name no argument (`run.master_seed`,
-# `qkd.mc_check_bits`) are read where used.
+# dark channel off), `operating` adds to `DetectorParams`, and `run` adds its
+# hold-off to `QkdLinkConfig`. Leaves that no object built here takes
+# (`run.master_seed`, `qkd.mc_check_bits`) are read where used.
 
 _COERCE = {"number": float, "integer": int, "boolean": bool}
 
@@ -229,9 +227,10 @@ def _arg(key: str) -> tuple[str, float | None]:
 def _value(schema: dict, v, scale: float | None):
     """A leaf's JSON value as its constructor argument."""
     branch = schema["oneOf"][-1] if "oneOf" in schema else schema  # null is first
-    if v is None or "enum" in branch or branch["type"] == "array":
+    coerce = _COERCE.get(branch.get("type"))  # an enum or an array is taken as it is
+    if v is None or coerce is None:
         return v
-    v = _COERCE[branch["type"]](v)
+    v = coerce(v)
     return v if scale is None else v / scale
 
 
@@ -247,43 +246,10 @@ def _args(cls, schema: dict, doc: dict) -> dict:
     return args
 
 
-def _finite(v) -> bool:
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-def _valid(schema: dict, v) -> bool:
-    """Whether `v` satisfies a non-object fragment of `_SCHEMA`."""
-    if "oneOf" in schema:
-        return sum(_valid(branch, v) for branch in schema["oneOf"]) == 1
-    if "enum" in schema:
-        return v in schema["enum"]
-    kind = schema["type"]
-    if kind == "null":
-        return v is None
-    if kind == "boolean":
-        return isinstance(v, bool)
-    if kind == "array":
-        if not (isinstance(v, list) and schema["minItems"] <= len(v) <= schema.get("maxItems", len(v))):
-            return False
-        items = schema["items"]  # a list of fragments checks a tuple
-        pairs = zip(items, v) if isinstance(items, list) else ((items, x) for x in v)
-        return all(_valid(s, x) for s, x in pairs)
-    number_types = int if kind == "integer" else (int, float)
-    return (
-        isinstance(v, number_types)
-        and not isinstance(v, bool)
-        and _finite(v)
-        and all(cmp(v, schema[key]) for key, cmp in _COMPARE.items() if key in schema)
-    )
-
-
 def _check(schema: dict, doc, path: str, errors: list[str]) -> None:
     """Append to `errors` every way `doc` breaks `schema`; objects recurse."""
     if schema.get("type") != "object":
-        if not _valid(schema, doc):
+        if not satisfies(schema, doc):
             errors.append(f"{path}: must be {describe(schema)}")
         return
     if not isinstance(doc, dict):
@@ -350,8 +316,11 @@ def _validate(doc) -> tuple[list[str], FullConfig | None]:
             return _args(cls, schema, functools.reduce(operator.getitem, keys, doc))
         if any(path == r or path.startswith(r + ".") for r in refused):
             return _REFUSED
-        v = _value(schema, functools.reduce(operator.getitem, keys, doc), _arg(keys[-1])[1])
-        if "exclusiveMinimum" in schema and not v > 0:  # 1e-320 ps is 0 s
+        scale = _arg(keys[-1])[1]
+        v = _value(schema, functools.reduce(operator.getitem, keys, doc), scale)
+        # a value that passed in its file unit can break its bound in SI only
+        # by underflowing: every bound of a unit-suffixed leaf is 0
+        if scale is not None and not satisfies(schema, v):  # 1e-320 ps is 0 s
             errors.append(f"{path}: underflows to 0 in SI units")
             refused.append(path)
             return _REFUSED

@@ -22,12 +22,15 @@ temperature) and owns the one click law (`click_prob`). A calibration on
 disk is a configuration's `detector` section, read and validated by
 `config.load_config`.
 
-Each single-valued argument of a class that a configuration builds is
-declared once, with `arg` on its dataclass field: its SI default, its bounds
-and the unit suffix of its configuration key. `check_args` enforces the
-declarations in the class's `__post_init__`, which adds only the rules that
-tie arguments together, and `config` builds each key's schema leaf from the
-same field, so both refuse a value in the same words (`describe`).
+Each single-valued argument of a model class (here, in `mc_engine`,
+`qkd_budget` and `signal_chain`) is declared once, with `arg` on its
+dataclass field: its SI default, its bounds or allowed strings, and the unit
+suffix of its configuration key. `check_args` enforces the declarations in
+the class's `__post_init__`, which adds only the rules that tie arguments
+together, and `config` builds each key's schema leaf from the same field.
+One function, `satisfies`, reads every fragment, for a model argument and a
+configuration leaf alike, so both refuse a value in the same words
+(`describe`).
 """
 
 from __future__ import annotations
@@ -42,9 +45,11 @@ __all__ = [
     "ModelRangeError",
     "ArgumentError",
     "arg",
+    "arg_of",
     "check_args",
     "describe",
     "is_int",
+    "satisfies",
     "GateConfig",
     "BiasEfficiencyLaw",
     "TemperatureDarkLaw",
@@ -90,17 +95,24 @@ def _fragment(kind: str, **bounds) -> dict:
     return {"type": kind, **{_BOUNDS[k]: v for k, v in bounds.items()}}
 
 
-def arg(default, *, unit: str | None = None, **bounds):
+def arg(default, *, unit: str | None = None, enum=None, **bounds):
     """A dataclass field declaring a model argument: its SI `default`, its
-    gt/ge/lt/le `bounds`, and the unit suffix of its configuration key
-    (`config._UNITS`). The default's type sets the kind: bool, int, or a
-    number; a None default makes a number that may be None. A bound reads the
-    same in every unit, so a unit-suffixed argument is bounded at 0 only."""
+    gt/ge/lt/le `bounds` or its `enum` of allowed strings, and the unit
+    suffix of its configuration key (`config._UNITS`). The default's type
+    sets the kind: bool, int, or a number; a None default makes a number
+    that may be None. A bound reads the same in every unit, so a
+    unit-suffixed argument is bounded at 0 only."""
     kind = "boolean" if isinstance(default, bool) else "integer" if isinstance(default, int) else "number"
-    schema = _fragment(kind, **bounds)
+    schema = {"enum": list(enum)} if enum else _fragment(kind, **bounds)
     if default is None:
         schema = {"oneOf": [{"type": "null"}, schema]}
     return field(default=default, metadata={"schema": schema, "unit": unit})
+
+
+def arg_of(cls, name: str):
+    """A field declaring the same argument as `cls`'s `arg` field `name`."""
+    declared = next(f for f in fields(cls) if f.name == name)
+    return field(default=declared.default, metadata=declared.metadata)
 
 
 def is_int(v) -> bool:
@@ -108,26 +120,55 @@ def is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _satisfies(schema: dict, v) -> bool:
-    """Whether an argument value meets the schema fragment `arg` declared."""
-    if "oneOf" in schema:  # None, or the number
-        return v is None or _satisfies(schema["oneOf"][1], v)
-    if schema["type"] == "boolean":
-        return True  # a flag has no bound
-    bounds = [(cmp, schema[key]) for key, cmp in _COMPARE.items() if key in schema]
-    if schema["type"] == "integer":
-        return is_int(v) and all(cmp(v, bound) for cmp, bound in bounds)
-    v = np.asarray(v)  # each element of an array argument
-    return bool(np.isfinite(v).all() and all(cmp(v, bound).all() for cmp, bound in bounds))
+def _real(v) -> bool:
+    """Whether `v` is a finite real number other than a bool: a Python or
+    NumPy scalar, or a NumPy array of them (each element is checked)."""
+    if isinstance(v, np.ndarray):
+        return v.dtype.kind in "iuf" and bool(np.isfinite(v).all())
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
-def check_args(obj) -> None:
-    """Refuse the first `arg` field of dataclass `obj` that breaks its
-    declaration: numbers must be finite and inside their bounds (elementwise
-    for arrays), integers Python ints other than bool inside theirs."""
+def satisfies(schema: dict, v) -> bool:
+    """Whether `v` meets a non-object schema fragment, the one reading of
+    every fragment: a configuration leaf's JSON value or a model argument.
+    Numbers must be finite (`json.load` reads NaN) and integers Python ints
+    (JSON Schema counts 2.0 as an integer); neither is a bool. A number may
+    also be a NumPy scalar or array, checked elementwise."""
+    if "oneOf" in schema:
+        return sum(satisfies(branch, v) for branch in schema["oneOf"]) == 1
+    if "enum" in schema:
+        return isinstance(v, str) and v in schema["enum"]
+    kind = schema["type"]
+    if kind == "null":
+        return v is None
+    if kind == "boolean":
+        return isinstance(v, (bool, np.bool_))
+    if kind == "array":
+        if not (isinstance(v, list) and schema["minItems"] <= len(v) <= schema.get("maxItems", len(v))):
+            return False
+        items = schema["items"]  # a list of fragments checks a tuple
+        pairs = zip(items, v) if isinstance(items, list) else ((items, x) for x in v)
+        return all(satisfies(s, x) for s, x in pairs)
+    if not (_real(v) and (kind == "number" or is_int(v))):
+        return False
+    held = (cmp(v, schema[key]) for key, cmp in _COMPARE.items() if key in schema)
+    return all(map(np.all, held)) if isinstance(v, np.ndarray) else all(held)
+
+
+def check_args(obj, **values) -> None:
+    """Refuse the first `arg` field of dataclass `obj` whose value breaks its
+    declaration (`satisfies`). `values`, when given, are checked in place of
+    the fields' own, and only they: `obj` may then be the class."""
     for f in fields(obj):
         schema = f.metadata.get("schema")
-        if schema is not None and not _satisfies(schema, getattr(obj, f.name)):
+        if schema is None or (values and f.name not in values):
+            continue
+        if not satisfies(schema, values[f.name] if values else getattr(obj, f.name)):
             raise ArgumentError(f.name, f"must be {describe(schema)}")
 
 
@@ -150,16 +191,17 @@ def describe(schema: dict) -> str:
     if kind == "boolean":
         return "true or false"
     noun = "an integer" if kind == "integer" else "a number"
-    # every bounded fragment has a lower bound
     lo = schema.get("minimum", schema.get("exclusiveMinimum"))
     hi = schema.get("maximum", schema.get("exclusiveMaximum"))
-    if lo is None:
+    if lo is None and hi is None:
         return "a finite number" if kind == "number" else noun
-    closed = "minimum" in schema
     if hi is None:
-        return f"{noun} {'>=' if closed else '>'} {_fmt(lo)}"
+        return f"{noun} {'>=' if 'minimum' in schema else '>'} {_fmt(lo)}"
+    if lo is None:
+        return f"{noun} {'<=' if 'maximum' in schema else '<'} {_fmt(hi)}"
+    open_ = "[" if "minimum" in schema else "("
     close = "]" if "maximum" in schema else ")"
-    return f"{noun} in {'[' if closed else '('}{_fmt(lo)}, {_fmt(hi)}{close}"
+    return f"{noun} in {open_}{_fmt(lo)}, {_fmt(hi)}{close}"
 
 
 def _float_or_array(value):

@@ -34,8 +34,8 @@ from functools import partial
 
 import numpy as np
 
-from .detector_model import ArgumentError, DetectorParams, _float_or_array, arg, check_args
-from .mc_engine import HOLDOFF, RunConfig, SourceConfig, check_holdoff, packed_bit, run_simulation
+from .detector_model import ArgumentError, DetectorParams, _float_or_array, arg, arg_of, check_args
+from .mc_engine import RunConfig, SourceConfig, packed_bit, run_simulation
 
 __all__ = [
     "FIBER_DB_PER_KM",
@@ -103,8 +103,8 @@ class QkdLinkConfig:
     timebin_width: float = arg(400e-12, gt=0, unit="ps")
     extinction_db: float = arg(25.0, gt=0)
     detector: DetectorParams = field(default_factory=DetectorParams)
-    holdoff_gates: int = HOLDOFF["holdoff_gates"]["default"]
-    holdoff_anchor: str = HOLDOFF["holdoff_anchor"]["default"]
+    holdoff_gates: int = arg_of(RunConfig, "holdoff_gates")
+    holdoff_anchor: str = arg_of(RunConfig, "holdoff_anchor")
     ec_efficiency: float = arg(1.2, ge=1)
     pa_fraction: float = arg(0.5, ge=0, le=1)
     qber_floor: float | None = arg(None, ge=0, lt=0.5)
@@ -113,7 +113,6 @@ class QkdLinkConfig:
     def __post_init__(self) -> None:
         check_args(self)
         check_timebin(self.timebin_width, self.detector.gate.gate_period)
-        check_holdoff(self.holdoff_gates, self.holdoff_anchor)
 
     @property
     def bit_rate(self) -> float:

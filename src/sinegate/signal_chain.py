@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .detector_model import ArgumentError
+from .detector_model import ArgumentError, arg, check_args
 from .table import table_chunks, write_chunks
 
 __all__ = [
@@ -136,20 +136,12 @@ class AvalanchePulseShape:
     time constant varies with a log-normal factor of median 1.
     """
 
-    peak_amplitude: float = -32e-3
-    fall_time: float = 1.8e-9
-    amplitude_jitter: float = 0.2
-    width_jitter: float = 0.15
+    peak_amplitude: float = arg(-32e-3, lt=0)
+    fall_time: float = arg(1.8e-9, gt=0)
+    amplitude_jitter: float = arg(0.2, ge=0, lt=1)
+    width_jitter: float = arg(0.15, ge=0, lt=1)
 
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.peak_amplitude) and self.peak_amplitude < 0):
-            raise ValueError("peak_amplitude must be negative (negative-going pulse)")
-        if not (np.isfinite(self.fall_time) and self.fall_time > 0):
-            raise ValueError("fall_time must be positive")
-        if not (0 <= self.amplitude_jitter < 1):
-            raise ValueError("amplitude_jitter must be in [0, 1)")
-        if not (0 <= self.width_jitter < 1):
-            raise ValueError("width_jitter must be in [0, 1)")
+    __post_init__ = check_args
 
     @property
     def fall_tau(self) -> float:
@@ -169,31 +161,21 @@ class FilterResponseSpec:
     frequency up to 4 GHz.
     """
 
-    gate_frequency: float = 1.25e9
-    passband_edge: float = 600e6
-    passband_ripple_db: float = 1.0
-    rejection_at_gate_db: float = 54.0
-    rejection_band_floor_db: float = 50.0
-    rejection_band_halfwidth: float = 50e6
-    rejection_to_4ghz_db: float = 40.0
+    gate_frequency: float = arg(1.25e9, gt=0)
+    passband_edge: float = arg(600e6, gt=0)
+    passband_ripple_db: float = arg(1.0, gt=0)
+    rejection_at_gate_db: float = arg(54.0, gt=0)
+    rejection_band_floor_db: float = arg(50.0, gt=0)
+    rejection_band_halfwidth: float = arg(50e6, gt=0)
+    rejection_to_4ghz_db: float = arg(40.0, gt=0)
 
     def __post_init__(self) -> None:
-        for name in (
-            "gate_frequency",
-            "passband_edge",
-            "passband_ripple_db",
-            "rejection_at_gate_db",
-            "rejection_band_floor_db",
-            "rejection_band_halfwidth",
-            "rejection_to_4ghz_db",
-        ):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive, got {value}")
+        check_args(self)
         if self.passband_edge >= self.gate_frequency:
-            raise ValueError("passband_edge must lie below the gate frequency")
+            raise ArgumentError("passband_edge", "must lie below the gate frequency")
         if self.rejection_band_halfwidth >= self.gate_frequency - self.passband_edge:
-            raise ValueError("rejection band overlaps the passband")
+            raise ArgumentError("rejection_band_halfwidth", "must keep the rejection band "
+                                "clear of the passband")
 
 
 def _stage_law(f, fc: float, order: int):
@@ -500,16 +482,13 @@ class DiscriminatorConfig:
     """Level discriminator: threshold volts, polarity, dead time after a hit."""
 
     threshold: float
-    polarity: str = "negative-going"
-    refractory_time: float = 0.0
+    polarity: str = arg("negative-going", enum=("negative-going", "positive-going"))
+    refractory_time: float = arg(0.0, ge=0)
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.threshold):
             raise ValueError("threshold must be finite")
-        if self.polarity not in ("negative-going", "positive-going"):
-            raise ValueError(f"unknown polarity {self.polarity!r}")
-        if not (np.isfinite(self.refractory_time) and self.refractory_time >= 0):
-            raise ValueError("refractory_time must be >= 0")
+        check_args(self)
 
 
 def discriminate(w: SampledWaveform, cfg: DiscriminatorConfig) -> np.ndarray:

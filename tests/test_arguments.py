@@ -19,6 +19,7 @@ from sinegate.detector_model import (
 )
 from sinegate.mc_engine import RunConfig, SourceConfig, check_holdoff
 from sinegate.qkd_budget import QkdLinkConfig
+from sinegate.signal_chain import AvalanchePulseShape, DiscriminatorConfig, FilterResponseSpec
 
 NAN = math.nan
 
@@ -53,6 +54,8 @@ BOUNDED_LEAVES = {
     "qkd.pa_fraction": (1.5, lambda v: QkdLinkConfig(pa_fraction=v)),
     "qkd.qber_floor": (0.5, lambda v: QkdLinkConfig(qber_floor=v)),
     "qkd.laser_fwhm_ps": (-1.0, lambda v: QkdLinkConfig(laser_fwhm=v)),
+    "run.master_seed": (2**64, lambda v: RunConfig(n_gates=1, master_seed=v)),
+    "run.holdoff_gates": (-1, lambda v: RunConfig(n_gates=1, holdoff_gates=v)),
 }
 
 
@@ -103,3 +106,32 @@ def test_array_arguments_are_checked_elementwise():
         DetectorParams(temperature_c=np.array([-43.0, NAN]))
     with pytest.raises(ArgumentError, match="fiber_loss_db must be a number >= 0"):
         QkdLinkConfig(fiber_loss_db=np.array([0.0, -1.0]))
+
+
+# Each declared argument of the signal-chain specs, with a value its
+# declaration refuses; DiscriminatorConfig also needs its threshold.
+CHAIN_ARGS = [
+    (FilterResponseSpec, "gate_frequency", 0.0),
+    (FilterResponseSpec, "passband_edge", -1.0),
+    (FilterResponseSpec, "passband_ripple_db", 0.0),
+    (FilterResponseSpec, "rejection_at_gate_db", -54.0),
+    (FilterResponseSpec, "rejection_band_floor_db", 0.0),
+    (FilterResponseSpec, "rejection_band_halfwidth", 0.0),
+    (FilterResponseSpec, "rejection_to_4ghz_db", -40.0),
+    (AvalanchePulseShape, "peak_amplitude", 32e-3),
+    (AvalanchePulseShape, "fall_time", 0.0),
+    (AvalanchePulseShape, "amplitude_jitter", 1.0),
+    (AvalanchePulseShape, "width_jitter", -0.1),
+    (DiscriminatorConfig, "polarity", "sideways"),
+    (DiscriminatorConfig, "refractory_time", -1e-9),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "out of bound"])
+@pytest.mark.parametrize("cls, name, bad", CHAIN_ARGS, ids=[name for _, name, _ in CHAIN_ARGS])
+def test_signal_chain_arguments_refuse_nan_and_out_of_bound(cls, name, bad, value):
+    args = {"threshold": -4e-3} if cls is DiscriminatorConfig else {}
+    with pytest.raises(ArgumentError) as exc:
+        cls(**args, **{name: NAN if value == "nan" else bad})
+    assert exc.value.arg == name
+    assert str(exc.value).startswith(f"{name} must be ")

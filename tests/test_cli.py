@@ -233,8 +233,9 @@ def test_tcspc_outputs(tmp_path):
 
 
 def test_tcspc_histogram_without_a_peak(tmp_path):
-    # a 30 ns bin rounds the 32 ns period to one bin: counts, but no peak to measure
-    cfg = write_cfg(tmp_path, {"tcspc": {"bin_width_ps": 30000.0, "n_pulses": 2000}})
+    # a bin within float tolerance of the 32 ns period makes one bin: counts,
+    # but no peak to measure
+    cfg = write_cfg(tmp_path, {"tcspc": {"bin_width_ps": 31999.99999, "n_pulses": 2000}})
     out = tmp_path / "out"
     run_ok(["tcspc", "--config", cfg, "--out", str(out)])
     summary = dict(line.split(",", 1)

@@ -560,6 +560,22 @@ def test_tcspc_merge_matches_whole_when_split_on_cycle_boundary():
     assert np.array_equal(first.counts + second.counts, whole.counts)
 
 
+@pytest.mark.parametrize("bin_width", [7e-12, 13e-9])
+def test_tcspc_counts_every_cycle_when_the_bin_does_not_divide_the_period(bin_width):
+    # the last bin reaches past the period, so no first detection is dropped
+    period = 32e-9
+    times = np.sort(np.random.default_rng(68).uniform(0, 20_000 * period, size=30_000))
+    h = tcspc_histogram(make_records(times), 1.0 / period, bin_width)
+    assert h.n_bins == math.ceil(period / bin_width)
+    assert h.total == np.unique(np.floor(times / period)).size
+
+
+def test_tcspc_bin_count_tolerates_a_quotient_just_above_a_whole_number():
+    # 1 / 31.25 MHz / 4 ps is 8000.000000000001 in floats
+    h = tcspc_histogram(make_records([1e-9]), 31.25e6, 4e-12)
+    assert h.n_bins == 8000 and h.total == 1
+
+
 def test_estimate_fwhm_on_gaussian():
     sigma = 70e-12 / 2.3548
     x = np.arange(-400e-12, 400e-12, 4e-12)
