@@ -146,7 +146,7 @@ _SCHEMA = {
     "description": "All fields are optional; omitted fields take the documented "
     "defaults. Unit suffixes are part of the field names.",
     **_obj(
-        run=_obj(**_model(RunConfig)),
+        run=_obj(**_model(RunConfig, "n_gates")),  # each subcommand sets its run's length
         detector=_obj(
             gate=_obj(**_model(GateConfig)),
             bias_law=_obj(**_model(BiasEfficiencyLaw)),

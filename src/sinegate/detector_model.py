@@ -45,6 +45,7 @@ __all__ = [
     "ModelRangeError",
     "ArgumentError",
     "arg",
+    "required",
     "arg_of",
     "check_args",
     "describe",
@@ -95,18 +96,26 @@ def _fragment(kind: str, **bounds) -> dict:
     return {"type": kind, **{_BOUNDS[k]: v for k, v in bounds.items()}}
 
 
-def arg(default, *, unit: str | None = None, enum=None, **bounds):
+def arg(default, *, unit: str | None = None, enum=None, axis: bool = False, **bounds):
     """A dataclass field declaring a model argument: its SI `default`, its
     gt/ge/lt/le `bounds` or its `enum` of allowed strings, and the unit
     suffix of its configuration key (`config._UNITS`). The default's type
     sets the kind: bool, int, or a number; a None default makes a number
     that may be None. A bound reads the same in every unit, so a
-    unit-suffixed argument is bounded at 0 only."""
+    unit-suffixed argument is bounded at 0 only. Only a sweep `axis` may
+    also be a NumPy array, each element checked."""
     kind = "boolean" if isinstance(default, bool) else "integer" if isinstance(default, int) else "number"
     schema = {"enum": list(enum)} if enum else _fragment(kind, **bounds)
     if default is None:
         schema = {"oneOf": [{"type": "null"}, schema]}
-    return field(default=default, metadata={"schema": schema, "unit": unit})
+    return field(default=default, metadata={"schema": schema, "unit": unit, "axis": axis})
+
+
+def required(kind: str, **bounds):
+    """A dataclass field declaring a model argument with no default: a
+    "number" or an "integer" inside gt/ge/lt/le `bounds`, and no
+    configuration key of its own."""
+    return field(metadata={"schema": _fragment(kind, **bounds)})
 
 
 def arg_of(cls, name: str):
@@ -161,14 +170,16 @@ def satisfies(schema: dict, v) -> bool:
 
 
 def check_args(obj, **values) -> None:
-    """Refuse the first `arg` field of dataclass `obj` whose value breaks its
-    declaration (`satisfies`). `values`, when given, are checked in place of
-    the fields' own, and only they: `obj` may then be the class."""
+    """Refuse the first declared field of dataclass `obj` whose value breaks
+    its declaration (`satisfies`), or is an array where the field is no sweep
+    axis. `values`, when given, are checked in place of the fields' own, and
+    only they: `obj` may then be the class."""
     for f in fields(obj):
         schema = f.metadata.get("schema")
         if schema is None or (values and f.name not in values):
             continue
-        if not satisfies(schema, values[f.name] if values else getattr(obj, f.name)):
+        v = values[f.name] if values else getattr(obj, f.name)
+        if not satisfies(schema, v) or (isinstance(v, np.ndarray) and not f.metadata.get("axis")):
             raise ArgumentError(f.name, f"must be {describe(schema)}")
 
 
@@ -453,7 +464,7 @@ class DetectorParams:
     jitter: JitterModel = field(default_factory=JitterModel)
     afterpulse: AfterpulseModel = field(default_factory=AfterpulseModel)
     bias: float = arg(53.5, unit="v")
-    temperature_c: float = arg(-43.0)
+    temperature_c: float = arg(-43.0, axis=True)
 
     __post_init__ = check_args
 

@@ -30,10 +30,12 @@ times are generated in a single sequential pass from
 ``SeedSequence((master_seed, 2))``. The gaps between intrinsic avalanches
 (the last one runs to the end of the run) go in blocks of ``_GAP_BLOCK``:
 a block first draws one exponential per gap, the first thinning
-candidate's; then, in gate order, the gaps with a candidate in range (or a
-first hazard >= 1) draw their continuation: one uniform per candidate in
-range, and one exponential per later candidate (nothing when a hazard
-after a fill is >= 1, and nothing more to relabel a dark candidate).
+candidate's. Every other variate of the walk is an exponential from one
+pool, which draws ``_GAP_BLOCK`` of them from the same generator whenever
+it runs empty (first when the first gap walks). In gate order, each later
+candidate takes one, and a candidate in range s >= 1 gates past its
+bound's gate one more to keep it or not (nothing when a hazard is >= 1,
+and nothing more to relabel a dark candidate). No variate is drawn alone.
 After the last block come the detection times of all afterpulses.
 Per-chunk draw order is fixed: (cow bits, one byte per 8 bits), photon
 clicks (count, subset; pulse bin then empty bin for cow), dark clicks
@@ -54,7 +56,7 @@ from .detector_model import (
     DetectorParams,
     arg,
     check_args,
-    is_int,
+    required,
     sample_detection_times,
 )
 from .table import Labels, Scaled
@@ -155,7 +157,7 @@ def gates_per_trigger(gate_frequency: float, trigger_rate: float) -> int:
 class RunConfig:
     """One simulation run: how many gates, with what detector and source."""
 
-    n_gates: int
+    n_gates: int = required("integer", ge=1)
     master_seed: int = arg(20260816, ge=0, lt=2**64)
     detector: DetectorParams = field(default_factory=DetectorParams)
     source: SourceConfig = field(default_factory=SourceConfig.dark_only)
@@ -165,8 +167,6 @@ class RunConfig:
     holdoff_anchor: str = arg("accepted", enum=("accepted", "any"))
 
     def __post_init__(self) -> None:
-        if not (is_int(self.n_gates) and self.n_gates >= 1):
-            raise ValueError("n_gates must be a positive integer")
         check_args(self)
 
 
@@ -264,42 +264,56 @@ def _simulate_chunk(cfg: RunConfig, chunk_index: int, m: int, p_photon: tuple,
     return gates, phys, packed, rng
 
 
-def _next_fire(c: float, r: float, n: int, rng: np.random.Generator,
-               first: float | None = None) -> int:
+def _next_fire(c: float, r: float, n: int, pool, first: float | None = None) -> int:
     """First of `n` gates to fire when gate j fires with probability c*r**j, or n for none.
 
     Thinning: from gate j the bound b = c*r**j covers every later gate. b >= 1
     fires gate j with no draw; otherwise one exponential skips s gates (s + 1
-    is geometric in b) to a candidate, which one uniform keeps with
-    probability r**s, the hazard over the bound. `first`, when given, is the
-    first exponential, drawn by the caller; the rest come from `rng`. Needs
-    0 <= c <= 1, 0 <= r < 1.
+    is geometric in b) to a candidate, kept with probability r**s, the hazard
+    over the bound: with no draw when s == 0, else when a second exponential
+    exceeds s*(-ln r), the same law as a uniform below r**s. The
+    exponentials come from the iterator `pool`; `first`, when given, is the
+    first of them. Needs c >= 0 and 0 < r < 1.
     """
-    j = 0
-    while True:
-        b = c * r**j
-        if b >= 1.0:
-            return j
+    neg_log_r = -math.log(r)
+    j, b = 0, c
+    while b < 1.0:
         if b == 0.0:
             return n
-        e = rng.standard_exponential() if first is None else first
+        e = next(pool) if first is None else first
         first = None
         x = e / -math.log1p(-b)
         if j + x >= n:  # in floats: the skip may be too large for an int
             return n
         s = int(x)
-        if rng.random() < r**s:
+        if s == 0 or next(pool) > s * neg_log_r:
             return j + s
         j += s + 1
+        b = c * r**j
+    return j
+
+
+def _exponentials(rng: np.random.Generator):
+    """An endless pool of standard exponentials, drawn `_GAP_BLOCK` at a time."""
+    while True:
+        yield from rng.standard_exponential(_GAP_BLOCK).tolist()
+
+
+def _no_fire_bound(e: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """A bound under which every hazard c passes `e / -log1p(-c) >= n`: 1 - exp(-e/n),
+    less margins for the rounding of both sides (1e-9 relative, and 1e-300 for a
+    subnormal e/n)."""
+    return -np.expm1(-e / n) * (1.0 - 1e-9) - 1e-300
 
 
 # Records per block of the passes that read a run's records: a block's
 # copies and temporaries stay near 1 MB however many records there are.
 _RECORD_BLOCK = 1 << 15
 
-# Gaps per bulk draw of first exponentials: a block's Python lists hold
-# ~0.3 MB, so the pass adds no peak memory however many gaps the run has.
-_GAP_BLOCK = 1 << 12
+# Gaps per bulk draw of first exponentials, and exponentials per refill of
+# the walk's pool: the pass's Python lists hold ~0.1 MB, so it adds no peak
+# memory however many gaps the run has.
+_GAP_BLOCK = 1 << 10
 
 
 def _afterpulse_pass(cfg: RunConfig, gates, phys):
@@ -311,15 +325,17 @@ def _afterpulse_pass(cfg: RunConfig, gates, phys):
     per-gate decay and c = min(1, trigger*N*r) the hazard one gate after the
     fill; a fire is itself an avalanche and refills the traps (chains
     allowed).
-    The falling hazard is thinned (`_next_fire`): per candidate one
-    exponential, then one uniform when it lies in range. The walk runs up
-    to and including each intrinsic gate, where a kept candidate only
-    relabels a dark candidate (photon outranks afterpulse outranks dark)
-    and the traps fill once. The first exponential of every gap between
-    intrinsic avalanches is drawn in blocks of `_GAP_BLOCK`. When c < 1 and
-    it skips past the gap's n gates (e / -log1p(-c) >= n), or c == 0, the
-    gap holds no fire and costs one test and the trap update; only the
-    other gaps walk.
+    The falling hazard is thinned (`_next_fire`), every variate an
+    exponential. The walk runs up to and including each intrinsic gate,
+    where a kept candidate only relabels a dark candidate (photon outranks
+    afterpulse outranks dark) and the traps fill once. The first
+    exponential e of every gap between intrinsic avalanches is drawn in
+    blocks of `_GAP_BLOCK`; the walk's others come from one pool
+    (`_exponentials`). The gap holds no fire when e skips past its n gates
+    (e / -log1p(-c) >= n, c < 1). Per block, NumPy computes a bound below
+    which every c passes that test (`_no_fire_bound`); a gap with c at or
+    under it costs one comparison and the trap update, and only the other
+    gaps walk, whose first step is the exact test.
     Relabels in `phys` in place. Returns the added afterpulses' gates,
     times and tail flags, sorted by gate and never on a candidate's gate.
     """
@@ -329,41 +345,44 @@ def _afterpulse_pass(cfg: RunConfig, gates, phys):
     fill = ap_model.trap_fill_per_detection
     trigger_r = ap_model.trigger_prob_per_gate * r
     rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, 2)))
-    log1p = math.log1p
+    pool = _exponentials(rng)
 
     ap_gates: list[int] = []
     relabel: list[int] = []
     n_state = 0.0
-    g_fill = -1
+    g_end = -1  # the last gap's end, where the traps last filled
     for start in range(0, gates.size + 1, _GAP_BLOCK):
-        ends = gates[start:start + _GAP_BLOCK].tolist()
-        dark = (phys[start:start + _GAP_BLOCK] == ORIGIN_DARK).tolist()
-        if len(ends) < _GAP_BLOCK:
+        ends = gates[start:start + _GAP_BLOCK]
+        dark = phys[start:start + _GAP_BLOCK] == ORIGIN_DARK
+        if ends.size < _GAP_BLOCK:
             # the last gap ends at an intrinsic gate one past the run: a fire
             # there is dropped, like any fire beyond the last gate
-            ends.append(cfg.n_gates)
-            dark.append(False)
-        firsts = rng.standard_exponential(len(ends)).tolist()
-        for i, g, e, is_dark in zip(range(start, start + len(ends)), ends, firsts, dark):
-            n = g - g_fill
+            ends = np.append(ends, cfg.n_gates)
+            dark = np.append(dark, False)
+        lengths = np.diff(ends, prepend=g_end)
+        firsts = rng.standard_exponential(ends.size)
+        bounds = _no_fire_bound(firsts, lengths).tolist()
+        decays = np.power(r, lengths).tolist()
+        g_end = ends.item(-1)
+        for i, lo, decay in zip(range(ends.size), bounds, decays):
             c = trigger_r * n_state
-            if c == 0.0 or (c < 1.0 and e / -log1p(-c) >= n):
-                n_state = n_state * r**n + fill
-                g_fill = g
+            if c <= lo:  # no fire: the common case, in a few float ops
+                n_state = n_state * decay + fill
                 continue
+            g, e = ends.item(i), firsts.item(i)
+            g_fill = g - lengths.item(i)
             while True:
-                g_ap = g_fill + 1 + _next_fire(min(1.0, c), r, g - g_fill, rng, e)
+                g_ap = g_fill + 1 + _next_fire(c, r, g - g_fill, pool, e)
                 e = None
                 if g_ap >= g:
-                    if g_ap == g and is_dark:
-                        relabel.append(i)
+                    if g_ap == g and dark[i]:
+                        relabel.append(start + i)
                     break
                 ap_gates.append(g_ap)
                 n_state = n_state * r ** (g_ap - g_fill) + fill
                 g_fill = g_ap
                 c = trigger_r * n_state
             n_state = n_state * r ** (g - g_fill) + fill
-            g_fill = g
 
     phys[relabel] = ORIGIN_AFTERPULSE
     ap_gates_arr = np.asarray(ap_gates, dtype=np.int64)
@@ -551,8 +570,7 @@ class Histogram:
 def check_tcspc_bin(trigger_rate: float, bin_width: float) -> None:
     """Refuse a bin that is not below the trigger period, or that splits it
     into more than `MAX_HISTOGRAM_BINS` bins."""
-    if not (np.isfinite(trigger_rate) and trigger_rate > 0):
-        raise ArgumentError("trigger_rate", "must be positive")
+    check_args(SourceConfig, trigger_rate=trigger_rate)
     if not bin_width > 0:
         raise ArgumentError("bin_width", "must be positive")
     if not bin_width < 1.0 / trigger_rate:

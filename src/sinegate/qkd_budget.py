@@ -99,7 +99,7 @@ class QkdLinkConfig:
     """
 
     mu_source: float = arg(0.3, ge=0)
-    fiber_loss_db: float = arg(0.0, ge=0)
+    fiber_loss_db: float = arg(0.0, ge=0, axis=True)
     timebin_width: float = arg(400e-12, gt=0, unit="ps")
     extinction_db: float = arg(25.0, gt=0)
     detector: DetectorParams = field(default_factory=DetectorParams)

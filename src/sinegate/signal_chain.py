@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .detector_model import ArgumentError, arg, check_args
+from .detector_model import ArgumentError, arg, check_args, required
 from .table import table_chunks, write_chunks
 
 __all__ = [
@@ -481,14 +481,11 @@ def power_spectrum(w: SampledWaveform) -> tuple[np.ndarray, np.ndarray]:
 class DiscriminatorConfig:
     """Level discriminator: threshold volts, polarity, dead time after a hit."""
 
-    threshold: float
+    threshold: float = required("number")
     polarity: str = arg("negative-going", enum=("negative-going", "positive-going"))
     refractory_time: float = arg(0.0, ge=0)
 
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.threshold):
-            raise ValueError("threshold must be finite")
-        check_args(self)
+    __post_init__ = check_args
 
 
 def discriminate(w: SampledWaveform, cfg: DiscriminatorConfig) -> np.ndarray:

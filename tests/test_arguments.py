@@ -4,6 +4,7 @@ the configuration's words, and the configuration shape unchanged by it."""
 import hashlib
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from sinegate.detector_model import (
     GateConfig,
     JitterModel,
 )
-from sinegate.mc_engine import RunConfig, SourceConfig, check_holdoff
+from sinegate.mc_engine import RunConfig, SourceConfig, check_holdoff, check_tcspc_bin
 from sinegate.qkd_budget import QkdLinkConfig
 from sinegate.signal_chain import AvalanchePulseShape, DiscriminatorConfig, FilterResponseSpec
 
@@ -106,6 +107,40 @@ def test_array_arguments_are_checked_elementwise():
         DetectorParams(temperature_c=np.array([-43.0, NAN]))
     with pytest.raises(ArgumentError, match="fiber_loss_db must be a number >= 0"):
         QkdLinkConfig(fiber_loss_db=np.array([0.0, -1.0]))
+
+
+# Each class with declared arguments, and the arguments it needs besides them
+DECLARING = {
+    GateConfig: {}, BiasEfficiencyLaw: {}, JitterModel: {}, AfterpulseModel: {},
+    DetectorParams: {}, SourceConfig: {"kind": "pulsed-trigger"}, RunConfig: {"n_gates": 1},
+    QkdLinkConfig: {}, FilterResponseSpec: {}, AvalanchePulseShape: {},
+    DiscriminatorConfig: {"threshold": -4e-3},
+}
+SCALAR_ARGS = [(cls, f.name) for cls in DECLARING for f in fields(cls)
+               if f.metadata.get("schema", {}).get("type") in ("number", "integer")
+               and not f.metadata.get("axis")]
+
+
+@pytest.mark.parametrize("cls, name", SCALAR_ARGS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in SCALAR_ARGS])
+def test_only_sweep_axes_take_arrays(cls, name):
+    # an array of valid values builds only on a sweep axis; elsewhere the
+    # model would fail later, far from the argument
+    valid = getattr(cls(**DECLARING[cls]), name)
+    with pytest.raises(ArgumentError) as exc:
+        cls(**{**DECLARING[cls], name: np.array([valid, valid])})
+    assert exc.value.arg == name
+    assert str(exc.value).startswith(f"{name} must be ")
+
+
+def test_hand_written_rules_use_the_declared_wording():
+    with pytest.raises(ArgumentError) as declared:
+        SourceConfig.pulsed(trigger_rate=NAN)
+    with pytest.raises(ArgumentError) as exc:
+        check_tcspc_bin(NAN, 4e-12)
+    assert str(exc.value) == str(declared.value) == "trigger_rate must be a number > 0"
+    with pytest.raises(ArgumentError, match=r"^n_gates must be an integer >= 1$"):
+        RunConfig(n_gates=0)
 
 
 # Each declared argument of the signal-chain specs, with a value its

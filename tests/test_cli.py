@@ -625,14 +625,14 @@ GOLDEN_RUNS = {
 
 GOLDEN_DIGESTS = {
     "stability-afterpulse": {
-        "stability_segments.csv": "b2f9e24ab3183c68225250cfc90021291371283962aebe4ea2b8964afffbb990",
-        "stability_summary.csv": "69ea17f0750b17a01dc0a5737b2df03b7e273c16e5c28071b75cd1e23205a0b2",
+        "stability_segments.csv": "c451ad4f1adc61c3b9ef71b1df12319d4a7772472ef821b200b1ac5b4994ebee",
+        "stability_summary.csv": "becfe60ac75fdb004e67e09488081b2a5a51cd0a6eba0f7bf248058cf44ac782",
     },
     "tcspc-afterpulse": {
-        "correlation.json": "2f06318c511dbd0baa77b44220c10c7bf00e194fbbe3251340b54163bab2530d",
-        "records.json": "2e12813e3747797d951d53e7a6b0bf9276501c51cdf451397457e5536912defa",
-        "summary.json": "9024a3283fff5d980c7742c3659bcf5fa6265412e5d548abcb7e613a2a97e298",
-        "tcspc_histogram.json": "a7299177970affc5c4dbf66c37e63e1d42c8f1717fcc41cf565eb2e86a2b95ea",
+        "correlation.json": "d30c37de9eb6a5b63191f9b71d4fabbdfc8ae0794a03b7ba1c10fae014f9f6f2",
+        "records.json": "7121e9540f4bfcb5ef14ec78ea66ef6d5760a587e817fd9dbb7af3c90a6bb1b1",
+        "summary.json": "25dcb3c180f1b38271b9d93da42fa4d77083a5f857f2cb1cddad5e9e66227b16",
+        "tcspc_histogram.json": "46b3f5e1f48eac075340e6975b5390c5e310e8bfbf3b15ba65f65a2fcaa38433",
     },
     "tcspc-delay-tails": {
         "correlation.csv": "c6a56eb2e28b4ca4e82a4de008053edab22b78cb958317f2e4ffc77a07ebdc47",

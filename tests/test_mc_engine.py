@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import quiet_detector
@@ -37,8 +39,10 @@ from sinegate.mc_engine import (
     _RECORD_BLOCK,
     _afterpulse_pass,
     _clicks,
+    _exponentials,
     _holdoff_flags,
     _next_fire,
+    _no_fire_bound,
 )
 from sinegate.lag_stats import geometric_lag_gof, short_lag_excess_pvalue
 from sinegate.table import table_chunks, write_chunks
@@ -794,18 +798,19 @@ def test_afterpulse_runs_show_short_lag_structure():
 def test_log_survival_matches_direct_sum(c, r):
     # the thinning walk's first fire against the survival summed gate by gate
     n_gates, n_draws = 10**6, 20_000
-    rng = np.random.default_rng(17)
-    fires = np.array([_next_fire(c, r, n_gates, rng) for _ in range(n_draws)])
+    pool = _exponentials(np.random.default_rng(17))
+    fires = np.array([_next_fire(c, r, n_gates, pool) for _ in range(n_draws)])
     _assert_fires_follow_survival(fires, c, r, n_gates)
 
 
 @pytest.mark.parametrize("c, r", [(0.5, 0.5), (0.01, 0.992), (1e-6, 0.99999)])
 def test_log_survival_holds_with_a_first_exponential_given(c, r):
-    # the pass draws each gap's first exponential itself; the walk draws the rest
+    # the pass draws the gaps' first exponentials in bulk; the walk takes the rest from the pool
     n_gates, n_draws = 10**6, 20_000
     rng = np.random.default_rng(19)
-    fires = np.array([_next_fire(c, r, n_gates, rng, rng.standard_exponential())
-                      for _ in range(n_draws)])
+    pool = _exponentials(rng)
+    fires = np.array([_next_fire(c, r, n_gates, pool, first)
+                      for first in rng.standard_exponential(n_draws).tolist()])
     _assert_fires_follow_survival(fires, c, r, n_gates)
 
 
@@ -817,6 +822,53 @@ def _assert_fires_follow_survival(fires, c, r, n_gates):
         survived = int(np.count_nonzero(fires >= k))  # no fire in the first k gates
         p_value = stats.binomtest(survived, fires.size, math.exp(log_survival[k - 1])).pvalue
         assert p_value > 1e-4, (k, survived, fires.size * math.exp(log_survival[k - 1]))
+
+
+def _steps(x: float, k: int) -> float:
+    """`x` moved by `k` ulps (down for k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else -math.inf)
+    return x
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(e=st.floats(0.0, 800.0), n=st.integers(1, 10**12), k=st.integers(-4, 4))
+@example(e=0.0, n=1, k=0)  # the first candidate is gate 0: the bound clears nothing
+@example(e=800.0, n=1, k=4)  # expm1 returns -1: the bound is 1 less the margin
+@example(e=36.0, n=1, k=-4)  # 1 - exp(-36) lies two ulps below 1
+@example(e=2.2250738585e-313, n=100, k=0)  # a subnormal e/n rounds coarsely
+@example(e=1e-300, n=10**12, k=1)  # e/n underflows to 0
+def test_no_fire_bound_clears_only_gaps_the_exact_test_clears(e, n, k):
+    lo = float(_no_fire_bound(np.array([e]), np.array([n]))[0])
+    assert lo < 1.0
+    for c in (0.0, lo, _steps(lo, k), _steps(lo, -abs(k))):
+        if not 0.0 <= c <= lo:
+            continue  # the bound does not clear it: the walk decides
+        assert c == 0.0 or e / -math.log1p(-c) >= n, (c, lo)
+        # the walk's first step agrees, and draws nothing from its (empty) pool
+        assert _next_fire(c, 0.5, n, iter(()), e) == n
+
+
+def test_afterpulse_pass_draws_no_single_variate(monkeypatch):
+    # every draw of the pass, the pool's and the detection times' included, is an array
+    results = []
+    make = np.random.default_rng
+
+    class Recording:
+        def __init__(self, seed):
+            self.rng = make(seed)
+
+        def __getattr__(self, name):
+            def draw(*args, **kwargs):
+                results.append(getattr(self.rng, name)(*args, **kwargs))
+                return results[-1]
+            return draw
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    intrinsic = np.arange(0, 100_000, 97, dtype=np.int64)
+    ap = _pass_on(_afterpulse_config(100_000, 5, 4.0, 0.25, 0.4424), intrinsic, ORIGIN_DARK)
+    assert ap.size > 100
+    assert results and all(isinstance(x, np.ndarray) for x in results)
 
 
 def _afterpulse_config(n_gates, seed, lifetime_gates, fill, trigger):
@@ -847,7 +899,7 @@ def test_certain_hazard_fires_the_first_gate():
     assert ap.tolist() == list(range(6, 50))
 
 
-@pytest.mark.parametrize("n_intrinsic", [_GAP_BLOCK - 1, _GAP_BLOCK, _GAP_BLOCK + 1])
+@pytest.mark.parametrize("n_intrinsic", [4 * _GAP_BLOCK - 1, 4 * _GAP_BLOCK, 4 * _GAP_BLOCK + 1])
 def test_certain_hazard_fills_every_gate_across_gap_blocks(n_intrinsic):
     # the gaps go in blocks; the last gap, to the end of the run, is walked
     # whether or not the intrinsic count fills its last block
