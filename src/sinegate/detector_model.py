@@ -51,6 +51,7 @@ __all__ = [
     "describe",
     "is_int",
     "satisfies",
+    "check_value",
     "GateConfig",
     "BiasEfficiencyLaw",
     "TemperatureDarkLaw",
@@ -169,18 +170,23 @@ def satisfies(schema: dict, v) -> bool:
     return all(map(np.all, held)) if isinstance(v, np.ndarray) else all(held)
 
 
+def check_value(name: str, schema: dict, v, axis: bool = False) -> None:
+    """Refuse argument `name` when `v` breaks `schema` (`satisfies`), or is
+    an array and `name` no sweep `axis`, in `describe`'s words."""
+    if not satisfies(schema, v) or (isinstance(v, np.ndarray) and not axis):
+        raise ArgumentError(name, f"must be {describe(schema)}")
+
+
 def check_args(obj, **values) -> None:
-    """Refuse the first declared field of dataclass `obj` whose value breaks
-    its declaration (`satisfies`), or is an array where the field is no sweep
-    axis. `values`, when given, are checked in place of the fields' own, and
-    only they: `obj` may then be the class."""
+    """Refuse (`check_value`) the first declared field of dataclass `obj`
+    whose value breaks its declaration. `values`, when given, are checked in
+    place of the fields' own, and only they: `obj` may then be the class."""
     for f in fields(obj):
         schema = f.metadata.get("schema")
         if schema is None or (values and f.name not in values):
             continue
         v = values[f.name] if values else getattr(obj, f.name)
-        if not satisfies(schema, v) or (isinstance(v, np.ndarray) and not f.metadata.get("axis")):
-            raise ArgumentError(f.name, f"must be {describe(schema)}")
+        check_value(f.name, schema, v, f.metadata.get("axis", False))
 
 
 def _fmt(bound) -> str:

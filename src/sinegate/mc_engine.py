@@ -54,8 +54,10 @@ from .detector_model import (
     FWHM_TO_SIGMA,
     ArgumentError,
     DetectorParams,
+    _fragment,
     arg,
     check_args,
+    check_value,
     required,
     sample_detection_times,
 )
@@ -306,8 +308,10 @@ def _no_fire_bound(e: np.ndarray, n: np.ndarray) -> np.ndarray:
     return -np.expm1(-e / n) * (1.0 - 1e-9) - 1e-300
 
 
-# Records per block of the passes that read a run's records: a block's
-# copies and temporaries stay near 1 MB however many records there are.
+# Records per block of the passes that read a run's records (`tcspc_histogram`,
+# `inter_detection_correlation` and the cow link's window pass,
+# `qkd_budget.mc_link_run`): a block's copies and temporaries stay near 1 MB
+# however many records there are.
 _RECORD_BLOCK = 1 << 15
 
 # Gaps per bulk draw of first exponentials, and exponentials per refill of
@@ -527,13 +531,12 @@ def _bin_counts(x: np.ndarray, bin_width: float, origin: float, n_bins: int) -> 
 class Histogram:
     """Uniform-bin count histogram; bin k covers [origin + k*w, origin + (k+1)*w)."""
 
-    bin_width: float
+    bin_width: float = required("number", gt=0)
     origin: float
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.bin_width) and self.bin_width > 0):
-            raise ValueError("bin_width must be positive")
+        check_args(self)
         counts = np.asarray(self.counts, dtype=np.int64)
         if counts.ndim != 1:
             raise ValueError("counts must be 1-D")
@@ -571,8 +574,7 @@ def check_tcspc_bin(trigger_rate: float, bin_width: float) -> None:
     """Refuse a bin that is not below the trigger period, or that splits it
     into more than `MAX_HISTOGRAM_BINS` bins."""
     check_args(SourceConfig, trigger_rate=trigger_rate)
-    if not bin_width > 0:
-        raise ArgumentError("bin_width", "must be positive")
+    check_args(Histogram, bin_width=bin_width)
     if not bin_width < 1.0 / trigger_rate:
         raise ArgumentError("bin_width", "must be below the trigger period")
     if not 1.0 / trigger_rate / bin_width <= MAX_HISTOGRAM_BINS:  # inf when bin_width is subnormal
@@ -657,12 +659,15 @@ def estimate_fwhm(h: Histogram) -> float:
     return float(crossing(+1) - crossing(-1))
 
 
+# the rules of the arguments of `deconvolve_jitter` and `inter_detection_correlation`
+_WIDTH = _fragment("number", ge=0)
+_MAX_LAG = _fragment("integer", ge=1)
+
+
 def deconvolve_jitter(measured_fwhm: float, source_fwhm: float) -> float:
     """Remove a Gaussian source width from a measured width in quadrature."""
-    if not (np.isfinite(measured_fwhm) and measured_fwhm >= 0):
-        raise ValueError("measured_fwhm must be >= 0")
-    if not (np.isfinite(source_fwhm) and source_fwhm >= 0):
-        raise ValueError("source_fwhm must be >= 0")
+    check_value("measured_fwhm", _WIDTH, measured_fwhm)
+    check_value("source_fwhm", _WIDTH, source_fwhm)
     if measured_fwhm < source_fwhm:
         raise ValueError(
             f"measured width {measured_fwhm} below source width {source_fwhm}: "
@@ -680,8 +685,7 @@ def inter_detection_correlation(
     dropped. Afterpulsing shows up as an excess at short lags; pure jitter
     tails do not shift gate indices and leave this flat.
     """
-    if max_lag_gates < 1:
-        raise ValueError("max_lag_gates must be >= 1")
+    check_value("max_lag_gates", _MAX_LAG, max_lag_gates)
     counts = np.zeros(max_lag_gates + 2, dtype=np.int64)
     last = np.empty(0, dtype=np.int64)  # the last accepted gate so far, once there is one
     for a in range(0, len(records), _RECORD_BLOCK):

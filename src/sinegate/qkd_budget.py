@@ -34,6 +34,7 @@ from functools import partial
 
 import numpy as np
 
+from . import mc_engine
 from .detector_model import ArgumentError, DetectorParams, _float_or_array, arg, arg_of, check_args
 from .mc_engine import RunConfig, SourceConfig, packed_bit, run_simulation
 
@@ -277,6 +278,9 @@ def mc_link_run(cfg: QkdLinkConfig, n_bits: int, master_seed: int) -> dict:
     bit train) are discarded. The error flag compares the assigned bin
     against the transmitted bit. `raw_rate_hz` counts all accepted
     detections (the rate counter sits before the windowing logic).
+    The records are windowed one block of the engine's `_RECORD_BLOCK` at a
+    time and the counters summed over the blocks, so the pass holds one
+    block's temporaries however long the segment.
     """
     if n_bits < 1:
         raise ValueError("n_bits must be >= 1")
@@ -295,27 +299,21 @@ def mc_link_run(cfg: QkdLinkConfig, n_bits: int, master_seed: int) -> dict:
     )
     result = run_simulation(run_cfg)
     period = cfg.detector.gate.gate_period
-    times = result.records["time"][result.records["accepted"]]
-    # in place where it can be: at most three float arrays of the accepted
-    # count are alive at once
-    nearest_gate = times / period
-    np.rint(nearest_gate, out=nearest_gate)  # whole gates, kept as floats
-    offset = nearest_gate * period
-    np.subtract(times, offset, out=offset)
-    n_accepted = times.size
-    del times
-    np.abs(offset, out=offset)
-    in_window = offset <= cfg.timebin_width / 2.0
-    del offset
-    in_window &= nearest_gate >= 0
-    in_window &= nearest_gate < 2 * n_bits
-    assigned = nearest_gate[in_window].astype(np.int64)
-    del nearest_gate
-    sent = packed_bit(result.packed_bits, assigned >> 1)
-    sent ^= assigned.astype(np.uint8) & 1  # the low byte holds the bin
-    wrong = np.count_nonzero(sent)
+    n_accepted = n_windowed = wrong = 0
+    step = mc_engine._RECORD_BLOCK  # read at call time, as the engine's own passes do
+    for a in range(0, result.records.size, step):
+        block = result.records[a:a + step]
+        times = block["time"][block["accepted"]]
+        nearest_gate = np.rint(times / period)  # whole gates, kept as floats
+        in_window = np.abs(times - nearest_gate * period) <= cfg.timebin_width / 2.0
+        in_window &= (nearest_gate >= 0) & (nearest_gate < 2 * n_bits)
+        assigned = nearest_gate[in_window].astype(np.int64)
+        sent = packed_bit(result.packed_bits, assigned >> 1)
+        sent ^= assigned.astype(np.uint8) & 1  # the low byte holds the bin
+        n_accepted += times.size
+        n_windowed += assigned.size
+        wrong += np.count_nonzero(sent)
     duration = n_bits / cfg.bit_rate
-    n_windowed = int(np.count_nonzero(in_window))
     return {
         "n_bits": n_bits,
         "accepted_total": n_accepted,

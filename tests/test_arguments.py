@@ -18,7 +18,16 @@ from sinegate.detector_model import (
     GateConfig,
     JitterModel,
 )
-from sinegate.mc_engine import RunConfig, SourceConfig, check_holdoff, check_tcspc_bin
+from sinegate.mc_engine import (
+    RECORD_DTYPE,
+    Histogram,
+    RunConfig,
+    SourceConfig,
+    check_holdoff,
+    check_tcspc_bin,
+    deconvolve_jitter,
+    inter_detection_correlation,
+)
 from sinegate.qkd_budget import QkdLinkConfig
 from sinegate.signal_chain import AvalanchePulseShape, DiscriminatorConfig, FilterResponseSpec
 
@@ -57,6 +66,9 @@ BOUNDED_LEAVES = {
     "qkd.laser_fwhm_ps": (-1.0, lambda v: QkdLinkConfig(laser_fwhm=v)),
     "run.master_seed": (2**64, lambda v: RunConfig(n_gates=1, master_seed=v)),
     "run.holdoff_gates": (-1, lambda v: RunConfig(n_gates=1, holdoff_gates=v)),
+    "tcspc.bin_width_ps": (0.0, lambda v: check_tcspc_bin(40e6, v)),
+    "tcspc.max_lag_gates": (0, lambda v: inter_detection_correlation(
+        np.zeros(0, RECORD_DTYPE), v, 8e-10)),
 }
 
 
@@ -115,6 +127,7 @@ DECLARING = {
     DetectorParams: {}, SourceConfig: {"kind": "pulsed-trigger"}, RunConfig: {"n_gates": 1},
     QkdLinkConfig: {}, FilterResponseSpec: {}, AvalanchePulseShape: {},
     DiscriminatorConfig: {"threshold": -4e-3},
+    Histogram: {"bin_width": 4e-12, "origin": 0.0, "counts": np.zeros(1)},
 }
 SCALAR_ARGS = [(cls, f.name) for cls in DECLARING for f in fields(cls)
                if f.metadata.get("schema", {}).get("type") in ("number", "integer")
@@ -141,6 +154,13 @@ def test_hand_written_rules_use_the_declared_wording():
     assert str(exc.value) == str(declared.value) == "trigger_rate must be a number > 0"
     with pytest.raises(ArgumentError, match=r"^n_gates must be an integer >= 1$"):
         RunConfig(n_gates=0)
+    with pytest.raises(ArgumentError, match=r"^bin_width must be a number > 0$"):
+        Histogram(NAN, 0.0, np.zeros(1))
+    with pytest.raises(ArgumentError, match=r"^max_lag_gates must be an integer >= 1$"):
+        inter_detection_correlation(np.zeros(0, RECORD_DTYPE), 0.5, 8e-10)
+    for measured, source, name in ((NAN, 30e-12, "measured_fwhm"), (76e-12, -1.0, "source_fwhm")):
+        with pytest.raises(ArgumentError, match=rf"^{name} must be a number >= 0$"):
+            deconvolve_jitter(measured, source)
 
 
 # Each declared argument of the signal-chain specs, with a value its

@@ -1,4 +1,4 @@
-"""Memory bounds of the tcspc path, and of the cow link's packed bit reads.
+"""Memory bounds of the tcspc path, and of the cow link's window pass and packed bit reads.
 
 Each stage holds one copy of its records plus one bounded block. The
 simulation writes each chunk's records once into the one record array, and
@@ -7,9 +7,10 @@ bytes of a record) and one chunk's temporaries. The histogram and
 correlation passes read the records in blocks of a fixed number of records,
 and the table writer formats a block of `CHUNK_ROWS` rows at a time,
 whatever the table's length; the records table scales its time column one
-block at a time too. A packed bit read holds its byte indices and one byte
-per bit besides its result. Peaks are tracemalloc's, which also sees NumPy's
-buffers.
+block at a time too. The cow link windows its accepted records one block at
+a time, so it holds no more than the simulation that made them. A packed bit
+read holds its byte indices and one byte per bit besides its result. Peaks
+are tracemalloc's, which also sees NumPy's buffers.
 """
 
 import json
@@ -23,13 +24,16 @@ from sinegate.config import load_config
 from sinegate.mc_engine import (
     ORIGIN_NAMES,
     RunConfig,
+    SourceConfig,
     gates_per_trigger,
     inter_detection_correlation,
     packed_bit,
     records_table,
     run_simulation,
     tcspc_histogram,
+    _RECORD_BLOCK,
 )
+from sinegate.qkd_budget import QkdLinkConfig, mc_link_run, mu_at_detector
 from sinegate.table import Labels, table_chunks, write_chunks
 
 # The benchmark's bright tcspc run: 500 k pulses at 30 photons, darks and
@@ -134,3 +138,18 @@ def test_packed_bit_holds_its_byte_indices_and_two_bytes_per_bit():
     bits, peak = held(packed_bit, packed, index)
     assert np.array_equal(bits, np.unpackbits(packed)[index])
     assert peak <= index.nbytes + 2 * index.size
+
+
+def test_cow_link_window_pass_adds_nothing_to_the_simulation_peak():
+    # the benchmark's link segment: 4 M bits at mu 0.3, ~118 k records in four blocks
+    link = QkdLinkConfig(mu_source=0.3)
+    source = SourceConfig.cow(mean_photons_per_bit=mu_at_detector(link),
+                              extinction_db=link.extinction_db, laser_fwhm=link.laser_fwhm)
+    result, simulated = held(run_simulation, RunConfig(n_gates=8_000_000, master_seed=1,
+                                                       detector=link.detector, source=source))
+    counters, peak = held(mc_link_run, link, 4_000_000, 1)
+    assert counters["accepted_total"] == np.count_nonzero(result.records["accepted"])
+    # A block's temporaries (~1.2 MB) fit under the simulation's chunk
+    # temporaries; the bound leaves one float column of a block for noise.
+    # Windowing the whole segment at once added ~1 MB.
+    assert peak <= simulated + 8 * _RECORD_BLOCK

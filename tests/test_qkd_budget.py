@@ -8,8 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sinegate import mc_engine, qkd_budget
 from sinegate.detector_model import DetectorParams, GateConfig, JitterModel, ModelRangeError
-from sinegate.mc_engine import RunConfig, SourceConfig, packed_bit, run_simulation
+from sinegate.mc_engine import _RECORD_BLOCK, RunConfig, SourceConfig, packed_bit, run_simulation
 from sinegate.qkd_budget import (
     FIBER_DB_PER_KM,
     QkdLinkConfig,
@@ -390,6 +391,60 @@ def test_cow_bits_read_packed_across_a_chunk_boundary():
     read = packed_bit(result.packed_bits, np.arange(600_001))
     assert read.dtype == np.uint8
     assert np.array_equal(read, bits)
+
+
+def whole_segment_window(result, cfg: QkdLinkConfig, n_bits: int):
+    """The window pass over a whole segment's accepted records at once: nearest
+    gate, offset from its center, the two-bin window and the bit train's end.
+    Returns the counters, each accepted record's nearest gate and its window flag."""
+    period = cfg.detector.gate.gate_period
+    times = result.records["time"][result.records["accepted"]]
+    nearest_gate = np.rint(times / period)
+    in_window = np.abs(times - nearest_gate * period) <= cfg.timebin_width / 2.0
+    in_window &= (nearest_gate >= 0) & (nearest_gate < 2 * n_bits)
+    assigned = nearest_gate[in_window].astype(np.int64)
+    sent = np.unpackbits(result.packed_bits)[assigned >> 1]
+    counters = {"accepted_total": times.size, "accepted_in_windows": assigned.size,
+                "wrong_bin": int(np.count_nonzero(sent != (assigned & 1)))}
+    return counters, nearest_gate, in_window
+
+
+# name: (link, bits, records per block); a short run gets small blocks to span several
+WINDOW_CASES = {
+    "default-window": (QkdLinkConfig(mu_source=0.3), 4_000_000, _RECORD_BLOCK),
+    "narrow-window": (QkdLinkConfig(mu_source=0.3, timebin_width=75e-12), 4_000_000, _RECORD_BLOCK),
+    "tail-past-the-train": (QkdLinkConfig(mu_source=5.0, holdoff_gates=0, detector=DetectorParams(
+        jitter=JitterModel(tail_fraction=0.5, tail_span_gates=40))), 200, 16),
+}
+
+
+@pytest.mark.parametrize("case", list(WINDOW_CASES))
+def test_block_wise_window_matches_the_whole_segment(monkeypatch, case):
+    cfg, n_bits, block = WINDOW_CASES[case]
+    monkeypatch.setattr(mc_engine, "_RECORD_BLOCK", block)
+    runs = []
+    monkeypatch.setattr(qkd_budget, "run_simulation",
+                        lambda run_cfg: runs.append(run_simulation(run_cfg)) or runs[-1])
+    mc = mc_link_run(cfg, n_bits, master_seed=5)
+    (result,) = runs
+    assert result.records.size > 3 * block  # at least four blocks
+    expected, nearest_gate, in_window = whole_segment_window(result, cfg, n_bits)
+    assert {name: mc[name] for name in expected} == expected
+    assert mc["discarded_outside_windows"] == np.count_nonzero(~in_window)
+    if case == "narrow-window":
+        record_block = np.flatnonzero(result.records["accepted"]) // block
+        assert np.unique(record_block[~in_window]).size >= 3
+    if case == "tail-past-the-train":
+        assert np.any(nearest_gate >= 2 * n_bits)
+
+
+def test_benchmark_segment_counters_are_pinned():
+    # the benchmark's link segment, mu 0.3 over 4 M bits: ~118 k records, four blocks
+    assert mc_link_run(QkdLinkConfig(mu_source=0.3), 4_000_000, master_seed=2) == {
+        "n_bits": 4_000_000, "accepted_total": 103519, "accepted_in_windows": 103519,
+        "discarded_outside_windows": 0, "wrong_bin": 1823, "duration_s": 0.0064,
+        "raw_rate_hz": 16174843.75, "qber": 0.017610293762497706,
+    }
 
 
 def test_mc_paralyzable_dead_time_matches_analytic_rate():
