@@ -22,7 +22,7 @@ import numpy as np
 from . import signal_chain as sc
 from . import qkd_budget as qb
 from .config import ConfigError, FullConfig, grid_values, load_config
-from .detector_model import (ArgumentError, ModelRangeError, check_args, dark_prob,
+from .detector_model import (ArgumentError, ModelRangeError, check_args, check_value, dark_prob,
                              efficiency_at_bias)
 from .mc_engine import (
     RunConfig,
@@ -93,20 +93,20 @@ def _cmd_chain_demo(cfg: FullConfig, em: Emitter, args) -> None:
     except ValueError as exc:
         raise _CliError("chain-demo needs a gate clock the extraction filter can reject "
                         f"(detector.gate.gate_frequency_hz = {f_gate}): {exc}") from None
-    duration = ch["duration"]
+    duration = ch.duration
     rng = np.random.default_rng(args.seed)
     shape = sc.AvalanchePulseShape()
     margin = 5e-9
-    n_av = ch["n_avalanches"]
-    if ch["refractory"] > 0:  # onsets half a segment apart must clear the refractory time
+    n_av = ch.n_avalanches
+    if ch.refractory > 0:  # onsets half a segment apart must clear the refractory time
         # rounded first: float noise must not floor a whole ratio (12 ns at 0.2 ns is 5)
-        n_av = min(n_av, int(round((duration - 2 * margin) / (2 * ch["refractory"]), 9)))
+        n_av = min(n_av, int(round((duration - 2 * margin) / (2 * ch.refractory), 9)))
     event_times = []
     try:  # every argument is validated: what the waveforms refuse is an overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            gate = sc.synthesize_gate_train(f_gate, ch["amplitude_pp"], duration,
-                                            dt=ch["dt"], delay=ch["delay"])
-            feedthrough = sc.synthesize_feedthrough(gate, ch["coupling_gain"])
+            gate = sc.synthesize_gate_train(f_gate, ch.amplitude_pp, duration,
+                                            dt=ch.dt, delay=ch.delay)
+            feedthrough = sc.synthesize_feedthrough(gate, ch.coupling_gain)
             diode = feedthrough
             if n_av and duration > 2 * margin:
                 seg = (duration - 2 * margin) / n_av  # spaced out so each one resolves
@@ -114,19 +114,18 @@ def _cmd_chain_demo(cfg: FullConfig, em: Emitter, args) -> None:
                     t_ev = margin + (i + float(rng.uniform(0.25, 0.75))) * seg
                     event_times.append(t_ev)
                     diode = diode + sc.synthesize_avalanche(shape, gate, t_ev, rng)
-            filtered = sc.apply_filter(diode, spec, stages=ch["stages"])
-            residual = sc.apply_filter(feedthrough, spec, stages=ch["stages"])
+            filtered = sc.apply_filter(diode, spec, stages=ch.stages)
+            residual = sc.apply_filter(feedthrough, spec, stages=ch.stages)
             spectra = {base: sc.power_spectrum(wf) for base, wf in
                        (("spectrum_diode", diode), ("spectrum_filtered", filtered))}
     except ValueError as exc:
-        leaves = cfg.merged["chain"]
         raise _CliError("chain-demo waveforms overflow at chain.amplitude_pp_v = "
-                        f"{leaves['amplitude_pp_v']} and chain.coupling_gain = "
-                        f"{leaves['coupling_gain']}: {exc}") from None
+                        f"{ch.amplitude_pp} and chain.coupling_gain = "
+                        f"{ch.coupling_gain}: {exc}") from None
     disc = sc.DiscriminatorConfig(
-        threshold=ch["threshold"],
+        threshold=ch.threshold,
         polarity="negative-going",
-        refractory_time=ch["refractory"],
+        refractory_time=ch.refractory,
     )
     crossings = sc.discriminate(filtered, disc)
     contract = sc.verify_filter_contract(spec)
@@ -196,7 +195,7 @@ def _cmd_sweep_temp(cfg: FullConfig, em: Emitter, args) -> None:
 def _cmd_tcspc(cfg: FullConfig, em: Emitter, args) -> None:
     src = cfg.source
     gates_per_pulse = gates_per_trigger(cfg.detector.gate.gate_frequency, src.trigger_rate)
-    n_gates = cfg.tcspc["n_pulses"] * gates_per_pulse
+    n_gates = cfg.tcspc.n_pulses * gates_per_pulse
     run_cfg = RunConfig(
         n_gates=n_gates,
         master_seed=args.seed,
@@ -209,12 +208,12 @@ def _cmd_tcspc(cfg: FullConfig, em: Emitter, args) -> None:
     records = result.records
     trigger_period = 1.0 / src.trigger_rate
     # sync offset of half a cycle keeps the peak away from the phase wrap
-    hist = tcspc_histogram(records, src.trigger_rate, cfg.tcspc["bin_width"],
+    hist = tcspc_histogram(records, src.trigger_rate, cfg.tcspc.bin_width,
                            phase_origin=-trigger_period / 2.0)
     gate_period = cfg.detector.gate.gate_period
-    corr = inter_detection_correlation(records, cfg.tcspc["max_lag_gates"], gate_period)
+    corr = inter_detection_correlation(records, cfg.tcspc.max_lag_gates, gate_period)
 
-    summary = {"n_pulses": cfg.tcspc["n_pulses"],
+    summary = {"n_pulses": cfg.tcspc.n_pulses,
                "n_records": int(records.size),
                "n_accepted": int(result.counters["accepted_total"])}
     for name in ORIGIN_NAMES:
@@ -256,10 +255,8 @@ def _cmd_qkd_temp(cfg: FullConfig, em: Emitter, args) -> None:
 
 
 def _cmd_stability(cfg: FullConfig, em: Emitter, args) -> None:
-    stab = cfg.merged["stability"]
-    segments = qb.stability_run(
-        cfg.qkd, stab["n_segments"], stab["bits_per_segment"], args.seed, workers=args.workers,
-    )
+    segments = qb.stability_run(cfg.qkd, cfg.stability.n_segments,
+                                cfg.stability.bits_per_segment, args.seed, workers=args.workers)
     counted = ["segment_index", "n_bits", "accepted_total", "accepted_in_windows", "wrong_bin"]
     rates = ["raw_rate_hz", "qber"]
     em.emit_table(
@@ -329,13 +326,13 @@ def main(argv=None) -> int:
         return 1
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            try:
+        try:
+            if args.seed is not None:
                 check_args(RunConfig, master_seed=args.seed)
-            except ArgumentError as exc:
-                raise ConfigError([f"--seed {exc.reason}"]) from None
-        if args.workers < 1:
-            raise ConfigError(["--workers must be >= 1"])
+            check_value("workers", qb._COUNT, args.workers)
+        except ArgumentError as exc:
+            flag = "--seed" if exc.arg == "master_seed" else "--workers"
+            raise ConfigError([f"{flag} {exc.reason}"]) from None
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 1

@@ -6,11 +6,12 @@ validated in one pass that reports EVERY failing field, not just the first.
 Each field is a leaf of the JSON Schema tree `_SCHEMA`, with its bounds and
 its draft-07 `default`: validation walks the tree, `default_config()`
 collects the defaults, `schema_text()` prints it, and one unit-suffix rule
-(`_args`) scales every leaf to the SI value that the model objects and the
-subcommand handlers read. A leaf that builds a model argument is not written
-here: `_model` reads it off the argument's `detector_model.arg` field, which
-holds its SI default, bounds and unit. The cross-field rules are the model's
-own checks: validation builds the model objects, reports each
+(`_args`) scales every leaf to the SI value that the model objects read.
+A leaf that builds a model argument is not written here: `_model` reads it
+off the argument's `detector_model.arg` field, which holds its SI default,
+bounds and unit. Only `source.kind`, `qkd.mc_check_bits`, the dark table
+and the sweep grids are written in the tree. The cross-field rules are the
+model's own checks: validation builds the model objects, reports each
 `ArgumentError` at the leaf that names its argument, and `load_config`
 returns the objects it built.
 """
@@ -39,9 +40,9 @@ from .detector_model import (
     describe,
     satisfies,
 )
-from .mc_engine import RunConfig, SourceConfig, check_tcspc_bin, gates_per_trigger
-from .qkd_budget import QkdLinkConfig, check_timebin
-from .signal_chain import check_record, check_sampling
+from .mc_engine import RunConfig, SourceConfig, TcspcConfig, check_tcspc_bin, gates_per_trigger
+from .qkd_budget import QkdLinkConfig, StabilityConfig, check_timebin
+from .signal_chain import ChainConfig, check_record, check_sampling
 
 __all__ = [
     "ConfigError",
@@ -95,10 +96,6 @@ def _num(default=None, kind: str = "number", **bounds) -> dict:
     """A number (or integer) fragment; bounds are gt/ge/lt/le keywords."""
     fragment = _fragment(kind, **bounds)
     return fragment if default is None else {**fragment, "default": default}
-
-
-def _int(default, **bounds) -> dict:
-    return _num(default, "integer", **bounds)
 
 
 def _enum(*options) -> dict:
@@ -163,33 +160,16 @@ _SCHEMA = {
         ),
         source=_obj(kind=_enum("pulsed-trigger"), **_model(SourceConfig, "extinction_db")),
         qkd=_obj(**_model(QkdLinkConfig, "holdoff_gates", "holdoff_anchor"),  # `run` holds those
-                 mc_check_bits=_int(1000000, ge=0)),
-        chain=_obj(
-            dt_ps=_num(25.0, gt=0),
-            duration_ns=_num(64.0, gt=0),
-            amplitude_pp_v=_num(8.0, ge=0),
-            coupling_gain=_num(0.1, ge=0),
-            stages=_int(2, ge=1),
-            n_avalanches=_int(3, ge=0),
-            threshold_mv=_num(-4.0),
-            refractory_ns=_num(5.0, ge=0),
-            delay_ps=_num(0.0),
-        ),
-        tcspc=_obj(
-            n_pulses=_int(500000, ge=1),
-            bin_width_ps=_num(4.0, gt=0),
-            max_lag_gates=_int(400, ge=1),
-        ),
+                 mc_check_bits=_num(1000000, "integer", ge=0)),
+        chain=_obj(**_model(ChainConfig)),
+        tcspc=_obj(**_model(TcspcConfig)),
         sweeps=_obj(
             bias_v=_grid(51.0, 54.5, 0.05),
             delay_ps=_grid(-400.0, 400.0, 10.0),
             fiber_loss_db=_grid(0.0, 16.0, 0.5, ge=0),
             temperatures_c=_nullable(_list(_num(), 1, "a non-empty list of temperatures")),
         ),
-        stability=_obj(
-            n_segments=_int(8, ge=1),
-            bits_per_segment=_int(1000000, ge=1),
-        ),
+        stability=_obj(**_model(StabilityConfig)),
     ),
 }
 _SECTIONS = _SCHEMA["properties"]
@@ -210,8 +190,9 @@ def default_config() -> dict:
 # argument named like it minus its unit suffix, coerced by the leaf's type
 # and scaled to SI by `_UNITS`. Each sub-object of `detector` builds the law
 # of its name, the dark table builds `TemperatureDarkLaw` (null switches the
-# dark channel off), `operating` adds to `DetectorParams`, and `run` adds its
-# hold-off to `QkdLinkConfig`. Leaves that no object built here takes
+# dark channel off), `operating` adds to `DetectorParams`, `run` adds its
+# hold-off to `QkdLinkConfig`, and `chain`, `tcspc` and `stability` build the
+# classes `_model` read them off. Leaves that no object built here takes
 # (`run.master_seed`, `qkd.mc_check_bits`) are read where used.
 
 _COERCE = {"number": float, "integer": int, "boolean": bool}
@@ -370,8 +351,9 @@ def _validate(doc) -> tuple[list[str], FullConfig | None]:
     run("chain", check_record, f_gate, read("chain.duration_ns"), dt)
     if errors:
         return errors, None
-    return errors, FullConfig(detector=detector, source=source, qkd=qkd, chain=read("chain"),
-                              tcspc=read("tcspc"), merged=doc)
+    return errors, FullConfig(detector=detector, source=source, qkd=qkd,
+                              chain=build("chain", ChainConfig), tcspc=build("tcspc", TcspcConfig),
+                              stability=build("stability", StabilityConfig), merged=doc)
 
 
 def validate_config(doc: dict) -> list[str]:
@@ -381,15 +363,16 @@ def validate_config(doc: dict) -> list[str]:
 
 @dataclass(frozen=True)
 class FullConfig:
-    """Validated configuration with the model objects already constructed;
-    `chain` and `tcspc` are SI views, keyed by argument name as `_args` builds them.
-    `run`, `sweeps` and `stability` are read from `merged`, the validated document."""
+    """Validated configuration with the model objects already constructed,
+    one a section (`qkd` also holds `run`'s hold-off). `run` and `sweeps` are
+    read from `merged`, the validated document."""
 
     detector: DetectorParams
     source: SourceConfig
     qkd: QkdLinkConfig
-    chain: dict
-    tcspc: dict
+    chain: ChainConfig
+    tcspc: TcspcConfig
+    stability: StabilityConfig
     merged: dict
 
 

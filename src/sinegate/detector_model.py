@@ -28,9 +28,11 @@ dataclass field: its SI default, its bounds or allowed strings, and the unit
 suffix of its configuration key. `check_args` enforces the declarations in
 the class's `__post_init__`, which adds only the rules that tie arguments
 together, and `config` builds each key's schema leaf from the same field.
-One function, `satisfies`, reads every fragment, for a model argument and a
-configuration leaf alike, so both refuse a value in the same words
-(`describe`).
+A law function refuses its own arguments the same way: `check_args(Cls,
+name=value)` against the class that declares the argument, or `check_value`
+on a fragment where none does. One function, `satisfies`, reads every
+fragment, for a model argument and a configuration leaf alike, so both
+refuse a value in the same words (`describe`).
 """
 
 from __future__ import annotations
@@ -221,6 +223,9 @@ def describe(schema: dict) -> str:
     return f"{noun} in {open_}{_fmt(lo)}, {_fmt(hi)}{close}"
 
 
+_FINITE, _POSITIVE = _fragment("number"), _fragment("number", gt=0)  # for laws' own arguments
+
+
 def _float_or_array(value):
     """A law's result: a Python float for a scalar input, else the array."""
     return float(value) if np.ndim(value) == 0 else value
@@ -253,8 +258,7 @@ def gate_profile(cfg: GateConfig, delay) -> np.ndarray | float:
     whole gate period). Accepts scalars or arrays.
     """
     delay = np.asarray(delay, dtype=float)
-    if not np.all(np.isfinite(delay)):
-        raise ValueError("delay must be finite")
+    check_value("delay", _FINITE, delay, axis=True)
     period = cfg.gate_period
     wrapped = delay - period * np.round(delay / period)
     return _float_or_array(np.exp(-4.0 * math.log(2.0) * (wrapped / cfg.gate_fwhm) ** 2))
@@ -283,8 +287,7 @@ def efficiency_at_bias(law: BiasEfficiencyLaw, bias) -> np.ndarray | float:
     """Peak efficiency at a bias voltage: 0 at/below breakdown, else linear, clamped.
     Accepts scalars or arrays, like `gate_profile`."""
     bias = np.asarray(bias, dtype=float)
-    if not np.all(np.isfinite(bias)):
-        raise ValueError("bias must be finite")
+    check_value("bias", _FINITE, bias, axis=True)  # a grid, where `DetectorParams.bias` is not
     value = np.clip(law.anchor_efficiency + law.slope_per * (bias - law.anchor_bias), 0.0, 1.0)
     return _float_or_array(np.where(bias <= law.breakdown_bias, 0.0, value))
 
@@ -346,8 +349,7 @@ def dark_prob(law: TemperatureDarkLaw, temperature_c) -> np.ndarray | float:
     temperature outside the table. Accepts scalars or arrays.
     """
     t = np.asarray(temperature_c, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise ValueError("temperature must be finite")
+    check_args(DetectorParams, temperature_c=t)
     temps, probs = law.temperatures, law.probabilities
     outside = (t < temps[0]) | (t > temps[-1])
     if outside.any():
@@ -397,8 +399,7 @@ def sample_detection_times(
     choices, in that order) so a given generator state maps to one output.
     """
     gate_indices = np.asarray(gate_indices)
-    if not (np.isfinite(gate_period) and gate_period > 0):
-        raise ValueError("gate_period must be positive")
+    check_value("gate_period", _POSITIVE, gate_period)
     n = gate_indices.size
     in_tail = rng.random(n) < j.tail_fraction
     z = rng.standard_normal(n)

@@ -54,6 +54,7 @@ from .detector_model import (
     FWHM_TO_SIGMA,
     ArgumentError,
     DetectorParams,
+    _FINITE,
     _fragment,
     arg,
     check_args,
@@ -67,6 +68,7 @@ __all__ = [
     "SourceConfig",
     "RunConfig",
     "RunResult",
+    "TcspcConfig",
     "packed_bit",
     "Histogram",
     "MAX_HISTOGRAM_BINS",
@@ -123,8 +125,7 @@ class SourceConfig:
     extinction_db: float = arg(25.0, gt=0)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("pulsed-trigger", "cw-dark-only", "cow-ppm"):
-            raise ArgumentError("kind", f"must be a known source kind, not {self.kind!r}")
+        check_value("kind", {"enum": ["pulsed-trigger", "cw-dark-only", "cow-ppm"]}, self.kind)
         check_args(self)
 
     @classmethod
@@ -139,11 +140,6 @@ class SourceConfig:
     @classmethod
     def cow(cls, mean_photons_per_bit: float, **args) -> "SourceConfig":
         return cls("cow-ppm", mean_photons=mean_photons_per_bit, **args)
-
-
-def check_holdoff(holdoff_gates: int, anchor: str) -> None:
-    """Refuse a hold-off that breaks `RunConfig`'s declaration of it."""
-    check_args(RunConfig, holdoff_gates=holdoff_gates, holdoff_anchor=anchor)
 
 
 def gates_per_trigger(gate_frequency: float, trigger_rate: float) -> int:
@@ -431,7 +427,7 @@ def apply_holdoff(records, holdoff_gates: int, anchor: str = "accepted"):
     on every record. Takes a `RECORD_DTYPE` array sorted by gate index and
     returns a copy with fresh accepted flags.
     """
-    check_holdoff(holdoff_gates, anchor)
+    check_args(RunConfig, holdoff_gates=holdoff_gates, holdoff_anchor=anchor)
     out = records.copy()
     out["accepted"] = _holdoff_flags(out["gate_index"], holdoff_gates, anchor)
     return out
@@ -540,8 +536,7 @@ class Histogram:
         counts = np.asarray(self.counts, dtype=np.int64)
         if counts.ndim != 1:
             raise ValueError("counts must be 1-D")
-        if np.any(counts < 0):
-            raise ValueError("counts must be non-negative")
+        check_value("counts", _fragment("number", ge=0), counts, axis=True)
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -568,6 +563,18 @@ class Histogram:
     def table(self) -> tuple[list[str], list[np.ndarray]]:
         """Header and columns of the `bin_start_ps,count` table."""
         return ["bin_start_ps", "count"], [self.bin_starts * 1e12, self.counts]
+
+
+@dataclass(frozen=True)
+class TcspcConfig:
+    """A TCSPC run: its trigger pulses, its histogram bin, and the longest
+    gate lag its `inter_detection_correlation` counts."""
+
+    n_pulses: int = arg(500000, ge=1)
+    bin_width: float = arg(4e-12, gt=0, unit="ps")
+    max_lag_gates: int = arg(400, ge=1)
+
+    __post_init__ = check_args
 
 
 def check_tcspc_bin(trigger_rate: float, bin_width: float) -> None:
@@ -600,8 +607,7 @@ def tcspc_histogram(
     trigger-cycle boundaries. The bin must pass `check_tcspc_bin`.
     """
     check_tcspc_bin(trigger_rate, bin_width)
-    if not np.isfinite(phase_origin):
-        raise ValueError("phase_origin must be finite")
+    check_value("phase_origin", _FINITE, phase_origin)
     period = 1.0 / trigger_rate
     # the last bin may reach past the period; a float quotient just above a
     # whole number (32 ns / 4 ps) does not add a bin
@@ -659,9 +665,8 @@ def estimate_fwhm(h: Histogram) -> float:
     return float(crossing(+1) - crossing(-1))
 
 
-# the rules of the arguments of `deconvolve_jitter` and `inter_detection_correlation`
+# the rule of the arguments of `deconvolve_jitter`
 _WIDTH = _fragment("number", ge=0)
-_MAX_LAG = _fragment("integer", ge=1)
 
 
 def deconvolve_jitter(measured_fwhm: float, source_fwhm: float) -> float:
@@ -685,7 +690,7 @@ def inter_detection_correlation(
     dropped. Afterpulsing shows up as an excess at short lags; pure jitter
     tails do not shift gate indices and leave this flat.
     """
-    check_value("max_lag_gates", _MAX_LAG, max_lag_gates)
+    check_args(TcspcConfig, max_lag_gates=max_lag_gates)
     counts = np.zeros(max_lag_gates + 2, dtype=np.int64)
     last = np.empty(0, dtype=np.int64)  # the last accepted gate so far, once there is one
     for a in range(0, len(records), _RECORD_BLOCK):

@@ -35,13 +35,15 @@ from functools import partial
 import numpy as np
 
 from . import mc_engine
-from .detector_model import ArgumentError, DetectorParams, _float_or_array, arg, arg_of, check_args
+from .detector_model import (ArgumentError, DetectorParams, _float_or_array, _fragment, arg,
+                             arg_of, check_args, check_value)
 from .mc_engine import RunConfig, SourceConfig, packed_bit, run_simulation
 
 __all__ = [
     "FIBER_DB_PER_KM",
     "QkdLinkConfig",
     "QkdReport",
+    "StabilityConfig",
     "fiber_db_to_length",
     "binary_entropy",
     "mu_at_detector",
@@ -57,18 +59,18 @@ FIBER_DB_PER_KM = 0.2
 
 SWEEP_AXES = ("fiber_loss_db", "temperature")
 
+_COUNT = _fragment("integer", ge=1)  # of bits, or of workers (the CLI's `--workers` too)
+
 
 def fiber_db_to_length(loss_db: float) -> float:
-    if not (np.isfinite(loss_db) and loss_db >= 0):
-        raise ValueError("loss_db must be >= 0")
+    check_value("loss_db", _fragment("number", ge=0), loss_db)
     return loss_db / FIBER_DB_PER_KM
 
 
 def binary_entropy(q) -> np.ndarray | float:
     """h2(q) in bits; 0 at q = 0 and q = 1. Accepts scalars or arrays."""
     q = np.asarray(q, dtype=float)
-    if not np.all((q >= 0.0) & (q <= 1.0)):
-        raise ValueError("q must be in [0, 1]")
+    check_value("q", _fragment("number", ge=0, le=1), q, axis=True)
     inside = (q > 0.0) & (q < 1.0)
     r = np.where(inside, q, 0.5)  # keeps log2 off the endpoints
     return _float_or_array(np.where(inside, -r * np.log2(r) - (1.0 - r) * np.log2(1.0 - r), 0.0))
@@ -102,14 +104,14 @@ class QkdLinkConfig:
     mu_source: float = arg(0.3, ge=0)
     fiber_loss_db: float = arg(0.0, ge=0, axis=True)
     timebin_width: float = arg(400e-12, gt=0, unit="ps")
-    extinction_db: float = arg(25.0, gt=0)
+    extinction_db: float = arg_of(SourceConfig, "extinction_db")
     detector: DetectorParams = field(default_factory=DetectorParams)
     holdoff_gates: int = arg_of(RunConfig, "holdoff_gates")
     holdoff_anchor: str = arg_of(RunConfig, "holdoff_anchor")
     ec_efficiency: float = arg(1.2, ge=1)
     pa_fraction: float = arg(0.5, ge=0, le=1)
     qber_floor: float | None = arg(None, ge=0, lt=0.5)
-    laser_fwhm: float = arg(30e-12, ge=0, unit="ps")
+    laser_fwhm: float = arg_of(SourceConfig, "laser_fwhm")
 
     def __post_init__(self) -> None:
         check_args(self)
@@ -178,13 +180,10 @@ def mu_at_detector(cfg: QkdLinkConfig) -> np.ndarray | float:
 def rate_after_ec(raw_rate, qber_value, ec_efficiency: float) -> np.ndarray | float:
     """Rate surviving error correction: max(0, r * (1 - f*h2(q))).
     Accepts scalars or arrays for the rate and the QBER."""
-    qber_value = np.asarray(qber_value, dtype=float)
-    if not np.all((qber_value >= 0.0) & (qber_value <= 0.5)):
-        raise ValueError("qber must be in [0, 0.5]")
-    if not (np.isfinite(ec_efficiency) and ec_efficiency >= 1.0):
-        raise ValueError("ec_efficiency must be >= 1")
-    if np.any(np.asarray(raw_rate) < 0):
-        raise ValueError("raw_rate must be >= 0")
+    qber_value, raw_rate = np.asarray(qber_value, dtype=float), np.asarray(raw_rate, dtype=float)
+    check_value("qber_value", _fragment("number", ge=0, le=0.5), qber_value, axis=True)
+    check_args(QkdLinkConfig, ec_efficiency=ec_efficiency)
+    check_value("raw_rate", _fragment("number", ge=0), raw_rate, axis=True)
     h2 = binary_entropy(qber_value)
     return _float_or_array(np.maximum(0.0, raw_rate * (1.0 - ec_efficiency * h2)))
 
@@ -257,12 +256,11 @@ def sweep(cfg: QkdLinkConfig, axis: str, grid) -> QkdReport:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("sweep grid must be a non-empty sequence")
+    check_value("axis", {"enum": list(SWEEP_AXES)}, axis)
     if axis == "fiber_loss_db":
         cfg = replace(cfg, fiber_loss_db=grid)
-    elif axis == "temperature":
-        cfg = replace(cfg, detector=replace(cfg.detector, temperature_c=grid))
     else:
-        raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+        cfg = replace(cfg, detector=replace(cfg.detector, temperature_c=grid))
     report = evaluate(cfg)
     # with no dark law a temperature leaves every field constant: still columns
     return replace(report, mu_detector=np.broadcast_to(report.mu_detector, grid.shape))
@@ -282,8 +280,7 @@ def mc_link_run(cfg: QkdLinkConfig, n_bits: int, master_seed: int) -> dict:
     time and the counters summed over the blocks, so the pass holds one
     block's temporaries however long the segment.
     """
-    if n_bits < 1:
-        raise ValueError("n_bits must be >= 1")
+    check_value("n_bits", _COUNT, n_bits)
     source = SourceConfig.cow(
         mean_photons_per_bit=mu_at_detector(cfg),
         extinction_db=cfg.extinction_db,
@@ -326,6 +323,16 @@ def mc_link_run(cfg: QkdLinkConfig, n_bits: int, master_seed: int) -> dict:
     }
 
 
+@dataclass(frozen=True)
+class StabilityConfig:
+    """A `stability_run`: its independently seeded segments and the bits of each."""
+
+    n_segments: int = arg(8, ge=1)
+    bits_per_segment: int = arg(1000000, ge=1)
+
+    __post_init__ = check_args
+
+
 def _segment_seed(master_seed: int, index: int) -> int:
     """Documented per-segment seed derivation (stable across platforms)."""
     ss = np.random.SeedSequence((master_seed, 3, index))
@@ -348,10 +355,8 @@ def stability_run(
     and in a plain loop otherwise. Each segment returns only its counters,
     and the result is the same for any `workers`.
     """
-    if n_segments < 1:
-        raise ValueError("n_segments must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    check_args(StabilityConfig, n_segments=n_segments, bits_per_segment=bits_per_segment)
+    check_value("workers", _COUNT, workers)
     seeds = [_segment_seed(master_seed, i) for i in range(n_segments)]
     # looked up at call time, so a wrapped module attribute is the one that runs
     run_segment = partial(mc_link_run, cfg, bits_per_segment)

@@ -21,10 +21,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .detector_model import ArgumentError, arg, check_args, required
+from .detector_model import (ArgumentError, _FINITE, _POSITIVE, arg, check_args, check_value,
+                             required)
 from .table import table_chunks, write_chunks
 
 __all__ = [
+    "ChainConfig",
     "SampledWaveform",
     "AvalanchePulseShape",
     "FilterResponseSpec",
@@ -54,6 +56,25 @@ SPECTRUM_FLOOR_DB = -200.0
 MAX_RECORD_SAMPLES = 2**20
 
 
+@dataclass(frozen=True)
+class ChainConfig:
+    """A chain-demo run: sampling and record, gate drive and feedthrough,
+    filter stages, avalanches, discriminator, and gate delay. The waveform
+    laws below refuse these arguments by their declarations here."""
+
+    dt: float = arg(DEFAULT_DT, gt=0, unit="ps")
+    duration: float = arg(64e-9, gt=0, unit="ns")
+    amplitude_pp: float = arg(8.0, ge=0, unit="v")
+    coupling_gain: float = arg(0.1, ge=0)
+    stages: int = arg(2, ge=1)
+    n_avalanches: int = arg(3, ge=0)
+    threshold: float = arg(-4e-3, unit="mv")
+    refractory: float = arg(5e-9, ge=0, unit="ns")
+    delay: float = arg(0.0, unit="ps")
+
+    __post_init__ = check_args
+
+
 @dataclass(frozen=True, eq=False)
 class SampledWaveform:
     """A uniformly sampled voltage trace, written as a ``time_ps,volts`` table.
@@ -76,12 +97,9 @@ class SampledWaveform:
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1 or samples.size < 1:
             raise ValueError("samples must be a non-empty 1-D array")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("samples must be finite")
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not np.isfinite(self.t0):
-            raise ValueError(f"t0 must be finite, got {self.t0}")
+        check_value("samples", _FINITE, samples, axis=True)
+        check_args(ChainConfig, dt=self.dt)
+        check_value("t0", _FINITE, self.t0)
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -209,10 +227,8 @@ def lowpass_design(spec: FilterResponseSpec) -> tuple[int, float]:
 def check_sampling(freq: float, dt: float) -> None:
     """Refuse a sample step `dt` coarser than an eighth of the gate period,
     so the sine is comfortably oversampled."""
-    if not (np.isfinite(freq) and freq > 0):
-        raise ArgumentError("freq", "must be positive")
-    if not (np.isfinite(dt) and dt > 0):
-        raise ArgumentError("dt", "must be positive")
+    check_value("freq", _POSITIVE, freq)
+    check_args(ChainConfig, dt=dt)
     if dt > 1.0 / (8.0 * freq):
         raise ArgumentError("dt", "must sample the gate frequency at least 8x")
 
@@ -222,8 +238,7 @@ def check_record(freq: float, duration: float, dt: float) -> None:
     one, in at most `MAX_RECORD_SAMPLES` samples of a `dt` that passes
     `check_sampling`; `freq` must be positive. The FFT filter treats the
     record as periodic, so a partial last period leaks feedthrough."""
-    if not (np.isfinite(duration) and duration > 0):
-        raise ArgumentError("duration", "must be positive")
+    check_args(ChainConfig, duration=duration)
     if duration < 1.0 / freq:
         raise ArgumentError("duration", "must cover at least one gate period")
     check_sampling(freq, dt)
@@ -248,10 +263,7 @@ def synthesize_gate_train(
     """
     check_sampling(freq, dt)  # first: `check_record` divides by freq
     check_record(freq, duration, dt)
-    if not (np.isfinite(amplitude_pp) and amplitude_pp >= 0):
-        raise ValueError(f"amplitude_pp must be >= 0, got {amplitude_pp}")
-    if not np.isfinite(delay):
-        raise ValueError("delay must be finite")
+    check_args(ChainConfig, amplitude_pp=amplitude_pp, delay=delay)
     n = int(round(duration / dt))
     t = dt * np.arange(n)
     samples = 0.5 * amplitude_pp * np.sin(2.0 * np.pi * freq * (t + delay))
@@ -283,8 +295,7 @@ def synthesize_feedthrough(
     gate (400 mV amplitude) exceed the nominal 32 mV avalanche peak by more
     than an order of magnitude.
     """
-    if not (np.isfinite(coupling_gain) and coupling_gain >= 0):
-        raise ValueError(f"coupling_gain must be >= 0, got {coupling_gain}")
+    check_args(ChainConfig, coupling_gain=coupling_gain)
     f0 = _dominant_frequency(gate)
     if f0 is None or coupling_gain == 0.0:
         return SampledWaveform(np.zeros(gate.n), gate.dt, gate.t0)
@@ -336,8 +347,7 @@ def apply_filter(
     k-th power, so cascading is exact. The sample rate must be able to
     represent the gate frequency.
     """
-    if stages < 1:
-        raise ValueError(f"stages must be >= 1, got {stages}")
+    check_args(ChainConfig, stages=stages)
     if w.sample_rate < 2.0 * spec.gate_frequency:
         raise ValueError(
             f"sample rate {w.sample_rate:.3g} Hz cannot represent the "
@@ -370,8 +380,7 @@ def measured_filter_response(
     """
     df = 1.0 / (n_samples * dt)
     freqs = np.asarray(freqs, dtype=float)
-    if not np.all(np.isfinite(freqs)):
-        raise ValueError("frequencies must be finite")
+    check_value("freqs", _FINITE, freqs, axis=True)
     bins = np.maximum(1, np.round(freqs / df)).astype(np.int64)
     if np.any(2 * bins >= n_samples):
         raise ValueError(

@@ -23,15 +23,29 @@ from sinegate.mc_engine import (
     Histogram,
     RunConfig,
     SourceConfig,
-    check_holdoff,
+    TcspcConfig,
+    apply_holdoff,
     check_tcspc_bin,
     deconvolve_jitter,
     inter_detection_correlation,
 )
-from sinegate.qkd_budget import QkdLinkConfig
-from sinegate.signal_chain import AvalanchePulseShape, DiscriminatorConfig, FilterResponseSpec
+from sinegate.qkd_budget import (QkdLinkConfig, StabilityConfig, mc_link_run, rate_after_ec,
+                                 stability_run)
+from sinegate.signal_chain import (
+    AvalanchePulseShape,
+    ChainConfig,
+    DiscriminatorConfig,
+    FilterResponseSpec,
+    SampledWaveform,
+    apply_filter,
+    check_record,
+    check_sampling,
+    synthesize_feedthrough,
+    synthesize_gate_train,
+)
 
 NAN = math.nan
+WAVEFORM = SampledWaveform(np.zeros(8), 25e-12)
 
 # Every bounded leaf that builds a model argument: a value refused both in
 # its file unit and in SI, and the model call that takes it in SI.
@@ -66,9 +80,21 @@ BOUNDED_LEAVES = {
     "qkd.laser_fwhm_ps": (-1.0, lambda v: QkdLinkConfig(laser_fwhm=v)),
     "run.master_seed": (2**64, lambda v: RunConfig(n_gates=1, master_seed=v)),
     "run.holdoff_gates": (-1, lambda v: RunConfig(n_gates=1, holdoff_gates=v)),
+    "tcspc.n_pulses": (0, lambda v: TcspcConfig(n_pulses=v)),
     "tcspc.bin_width_ps": (0.0, lambda v: check_tcspc_bin(40e6, v)),
     "tcspc.max_lag_gates": (0, lambda v: inter_detection_correlation(
         np.zeros(0, RECORD_DTYPE), v, 8e-10)),
+    "chain.dt_ps": (0.0, lambda v: check_sampling(1.25e9, v)),
+    "chain.duration_ns": (-1.0, lambda v: check_record(1.25e9, v, 25e-12)),
+    "chain.amplitude_pp_v": (-1.0, lambda v: synthesize_gate_train(1.25e9, v, 64e-9)),
+    "chain.coupling_gain": (-0.1, lambda v: synthesize_feedthrough(WAVEFORM, v)),
+    "chain.stages": (0, lambda v: apply_filter(WAVEFORM, FilterResponseSpec(), stages=v)),
+    "chain.n_avalanches": (-1, lambda v: ChainConfig(n_avalanches=v)),
+    "chain.threshold_mv": (NAN, lambda v: DiscriminatorConfig(threshold=v)),
+    "chain.refractory_ns": (-1.0, lambda v: ChainConfig(refractory=v)),
+    "chain.delay_ps": (NAN, lambda v: synthesize_gate_train(1.25e9, 8.0, 64e-9, delay=v)),
+    "stability.n_segments": (0, lambda v: stability_run(QkdLinkConfig(), v, 1000, 1)),
+    "stability.bits_per_segment": (0, lambda v: stability_run(QkdLinkConfig(), 1, v, 1)),
 }
 
 
@@ -103,7 +129,7 @@ def test_schema_text_and_defaults_are_pinned():
 
 @pytest.mark.parametrize("build", [
     lambda: JitterModel(tail_span_gates=True),
-    lambda: check_holdoff(True, "accepted"),
+    lambda: apply_holdoff(np.zeros(0, RECORD_DTYPE), True),
     lambda: RunConfig(n_gates=True, master_seed=1),
     lambda: RunConfig(n_gates=10, master_seed=False),
 ], ids=["tail_span_gates", "holdoff_gates", "n_gates", "master_seed"])
@@ -128,6 +154,7 @@ DECLARING = {
     QkdLinkConfig: {}, FilterResponseSpec: {}, AvalanchePulseShape: {},
     DiscriminatorConfig: {"threshold": -4e-3},
     Histogram: {"bin_width": 4e-12, "origin": 0.0, "counts": np.zeros(1)},
+    ChainConfig: {}, TcspcConfig: {}, StabilityConfig: {},
 }
 SCALAR_ARGS = [(cls, f.name) for cls in DECLARING for f in fields(cls)
                if f.metadata.get("schema", {}).get("type") in ("number", "integer")
@@ -190,3 +217,30 @@ def test_signal_chain_arguments_refuse_nan_and_out_of_bound(cls, name, bad, valu
         cls(**args, **{name: NAN if value == "nan" else bad})
     assert exc.value.arg == name
     assert str(exc.value).startswith(f"{name} must be ")
+
+
+# Values each law used to take silently, to crash on, or to refuse in
+# words of its own; each is now refused in its argument's declared words
+PROBES = {
+    "stages=1.5": (lambda: apply_filter(WAVEFORM, FilterResponseSpec(), stages=1.5),
+                   "stages must be an integer >= 1"),
+    "stages=True": (lambda: apply_filter(WAVEFORM, FilterResponseSpec(), stages=True),
+                    "stages must be an integer >= 1"),
+    "amplitude_pp=True": (lambda: synthesize_gate_train(1.25e9, True, 64e-9),
+                          "amplitude_pp must be a number >= 0"),
+    "n_segments=2.0": (lambda: stability_run(QkdLinkConfig(), 2.0, 1000, 1),
+                       "n_segments must be an integer >= 1"),
+    "n_bits=1000.0": (lambda: mc_link_run(QkdLinkConfig(), 1000.0, 1),
+                      "n_bits must be an integer >= 1"),
+    "ec_efficiency=0.5": (lambda: rate_after_ec(1.0, 0.1, 0.5),
+                          "ec_efficiency must be a number >= 1"),
+}
+
+
+@pytest.mark.parametrize("probe", PROBES)
+def test_laws_refuse_their_own_arguments_in_the_declared_words(probe):
+    call, message = PROBES[probe]
+    with pytest.raises(ArgumentError) as exc:
+        call()
+    assert exc.value.arg == probe.split("=")[0]
+    assert str(exc.value) == message

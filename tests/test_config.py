@@ -68,8 +68,8 @@ def test_defaults_headline_operating_point():
     assert cfg.source.trigger_rate == 31.25e6
     assert cfg.qkd.bit_rate == 625e6
     assert cfg.qkd.timebin_width == 400e-12
-    assert cfg.chain["stages"] == 2
-    assert cfg.chain["amplitude_pp"] == 8.0
+    assert cfg.chain.stages == 2
+    assert cfg.chain.amplitude_pp == 8.0
 
 
 def test_empty_file_equals_defaults(tmp_path):
@@ -121,6 +121,11 @@ EVERY_LEAF = {
     "qkd": {"mu_source": 0.4, "fiber_loss_db": 3, "timebin_width_ps": 350.0,
             "extinction_db": 20.0, "ec_efficiency": 1.1, "pa_fraction": 0.4,
             "qber_floor": 0.02, "laser_fwhm_ps": 25.0, "mc_check_bits": 5},
+    "chain": {"dt_ps": 20, "duration_ns": 32, "amplitude_pp_v": 6, "coupling_gain": 0.2,
+              "stages": 3, "n_avalanches": 2, "threshold_mv": -3, "refractory_ns": 2.5,
+              "delay_ps": 40},
+    "tcspc": {"n_pulses": 1000, "bin_width_ps": 8, "max_lag_gates": 300},
+    "stability": {"n_segments": 3, "bits_per_segment": 5000},
 }
 
 # The built attribute each leaf must reach, in SI units, written out by hand.
@@ -156,6 +161,20 @@ EVERY_LEAF_SI = {
     "qkd.laser_fwhm": 25e-12,
     "qkd.holdoff_gates": 7,
     "qkd.holdoff_anchor": "any",
+    "chain.dt": 20e-12,
+    "chain.duration": 32e-9,
+    "chain.amplitude_pp": 6.0,
+    "chain.coupling_gain": 0.2,
+    "chain.stages": 3,
+    "chain.n_avalanches": 2,
+    "chain.threshold": -3e-3,
+    "chain.refractory": 2.5e-9,
+    "chain.delay": 40e-12,
+    "tcspc.n_pulses": 1000,
+    "tcspc.bin_width": 8e-12,
+    "tcspc.max_lag_gates": 300,
+    "stability.n_segments": 3,
+    "stability.bits_per_segment": 5000,
 }
 
 
@@ -171,7 +190,7 @@ def test_every_leaf_reaches_its_object_in_si_units(tmp_path):
     # the document sets every leaf of the built sections to a non-default value
     defaults = default_config()
     built = [("run", "holdoff_gates"), ("run", "holdoff_anchor")] + [
-        (name,) + p for name in ("detector", "source", "qkd")
+        (name,) + p for name in ("detector", "source", "qkd", "chain", "tcspc", "stability")
         for p in _leaf_paths(_SECTIONS[name])
     ]
     for path in built:

@@ -64,7 +64,7 @@ def bright(tmp_path_factory):
     path.write_text(json.dumps(BRIGHT), encoding="utf-8")
     cfg = load_config(path)
     src = cfg.source
-    n_gates = (cfg.tcspc["n_pulses"]
+    n_gates = (cfg.tcspc.n_pulses
                * gates_per_trigger(cfg.detector.gate.gate_frequency, src.trigger_rate))
     run_cfg = RunConfig(n_gates=n_gates, master_seed=1, detector=cfg.detector, source=src)
     result, peak = held(run_simulation, run_cfg)
@@ -81,14 +81,14 @@ def test_tcspc_histogram_holds_a_bounded_block_beside_the_records(bright):
     cfg, records, _ = bright
     period = 1.0 / cfg.source.trigger_rate
     hist, peak = held(tcspc_histogram, records, cfg.source.trigger_rate,
-                      cfg.tcspc["bin_width"], phase_origin=-period / 2)
+                      cfg.tcspc.bin_width, phase_origin=-period / 2)
     assert hist.total > 0
     assert records.nbytes + peak <= 1.5 * records.nbytes
 
 
 def test_inter_detection_correlation_holds_a_bounded_block_beside_the_records(bright):
     cfg, records, _ = bright
-    corr, peak = held(inter_detection_correlation, records, cfg.tcspc["max_lag_gates"],
+    corr, peak = held(inter_detection_correlation, records, cfg.tcspc.max_lag_gates,
                       cfg.detector.gate.gate_period)
     assert corr.total > 0
     assert records.nbytes + peak <= 1.2 * records.nbytes
