@@ -384,6 +384,37 @@ class JitterModel:
         return self.sigma / FWHM_TO_SIGMA
 
 
+def _clicks(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
+    """Sorted offsets in [0, n) that click, each independently with probability p.
+
+    Exact for any p in [0, 1]: walks the geometric gaps between clicks. A
+    gap is floor(E / -log1p(-p)) + 1 slots for a standard exponential E
+    (Devroye 1986, ch. X.2), so the offsets are the running sums of the gaps
+    from -1. Exponentials come in blocks of n*p + 4*sqrt(n*p) + 16, which
+    almost always reach past n in one; another block is drawn while the last
+    offset is below n. Nothing is drawn when n or p is 0. For a subnormal p
+    a gap is inf, never NaN (E is divided, not scaled by inf).
+    """
+    if n <= 0 or p <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    rate = -math.log1p(-p) if p < 1.0 else math.inf  # inf: every gap is one slot
+    block = int(n * p + 4.0 * math.sqrt(n * p) + 16.0)
+    # offsets as floats: whole numbers, exact below 2**53, and inf past any n
+    walks, last = [], -1.0
+    while last < n:
+        offsets = rng.standard_exponential(block)
+        with np.errstate(over="ignore"):  # a subnormal p's gaps reach past any n
+            offsets /= rate
+        np.floor(offsets, out=offsets)
+        offsets += 1.0
+        np.cumsum(offsets, out=offsets)
+        offsets += last
+        walks.append(offsets)
+        last = offsets.item(-1)
+    offsets = walks[0] if len(walks) == 1 else np.concatenate(walks)
+    return offsets[:np.searchsorted(offsets, n)].astype(np.int64)
+
+
 def sample_detection_times(
     j: JitterModel,
     gate_indices: np.ndarray,
@@ -395,23 +426,26 @@ def sample_detection_times(
 
     Each time is one Gaussian around its (tail) gate center, of width `sigma`
     (default `j.sigma`), a scalar or one width per avalanche.
-    Draw protocol is fixed (tail uniforms, Gaussian offsets, tail gate
-    choices, in that order) so a given generator state maps to one output.
+    Draw protocol is fixed so a given generator state maps to one output:
+    the tail avalanches' positions (`_clicks` at `j.tail_fraction`), one
+    Gaussian offset per avalanche, then one tail gate choice per tail
+    avalanche only (none when there is no tail).
     """
     gate_indices = np.asarray(gate_indices)
     check_value("gate_period", _POSITIVE, gate_period)
     n = gate_indices.size
-    in_tail = rng.random(n) < j.tail_fraction
+    tails = _clicks(rng, n, j.tail_fraction)
     z = rng.standard_normal(n)
-    k = rng.integers(1, j.tail_span_gates + 1, size=n)
-    # in place: k becomes each avalanche's (tail) gate and z its offset; only
-    # `times` is a new array
-    k *= in_tail
-    k += gate_indices
-    times = k * gate_period
-    del k
+    times = gate_indices * gate_period
+    if tails.size:
+        k = rng.integers(1, j.tail_span_gates + 1, size=tails.size)
+        k += gate_indices[tails]
+        times[tails] = k * gate_period
+    # in place: z becomes each avalanche's offset
     z *= j.sigma if sigma is None else sigma
     times += z
+    in_tail = np.zeros(n, dtype=bool)
+    in_tail[tails] = True
     return times, in_tail
 
 

@@ -37,10 +37,14 @@ candidate takes one, and a candidate in range s >= 1 gates past its
 bound's gate one more to keep it or not (nothing when a hazard is >= 1,
 and nothing more to relabel a dark candidate). No variate is drawn alone.
 After the last block come the detection times of all afterpulses.
-Per-chunk draw order is fixed: (cow bits, one byte per 8 bits), photon
-clicks (count, subset; pulse bin then empty bin for cow), dark clicks
-(count, subset), tail uniforms, Gaussian offsets, tail gate choices.
-Identical RunConfig therefore yields identical records.
+Every click channel is a gap walk (`detector_model._clicks`): it draws
+exponentials a block at a time and turns each into the geometric gap to
+the next click, so its cost follows the clicks, not the gates. Per-chunk
+draw order is fixed: (cow bits, one byte per 8 bits), the photon walk
+(pulse bin then empty bin for cow), the dark walk, then the detection
+times (`sample_detection_times`): the walk over the records that land in
+a tail, one Gaussian offset per record, one tail gate choice per tail
+record. Identical RunConfig therefore yields identical records.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from .detector_model import (
     ArgumentError,
     DetectorParams,
     _FINITE,
+    _clicks,
     _fragment,
     arg,
     check_args,
@@ -204,16 +209,14 @@ def packed_bit(packed: np.ndarray, index) -> np.ndarray:
     return bits
 
 
-def _clicks(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
-    """Sorted offsets in [0, n) that click, each independently with probability p.
-
-    Exact for any p in [0, 1]: a binomial count, then a uniform subset of
-    that size (Floyd's algorithm or a partial shuffle, no retries).
-    """
-    k = int(rng.binomial(n, p))
-    offsets = rng.choice(n, size=k, replace=False, shuffle=False)
-    offsets.sort()
-    return offsets
+def _merge(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted union of the sorted offsets `a` and `b`, and where `b`'s went
+    in it. An offset of `b` that `a` holds is dropped. Costs a binary search per
+    offset of `b` and one copy of `a`: `b` is the small stream."""
+    at = np.searchsorted(a, b)
+    new = np.searchsorted(a, b, side="right") == at
+    at, b = at[new], b[new]
+    return np.insert(a, at, b), at + np.arange(at.size)
 
 
 def _simulate_chunk(cfg: RunConfig, chunk_index: int, m: int, p_photon: tuple,
@@ -235,30 +238,27 @@ def _simulate_chunk(cfg: RunConfig, chunk_index: int, m: int, p_photon: tuple,
     if src.kind == "pulsed-trigger":
         start = ((g0 + m - 1) // m) * m
         n_lit = len(range(start, g0 + n_local, m))
-        photon_gates = start + m * _clicks(rng, n_lit, p_photon[0])
+        photon = _clicks(rng, n_lit, p_photon[0])
+        photon *= m
+        photon += start - g0
     elif src.kind == "cow-ppm":
         n_bits = (n_local + 1) // 2  # chunk starts are even, so bits align
         # one uniform byte carries 8 fair bits; bits past n_bits are never read
         packed = rng.integers(0, 256, size=(n_bits + 7) // 8, dtype=np.uint8)
         b_pulse = _clicks(rng, n_bits, p_photon[0])
         b_empty = _clicks(rng, n_bits, p_photon[1])
-        local = np.concatenate([2 * b_pulse + packed_bit(packed, b_pulse),
-                                2 * b_empty + 1 - packed_bit(packed, b_empty)])
-        photon_gates = g0 + local[local < n_local]  # an odd chunk cuts its last bit
+        # a bit's pulse and empty bins are its two gates: the streams never meet
+        photon, _ = _merge(2 * b_pulse + packed_bit(packed, b_pulse),
+                           2 * b_empty + 1 - packed_bit(packed, b_empty))
+        photon = photon[:np.searchsorted(photon, n_local)]  # an odd chunk cuts its last bit
     else:  # cw-dark-only
-        photon_gates = np.empty(0, dtype=np.int64)
+        photon = np.empty(0, dtype=np.int64)
 
-    dark_gates = g0 + _clicks(rng, n_local, p_dark)
-
-    # photons come first in the stable sort, so a dark sharing a gate sorts
-    # right after its photon and is dropped: the avalanche is single either way
-    gates = np.concatenate([photon_gates, dark_gates])
-    order = np.argsort(gates, kind="stable")
-    gates = gates[order]
-    keep = np.diff(gates, prepend=-1) != 0
-    gates = gates[keep]
-    is_photon = order[keep] < photon_gates.size
-    phys = np.where(is_photon, np.uint8(ORIGIN_PHOTON), np.uint8(ORIGIN_DARK))
+    # a dark sharing a gate with a photon is dropped: the avalanche is single either way
+    gates, at_dark = _merge(photon, _clicks(rng, n_local, p_dark))
+    gates += g0
+    phys = np.full(gates.size, ORIGIN_PHOTON, dtype=np.uint8)
+    phys[at_dark] = ORIGIN_DARK
     return gates, phys, packed, rng
 
 

@@ -21,8 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .detector_model import (ArgumentError, _FINITE, _POSITIVE, arg, check_args, check_value,
-                             required)
+from .detector_model import (ArgumentError, _FINITE, _POSITIVE, _fragment, arg, check_args,
+                             check_value, required)
 from .table import table_chunks, write_chunks
 
 __all__ = [
@@ -359,6 +359,12 @@ def apply_filter(
     return SampledWaveform(filtered, w.dt, w.t0)
 
 
+def _check_grid(dt: float, n_samples: int) -> None:
+    """Refuse a measurement grid's sample spacing or length before either divides."""
+    check_args(ChainConfig, dt=dt)
+    check_value("n_samples", _fragment("integer", ge=1), n_samples)
+
+
 def measured_filter_response(
     spec: FilterResponseSpec,
     freqs,
@@ -378,6 +384,7 @@ def measured_filter_response(
     behavior of the filtering path itself rather than evaluating the design
     formula.
     """
+    _check_grid(dt, n_samples)
     df = 1.0 / (n_samples * dt)
     freqs = np.asarray(freqs, dtype=float)
     check_value("freqs", _FINITE, freqs, axis=True)
@@ -428,6 +435,7 @@ def verify_filter_contract(
     pass; each check takes the worst tone of its group. A grid reaching
     Nyquist raises ValueError.
     """
+    _check_grid(dt, n_samples)
     if dt > 1.0 / 8e9:
         raise ValueError("need at least 8 GS/s to verify the response up to 4 GHz")
     df = 1.0 / (n_samples * dt)

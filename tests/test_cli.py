@@ -185,9 +185,9 @@ def test_qkd_outputs_and_header(tmp_path):
 # the `qkd_mc_check` rows at seed 20260816 and 50000 bits: the Monte Carlo
 # counters, then the analytic rate and QBER at the configured operating point
 QKD_MC_CHECK_ROWS = [
-    ["n_bits", 50000], ["accepted_total", 1338], ["accepted_in_windows", 1338],
-    ["discarded_outside_windows", 0], ["wrong_bin", 24], ["duration_s", 8e-05],
-    ["raw_rate_hz", 16724999.999999998], ["qber", 0.017937219730941704],
+    ["n_bits", 50000], ["accepted_total", 1327], ["accepted_in_windows", 1327],
+    ["discarded_outside_windows", 0], ["wrong_bin", 22], ["duration_s", 8e-05],
+    ["raw_rate_hz", 16587499.999999998], ["qber", 0.016578749058025623],
     ["analytic_raw_rate_hz", 16093953.86969444], ["analytic_qber", 0.017171913446155377],
 ]
 
@@ -196,9 +196,9 @@ def test_qkd_mc_check_table_is_pinned(tmp_path):
     cfg = write_cfg(tmp_path, {"qkd": {"mc_check_bits": 50000}})
     run_ok(["qkd", "--config", cfg, "--out", str(tmp_path / "csv")])
     assert (tmp_path / "csv" / "qkd_mc_check.csv").read_text() == (
-        "metric,value\nn_bits,50000\naccepted_total,1338\naccepted_in_windows,1338\n"
-        "discarded_outside_windows,0\nwrong_bin,24\nduration_s,8e-5\n"
-        "raw_rate_hz,16724999.999999998\nqber,0.017937219730941704\n"
+        "metric,value\nn_bits,50000\naccepted_total,1327\naccepted_in_windows,1327\n"
+        "discarded_outside_windows,0\nwrong_bin,22\nduration_s,8e-5\n"
+        "raw_rate_hz,16587499.999999998\nqber,0.016578749058025623\n"
         "analytic_raw_rate_hz,16093953.86969444\nanalytic_qber,0.017171913446155377\n"
     )
     run_ok(["qkd", "--config", cfg, "--format", "json", "--out", str(tmp_path / "json")])
@@ -625,20 +625,20 @@ GOLDEN_RUNS = {
 
 GOLDEN_DIGESTS = {
     "stability-afterpulse": {
-        "stability_segments.csv": "c451ad4f1adc61c3b9ef71b1df12319d4a7772472ef821b200b1ac5b4994ebee",
-        "stability_summary.csv": "becfe60ac75fdb004e67e09488081b2a5a51cd0a6eba0f7bf248058cf44ac782",
+        "stability_segments.csv": "766432c15a413655ce76befd66acbed89eca8813c72fff8619b60f81e550f319",
+        "stability_summary.csv": "f3e13274b17c587ae7ae1ca5b1ba1aa59ae3cfb4b1f32e456c3f410d321ec722",
     },
     "tcspc-afterpulse": {
-        "correlation.json": "d30c37de9eb6a5b63191f9b71d4fabbdfc8ae0794a03b7ba1c10fae014f9f6f2",
-        "records.json": "7121e9540f4bfcb5ef14ec78ea66ef6d5760a587e817fd9dbb7af3c90a6bb1b1",
-        "summary.json": "25dcb3c180f1b38271b9d93da42fa4d77083a5f857f2cb1cddad5e9e66227b16",
-        "tcspc_histogram.json": "46b3f5e1f48eac075340e6975b5390c5e310e8bfbf3b15ba65f65a2fcaa38433",
+        "correlation.json": "3e2e12295e901a9a70bcb34761911fcca9bc23f17817ec32a872fb74e35b2b07",
+        "records.json": "1e7e9813f7d1343291e20e2811743cafd382bb36a38060e9220bd87c033687a2",
+        "summary.json": "f71b8a5a11e88fb52874a4297acef48e1e93f157af236dbfcc422580dbfcebb6",
+        "tcspc_histogram.json": "ffe84ac29b808208d3127dab61cd33f1fd9061b4f2f0bd7368d982fc67bb19f4",
     },
     "tcspc-delay-tails": {
-        "correlation.csv": "c6a56eb2e28b4ca4e82a4de008053edab22b78cb958317f2e4ffc77a07ebdc47",
-        "records.csv": "6ab34c27b17f75c422919cd93f85c3c55dc83911f099c70b9376e4cbb2bcfc21",
-        "summary.csv": "4f8b43a9eb1b1c5aead6e14c606ec39c5896b7b3405358af0a7f4260a963bb58",
-        "tcspc_histogram.csv": "dccecef08fa08bdc211c36b982be7d4dfb02c421c484ed4ab69a5704291b57ac",
+        "correlation.csv": "6e3bf8afa8cd751a8bc58fc07134fe985b193182ad025b8fee1beae44e993466",
+        "records.csv": "69dfac70416744a8c21cd510382311925d50adc1b7220628bfa9d2c5d18fcd2a",
+        "summary.csv": "57730ad16c580b6d432807cfb4a3b9adb8387f0b3213ac64fb00d60d18b49015",
+        "tcspc_histogram.csv": "717fab98bb7ccf7e4898d9675664c903a3bd6716ec859694b37ff90444e28a1e",
     },
 }
 

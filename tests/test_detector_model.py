@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from sinegate.detector_model import (
     DEFAULT_DARK_TABLE,
@@ -16,6 +17,7 @@ from sinegate.detector_model import (
     JitterModel,
     ModelRangeError,
     TemperatureDarkLaw,
+    _clicks,
     dark_prob,
     efficiency_at_bias,
     gate_profile,
@@ -155,6 +157,30 @@ def test_jitter_sampling_statistics():
     offsets = np.round(tail / period).astype(int)
     assert set(offsets.tolist()) <= {1, 2, 3}
     assert np.all(np.abs(tail - offsets * period) < 8 * j.sigma)
+
+
+def test_tail_slips_are_uniform_and_drawn_only_for_tails():
+    j = JitterModel(sigma=0.0, tail_fraction=0.3, tail_span_gates=5)
+    gates = 10 * np.arange(100_000, dtype=np.int64)
+    rng, replay = np.random.default_rng(8), np.random.default_rng(8)
+    times, in_tail = sample_detection_times(j, gates, 1e-9, rng)
+    slips = np.rint(times / 1e-9).astype(np.int64) - gates
+    assert np.array_equal(slips > 0, in_tail)
+    counts = np.bincount(slips[in_tail], minlength=j.tail_span_gates + 1)
+    assert counts.size == j.tail_span_gates + 1 and counts[0] == 0
+    assert stats.chisquare(counts[1:]).pvalue > 1e-3
+    # the draws: the tails' walk, a Gaussian per avalanche, a slip per tail
+    tails = _clicks(replay, gates.size, j.tail_fraction)
+    replay.standard_normal(gates.size)
+    replay.integers(1, j.tail_span_gates + 1, size=tails.size)
+    assert np.array_equal(np.flatnonzero(in_tail), tails)
+    assert rng.bit_generator.state == replay.bit_generator.state
+    # no tail, no slip drawn: only the Gaussians move the generator
+    rng, replay = np.random.default_rng(9), np.random.default_rng(9)
+    times, in_tail = sample_detection_times(JitterModel(tail_fraction=0.0), gates, 1e-9, rng)
+    replay.standard_normal(gates.size)
+    assert not in_tail.any()
+    assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def test_jitter_degenerate_sigma():

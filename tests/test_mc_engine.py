@@ -41,6 +41,7 @@ from sinegate.mc_engine import (
     _clicks,
     _exponentials,
     _holdoff_flags,
+    _merge,
     _next_fire,
     _no_fire_bound,
 )
@@ -403,6 +404,89 @@ def test_clicks_are_independent_bernoulli_trials(p):
     assert np.abs(z_pos).max() < 4.5
     z_total = (total - draws * n * p) / math.sqrt(draws * n * p * (1 - p))
     assert abs(z_total) < 4
+
+
+@pytest.mark.parametrize("n, p", [(0, 0.5), (1000, 0.0), (0, 0.0), (0, 1.0)])
+def test_clicks_draw_nothing_when_nothing_can_click(n, p):
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    c = _clicks(rng, n, p)
+    assert c.size == 0 and c.dtype == np.int64
+    assert rng.bit_generator.state == state
+
+
+def test_clicks_at_and_just_below_certainty():
+    rng = np.random.default_rng(4)
+    assert _clicks(rng, 5000, 1.0).tolist() == list(range(5000))
+    # a gap is longer than one slot with probability 2**-53
+    assert _clicks(rng, 5000, 1.0 - 2.0**-53).tolist() == list(range(5000))
+
+
+@pytest.mark.parametrize("p", [5e-324, 1e-310, 1e-300])
+def test_clicks_at_a_vanishing_probability(p):
+    # a gap overflows to inf: no click, and no NaN or floating-point warning
+    rng = np.random.default_rng(6)
+    with np.errstate(all="raise"):
+        for n in (1, 1 << 20, 2**62):
+            c = _clicks(rng, n, p)
+            assert c.size == 0 and c.dtype == np.int64
+
+
+class ShortExponentials:
+    """A generator whose exponentials are a real one's, shrunk 20-fold: a walk
+    then falls short of n in its first block. Keeps every exponential it drew."""
+
+    def __init__(self, seed):
+        self.rng, self.drawn = np.random.default_rng(seed), []
+
+    def standard_exponential(self, size):
+        self.drawn.append(self.rng.standard_exponential(size) / 20.0)
+        return self.drawn[-1].copy()
+
+
+@pytest.mark.parametrize("n, p", [(3000, 0.01), (200, 0.5), (5000, 1e-3)])
+def test_clicks_walk_on_across_blocks(n, p):
+    rng = ShortExponentials(7)
+    c = _clicks(rng, n, p)
+    assert len(rng.drawn) > 1
+    # the same walk over all drawn exponentials at once
+    gaps = np.floor(np.concatenate(rng.drawn) / -math.log1p(-p)) + 1
+    offsets = np.cumsum(gaps) - 1
+    assert c.dtype == np.int64
+    assert c.tolist() == offsets[offsets < n].astype(np.int64).tolist()
+    assert offsets[sum(d.size for d in rng.drawn[:-1]) - 1] < n <= offsets[-1]
+
+
+@pytest.mark.parametrize("p, n, runs", [(1e-4, 2_000_000, 10), (0.03, 1_000_000, 1),
+                                        (0.95, 100_000, 1)])
+def test_clicks_match_a_per_slot_oracle(p, n, runs):
+    # the gap walk and one uniform per slot: each gap sample fits the geometric
+    # law P(G = 1 + k) = p * (1-p)**k, and each click count fits n * p
+    rng = np.random.default_rng(int(-math.log10(p) * 10))
+    samples = {
+        "walk": [_clicks(rng, n, p) for _ in range(runs)],
+        "oracle": [np.flatnonzero(rng.random(n) < p) for _ in range(runs)],
+    }
+    counts = {}
+    for name, runs_clicks in samples.items():
+        gaps = np.concatenate([np.diff(c, prepend=-1) for c in runs_clicks])
+        _, _, p_value = geometric_lag_gof(gaps, 0, p, min_expected=20.0)
+        assert p_value > 1e-3, (name, p_value)
+        counts[name] = gaps.size
+        z = (gaps.size - runs * n * p) / math.sqrt(runs * n * p * (1 - p))
+        assert abs(z) < 4, (name, z)
+    z_pair = (counts["walk"] - counts["oracle"]) / math.sqrt(2 * runs * n * p * (1 - p))
+    assert abs(z_pair) < 4
+
+
+def test_merge_drops_a_shared_offset_and_says_where_the_rest_went():
+    gates, at = _merge(np.array([2, 5, 9]), np.array([0, 5, 10, 11]))
+    assert gates.tolist() == [0, 2, 5, 9, 10, 11]
+    assert at.tolist() == [0, 4, 5]
+    gates, at = _merge(np.empty(0, dtype=np.int64), np.array([3, 4]))
+    assert gates.tolist() == [3, 4] and at.tolist() == [0, 1]
+    gates, at = _merge(np.array([1, 2]), np.empty(0, dtype=np.int64))
+    assert gates.tolist() == [1, 2] and at.size == 0
 
 
 def test_cow_clicks_follow_the_per_bin_law():

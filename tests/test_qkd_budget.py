@@ -380,9 +380,9 @@ def test_cow_bits_read_packed_across_a_chunk_boundary():
     # 600 001 bits: two chunks, the second 75 713 bits, not a whole number of bytes
     cfg = QkdLinkConfig(mu_source=0.3)
     assert mc_link_run(cfg, 600_001, master_seed=8) == {
-        "n_bits": 600_001, "accepted_total": 15533, "accepted_in_windows": 15533,
-        "discarded_outside_windows": 0, "wrong_bin": 259, "duration_s": 0.0009600016,
-        "raw_rate_hz": 16180181.36636439, "qber": 0.016674177557458314,
+        "n_bits": 600_001, "accepted_total": 15570, "accepted_in_windows": 15570,
+        "discarded_outside_windows": 0, "wrong_bin": 274, "duration_s": 0.0009600016,
+        "raw_rate_hz": 16218722.968795052, "qber": 0.017597944765574823,
     }
     result = run_simulation(RunConfig(n_gates=2 * 600_001, master_seed=8,
                                       source=SourceConfig.cow(mean_photons_per_bit=0.3)))
@@ -441,9 +441,9 @@ def test_block_wise_window_matches_the_whole_segment(monkeypatch, case):
 def test_benchmark_segment_counters_are_pinned():
     # the benchmark's link segment, mu 0.3 over 4 M bits: ~118 k records, four blocks
     assert mc_link_run(QkdLinkConfig(mu_source=0.3), 4_000_000, master_seed=2) == {
-        "n_bits": 4_000_000, "accepted_total": 103519, "accepted_in_windows": 103519,
-        "discarded_outside_windows": 0, "wrong_bin": 1823, "duration_s": 0.0064,
-        "raw_rate_hz": 16174843.75, "qber": 0.017610293762497706,
+        "n_bits": 4_000_000, "accepted_total": 103726, "accepted_in_windows": 103726,
+        "discarded_outside_windows": 0, "wrong_bin": 1788, "duration_s": 0.0064,
+        "raw_rate_hz": 16207187.5, "qber": 0.017237722461099433,
     }
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sinegate.detector_model import ArgumentError
 from sinegate.signal_chain import (
     SPECTRUM_FLOOR_DB,
     AvalanchePulseShape,
@@ -283,6 +284,24 @@ def test_measured_response_refuses_bad_tones():
     for f in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             measured_filter_response(spec, [f], n_samples=n)
+
+
+@pytest.mark.parametrize("measure", ["response", "contract"])
+@pytest.mark.parametrize("grid, message", [
+    ({"dt": 0.0}, "dt must be a number > 0"),
+    ({"dt": math.nan}, "dt must be a number > 0"),
+    ({"n_samples": 0}, "n_samples must be an integer >= 1"),
+    ({"n_samples": 1.5}, "n_samples must be an integer >= 1"),
+])
+def test_filter_measurements_refuse_their_grid_in_the_declared_words(measure, grid, message):
+    # each used to divide by the bad value first: ZeroDivisionError, a NaN
+    # bin count, or a tone "at or above Nyquist"
+    spec = FilterResponseSpec()
+    with pytest.raises(ArgumentError, match=f"^{message}$"):
+        if measure == "response":
+            measured_filter_response(spec, [100e6], **grid)
+        else:
+            verify_filter_contract(spec, **grid)
 
 
 def test_filter_contract_default_spec_passes():
