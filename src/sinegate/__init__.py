@@ -8,6 +8,9 @@ filter cascade:
     Analog layer. Gate synthesis, capacitive feedthrough, avalanche pulse
     shapes, the low-pass extraction filter (with a self-verifying response
     contract), spectra, and a level discriminator.
+``declare``
+    How a model argument is declared (bounds, unit, allowed strings), checked,
+    and worded when refused, for the model and the configuration alike.
 ``detector_model``
     Calibrated device laws. Gaussian gate profile, a linear bias-efficiency
     law, a dark-count table interpolated log-linearly in temperature,

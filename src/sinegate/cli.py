@@ -22,8 +22,8 @@ import numpy as np
 from . import signal_chain as sc
 from . import qkd_budget as qb
 from .config import ConfigError, FullConfig, grid_values, load_config
-from .detector_model import (ArgumentError, ModelRangeError, check_args, check_value, dark_prob,
-                             efficiency_at_bias)
+from .declare import COUNT, ArgumentError, check_args, check_value
+from .detector_model import ModelRangeError, dark_prob, efficiency_at_bias
 from .mc_engine import (
     RunConfig,
     ORIGIN_NAMES,
@@ -329,7 +329,7 @@ def main(argv=None) -> int:
         try:
             if args.seed is not None:
                 check_args(RunConfig, master_seed=args.seed)
-            check_value("workers", qb._COUNT, args.workers)
+            check_value("workers", COUNT, args.workers)
         except ArgumentError as exc:
             flag = "--seed" if exc.arg == "master_seed" else "--workers"
             raise ConfigError([f"{flag} {exc.reason}"]) from None

@@ -8,12 +8,13 @@ its draft-07 `default`: validation walks the tree, `default_config()`
 collects the defaults, `schema_text()` prints it, and one unit-suffix rule
 (`_args`) scales every leaf to the SI value that the model objects read.
 A leaf that builds a model argument is not written here: `_model` reads it
-off the argument's `detector_model.arg` field, which holds its SI default,
-bounds and unit. Only `source.kind`, `qkd.mc_check_bits`, the dark table
-and the sweep grids are written in the tree. The cross-field rules are the
-model's own checks: validation builds the model objects, reports each
-`ArgumentError` at the leaf that names its argument, and `load_config`
-returns the objects it built.
+off the argument's `declare.arg` field, which holds its SI default,
+bounds and unit; the dark table is `TemperatureDarkLaw.table`'s
+declaration or null. Only `source.kind`, `qkd.mc_check_bits` and the sweep
+grids are written in the tree. The cross-field rules are the model's own
+checks: validation builds the model objects, reports each `ArgumentError`
+at the leaf that names its argument, and `load_config` returns the objects
+it built.
 """
 
 from __future__ import annotations
@@ -27,18 +28,15 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .declare import ArgumentError, arg_of, describe, fragment, satisfies
 from .detector_model import (
     DEFAULT_DARK_TABLE,
     AfterpulseModel,
-    ArgumentError,
     BiasEfficiencyLaw,
     DetectorParams,
     GateConfig,
     JitterModel,
     TemperatureDarkLaw,
-    _fragment,
-    describe,
-    satisfies,
 )
 from .mc_engine import RunConfig, SourceConfig, TcspcConfig, check_tcspc_bin, gates_per_trigger
 from .qkd_budget import QkdLinkConfig, StabilityConfig, check_timebin
@@ -82,7 +80,7 @@ def deep_merge(base: dict, override: dict) -> dict:
 # The configuration shape: one tree that is itself a draft-07 JSON Schema.
 # `schema_text()` prints it and `validate_config` walks it with `_check`,
 # which reads the object keywords and hands every other fragment to
-# `detector_model.satisfies`, the interpreter the model's own checks use.
+# `declare.satisfies`, the interpreter the model's own checks use.
 # Every leaf carries its `default` (`_model` builds a model argument's
 # leaf); every field is required of the merged document (`missing`
 # otherwise) and optional in a user file.
@@ -94,8 +92,8 @@ def _obj(**properties) -> dict:
 
 def _num(default=None, kind: str = "number", **bounds) -> dict:
     """A number (or integer) fragment; bounds are gt/ge/lt/le keywords."""
-    fragment = _fragment(kind, **bounds)
-    return fragment if default is None else {**fragment, "default": default}
+    leaf = fragment(kind, **bounds)
+    return leaf if default is None else {**leaf, "default": default}
 
 
 def _enum(*options) -> dict:
@@ -105,10 +103,6 @@ def _enum(*options) -> dict:
 
 def _nullable(inner: dict, default=None) -> dict:
     return {"oneOf": [{"type": "null"}, inner], "default": default}
-
-
-def _list(items, min_items: int, description: str) -> dict:
-    return {"type": "array", "description": description, "minItems": min_items, "items": items}
 
 
 # The most points a sweep grid may hold; the default grids hold 33 to 81.
@@ -147,18 +141,13 @@ _SCHEMA = {
         detector=_obj(
             gate=_obj(**_model(GateConfig)),
             bias_law=_obj(**_model(BiasEfficiencyLaw)),
-            dark_table_c_prob=_nullable(_list(
-                {"type": "array", "minItems": 2, "maxItems": 2,
-                 "items": [_num(), _num(gt=0, lt=1)]},
-                2,
-                "a list of at least 2 [temperature_c, probability] pairs, "
-                "probability in (0, 1)",
-            ), default=[list(row) for row in DEFAULT_DARK_TABLE]),
+            dark_table_c_prob=_nullable(arg_of(TemperatureDarkLaw, "table").metadata["schema"],
+                                        default=[list(row) for row in DEFAULT_DARK_TABLE]),
             jitter=_obj(**_model(JitterModel)),
             afterpulse=_obj(**_model(AfterpulseModel)),
             operating=_obj(**_model(DetectorParams)),
         ),
-        source=_obj(kind=_enum("pulsed-trigger"), **_model(SourceConfig, "extinction_db")),
+        source=_obj(kind=_enum("pulsed-trigger"), **_model(SourceConfig, "kind", "extinction_db")),
         qkd=_obj(**_model(QkdLinkConfig, "holdoff_gates", "holdoff_anchor"),  # `run` holds those
                  mc_check_bits=_num(1000000, "integer", ge=0)),
         chain=_obj(**_model(ChainConfig)),
@@ -167,7 +156,9 @@ _SCHEMA = {
             bias_v=_grid(51.0, 54.5, 0.05),
             delay_ps=_grid(-400.0, 400.0, 10.0),
             fiber_loss_db=_grid(0.0, 16.0, 0.5, ge=0),
-            temperatures_c=_nullable(_list(_num(), 1, "a non-empty list of temperatures")),
+            temperatures_c=_nullable({"type": "array",
+                                      "description": "a non-empty list of temperatures",
+                                      "minItems": 1, "items": _num()}),
         ),
         stability=_obj(**_model(StabilityConfig)),
     ),

@@ -20,40 +20,21 @@ Calibrated laws, each usable on its own:
 `DetectorParams` bundles the laws with the operating point (bias voltage,
 temperature) and owns the one click law (`click_prob`). A calibration on
 disk is a configuration's `detector` section, read and validated by
-`config.load_config`.
-
-Each single-valued argument of a model class (here, in `mc_engine`,
-`qkd_budget` and `signal_chain`) is declared once, with `arg` on its
-dataclass field: its SI default, its bounds or allowed strings, and the unit
-suffix of its configuration key. `check_args` enforces the declarations in
-the class's `__post_init__`, which adds only the rules that tie arguments
-together, and `config` builds each key's schema leaf from the same field.
-A law function refuses its own arguments the same way: `check_args(Cls,
-name=value)` against the class that declares the argument, or `check_value`
-on a fragment where none does. One function, `satisfies`, reads every
-fragment, for a model argument and a configuration leaf alike, so both
-refuse a value in the same words (`describe`).
+`config.load_config`. Each argument is declared on its field (`declare`).
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .declare import (FINITE, POSITIVE, ArgumentError, arg, check_args, check_value, float_or_array,
+                      fragment)
+
 __all__ = [
     "ModelRangeError",
-    "ArgumentError",
-    "arg",
-    "required",
-    "arg_of",
-    "check_args",
-    "describe",
-    "is_int",
-    "satisfies",
-    "check_value",
     "GateConfig",
     "BiasEfficiencyLaw",
     "TemperatureDarkLaw",
@@ -63,6 +44,7 @@ __all__ = [
     "gate_profile",
     "efficiency_at_bias",
     "dark_prob",
+    "clicks",
     "sample_detection_times",
     "FWHM_TO_SIGMA",
     "DEFAULT_DARK_TABLE",
@@ -74,161 +56,6 @@ FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
 class ModelRangeError(ValueError):
     """An input lies outside the calibrated range of a model law."""
-
-
-class ArgumentError(ValueError):
-    """A model check refused argument `arg`; `reason` says what it must be."""
-
-    def __init__(self, arg: str, reason: str):
-        self.arg, self.reason = arg, reason
-        super().__init__(f"{arg} {reason}")
-
-
-# draft-07 keywords of the gt/ge/lt/le bounds, and how each compares
-_BOUNDS = {"gt": "exclusiveMinimum", "ge": "minimum", "lt": "exclusiveMaximum", "le": "maximum"}
-_COMPARE = {
-    "exclusiveMinimum": operator.gt,
-    "minimum": operator.ge,
-    "exclusiveMaximum": operator.lt,
-    "maximum": operator.le,
-}
-
-
-def _fragment(kind: str, **bounds) -> dict:
-    """The JSON Schema fragment of a `kind` value inside gt/ge/lt/le `bounds`."""
-    return {"type": kind, **{_BOUNDS[k]: v for k, v in bounds.items()}}
-
-
-def arg(default, *, unit: str | None = None, enum=None, axis: bool = False, **bounds):
-    """A dataclass field declaring a model argument: its SI `default`, its
-    gt/ge/lt/le `bounds` or its `enum` of allowed strings, and the unit
-    suffix of its configuration key (`config._UNITS`). The default's type
-    sets the kind: bool, int, or a number; a None default makes a number
-    that may be None. A bound reads the same in every unit, so a
-    unit-suffixed argument is bounded at 0 only. Only a sweep `axis` may
-    also be a NumPy array, each element checked."""
-    kind = "boolean" if isinstance(default, bool) else "integer" if isinstance(default, int) else "number"
-    schema = {"enum": list(enum)} if enum else _fragment(kind, **bounds)
-    if default is None:
-        schema = {"oneOf": [{"type": "null"}, schema]}
-    return field(default=default, metadata={"schema": schema, "unit": unit, "axis": axis})
-
-
-def required(kind: str, **bounds):
-    """A dataclass field declaring a model argument with no default: a
-    "number" or an "integer" inside gt/ge/lt/le `bounds`, and no
-    configuration key of its own."""
-    return field(metadata={"schema": _fragment(kind, **bounds)})
-
-
-def arg_of(cls, name: str):
-    """A field declaring the same argument as `cls`'s `arg` field `name`."""
-    declared = next(f for f in fields(cls) if f.name == name)
-    return field(default=declared.default, metadata=declared.metadata)
-
-
-def is_int(v) -> bool:
-    """Whether `v` is a Python int other than a bool: what a whole count must be."""
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _real(v) -> bool:
-    """Whether `v` is a finite real number other than a bool: a Python or
-    NumPy scalar, or a NumPy array of them (each element is checked)."""
-    if isinstance(v, np.ndarray):
-        return v.dtype.kind in "iuf" and bool(np.isfinite(v).all())
-    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-def satisfies(schema: dict, v) -> bool:
-    """Whether `v` meets a non-object schema fragment, the one reading of
-    every fragment: a configuration leaf's JSON value or a model argument.
-    Numbers must be finite (`json.load` reads NaN) and integers Python ints
-    (JSON Schema counts 2.0 as an integer); neither is a bool. A number may
-    also be a NumPy scalar or array, checked elementwise."""
-    if "oneOf" in schema:
-        return sum(satisfies(branch, v) for branch in schema["oneOf"]) == 1
-    if "enum" in schema:
-        return isinstance(v, str) and v in schema["enum"]
-    kind = schema["type"]
-    if kind == "null":
-        return v is None
-    if kind == "boolean":
-        return isinstance(v, (bool, np.bool_))
-    if kind == "array":
-        if not (isinstance(v, list) and schema["minItems"] <= len(v) <= schema.get("maxItems", len(v))):
-            return False
-        items = schema["items"]  # a list of fragments checks a tuple
-        pairs = zip(items, v) if isinstance(items, list) else ((items, x) for x in v)
-        return all(satisfies(s, x) for s, x in pairs)
-    if not (_real(v) and (kind == "number" or is_int(v))):
-        return False
-    held = (cmp(v, schema[key]) for key, cmp in _COMPARE.items() if key in schema)
-    return all(map(np.all, held)) if isinstance(v, np.ndarray) else all(held)
-
-
-def check_value(name: str, schema: dict, v, axis: bool = False) -> None:
-    """Refuse argument `name` when `v` breaks `schema` (`satisfies`), or is
-    an array and `name` no sweep `axis`, in `describe`'s words."""
-    if not satisfies(schema, v) or (isinstance(v, np.ndarray) and not axis):
-        raise ArgumentError(name, f"must be {describe(schema)}")
-
-
-def check_args(obj, **values) -> None:
-    """Refuse (`check_value`) the first declared field of dataclass `obj`
-    whose value breaks its declaration. `values`, when given, are checked in
-    place of the fields' own, and only they: `obj` may then be the class."""
-    for f in fields(obj):
-        schema = f.metadata.get("schema")
-        if schema is None or (values and f.name not in values):
-            continue
-        v = values[f.name] if values else getattr(obj, f.name)
-        check_value(f.name, schema, v, f.metadata.get("axis", False))
-
-
-def _fmt(bound) -> str:
-    """A bound as message text; large powers of two read as `2**k`."""
-    if isinstance(bound, int) and bound > 2**53 and not bound & (bound - 1):
-        return f"2**{bound.bit_length() - 1}"
-    return str(bound)
-
-
-def describe(schema: dict) -> str:
-    """What a non-object JSON Schema fragment demands, as the text after `must be`."""
-    if "oneOf" in schema:
-        return " or ".join(describe(branch) for branch in schema["oneOf"])
-    if "enum" in schema:
-        return f"one of {tuple(schema['enum'])}"
-    kind = schema["type"]
-    if kind in ("null", "array"):
-        return schema.get("description", kind)
-    if kind == "boolean":
-        return "true or false"
-    noun = "an integer" if kind == "integer" else "a number"
-    lo = schema.get("minimum", schema.get("exclusiveMinimum"))
-    hi = schema.get("maximum", schema.get("exclusiveMaximum"))
-    if lo is None and hi is None:
-        return "a finite number" if kind == "number" else noun
-    if hi is None:
-        return f"{noun} {'>=' if 'minimum' in schema else '>'} {_fmt(lo)}"
-    if lo is None:
-        return f"{noun} {'<=' if 'maximum' in schema else '<'} {_fmt(hi)}"
-    open_ = "[" if "minimum" in schema else "("
-    close = "]" if "maximum" in schema else ")"
-    return f"{noun} in {open_}{_fmt(lo)}, {_fmt(hi)}{close}"
-
-
-_FINITE, _POSITIVE = _fragment("number"), _fragment("number", gt=0)  # for laws' own arguments
-
-
-def _float_or_array(value):
-    """A law's result: a Python float for a scalar input, else the array."""
-    return float(value) if np.ndim(value) == 0 else value
 
 
 @dataclass(frozen=True)
@@ -258,10 +85,10 @@ def gate_profile(cfg: GateConfig, delay) -> np.ndarray | float:
     whole gate period). Accepts scalars or arrays.
     """
     delay = np.asarray(delay, dtype=float)
-    check_value("delay", _FINITE, delay, axis=True)
+    check_value("delay", FINITE, delay, axis=True)
     period = cfg.gate_period
     wrapped = delay - period * np.round(delay / period)
-    return _float_or_array(np.exp(-4.0 * math.log(2.0) * (wrapped / cfg.gate_fwhm) ** 2))
+    return float_or_array(np.exp(-4.0 * math.log(2.0) * (wrapped / cfg.gate_fwhm) ** 2))
 
 
 @dataclass(frozen=True)
@@ -287,9 +114,9 @@ def efficiency_at_bias(law: BiasEfficiencyLaw, bias) -> np.ndarray | float:
     """Peak efficiency at a bias voltage: 0 at/below breakdown, else linear, clamped.
     Accepts scalars or arrays, like `gate_profile`."""
     bias = np.asarray(bias, dtype=float)
-    check_value("bias", _FINITE, bias, axis=True)  # a grid, where `DetectorParams.bias` is not
+    check_value("bias", FINITE, bias, axis=True)  # a grid, where `DetectorParams.bias` is not
     value = np.clip(law.anchor_efficiency + law.slope_per * (bias - law.anchor_bias), 0.0, 1.0)
-    return _float_or_array(np.where(bias <= law.breakdown_bias, 0.0, value))
+    return float_or_array(np.where(bias <= law.breakdown_bias, 0.0, value))
 
 
 # Anchors: quoted operating points at -43 C (6e-7), -35 C (7e-7) and +20 C
@@ -315,19 +142,20 @@ DARK_TABLE_SPAN_C = (-45.0, 20.0)
 class TemperatureDarkLaw:
     """Dark-avalanche probability per gate vs. temperature (log-linear between anchors)."""
 
-    table: tuple[tuple[float, float], ...] = DEFAULT_DARK_TABLE
+    table: tuple[tuple[float, float], ...] = field(default=DEFAULT_DARK_TABLE, metadata={"schema": {
+        "type": "array",
+        "description": "a list of at least 2 [temperature_c, probability] pairs, probability in (0, 1)",
+        "minItems": 2,
+        "items": {"type": "array", "minItems": 2, "maxItems": 2,
+                  "items": [FINITE, fragment("number", gt=0, lt=1)]},
+    }})
 
     def __post_init__(self) -> None:
+        check_args(self)
         table = tuple((float(t), float(p)) for t, p in self.table)
-        if len(table) < 2:
-            raise ArgumentError("table", "must hold at least two anchors")
         temps = [t for t, _ in table]
-        if not all(map(math.isfinite, temps)):  # NaN would slip past the order checks
-            raise ArgumentError("table", "must hold finite temperatures")
         if any(b <= a for a, b in zip(temps, temps[1:])):
             raise ArgumentError("table", "must hold strictly increasing temperatures")
-        if any(not (0.0 < p < 1.0) for _, p in table):
-            raise ArgumentError("table", "must hold probabilities in (0, 1)")
         if temps[0] > DARK_TABLE_SPAN_C[0] or temps[-1] < DARK_TABLE_SPAN_C[1]:
             raise ArgumentError("table", "must cover [-45, +20] C")
         object.__setattr__(self, "table", table)
@@ -360,7 +188,7 @@ def dark_prob(law: TemperatureDarkLaw, temperature_c) -> np.ndarray | float:
     nearest = np.minimum(np.searchsorted(temps, t), temps.size - 1)
     # anchors reproduce bit-exactly, not through the log round trip
     interpolated = np.exp(np.interp(t, temps, np.log(probs)))
-    return _float_or_array(np.where(temps[nearest] == t, probs[nearest], interpolated))
+    return float_or_array(np.where(temps[nearest] == t, probs[nearest], interpolated))
 
 
 @dataclass(frozen=True)
@@ -384,7 +212,7 @@ class JitterModel:
         return self.sigma / FWHM_TO_SIGMA
 
 
-def _clicks(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
+def clicks(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
     """Sorted offsets in [0, n) that click, each independently with probability p.
 
     Exact for any p in [0, 1]: walks the geometric gaps between clicks. A
@@ -427,14 +255,14 @@ def sample_detection_times(
     Each time is one Gaussian around its (tail) gate center, of width `sigma`
     (default `j.sigma`), a scalar or one width per avalanche.
     Draw protocol is fixed so a given generator state maps to one output:
-    the tail avalanches' positions (`_clicks` at `j.tail_fraction`), one
+    the tail avalanches' positions (`clicks` at `j.tail_fraction`), one
     Gaussian offset per avalanche, then one tail gate choice per tail
     avalanche only (none when there is no tail).
     """
     gate_indices = np.asarray(gate_indices)
-    check_value("gate_period", _POSITIVE, gate_period)
+    check_value("gate_period", POSITIVE, gate_period)
     n = gate_indices.size
-    tails = _clicks(rng, n, j.tail_fraction)
+    tails = clicks(rng, n, j.tail_fraction)
     z = rng.standard_normal(n)
     times = gate_indices * gate_period
     if tails.size:
@@ -520,7 +348,7 @@ class DetectorParams:
         1 - exp(-eta * mean_photons) at the efficiency of `alignment_delay`.
         Accepts scalars or arrays."""
         eta = self.effective_efficiency(alignment_delay)
-        return _float_or_array(1.0 - np.exp(-eta * mean_photons))
+        return float_or_array(1.0 - np.exp(-eta * mean_photons))
 
     def dark_prob_per_gate(self) -> float:
         if self.dark_law is None:

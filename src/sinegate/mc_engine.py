@@ -37,7 +37,7 @@ candidate takes one, and a candidate in range s >= 1 gates past its
 bound's gate one more to keep it or not (nothing when a hazard is >= 1,
 and nothing more to relabel a dark candidate). No variate is drawn alone.
 After the last block come the detection times of all afterpulses.
-Every click channel is a gap walk (`detector_model._clicks`): it draws
+Every click channel is a gap walk (`detector_model.clicks`): it draws
 exponentials a block at a time and turns each into the geometric gap to
 the next click, so its cost follows the clicks, not the gates. Per-chunk
 draw order is fixed: (cow bits, one byte per 8 bits), the photon walk
@@ -54,19 +54,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detector_model import (
-    FWHM_TO_SIGMA,
-    ArgumentError,
-    DetectorParams,
-    _FINITE,
-    _clicks,
-    _fragment,
-    arg,
-    check_args,
-    check_value,
-    required,
-    sample_detection_times,
-)
+from .declare import FINITE, NON_NEGATIVE, ArgumentError, arg, check_args, check_value, required
+from .detector_model import FWHM_TO_SIGMA, DetectorParams, clicks, sample_detection_times
 from .table import Labels, Scaled
 
 __all__ = [
@@ -122,16 +111,14 @@ class SourceConfig:
     pulse (pulsed) or per bit (cow), at the detector.
     """
 
-    kind: str
+    kind: str = required(enum=("pulsed-trigger", "cw-dark-only", "cow-ppm"))
     trigger_rate: float = arg(31.25e6, gt=0, unit="hz")
     mean_photons: float = arg(0.1, ge=0)
     laser_fwhm: float = arg(30e-12, ge=0, unit="ps")
     alignment_delay: float = arg(0.0, unit="ps")
     extinction_db: float = arg(25.0, gt=0)
 
-    def __post_init__(self) -> None:
-        check_value("kind", {"enum": ["pulsed-trigger", "cw-dark-only", "cow-ppm"]}, self.kind)
-        check_args(self)
+    __post_init__ = check_args
 
     @classmethod
     def pulsed(cls, **args) -> "SourceConfig":
@@ -238,15 +225,15 @@ def _simulate_chunk(cfg: RunConfig, chunk_index: int, m: int, p_photon: tuple,
     if src.kind == "pulsed-trigger":
         start = ((g0 + m - 1) // m) * m
         n_lit = len(range(start, g0 + n_local, m))
-        photon = _clicks(rng, n_lit, p_photon[0])
+        photon = clicks(rng, n_lit, p_photon[0])
         photon *= m
         photon += start - g0
     elif src.kind == "cow-ppm":
         n_bits = (n_local + 1) // 2  # chunk starts are even, so bits align
         # one uniform byte carries 8 fair bits; bits past n_bits are never read
         packed = rng.integers(0, 256, size=(n_bits + 7) // 8, dtype=np.uint8)
-        b_pulse = _clicks(rng, n_bits, p_photon[0])
-        b_empty = _clicks(rng, n_bits, p_photon[1])
+        b_pulse = clicks(rng, n_bits, p_photon[0])
+        b_empty = clicks(rng, n_bits, p_photon[1])
         # a bit's pulse and empty bins are its two gates: the streams never meet
         photon, _ = _merge(2 * b_pulse + packed_bit(packed, b_pulse),
                            2 * b_empty + 1 - packed_bit(packed, b_empty))
@@ -255,7 +242,7 @@ def _simulate_chunk(cfg: RunConfig, chunk_index: int, m: int, p_photon: tuple,
         photon = np.empty(0, dtype=np.int64)
 
     # a dark sharing a gate with a photon is dropped: the avalanche is single either way
-    gates, at_dark = _merge(photon, _clicks(rng, n_local, p_dark))
+    gates, at_dark = _merge(photon, clicks(rng, n_local, p_dark))
     gates += g0
     phys = np.full(gates.size, ORIGIN_PHOTON, dtype=np.uint8)
     phys[at_dark] = ORIGIN_DARK
@@ -536,7 +523,7 @@ class Histogram:
         counts = np.asarray(self.counts, dtype=np.int64)
         if counts.ndim != 1:
             raise ValueError("counts must be 1-D")
-        check_value("counts", _fragment("number", ge=0), counts, axis=True)
+        check_value("counts", NON_NEGATIVE, counts, axis=True)
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -607,7 +594,7 @@ def tcspc_histogram(
     trigger-cycle boundaries. The bin must pass `check_tcspc_bin`.
     """
     check_tcspc_bin(trigger_rate, bin_width)
-    check_value("phase_origin", _FINITE, phase_origin)
+    check_value("phase_origin", FINITE, phase_origin)
     period = 1.0 / trigger_rate
     # the last bin may reach past the period; a float quotient just above a
     # whole number (32 ns / 4 ps) does not add a bin
@@ -665,14 +652,10 @@ def estimate_fwhm(h: Histogram) -> float:
     return float(crossing(+1) - crossing(-1))
 
 
-# the rule of the arguments of `deconvolve_jitter`
-_WIDTH = _fragment("number", ge=0)
-
-
 def deconvolve_jitter(measured_fwhm: float, source_fwhm: float) -> float:
     """Remove a Gaussian source width from a measured width in quadrature."""
-    check_value("measured_fwhm", _WIDTH, measured_fwhm)
-    check_value("source_fwhm", _WIDTH, source_fwhm)
+    check_value("measured_fwhm", NON_NEGATIVE, measured_fwhm)
+    check_value("source_fwhm", NON_NEGATIVE, source_fwhm)
     if measured_fwhm < source_fwhm:
         raise ValueError(
             f"measured width {measured_fwhm} below source width {source_fwhm}: "

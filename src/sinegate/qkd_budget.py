@@ -35,8 +35,9 @@ from functools import partial
 import numpy as np
 
 from . import mc_engine
-from .detector_model import (ArgumentError, DetectorParams, _float_or_array, _fragment, arg,
-                             arg_of, check_args, check_value)
+from .declare import (COUNT, NON_NEGATIVE, ArgumentError, arg, arg_of, check_args, check_value,
+                      float_or_array, fragment)
+from .detector_model import DetectorParams
 from .mc_engine import RunConfig, SourceConfig, packed_bit, run_simulation
 
 __all__ = [
@@ -59,21 +60,19 @@ FIBER_DB_PER_KM = 0.2
 
 SWEEP_AXES = ("fiber_loss_db", "temperature")
 
-_COUNT = _fragment("integer", ge=1)  # of bits, or of workers (the CLI's `--workers` too)
-
 
 def fiber_db_to_length(loss_db: float) -> float:
-    check_value("loss_db", _fragment("number", ge=0), loss_db)
+    check_value("loss_db", NON_NEGATIVE, loss_db)
     return loss_db / FIBER_DB_PER_KM
 
 
 def binary_entropy(q) -> np.ndarray | float:
     """h2(q) in bits; 0 at q = 0 and q = 1. Accepts scalars or arrays."""
     q = np.asarray(q, dtype=float)
-    check_value("q", _fragment("number", ge=0, le=1), q, axis=True)
+    check_value("q", fragment("number", ge=0, le=1), q, axis=True)
     inside = (q > 0.0) & (q < 1.0)
     r = np.where(inside, q, 0.5)  # keeps log2 off the endpoints
-    return _float_or_array(np.where(inside, -r * np.log2(r) - (1.0 - r) * np.log2(1.0 - r), 0.0))
+    return float_or_array(np.where(inside, -r * np.log2(r) - (1.0 - r) * np.log2(1.0 - r), 0.0))
 
 
 def check_timebin(timebin_width: float, gate_period: float) -> None:
@@ -155,7 +154,7 @@ class QkdReport:
         names = list(_TABLE_COLUMNS.values())
         # a field constant along the sweep (mu_detector over temperature) becomes a column
         for name, value in zip(names, np.broadcast_arrays(*(getattr(self, n) for n in names))):
-            object.__setattr__(self, name, _float_or_array(value))
+            object.__setattr__(self, name, float_or_array(value))
         for name in ("raw_rate", "rate_after_ec", "secret_rate"):
             if np.any(getattr(self, name) < 0):
                 raise ValueError(f"{name} must be >= 0")
@@ -181,11 +180,11 @@ def rate_after_ec(raw_rate, qber_value, ec_efficiency: float) -> np.ndarray | fl
     """Rate surviving error correction: max(0, r * (1 - f*h2(q))).
     Accepts scalars or arrays for the rate and the QBER."""
     qber_value, raw_rate = np.asarray(qber_value, dtype=float), np.asarray(raw_rate, dtype=float)
-    check_value("qber_value", _fragment("number", ge=0, le=0.5), qber_value, axis=True)
+    check_value("qber_value", fragment("number", ge=0, le=0.5), qber_value, axis=True)
     check_args(QkdLinkConfig, ec_efficiency=ec_efficiency)
-    check_value("raw_rate", _fragment("number", ge=0), raw_rate, axis=True)
+    check_value("raw_rate", NON_NEGATIVE, raw_rate, axis=True)
     h2 = binary_entropy(qber_value)
-    return _float_or_array(np.maximum(0.0, raw_rate * (1.0 - ec_efficiency * h2)))
+    return float_or_array(np.maximum(0.0, raw_rate * (1.0 - ec_efficiency * h2)))
 
 
 def evaluate(cfg: QkdLinkConfig) -> QkdReport:
@@ -280,7 +279,7 @@ def mc_link_run(cfg: QkdLinkConfig, n_bits: int, master_seed: int) -> dict:
     time and the counters summed over the blocks, so the pass holds one
     block's temporaries however long the segment.
     """
-    check_value("n_bits", _COUNT, n_bits)
+    check_value("n_bits", COUNT, n_bits)
     source = SourceConfig.cow(
         mean_photons_per_bit=mu_at_detector(cfg),
         extinction_db=cfg.extinction_db,
@@ -356,7 +355,7 @@ def stability_run(
     and the result is the same for any `workers`.
     """
     check_args(StabilityConfig, n_segments=n_segments, bits_per_segment=bits_per_segment)
-    check_value("workers", _COUNT, workers)
+    check_value("workers", COUNT, workers)
     seeds = [_segment_seed(master_seed, i) for i in range(n_segments)]
     # looked up at call time, so a wrapped module attribute is the one that runs
     run_segment = partial(mc_link_run, cfg, bits_per_segment)

@@ -21,8 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .detector_model import (ArgumentError, _FINITE, _POSITIVE, _fragment, arg, check_args,
-                             check_value, required)
+from .declare import (COUNT, FINITE, POSITIVE, ArgumentError, arg, check_args, check_value,
+                      required)
 from .table import table_chunks, write_chunks
 
 __all__ = [
@@ -97,9 +97,9 @@ class SampledWaveform:
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1 or samples.size < 1:
             raise ValueError("samples must be a non-empty 1-D array")
-        check_value("samples", _FINITE, samples, axis=True)
+        check_value("samples", FINITE, samples, axis=True)
         check_args(ChainConfig, dt=self.dt)
-        check_value("t0", _FINITE, self.t0)
+        check_value("t0", FINITE, self.t0)
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -125,15 +125,6 @@ class SampledWaveform:
     def __add__(self, other: "SampledWaveform") -> "SampledWaveform":
         self._check_same_grid(other)
         return SampledWaveform(self.samples + other.samples, self.dt, self.t0)
-
-    def __sub__(self, other: "SampledWaveform") -> "SampledWaveform":
-        self._check_same_grid(other)
-        return SampledWaveform(self.samples - other.samples, self.dt, self.t0)
-
-    def __mul__(self, scale: float) -> "SampledWaveform":
-        return SampledWaveform(self.samples * float(scale), self.dt, self.t0)
-
-    __rmul__ = __mul__
 
     def table(self) -> tuple[list[str], list[np.ndarray]]:
         """Header and columns of the `time_ps,volts` table, one row per sample."""
@@ -227,7 +218,7 @@ def lowpass_design(spec: FilterResponseSpec) -> tuple[int, float]:
 def check_sampling(freq: float, dt: float) -> None:
     """Refuse a sample step `dt` coarser than an eighth of the gate period,
     so the sine is comfortably oversampled."""
-    check_value("freq", _POSITIVE, freq)
+    check_value("freq", POSITIVE, freq)
     check_args(ChainConfig, dt=dt)
     if dt > 1.0 / (8.0 * freq):
         raise ArgumentError("dt", "must sample the gate frequency at least 8x")
@@ -362,7 +353,7 @@ def apply_filter(
 def _check_grid(dt: float, n_samples: int) -> None:
     """Refuse a measurement grid's sample spacing or length before either divides."""
     check_args(ChainConfig, dt=dt)
-    check_value("n_samples", _fragment("integer", ge=1), n_samples)
+    check_value("n_samples", COUNT, n_samples)
 
 
 def measured_filter_response(
@@ -387,7 +378,7 @@ def measured_filter_response(
     _check_grid(dt, n_samples)
     df = 1.0 / (n_samples * dt)
     freqs = np.asarray(freqs, dtype=float)
-    check_value("freqs", _FINITE, freqs, axis=True)
+    check_value("freqs", FINITE, freqs, axis=True)
     bins = np.maximum(1, np.round(freqs / df)).astype(np.int64)
     if np.any(2 * bins >= n_samples):
         raise ValueError(

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from sinegate.config import deep_merge, default_config, schema_text, validate_config
+from sinegate.declare import ArgumentError
 from sinegate.detector_model import (
     AfterpulseModel,
-    ArgumentError,
     BiasEfficiencyLaw,
     DetectorParams,
     GateConfig,

@@ -28,9 +28,9 @@ from sinegate.config import (
     schema_text,
     validate_config,
 )
+from sinegate.declare import ArgumentError
 from sinegate.detector_model import (
     AfterpulseModel,
-    ArgumentError,
     BiasEfficiencyLaw,
     DetectorParams,
     GateConfig,
@@ -599,6 +599,19 @@ def test_each_rule_has_one_wording_the_models(override, leaf, model_call):
         model_call()
     assert exc.value.reason.startswith("must")
     assert validate_config(deep_merge(default_config(), override)) == [f"{leaf}: {exc.value.reason}"]
+
+
+def test_dark_pairs_rule_is_the_models_or_null():
+    # the leaf wraps `TemperatureDarkLaw.table`'s declaration, so it words the
+    # model's rule with the one branch the model has not: null, no dark law
+    with pytest.raises(ArgumentError) as exc:
+        TemperatureDarkLaw(((-50, 0.5), (30, 1.5)))
+    assert exc.value.arg == "table"
+    assert exc.value.reason == ("must be a list of at least 2 [temperature_c, probability] "
+                                "pairs, probability in (0, 1)")
+    doc = deep_merge(default_config(), {"detector": {"dark_table_c_prob": [[-50, 0.5], [30, 1.5]]}})
+    assert validate_config(doc) == [
+        "detector.dark_table_c_prob: " + exc.value.reason.replace("must be ", "must be null or ", 1)]
 
 
 def test_every_refused_model_object_is_reported_at_once():

@@ -6,18 +6,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from sinegate.declare import ArgumentError
 from sinegate.detector_model import (
     DEFAULT_DARK_TABLE,
     FWHM_TO_SIGMA,
     AfterpulseModel,
-    ArgumentError,
     BiasEfficiencyLaw,
     DetectorParams,
     GateConfig,
     JitterModel,
     ModelRangeError,
     TemperatureDarkLaw,
-    _clicks,
+    clicks,
     dark_prob,
     efficiency_at_bias,
     gate_profile,
@@ -132,7 +132,7 @@ def test_dark_law_table_validation():
 def test_dark_law_refuses_non_finite_temperatures(table):
     # a NaN anchor compares false both ways, so it slipped past the order check
     # and moved the interpolation off the -45 C anchor
-    with pytest.raises(ArgumentError, match="must hold finite temperatures") as exc:
+    with pytest.raises(ArgumentError, match=r"must be a list of at least 2 \[temperature_c, probability\] pairs") as exc:
         TemperatureDarkLaw(table)
     assert exc.value.arg == "table"
     with pytest.raises(ValueError):
@@ -170,7 +170,7 @@ def test_tail_slips_are_uniform_and_drawn_only_for_tails():
     assert counts.size == j.tail_span_gates + 1 and counts[0] == 0
     assert stats.chisquare(counts[1:]).pvalue > 1e-3
     # the draws: the tails' walk, a Gaussian per avalanche, a slip per tail
-    tails = _clicks(replay, gates.size, j.tail_fraction)
+    tails = clicks(replay, gates.size, j.tail_fraction)
     replay.standard_normal(gates.size)
     replay.integers(1, j.tail_span_gates + 1, size=tails.size)
     assert np.array_equal(np.flatnonzero(in_tail), tails)

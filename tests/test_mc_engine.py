@@ -16,6 +16,7 @@ from sinegate.detector_model import (
     DetectorParams,
     JitterModel,
     TemperatureDarkLaw,
+    clicks,
 )
 from sinegate.mc_engine import (
     CHUNK_GATES,
@@ -38,7 +39,6 @@ from sinegate.mc_engine import (
     _GAP_BLOCK,
     _RECORD_BLOCK,
     _afterpulse_pass,
-    _clicks,
     _exponentials,
     _holdoff_flags,
     _merge,
@@ -382,9 +382,9 @@ def test_cow_bits_are_drawn_per_chunk():
 
 def test_clicks_edge_cases():
     rng = np.random.default_rng(5)
-    assert _clicks(rng, 0, 0.5).size == 0
-    assert _clicks(rng, 1000, 0.0).size == 0
-    assert _clicks(rng, 1000, 1.0).tolist() == list(range(1000))
+    assert clicks(rng, 0, 0.5).size == 0
+    assert clicks(rng, 1000, 0.0).size == 0
+    assert clicks(rng, 1000, 1.0).tolist() == list(range(1000))
 
 
 @pytest.mark.parametrize("p", [0.02, 0.5, 0.97])
@@ -395,7 +395,7 @@ def test_clicks_are_independent_bernoulli_trials(p):
     hits = np.zeros(n, dtype=np.int64)
     total = 0
     for _ in range(draws):
-        c = _clicks(rng, n, p)
+        c = clicks(rng, n, p)
         assert c.dtype == np.int64
         assert c.size == 0 or (c[0] >= 0 and c[-1] < n and np.all(np.diff(c) > 0))
         hits[c] += 1
@@ -410,16 +410,16 @@ def test_clicks_are_independent_bernoulli_trials(p):
 def test_clicks_draw_nothing_when_nothing_can_click(n, p):
     rng = np.random.default_rng(3)
     state = rng.bit_generator.state
-    c = _clicks(rng, n, p)
+    c = clicks(rng, n, p)
     assert c.size == 0 and c.dtype == np.int64
     assert rng.bit_generator.state == state
 
 
 def test_clicks_at_and_just_below_certainty():
     rng = np.random.default_rng(4)
-    assert _clicks(rng, 5000, 1.0).tolist() == list(range(5000))
+    assert clicks(rng, 5000, 1.0).tolist() == list(range(5000))
     # a gap is longer than one slot with probability 2**-53
-    assert _clicks(rng, 5000, 1.0 - 2.0**-53).tolist() == list(range(5000))
+    assert clicks(rng, 5000, 1.0 - 2.0**-53).tolist() == list(range(5000))
 
 
 @pytest.mark.parametrize("p", [5e-324, 1e-310, 1e-300])
@@ -428,7 +428,7 @@ def test_clicks_at_a_vanishing_probability(p):
     rng = np.random.default_rng(6)
     with np.errstate(all="raise"):
         for n in (1, 1 << 20, 2**62):
-            c = _clicks(rng, n, p)
+            c = clicks(rng, n, p)
             assert c.size == 0 and c.dtype == np.int64
 
 
@@ -447,7 +447,7 @@ class ShortExponentials:
 @pytest.mark.parametrize("n, p", [(3000, 0.01), (200, 0.5), (5000, 1e-3)])
 def test_clicks_walk_on_across_blocks(n, p):
     rng = ShortExponentials(7)
-    c = _clicks(rng, n, p)
+    c = clicks(rng, n, p)
     assert len(rng.drawn) > 1
     # the same walk over all drawn exponentials at once
     gaps = np.floor(np.concatenate(rng.drawn) / -math.log1p(-p)) + 1
@@ -464,7 +464,7 @@ def test_clicks_match_a_per_slot_oracle(p, n, runs):
     # law P(G = 1 + k) = p * (1-p)**k, and each click count fits n * p
     rng = np.random.default_rng(int(-math.log10(p) * 10))
     samples = {
-        "walk": [_clicks(rng, n, p) for _ in range(runs)],
+        "walk": [clicks(rng, n, p) for _ in range(runs)],
         "oracle": [np.flatnonzero(rng.random(n) < p) for _ in range(runs)],
     }
     counts = {}

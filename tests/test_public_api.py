@@ -1,14 +1,16 @@
 """The public surface: each submodule's `__all__`, and nothing at the package root."""
 
+import ast
 import importlib
 import types
+from pathlib import Path
 
 import pytest
 
 import sinegate
 
-MODULES = ("signal_chain", "detector_model", "mc_engine", "lag_stats", "qkd_budget", "config", "cli",
-           "table")
+MODULES = ("signal_chain", "declare", "detector_model", "mc_engine", "lag_stats", "qkd_budget", "config",
+           "cli", "table")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -31,3 +33,13 @@ def test_package_root_exports_only_the_version():
     assert public == []
     assert not hasattr(sinegate, "__all__")
     assert isinstance(sinegate.__version__, str)
+
+
+def test_no_module_imports_another_modules_private_names():
+    # a name one module shares with another is public where it is defined
+    private = []
+    for path in sorted(Path(sinegate.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                private += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert private == []

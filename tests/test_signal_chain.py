@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sinegate.detector_model import ArgumentError
+from sinegate.declare import ArgumentError
 from sinegate.signal_chain import (
     SPECTRUM_FLOOR_DB,
     AvalanchePulseShape,
@@ -50,8 +50,6 @@ def test_waveform_arithmetic_and_grid_check():
     a = SampledWaveform(np.ones(8), DT)
     b = SampledWaveform(2.0 * np.ones(8), DT)
     assert np.allclose((a + b).samples, 3.0)
-    assert np.allclose((b - a).samples, 1.0)
-    assert np.allclose((a * 2.5).samples, 2.5)
     c = SampledWaveform(np.ones(9), DT)
     with pytest.raises(ValueError):
         a + c
