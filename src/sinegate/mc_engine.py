@@ -23,10 +23,11 @@ photon/dark candidates and their detection times from
 ``SeedSequence((master_seed, 1, i))``, so a chunk's candidates depend only
 on the seed and its index, never on how many gates follow it. A chunk
 draws its candidates first and keeps its generator; its time draws happen
-when its records are written into the run's one record array, after the
-afterpulse pass, from the same generator in the same order. Afterpulse
-chains (which couple gates across chunk boundaries) and their detection
-times are generated in a single sequential pass from
+after the afterpulse pass, when `_chunk_records` yields the chunk, from the
+same generator in the same order. `run_simulation` writes each chunk into
+the run's one record array; `qkd_budget.mc_link_run` windows it and keeps
+no records. Afterpulse chains (which couple gates across chunk boundaries)
+and their detection times are generated in a single sequential pass from
 ``SeedSequence((master_seed, 2))``. The gaps between intrinsic avalanches
 (the last one runs to the end of the run) go in blocks of ``_GAP_BLOCK``:
 a block first draws one exponential per gap, the first thinning
@@ -202,8 +203,12 @@ def _merge(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     offset of `b` and one copy of `a`: `b` is the small stream."""
     at = np.searchsorted(a, b)
     new = np.searchsorted(a, b, side="right") == at
-    at, b = at[new], b[new]
-    return np.insert(a, at, b), at + np.arange(at.size)
+    at = at[new] + np.arange(np.count_nonzero(new))
+    out = np.empty(a.size + at.size, dtype=a.dtype)
+    is_a = np.ones(out.size, dtype=bool)
+    is_a[at] = False
+    out[at], out[is_a] = b[new], a
+    return out, at
 
 
 def _simulate_chunk(cfg: RunConfig, chunk_index: int, m: int, p_photon: tuple,
@@ -214,7 +219,7 @@ def _simulate_chunk(cfg: RunConfig, chunk_index: int, m: int, p_photon: tuple,
     gates. `p_photon` holds the click probabilities (pulse, or pulse bin and
     empty bin). Returns (gates, phys_origin, packed_or_None, rng): the
     chunk's generator stays with it, since its detection times are drawn
-    only when `run_simulation` writes its records.
+    only when `_chunk_records` yields its records.
     """
     g0 = chunk_index * CHUNK_GATES
     n_local = min(CHUNK_GATES, cfg.n_gates - g0)
@@ -291,10 +296,9 @@ def _no_fire_bound(e: np.ndarray, n: np.ndarray) -> np.ndarray:
     return -np.expm1(-e / n) * (1.0 - 1e-9) - 1e-300
 
 
-# Records per block of the passes that read a run's records (`tcspc_histogram`,
-# `inter_detection_correlation` and the cow link's window pass,
-# `qkd_budget.mc_link_run`): a block's copies and temporaries stay near 1 MB
-# however many records there are.
+# Records per block of the passes that read a run's records (`tcspc_histogram`
+# and `inter_detection_correlation`): a block's copies and temporaries stay
+# near 1 MB however many records there are.
 _RECORD_BLOCK = 1 << 15
 
 # Gaps per bulk draw of first exponentials, and exponentials per refill of
@@ -376,26 +380,30 @@ def _afterpulse_pass(cfg: RunConfig, gates, phys):
     return (ap_gates_arr,) + sample_detection_times(cfg.detector.jitter, ap_gates_arr, period, rng)
 
 
-def _holdoff_flags(gate_indices: np.ndarray, holdoff_gates: int, anchor: str) -> np.ndarray:
+def _holdoff_flags(gate_indices: np.ndarray, holdoff_gates: int, anchor: str,
+                  last: int | None = None) -> np.ndarray:
+    """Hold-off flags of sorted records whose window runs from gate `last`
+    (the anchor before the first record), or from nowhere when None."""
     gaps = np.diff(gate_indices)
-    if np.any(gaps < 0):
+    if np.any(gaps < 0) or (last is not None and np.any(gate_indices[:1] < last)):
         raise ValueError("records must be sorted by gate_index")
-    accepted = np.ones(gate_indices.size, dtype=bool)
+    accepted = np.empty(gate_indices.size, dtype=bool)
     accepted[1:] = gaps > holdoff_gates  # a long gap clears either anchor
+    accepted[:1] = last is None or gate_indices[:1] - last > holdoff_gates
     if anchor == "accepted":
         # A short-gap record right after an accepted one is refused, so a lone
         # short record needs no replay. Replay the chains of two or more; each
-        # restarts at the accepted record before it.
+        # restarts at the accepted record before it, or at `last` for the first.
         short = ~accepted
         pair = short[1:] & short[:-1]
         chained = np.zeros_like(short)
         chained[1:] = pair
         chained[:-1] |= pair
         chain = np.flatnonzero(chained)
-        rescued, previous, last = [], -2, 0
+        rescued, previous = [], -2
         for i, g, g_before in zip(chain.tolist(), gate_indices[chain].tolist(),
                                   gate_indices[chain - 1].tolist()):
-            if i != previous + 1:
+            if i != previous + 1 and i:
                 last = g_before
             if g - last > holdoff_gates:
                 rescued.append(i)
@@ -420,11 +428,14 @@ def apply_holdoff(records, holdoff_gates: int, anchor: str = "accepted"):
     return out
 
 
-def run_simulation(cfg: RunConfig) -> RunResult:
-    """Simulate `cfg.n_gates` gates; see the module docstring for semantics."""
-    det, src = cfg.detector, cfg.source
+def _chunk_records(cfg: RunConfig):
+    """The run's record count, its packed cow bits (else None), and an iterator
+    over its chunks' records, (gates, times, origins, hold-off flags) in gate
+    order. A chunk's pieces go once yielded: a consumer drops its own before
+    it resumes the iterator."""
+    det, src, period = cfg.detector, cfg.source, cfg.detector.gate.gate_period
     p_dark = det.dark_prob_per_gate()  # refuses an out-of-range temperature first
-    det.afterpulse.refuse_runaway(det.gate.gate_period)
+    det.afterpulse.refuse_runaway(period)
     m = 1  # gates per trigger, read by pulsed-trigger only
     p_photon = ()
     if src.kind == "pulsed-trigger":
@@ -451,33 +462,48 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     # chunk i's afterpulses are ap_gates[ap_at[i]:ap_at[i + 1]]
     ap_at = np.searchsorted(ap_gates, CHUNK_GATES * np.arange(n_chunks + 1))
 
-    records = np.empty(sum(g.size for g in gates) + ap_gates.size, dtype=RECORD_DTYPE)
+    def chunks():
+        # the gate the hold-off window runs from, once there is one: the last accepted
+        # record's ("accepted") or the last record's ("any"); the flags of later records
+        # depend on nothing else, so the chunks' flags are those of the whole run
+        last = None
+        for i in range(n_chunks):
+            g, origin, rng = gates[i], phys[i], rngs[i]
+            gates[i] = phys[i] = rngs[i] = None
+            is_photon = origin == ORIGIN_PHOTON
+            sigma = np.where(is_photon, photon_sigma, det.jitter.sigma)
+            times, in_tail = sample_detection_times(det.jitter, g, period, rng, sigma)
+            if src.alignment_delay:
+                times[is_photon] += src.alignment_delay
+            del is_photon, sigma
+            ap = slice(ap_at[i], ap_at[i + 1])
+            if ap.stop > ap.start:
+                # afterpulses come sorted and never share a gate with a candidate
+                at = np.searchsorted(g, ap_gates[ap])
+                g = np.insert(g, at, ap_gates[ap])
+                origin = np.insert(origin, at, ORIGIN_AFTERPULSE)
+                times = np.insert(times, at, ap_times[ap])
+                in_tail = np.insert(in_tail, at, ap_tail[ap])
+            origin[in_tail] = ORIGIN_TAIL
+            del in_tail
+            accepted = _holdoff_flags(g, cfg.holdoff_gates, cfg.holdoff_anchor, last)
+            if g.size and cfg.holdoff_anchor == "any":
+                last = g.item(-1)
+            elif accepted.any():
+                last = g.item(-1 - accepted[::-1].argmax())
+            yield g, times, origin, accepted
+            del g, times, origin, accepted
+
+    return sum(g.size for g in gates) + ap_gates.size, packed, chunks()
+
+
+def run_simulation(cfg: RunConfig) -> RunResult:
+    """Simulate `cfg.n_gates` gates; see the module docstring for semantics."""
+    n_records, packed, chunks = _chunk_records(cfg)
+    records = np.empty(n_records, dtype=RECORD_DTYPE)
     tallies = np.zeros(2 * len(ORIGIN_NAMES), dtype=np.int64)  # 2 * origin + accepted
-    # the gate the hold-off window runs from at a chunk's start, once there is one: the
-    # last accepted record's ("accepted") or the last record's ("any"); flags of later
-    # records depend on nothing else, so the chunks' flags are those of the whole run
-    written, window = 0, np.empty(0, dtype=np.int64)
-    for i in range(n_chunks):
-        g, origin, rng = gates[i], phys[i], rngs[i]
-        gates[i] = phys[i] = rngs[i] = None  # the chunk's pieces go once written
-        is_photon = origin == ORIGIN_PHOTON
-        sigma = np.where(is_photon, photon_sigma, det.jitter.sigma)
-        times, in_tail = sample_detection_times(det.jitter, g, det.gate.gate_period, rng, sigma)
-        times += is_photon * src.alignment_delay
-        del is_photon, sigma
-        ap = slice(ap_at[i], ap_at[i + 1])
-        if ap.stop > ap.start:
-            # afterpulses come sorted and never share a gate with a candidate
-            at = np.searchsorted(g, ap_gates[ap])
-            g = np.insert(g, at, ap_gates[ap])
-            origin = np.insert(origin, at, ORIGIN_AFTERPULSE)
-            times = np.insert(times, at, ap_times[ap])
-            in_tail = np.insert(in_tail, at, ap_tail[ap])
-        origin[in_tail] = ORIGIN_TAIL
-        accepted = _holdoff_flags(np.concatenate([window, g]), cfg.holdoff_gates,
-                                  cfg.holdoff_anchor)[window.size:]
-        window = np.concatenate([window, g if cfg.holdoff_anchor == "any" else g[accepted]])
-        window = window[-1:].copy()
+    written = 0
+    for g, times, origin, accepted in chunks:
         tallies += np.bincount(origin * 2 + accepted, minlength=tallies.size)
         block = records[written:written + g.size]
         written += g.size
@@ -485,6 +511,7 @@ def run_simulation(cfg: RunConfig) -> RunResult:
         block["time"] = times
         block["origin"] = origin
         block["accepted"] = accepted
+        del g, times, origin, accepted, block  # the next chunk is made without them
 
     generated, kept = tallies.reshape(-1, 2).sum(axis=1).tolist(), tallies[1::2].tolist()
     counters = {

@@ -38,7 +38,7 @@ from . import mc_engine
 from .declare import (COUNT, NON_NEGATIVE, ArgumentError, arg, arg_of, check_args, check_value,
                       float_or_array, fragment)
 from .detector_model import DetectorParams
-from .mc_engine import RunConfig, SourceConfig, packed_bit, run_simulation
+from .mc_engine import RunConfig, SourceConfig, packed_bit
 
 __all__ = [
     "FIBER_DB_PER_KM",
@@ -275,9 +275,9 @@ def mc_link_run(cfg: QkdLinkConfig, n_bits: int, master_seed: int) -> dict:
     bit train) are discarded. The error flag compares the assigned bin
     against the transmitted bit. `raw_rate_hz` counts all accepted
     detections (the rate counter sits before the windowing logic).
-    The records are windowed one block of the engine's `_RECORD_BLOCK` at a
-    time and the counters summed over the blocks, so the pass holds one
-    block's temporaries however long the segment.
+    Each engine chunk's accepted times are windowed as the engine makes the
+    chunk, and the counters summed over the chunks: the run keeps no record
+    array, and the pass holds one chunk's temporaries however long the segment.
     """
     check_value("n_bits", COUNT, n_bits)
     source = SourceConfig.cow(
@@ -293,22 +293,22 @@ def mc_link_run(cfg: QkdLinkConfig, n_bits: int, master_seed: int) -> dict:
         holdoff_gates=cfg.holdoff_gates,
         holdoff_anchor=cfg.holdoff_anchor,
     )
-    result = run_simulation(run_cfg)
+    _, packed, chunks = mc_engine._chunk_records(run_cfg)
     period = cfg.detector.gate.gate_period
     n_accepted = n_windowed = wrong = 0
-    step = mc_engine._RECORD_BLOCK  # read at call time, as the engine's own passes do
-    for a in range(0, result.records.size, step):
-        block = result.records[a:a + step]
-        times = block["time"][block["accepted"]]
+    for chunk in chunks:
+        times = chunk[1][chunk[3]]  # the accepted records' times
+        del chunk  # the engine makes the next chunk without this one's pieces
         nearest_gate = np.rint(times / period)  # whole gates, kept as floats
         in_window = np.abs(times - nearest_gate * period) <= cfg.timebin_width / 2.0
         in_window &= (nearest_gate >= 0) & (nearest_gate < 2 * n_bits)
         assigned = nearest_gate[in_window].astype(np.int64)
-        sent = packed_bit(result.packed_bits, assigned >> 1)
+        sent = packed_bit(packed, assigned >> 1)
         sent ^= assigned.astype(np.uint8) & 1  # the low byte holds the bin
         n_accepted += times.size
         n_windowed += assigned.size
         wrong += np.count_nonzero(sent)
+        del times, nearest_gate, in_window, assigned, sent  # dropped too before the next chunk
     duration = n_bits / cfg.bit_rate
     return {
         "n_bits": n_bits,

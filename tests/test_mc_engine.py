@@ -104,10 +104,10 @@ def test_dark_run_deterministic_with_afterpulsing():
 
 # ------------------------------------------------------------------- hold-off
 
-def replay_holdoff(gates, holdoff, anchor):
-    """Reference implementation: explicit event-by-event replay."""
+def replay_holdoff(gates, holdoff, anchor, last_anchor=None):
+    """Reference implementation: explicit event-by-event replay, the window
+    running from gate `last_anchor` before the first record when given."""
     flags = []
-    last_anchor = None
     for g in gates:
         ok = last_anchor is None or g - last_anchor > holdoff
         flags.append(ok)
@@ -160,6 +160,37 @@ def test_holdoff_matches_bruteforce_replay(anchor):
         out = apply_holdoff(recs, holdoff, anchor=anchor)
         expect = replay_holdoff(gates.tolist(), holdoff, anchor)
         assert np.array_equal(out["accepted"], expect), (trial, anchor)
+
+
+@pytest.mark.parametrize("anchor", ["accepted", "any"])
+@pytest.mark.parametrize("holdoff", [0, 1, 10])
+def test_holdoff_flags_carry_the_window_anchor_from_the_chunk_before(anchor, holdoff):
+    # random sorted gates cut into short pieces, each flagged with the anchor
+    # carried from the pieces before, as the engine flags its chunks
+    rng = np.random.default_rng(33)
+    chain_at_start = none_accepted = 0
+    for _ in range(20):
+        gates = np.cumsum(rng.integers(1, 2 * holdoff + 3, size=400))
+        whole = replay_holdoff(gates.tolist(), holdoff, anchor)
+        cuts = np.cumsum(rng.integers(0, 8, size=gates.size))
+        last, flags = None, []
+        for piece in np.split(gates, cuts[cuts < gates.size]):
+            got = _holdoff_flags(piece, holdoff, anchor, last)
+            assert np.array_equal(got, replay_holdoff(piece.tolist(), holdoff, anchor, last))
+            flags.append(got)
+            if last is not None and piece.size >= 2:
+                # a chain whose "before" gate is the carried anchor
+                chain_at_start += piece[0] - last <= holdoff and piece[1] - piece[0] <= holdoff
+            none_accepted += piece.size > 0 and not got.any()
+            if piece.size and anchor == "any":
+                last = piece.item(-1)
+            elif got.any():
+                last = piece[got].item(-1)  # else "accepted" carries the anchor over unchanged
+        assert np.array_equal(np.concatenate(flags), whole)
+    if holdoff:
+        assert chain_at_start > 0 and none_accepted > 0
+    with pytest.raises(ValueError, match="sorted"):
+        _holdoff_flags(np.array([5, 9]), holdoff, anchor, last=6)
 
 
 def test_holdoff_known_sequences():

@@ -7,8 +7,9 @@ bytes of a record) and one chunk's temporaries. The histogram and
 correlation passes read the records in blocks of a fixed number of records,
 and the table writer formats a block of `CHUNK_ROWS` rows at a time,
 whatever the table's length; the records table scales its time column one
-block at a time too. The cow link windows its accepted records one block at
-a time, so it holds no more than the simulation that made them. A packed bit
+block at a time too. The cow link windows each engine chunk's accepted
+records as the engine makes the chunk and keeps no record array, so it holds
+less than the simulation by more than half the records' bytes. A packed bit
 read holds its byte indices and one byte per bit besides its result. Peaks
 are tracemalloc's, which also sees NumPy's buffers.
 """
@@ -31,7 +32,6 @@ from sinegate.mc_engine import (
     records_table,
     run_simulation,
     tcspc_histogram,
-    _RECORD_BLOCK,
 )
 from sinegate.qkd_budget import QkdLinkConfig, mc_link_run, mu_at_detector
 from sinegate.table import Labels, table_chunks, write_chunks
@@ -141,7 +141,7 @@ def test_packed_bit_holds_its_byte_indices_and_two_bytes_per_bit():
 
 
 def test_cow_link_window_pass_adds_nothing_to_the_simulation_peak():
-    # the benchmark's link segment: 4 M bits at mu 0.3, ~118 k records in four blocks
+    # the benchmark's link segment: 4 M bits at mu 0.3, ~118 k records in eight chunks
     link = QkdLinkConfig(mu_source=0.3)
     source = SourceConfig.cow(mean_photons_per_bit=mu_at_detector(link),
                               extinction_db=link.extinction_db, laser_fwhm=link.laser_fwhm)
@@ -149,7 +149,7 @@ def test_cow_link_window_pass_adds_nothing_to_the_simulation_peak():
                                                        detector=link.detector, source=source))
     counters, peak = held(mc_link_run, link, 4_000_000, 1)
     assert counters["accepted_total"] == np.count_nonzero(result.records["accepted"])
-    # A block's temporaries (~1.2 MB) fit under the simulation's chunk
-    # temporaries; the bound leaves one float column of a block for noise.
-    # Windowing the whole segment at once added ~1 MB.
-    assert peak <= simulated + 8 * _RECORD_BLOCK
+    # The link holds the candidates and one chunk's pieces and temporaries,
+    # but no record array (2.0 MB here). Windowing the records of a whole
+    # simulation added ~1 MB to its peak, and blocks of them nothing.
+    assert peak <= simulated - result.records.nbytes // 2

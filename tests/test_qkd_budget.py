@@ -8,9 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sinegate import mc_engine, qkd_budget
+from sinegate import mc_engine
 from sinegate.detector_model import DetectorParams, GateConfig, JitterModel, ModelRangeError
-from sinegate.mc_engine import _RECORD_BLOCK, RunConfig, SourceConfig, packed_bit, run_simulation
+from sinegate.mc_engine import RunConfig, SourceConfig, packed_bit, run_simulation
 from sinegate.qkd_budget import (
     FIBER_DB_PER_KM,
     QkdLinkConfig,
@@ -409,37 +409,44 @@ def whole_segment_window(result, cfg: QkdLinkConfig, n_bits: int):
     return counters, nearest_gate, in_window
 
 
-# name: (link, bits, records per block); a short run gets small blocks to span several
+# name: (link, bits, gates per engine chunk); a short run gets small chunks to span several
 WINDOW_CASES = {
-    "default-window": (QkdLinkConfig(mu_source=0.3), 4_000_000, _RECORD_BLOCK),
-    "narrow-window": (QkdLinkConfig(mu_source=0.3, timebin_width=75e-12), 4_000_000, _RECORD_BLOCK),
+    "default-window": (QkdLinkConfig(mu_source=0.3), 4_000_000, mc_engine.CHUNK_GATES),
+    "narrow-window": (QkdLinkConfig(mu_source=0.3, timebin_width=75e-12), 4_000_000, 1 << 18),
     "tail-past-the-train": (QkdLinkConfig(mu_source=5.0, holdoff_gates=0, detector=DetectorParams(
-        jitter=JitterModel(tail_fraction=0.5, tail_span_gates=40))), 200, 16),
+        jitter=JitterModel(tail_fraction=0.5, tail_span_gates=40))), 200, 32),
 }
 
 
 @pytest.mark.parametrize("case", list(WINDOW_CASES))
 def test_block_wise_window_matches_the_whole_segment(monkeypatch, case):
-    cfg, n_bits, block = WINDOW_CASES[case]
-    monkeypatch.setattr(mc_engine, "_RECORD_BLOCK", block)
-    runs = []
-    monkeypatch.setattr(qkd_budget, "run_simulation",
-                        lambda run_cfg: runs.append(run_simulation(run_cfg)) or runs[-1])
+    # the link windows each engine chunk as it is made; a whole run of the same
+    # config and seed, windowed at once, must give the same counters
+    cfg, n_bits, chunk = WINDOW_CASES[case]
+    monkeypatch.setattr(mc_engine, "CHUNK_GATES", chunk)
     mc = mc_link_run(cfg, n_bits, master_seed=5)
-    (result,) = runs
-    assert result.records.size > 3 * block  # at least four blocks
+    source = SourceConfig.cow(mean_photons_per_bit=mu_at_detector(cfg),
+                              extinction_db=cfg.extinction_db, laser_fwhm=cfg.laser_fwhm)
+    result = run_simulation(RunConfig(n_gates=2 * n_bits, master_seed=5, detector=cfg.detector,
+                                      source=source, holdoff_gates=cfg.holdoff_gates,
+                                      holdoff_anchor=cfg.holdoff_anchor))
+    accepted = result.accepted
+    record_chunk = accepted["gate_index"] // chunk
+    assert record_chunk[-1] >= 3  # at least four chunks
     expected, nearest_gate, in_window = whole_segment_window(result, cfg, n_bits)
     assert {name: mc[name] for name in expected} == expected
     assert mc["discarded_outside_windows"] == np.count_nonzero(~in_window)
     if case == "narrow-window":
-        record_block = np.flatnonzero(result.records["accepted"]) // block
-        assert np.unique(record_block[~in_window]).size >= 3
+        assert np.unique(record_chunk[~in_window]).size >= 3
     if case == "tail-past-the-train":
         assert np.any(nearest_gate >= 2 * n_bits)
+        # a tail record windowed at a gate of the chunk after its own
+        ahead = in_window & (nearest_gate // chunk > record_chunk)
+        assert np.any(accepted["origin"][ahead] == mc_engine.ORIGIN_TAIL)
 
 
 def test_benchmark_segment_counters_are_pinned():
-    # the benchmark's link segment, mu 0.3 over 4 M bits: ~118 k records, four blocks
+    # the benchmark's link segment, mu 0.3 over 4 M bits: ~118 k records in eight chunks
     assert mc_link_run(QkdLinkConfig(mu_source=0.3), 4_000_000, master_seed=2) == {
         "n_bits": 4_000_000, "accepted_total": 103726, "accepted_in_windows": 103726,
         "discarded_outside_windows": 0, "wrong_bin": 1788, "duration_s": 0.0064,
