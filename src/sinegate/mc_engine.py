@@ -23,7 +23,7 @@ photon/dark candidates and their detection times from
 ``SeedSequence((master_seed, 1, i))``, so a chunk's candidates depend only
 on the seed and its index, never on how many gates follow it. A chunk
 draws its candidates first and keeps its generator; its time draws happen
-after the afterpulse pass, when `_chunk_records` yields the chunk, from the
+after the afterpulse pass, when `chunk_records` yields the chunk, from the
 same generator in the same order. `run_simulation` writes each chunk into
 the run's one record array; `qkd_budget.mc_link_run` windows it and keeps
 no records. Afterpulse chains (which couple gates across chunk boundaries)
@@ -70,6 +70,7 @@ __all__ = [
     "RECORD_DTYPE",
     "ORIGIN_NAMES",
     "run_simulation",
+    "chunk_records",
     "apply_holdoff",
     "tcspc_histogram",
     "estimate_fwhm",
@@ -219,7 +220,7 @@ def _simulate_chunk(cfg: RunConfig, chunk_index: int, m: int, p_photon: tuple,
     gates. `p_photon` holds the click probabilities (pulse, or pulse bin and
     empty bin). Returns (gates, phys_origin, packed_or_None, rng): the
     chunk's generator stays with it, since its detection times are drawn
-    only when `_chunk_records` yields its records.
+    only when `chunk_records` yields its records.
     """
     g0 = chunk_index * CHUNK_GATES
     n_local = min(CHUNK_GATES, cfg.n_gates - g0)
@@ -428,7 +429,7 @@ def apply_holdoff(records, holdoff_gates: int, anchor: str = "accepted"):
     return out
 
 
-def _chunk_records(cfg: RunConfig):
+def chunk_records(cfg: RunConfig):
     """The run's record count, its packed cow bits (else None), and an iterator
     over its chunks' records, (gates, times, origins, hold-off flags) in gate
     order. A chunk's pieces go once yielded: a consumer drops its own before
@@ -499,7 +500,7 @@ def _chunk_records(cfg: RunConfig):
 
 def run_simulation(cfg: RunConfig) -> RunResult:
     """Simulate `cfg.n_gates` gates; see the module docstring for semantics."""
-    n_records, packed, chunks = _chunk_records(cfg)
+    n_records, packed, chunks = chunk_records(cfg)
     records = np.empty(n_records, dtype=RECORD_DTYPE)
     tallies = np.zeros(2 * len(ORIGIN_NAMES), dtype=np.int64)  # 2 * origin + accepted
     written = 0

@@ -34,11 +34,10 @@ from functools import partial
 
 import numpy as np
 
-from . import mc_engine
 from .declare import (COUNT, NON_NEGATIVE, ArgumentError, arg, arg_of, check_args, check_value,
                       float_or_array, fragment)
 from .detector_model import DetectorParams
-from .mc_engine import RunConfig, SourceConfig, packed_bit
+from .mc_engine import RunConfig, SourceConfig, chunk_records, packed_bit
 
 __all__ = [
     "FIBER_DB_PER_KM",
@@ -293,7 +292,7 @@ def mc_link_run(cfg: QkdLinkConfig, n_bits: int, master_seed: int) -> dict:
         holdoff_gates=cfg.holdoff_gates,
         holdoff_anchor=cfg.holdoff_anchor,
     )
-    _, packed, chunks = mc_engine._chunk_records(run_cfg)
+    _, packed, chunks = chunk_records(run_cfg)
     period = cfg.detector.gate.gate_period
     n_accepted = n_windowed = wrong = 0
     for chunk in chunks:

@@ -5,7 +5,8 @@ capacitive coupling leaks a differentiated copy of the gate (the feedthrough)
 into the readout; avalanche pulses ride on top of that feedthrough; a cascade
 of identical low-pass filters removes the gate tone and its harmonics; a
 level discriminator on the filtered trace timestamps the surviving avalanche
-pulses.
+pulses. The threshold and refractory time are `ChainConfig`'s; the filter
+stage's gate clock is `detector_model.GateConfig`'s.
 
 Everything works on uniformly sampled voltage traces (`SampledWaveform`).
 Filtering is done with a zero-phase Butterworth-magnitude mask in the FFT
@@ -17,13 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .declare import (COUNT, FINITE, POSITIVE, ArgumentError, arg, check_args, check_value,
-                      required)
-from .table import table_chunks, write_chunks
+from .declare import COUNT, FINITE, POSITIVE, ArgumentError, arg, arg_of, check_args, check_value
+from .detector_model import GateConfig
 
 __all__ = [
     "ChainConfig",
@@ -31,7 +30,6 @@ __all__ = [
     "AvalanchePulseShape",
     "FilterResponseSpec",
     "FilterContractReport",
-    "DiscriminatorConfig",
     "synthesize_gate_train",
     "synthesize_feedthrough",
     "synthesize_avalanche",
@@ -130,9 +128,6 @@ class SampledWaveform:
         """Header and columns of the `time_ps,volts` table, one row per sample."""
         return ["time_ps", "volts"], [self.times * 1e12, self.samples]
 
-    def to_csv(self, path) -> None:
-        write_chunks(path, table_chunks(*self.table()))
-
 
 @dataclass(frozen=True)
 class AvalanchePulseShape:
@@ -170,7 +165,7 @@ class FilterResponseSpec:
     frequency up to 4 GHz.
     """
 
-    gate_frequency: float = arg(1.25e9, gt=0)
+    gate_frequency: float = arg_of(GateConfig, "gate_frequency")
     passband_edge: float = arg(600e6, gt=0)
     passband_ripple_db: float = arg(1.0, gt=0)
     rejection_at_gate_db: float = arg(54.0, gt=0)
@@ -192,7 +187,6 @@ def _stage_law(f, fc: float, order: int):
     return 1.0 + (f / fc) ** (2 * order)
 
 
-@lru_cache(maxsize=32)
 def lowpass_design(spec: FilterResponseSpec) -> tuple[int, float]:
     """(Butterworth order, cutoff Hz) of the smallest order meeting `spec`; see apply_filter.
 
@@ -274,17 +268,15 @@ def _dominant_frequency(w: SampledWaveform) -> float | None:
     return k / (w.n * w.dt)
 
 
-def synthesize_feedthrough(
-    gate: SampledWaveform, coupling_gain: float = 0.1
-) -> SampledWaveform:
+def synthesize_feedthrough(gate: SampledWaveform, coupling_gain: float) -> SampledWaveform:
     """Capacitively coupled copy of the gate: d/dt, unity gain at the gate tone.
 
     The derivative is taken in the FFT domain and normalized by the dominant
     frequency of the input, so a pure sine maps to a same-amplitude cosine
     (+90 degrees) times `coupling_gain`. A silent input maps to a silent
-    output. Default gain 0.1 makes the unfiltered feedthrough of an 8 Vpp
-    gate (400 mV amplitude) exceed the nominal 32 mV avalanche peak by more
-    than an order of magnitude.
+    output. `ChainConfig`'s default gain 0.1 makes the unfiltered
+    feedthrough of an 8 Vpp gate (400 mV amplitude) exceed the nominal 32 mV
+    avalanche peak by more than an order of magnitude.
     """
     check_args(ChainConfig, coupling_gain=coupling_gain)
     f0 = _dominant_frequency(gate)
@@ -395,21 +387,20 @@ def measured_filter_response(
 
 @dataclass(frozen=True)
 class FilterContractReport:
-    """Outcome of the built-in multitone verification of one filter stage."""
+    """Outcome of the built-in multitone verification of one filter stage.
+
+    `checks` maps each check, in the order `passband_ripple`,
+    `rejection_at_gate`, `rejection_band`, `rejection_to_4ghz`, to
+    (measured_db, required_db, ok): the worst passband gain against
+    -ripple, and each group's worst attenuation against its floor.
+    """
 
     response: np.ndarray  # (frequency_hz, gain_db) rows
-    passband_ok: bool
-    gate_ok: bool
-    band_ok: bool
-    wideband_ok: bool
-    worst_passband_gain_db: float
-    gate_attenuation_db: float
-    worst_band_attenuation_db: float
-    worst_wideband_attenuation_db: float
+    checks: dict[str, tuple[float, float, bool]]
 
     @property
     def ok(self) -> bool:
-        return self.passband_ok and self.gate_ok and self.band_ok and self.wideband_ok
+        return all(ok for _, _, ok in self.checks.values())
 
 
 def verify_filter_contract(
@@ -446,20 +437,16 @@ def verify_filter_contract(
     def gains(group):
         return response[np.searchsorted(bins, group), 1]
 
-    gate_att = -gains(gate)
-    worst_band = -gains(band).max()
-    worst_wide = -gains(wideband).max()
-    return FilterContractReport(
-        response=response,
-        passband_ok=bool(np.all(np.abs(gains(passband)) <= spec.passband_ripple_db)),
-        gate_ok=gate_att >= spec.rejection_at_gate_db,
-        band_ok=worst_band >= spec.rejection_band_floor_db,
-        wideband_ok=worst_wide >= spec.rejection_to_4ghz_db,
-        worst_passband_gain_db=gains(passband).min(),
-        gate_attenuation_db=gate_att,
-        worst_band_attenuation_db=worst_band,
-        worst_wideband_attenuation_db=worst_wide,
-    )
+    ripple = gains(passband)
+    checks = {"passband_ripple": (ripple.min(), -spec.passband_ripple_db,
+                                  bool(np.all(np.abs(ripple) <= spec.passband_ripple_db)))}
+    for name, attenuation, floor in (
+        ("rejection_at_gate", -gains(gate), spec.rejection_at_gate_db),
+        ("rejection_band", -gains(band).max(), spec.rejection_band_floor_db),
+        ("rejection_to_4ghz", -gains(wideband).max(), spec.rejection_to_4ghz_db),
+    ):
+        checks[name] = (attenuation, floor, bool(attenuation >= floor))
+    return FilterContractReport(response, checks)
 
 
 def power_spectrum(w: SampledWaveform) -> tuple[np.ndarray, np.ndarray]:
@@ -485,38 +472,29 @@ def power_spectrum(w: SampledWaveform) -> tuple[np.ndarray, np.ndarray]:
     return freqs, power_db
 
 
-@dataclass(frozen=True)
-class DiscriminatorConfig:
-    """Level discriminator: threshold volts, polarity, dead time after a hit."""
-
-    threshold: float = required("number")
-    polarity: str = arg("negative-going", enum=("negative-going", "positive-going"))
-    refractory_time: float = arg(0.0, ge=0)
-
-    __post_init__ = check_args
-
-
-def discriminate(w: SampledWaveform, cfg: DiscriminatorConfig) -> np.ndarray:
+def discriminate(w: SampledWaveform, threshold: float, refractory: float = 0.0) -> np.ndarray:
     """Interpolated threshold-crossing times, refractory-filtered.
 
-    A negative-going crossing is sample[i-1] > threshold >= sample[i]; the
-    crossing instant is found by linear interpolation between the two
-    samples. Crossings closer than `refractory_time` to the last reported
-    one are swallowed. Times are absolute (t0-referenced), so shifting the
-    waveform in time shifts the output by the same amount.
+    A threshold at or below 0 fires on falling crossings, sample[i-1] >
+    threshold >= sample[i]; one above 0 fires on rising ones, the mirror
+    image. The crossing instant is found by linear interpolation between the
+    two samples. Crossings closer than `refractory` to the last reported one
+    are swallowed. Times are absolute (t0-referenced), so shifting the
+    waveform in time shifts the output by the same amount. Both arguments
+    are refused by `ChainConfig`'s declarations.
     """
-    s = w.samples if cfg.polarity == "negative-going" else -w.samples
-    thr = cfg.threshold if cfg.polarity == "negative-going" else -cfg.threshold
+    check_args(ChainConfig, threshold=threshold, refractory=refractory)
+    s, thr = (w.samples, threshold) if threshold <= 0 else (-w.samples, -threshold)
     above = s > thr
     idx = np.nonzero(above[:-1] & ~above[1:])[0] + 1
     if idx.size == 0:
         return np.empty(0)
     frac = (thr - s[idx - 1]) / (s[idx] - s[idx - 1])
     times = w.t0 + (idx - 1 + frac) * w.dt
-    if cfg.refractory_time == 0.0:
+    if refractory == 0.0:
         return times
     kept = [times[0]]
     for t in times[1:]:
-        if t - kept[-1] > cfg.refractory_time:
+        if t - kept[-1] > refractory:
             kept.append(t)
     return np.asarray(kept)

@@ -34,12 +34,12 @@ from sinegate.qkd_budget import (QkdLinkConfig, StabilityConfig, mc_link_run, ra
 from sinegate.signal_chain import (
     AvalanchePulseShape,
     ChainConfig,
-    DiscriminatorConfig,
     FilterResponseSpec,
     SampledWaveform,
     apply_filter,
     check_record,
     check_sampling,
+    discriminate,
     synthesize_feedthrough,
     synthesize_gate_train,
 )
@@ -90,7 +90,7 @@ BOUNDED_LEAVES = {
     "chain.coupling_gain": (-0.1, lambda v: synthesize_feedthrough(WAVEFORM, v)),
     "chain.stages": (0, lambda v: apply_filter(WAVEFORM, FilterResponseSpec(), stages=v)),
     "chain.n_avalanches": (-1, lambda v: ChainConfig(n_avalanches=v)),
-    "chain.threshold_mv": (NAN, lambda v: DiscriminatorConfig(threshold=v)),
+    "chain.threshold_mv": (NAN, lambda v: discriminate(WAVEFORM, v)),
     "chain.refractory_ns": (-1.0, lambda v: ChainConfig(refractory=v)),
     "chain.delay_ps": (NAN, lambda v: synthesize_gate_train(1.25e9, 8.0, 64e-9, delay=v)),
     "stability.n_segments": (0, lambda v: stability_run(QkdLinkConfig(), v, 1000, 1)),
@@ -152,7 +152,6 @@ DECLARING = {
     GateConfig: {}, BiasEfficiencyLaw: {}, JitterModel: {}, AfterpulseModel: {},
     DetectorParams: {}, SourceConfig: {"kind": "pulsed-trigger"}, RunConfig: {"n_gates": 1},
     QkdLinkConfig: {}, FilterResponseSpec: {}, AvalanchePulseShape: {},
-    DiscriminatorConfig: {"threshold": -4e-3},
     Histogram: {"bin_width": 4e-12, "origin": 0.0, "counts": np.zeros(1)},
     ChainConfig: {}, TcspcConfig: {}, StabilityConfig: {},
 }
@@ -190,8 +189,8 @@ def test_hand_written_rules_use_the_declared_wording():
             deconvolve_jitter(measured, source)
 
 
-# Each declared argument of the signal-chain specs, with a value its
-# declaration refuses; DiscriminatorConfig also needs its threshold.
+# Each declared argument of the signal-chain specs and laws, with a value its
+# declaration refuses
 CHAIN_ARGS = [
     (FilterResponseSpec, "gate_frequency", 0.0),
     (FilterResponseSpec, "passband_edge", -1.0),
@@ -204,17 +203,16 @@ CHAIN_ARGS = [
     (AvalanchePulseShape, "fall_time", 0.0),
     (AvalanchePulseShape, "amplitude_jitter", 1.0),
     (AvalanchePulseShape, "width_jitter", -0.1),
-    (DiscriminatorConfig, "polarity", "sideways"),
-    (DiscriminatorConfig, "refractory_time", -1e-9),
+    (lambda **kw: discriminate(WAVEFORM, **kw), "threshold", math.inf),
+    (lambda **kw: discriminate(WAVEFORM, -4e-3, **kw), "refractory", -1e-9),
 ]
 
 
 @pytest.mark.parametrize("value", ["nan", "out of bound"])
 @pytest.mark.parametrize("cls, name, bad", CHAIN_ARGS, ids=[name for _, name, _ in CHAIN_ARGS])
 def test_signal_chain_arguments_refuse_nan_and_out_of_bound(cls, name, bad, value):
-    args = {"threshold": -4e-3} if cls is DiscriminatorConfig else {}
     with pytest.raises(ArgumentError) as exc:
-        cls(**args, **{name: NAN if value == "nan" else bad})
+        cls(**{name: NAN if value == "nan" else bad})
     assert exc.value.arg == name
     assert str(exc.value).startswith(f"{name} must be ")
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import sinegate
+from sinegate import signal_chain as sc
 from sinegate.cli import main
 from sinegate.config import load_config
 from sinegate.detector_model import DetectorParams
@@ -376,6 +377,25 @@ def test_chain_demo_avalanche_cap_is_the_decimal_floor(tmp_path):
                                          "n_avalanches": 9}})
     run_ok(["chain-demo", "--config", cfg, "--out", str(tmp_path / "o")])
     assert "n_avalanches,5" in (tmp_path / "o" / "summary.csv").read_text().splitlines()
+
+
+def test_chain_demo_avalanche_cap_holds_without_a_refractory_time(tmp_path):
+    # with no refractory time each avalanche still gets a segment of at least one
+    # sample: (12 - 10) ns / 25 ps is 80, however many are asked for
+    cfg = write_cfg(tmp_path, {"chain": {"duration_ns": 12.0, "refractory_ns": 0.0,
+                                         "n_avalanches": 1000}})
+    run_ok(["chain-demo", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert "n_avalanches,80" in (tmp_path / "o" / "summary.csv").read_text().splitlines()
+
+
+def test_chain_demo_filter_contract_rows_are_the_reports_checks(tmp_path):
+    out = tmp_path / "o"
+    run_ok(["chain-demo", "--config", write_cfg(tmp_path, SMALL), "--format", "json",
+            "--out", str(out)])
+    doc = json.loads((out / "filter_contract.json").read_bytes())
+    assert doc["header"] == ["check", "measured_db", "required_db", "ok"]
+    checks = sc.verify_filter_contract(sc.FilterResponseSpec()).checks
+    assert doc["rows"] == [[name, *check] for name, check in checks.items()]
 
 
 def qkd_link(tmp_path, run, name):

@@ -36,10 +36,18 @@ def test_package_root_exports_only_the_version():
 
 
 def test_no_module_imports_another_modules_private_names():
-    # a name one module shares with another is public where it is defined
+    # a name one module shares with another is public where it is defined,
+    # whether imported by name (`from .x import _y`) or read off the module (`x._y`)
     private = []
     for path in sorted(Path(sinegate.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = set()  # the names `from . import x [as y]` binds to sibling modules
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module is None:
+                    modules |= {a.asname or a.name for a in node.names}
                 private += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+        private += [f"{path.name}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules and node.attr.startswith("_")]
     assert private == []
