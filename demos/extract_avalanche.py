@@ -32,10 +32,7 @@ def main():
     print(f"feedthrough: +/-{np.abs(feed.samples).max() * 1e3:.0f} mV at the diode output")
 
     shape = sc.AvalanchePulseShape()
-    events = [12e-9, 30e-9, 48e-9]
-    diode = feed
-    for t in events:
-        diode = diode + sc.synthesize_avalanche(shape, gate, t, rng)
+    diode, events = sc.add_avalanches(feed, shape, [12e-9, 30e-9, 48e-9], rng)
     print(f"avalanche pulses ({shape.peak_amplitude * 1e3:.0f} mV nominal) "
           f"at {', '.join(f'{t * 1e9:.0f} ns' for t in events)}")
 

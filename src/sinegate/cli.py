@@ -102,19 +102,14 @@ def _cmd_chain_demo(cfg: FullConfig, em: Emitter, args) -> None:
     # holds at least one sample; rounded first: float noise must not floor a
     # whole ratio (12 ns at 0.2 ns is 5)
     n_av = min(ch.n_avalanches, int(round(span / max(2 * ch.refractory, ch.dt), 9)))
-    event_times = []
+    seg = span / max(n_av, 1)  # no onsets when the margins fill the record
     try:  # every argument is validated: what the waveforms refuse is an overflow
         with np.errstate(over="ignore", invalid="ignore"):
             gate = sc.synthesize_gate_train(f_gate, ch.amplitude_pp, duration,
                                             dt=ch.dt, delay=ch.delay)
             feedthrough = sc.synthesize_feedthrough(gate, ch.coupling_gain)
-            diode = feedthrough
-            if n_av > 0:  # none when the margins fill the record
-                seg = span / n_av
-                for i in range(n_av):
-                    t_ev = margin + (i + float(rng.uniform(0.25, 0.75))) * seg
-                    event_times.append(t_ev)
-                    diode = diode + sc.synthesize_avalanche(shape, gate, t_ev, rng)
+            diode, onsets = sc.add_avalanches(feedthrough, shape, (
+                margin + (i + float(rng.uniform(0.25, 0.75))) * seg for i in range(n_av)), rng)
             filtered = sc.apply_filter(diode, spec, stages=ch.stages)
             residual = sc.apply_filter(feedthrough, spec, stages=ch.stages)
             spectra = {base: sc.power_spectrum(wf) for base, wf in
@@ -141,9 +136,9 @@ def _cmd_chain_demo(cfg: FullConfig, em: Emitter, args) -> None:
         "filter_order": order,
         "filter_cutoff_hz": float(cutoff),
         "filter_contract_ok": bool(contract.ok),
-        "n_avalanches": len(event_times),
+        "n_avalanches": len(onsets),
         "n_crossings": len(crossings),
-        "avalanche_times_ps": ";".join(repr(t * 1e12) for t in event_times),
+        "avalanche_times_ps": ";".join(repr(t * 1e12) for t in onsets),
         "filtered_min_v": float(filtered.samples.min()),
         "feedthrough_residual_max_v": float(np.abs(residual.samples).max()),
     })

@@ -2,9 +2,10 @@
 
 The processing chain modeled here: a large sinusoidal gate drives the diode;
 capacitive coupling leaks a differentiated copy of the gate (the feedthrough)
-into the readout; avalanche pulses ride on top of that feedthrough; a cascade
-of identical low-pass filters removes the gate tone and its harmonics; a
-level discriminator on the filtered trace timestamps the surviving avalanche
+into the readout; avalanche pulses ride on top of that feedthrough, each
+added from its onset until its decay underflows; a cascade of identical
+low-pass filters removes the gate tone and its harmonics; a level
+discriminator on the filtered trace timestamps the surviving avalanche
 pulses. The threshold and refractory time are `ChainConfig`'s; the filter
 stage's gate clock is `detector_model.GateConfig`'s.
 
@@ -32,7 +33,7 @@ __all__ = [
     "FilterContractReport",
     "synthesize_gate_train",
     "synthesize_feedthrough",
-    "synthesize_avalanche",
+    "add_avalanches",
     "apply_filter",
     "lowpass_design",
     "measured_filter_response",
@@ -115,14 +116,6 @@ class SampledWaveform:
     @property
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n)
-
-    def _check_same_grid(self, other: "SampledWaveform") -> None:
-        if self.n != other.n or self.dt != other.dt or self.t0 != other.t0:
-            raise ValueError("waveforms are on different sampling grids")
-
-    def __add__(self, other: "SampledWaveform") -> "SampledWaveform":
-        self._check_same_grid(other)
-        return SampledWaveform(self.samples + other.samples, self.dt, self.t0)
 
     def table(self) -> tuple[list[str], list[np.ndarray]]:
         """Header and columns of the `time_ps,volts` table, one row per sample."""
@@ -288,37 +281,47 @@ def synthesize_feedthrough(gate: SampledWaveform, coupling_gain: float) -> Sampl
     return SampledWaveform(coupling_gain * samples, gate.dt, gate.t0)
 
 
-def synthesize_avalanche(
+def add_avalanches(
+    base: SampledWaveform,
     shape: AvalanchePulseShape,
-    grid: SampledWaveform,
-    t_event: float,
+    onsets,
     rng: np.random.Generator,
-) -> SampledWaveform:
-    """One avalanche pulse on the time base of `grid` (samples of `grid` ignored).
+) -> tuple[SampledWaveform, list[float]]:
+    """`base` plus one avalanche pulse at each onset, and the onsets placed.
 
-    Draw order is fixed (amplitude, then width factor) so a given generator
-    state always produces the same pulse. The amplitude is redrawn until
-    negative, which truncates the normal at zero. t_event must lie within
-    the grid span; a pulse at the very start is simply truncated.
+    Each pulse is amplitude * exp(-(t - onset) / tau) from the first sample
+    at or after its onset on, and nothing before it. `onsets` is read one
+    item at a time, just before that pulse's draws (amplitude, then width
+    factor), so a lazy iterable drawing each onset from `rng` interleaves
+    with them. The amplitude is redrawn until negative, which truncates the
+    normal at zero. Every onset must lie within the sample times, from the
+    first to the last. Pulses are added in onset order into one copy of
+    the samples, each up to 746 time constants past its onset: exp(-x) is
+    exactly 0.0 in float64 above x = 745.14, so beyond, the pulse is -0.0
+    and would change no sample. The work per avalanche is thus bounded by
+    the pulse, not the record.
     """
-    if not (grid.t0 <= t_event <= grid.t0 + grid.duration):
-        raise ValueError(
-            f"t_event={t_event} outside waveform span "
-            f"[{grid.t0}, {grid.t0 + grid.duration}]"
-        )
-    if shape.amplitude_jitter > 0:
-        sigma = abs(shape.peak_amplitude) * shape.amplitude_jitter
-        amplitude = rng.normal(shape.peak_amplitude, sigma)
-        while amplitude >= 0.0:
+    samples = base.samples.copy()
+    times = base.times
+    placed = []
+    for onset in onsets:
+        onset = float(onset)
+        if not (times[0] <= onset <= times[-1]):
+            raise ValueError(f"onset={onset} outside the sample times [{times[0]}, {times[-1]}]")
+        if shape.amplitude_jitter > 0:
+            sigma = abs(shape.peak_amplitude) * shape.amplitude_jitter
             amplitude = rng.normal(shape.peak_amplitude, sigma)
-    else:
-        amplitude = shape.peak_amplitude
-    width_factor = math.exp(rng.normal(0.0, shape.width_jitter)) if shape.width_jitter > 0 else 1.0
-    tau = shape.fall_tau * width_factor
-    dt_from_event = grid.times - t_event
-    decay = np.exp(-np.maximum(dt_from_event, 0.0) / tau)
-    samples = np.where(dt_from_event >= 0.0, amplitude * decay, 0.0)
-    return SampledWaveform(samples, grid.dt, grid.t0)
+            while amplitude >= 0.0:
+                amplitude = rng.normal(shape.peak_amplitude, sigma)
+        else:
+            amplitude = shape.peak_amplitude
+        width_factor = math.exp(rng.normal(0.0, shape.width_jitter)) if shape.width_jitter > 0 else 1.0
+        tau = shape.fall_tau * width_factor
+        first = int(np.searchsorted(times, onset))
+        stop = int(np.searchsorted(times, onset + 746.0 * tau, side="right"))
+        samples[first:stop] += amplitude * np.exp(-(times[first:stop] - onset) / tau)
+        placed.append(onset)
+    return SampledWaveform(samples, base.dt, base.t0), placed
 
 
 def apply_filter(
@@ -371,12 +374,13 @@ def measured_filter_response(
     df = 1.0 / (n_samples * dt)
     freqs = np.asarray(freqs, dtype=float)
     check_value("freqs", FINITE, freqs, axis=True)
-    bins = np.maximum(1, np.round(freqs / df)).astype(np.int64)
-    if np.any(2 * bins >= n_samples):
+    bins = np.maximum(1, np.round(freqs / df))
+    if np.any(2 * bins >= n_samples):  # before the cast: a huge quotient has no int64
         raise ValueError(
             f"tone at {bins.max() * df:.6g} Hz is at or above Nyquist "
             f"({0.5 / dt:.6g} Hz) for dt={dt}"
         )
+    bins = bins.astype(np.int64)
     spectrum = np.zeros(n_samples // 2 + 1, dtype=complex)
     spectrum[bins] = -0.5j * n_samples  # rfft of sin(2*pi*k*m/n_samples)
     stimulus = SampledWaveform(np.fft.irfft(spectrum, n=n_samples), dt)

@@ -130,7 +130,7 @@ def test_02_end_to_end_extraction():
         if len(sc.discriminate(sc.apply_filter(feed, spec, stages=2), -4e-3, 5e-9)) == 0:
             clean += 1
         t_ev = float(rng.uniform(6e-9, duration - 6e-9))
-        diode = feed + sc.synthesize_avalanche(shape, gate, t_ev, rng)
+        diode, _ = sc.add_avalanches(feed, shape, [t_ev], rng)
         crossings = sc.discriminate(sc.apply_filter(diode, spec, stages=2), -4e-3, 5e-9)
         if len(crossings) == 1:
             single += 1

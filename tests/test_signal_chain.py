@@ -1,6 +1,7 @@
 """Analog-layer tests: waveforms, synthesis, filtering, discrimination."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,12 +12,12 @@ from sinegate.signal_chain import (
     AvalanchePulseShape,
     FilterResponseSpec,
     SampledWaveform,
+    add_avalanches,
     apply_filter,
     discriminate,
     lowpass_design,
     measured_filter_response,
     power_spectrum,
-    synthesize_avalanche,
     synthesize_feedthrough,
     synthesize_gate_train,
     verify_filter_contract,
@@ -43,18 +44,6 @@ def test_waveform_rejects_bad_samples():
         SampledWaveform(np.array([np.nan]), 1e-9)
     with pytest.raises(ValueError):
         SampledWaveform(np.ones(4), 0.0)
-
-
-def test_waveform_arithmetic_and_grid_check():
-    a = SampledWaveform(np.ones(8), DT)
-    b = SampledWaveform(2.0 * np.ones(8), DT)
-    assert np.allclose((a + b).samples, 3.0)
-    c = SampledWaveform(np.ones(9), DT)
-    with pytest.raises(ValueError):
-        a + c
-    d = SampledWaveform(np.ones(8), DT, t0=1e-9)
-    with pytest.raises(ValueError):
-        a + d
 
 
 def test_gate_train_amplitude_and_frequency():
@@ -118,10 +107,12 @@ def test_avalanche_pulse_shape_defaults():
 
 def test_avalanche_is_negative_and_localized():
     grid = synthesize_gate_train(GATE_FREQ, 8.0, 64e-9, dt=DT)
+    silent = SampledWaveform(np.zeros(grid.n), DT)
     rng = np.random.default_rng(7)
     for _ in range(20):
         t_ev = float(rng.uniform(5e-9, 55e-9))
-        pulse = synthesize_avalanche(AvalanchePulseShape(), grid, t_ev, rng)
+        pulse, placed = add_avalanches(silent, AvalanchePulseShape(), [t_ev], rng)
+        assert placed == [t_ev]
         assert pulse.n == grid.n and pulse.dt == grid.dt
         assert np.all(pulse.samples <= 0.0)
         k_min = int(np.argmin(pulse.samples))
@@ -131,15 +122,71 @@ def test_avalanche_is_negative_and_localized():
 
 def test_avalanche_deterministic_under_fixed_stream():
     grid = synthesize_gate_train(GATE_FREQ, 8.0, 16e-9, dt=DT)
-    a = synthesize_avalanche(AvalanchePulseShape(), grid, 8e-9, np.random.default_rng(3))
-    b = synthesize_avalanche(AvalanchePulseShape(), grid, 8e-9, np.random.default_rng(3))
+    a, _ = add_avalanches(grid, AvalanchePulseShape(), [8e-9], np.random.default_rng(3))
+    b, _ = add_avalanches(grid, AvalanchePulseShape(), [8e-9], np.random.default_rng(3))
     assert np.array_equal(a.samples, b.samples)
 
 
 def test_avalanche_rejects_out_of_span_event():
     grid = synthesize_gate_train(GATE_FREQ, 8.0, 16e-9, dt=DT)
-    with pytest.raises(ValueError):
-        synthesize_avalanche(AvalanchePulseShape(), grid, 99e-9, np.random.default_rng(0))
+    last = grid.times[-1]
+    for onset in (99e-9, grid.t0 + grid.duration, np.nextafter(last, np.inf),
+                  np.nextafter(grid.t0, -np.inf), math.nan):
+        with pytest.raises(ValueError, match="outside the sample times"):
+            add_avalanches(grid, AvalanchePulseShape(), [onset], np.random.default_rng(0))
+    # the last sample time is still inside: its pulse writes that one sample
+    w, _ = add_avalanches(grid, AvalanchePulseShape(), [last], np.random.default_rng(0))
+    assert np.array_equal(w.samples[:-1], grid.samples[:-1])
+    assert w.samples[-1] < grid.samples[-1]
+
+
+def _whole_record_sum(base, shape, onsets, rng):
+    """Reference law: each pulse drawn (amplitude, then width) and built over
+    the whole record, then summed in onset order."""
+    total = base.samples
+    for onset in onsets:
+        sigma = abs(shape.peak_amplitude) * shape.amplitude_jitter
+        amplitude = rng.normal(shape.peak_amplitude, sigma)
+        while amplitude >= 0.0:
+            amplitude = rng.normal(shape.peak_amplitude, sigma)
+        tau = shape.fall_tau * math.exp(rng.normal(0.0, shape.width_jitter))
+        since = base.times - onset
+        decay = np.exp(-np.maximum(since, 0.0) / tau)
+        total = total + np.where(since >= 0.0, amplitude * decay, 0.0)
+    return total
+
+
+@pytest.mark.parametrize("duration", [64e-9, 2e-6])  # the long record outruns the 746 tau cut
+@pytest.mark.parametrize("baseline", ["feedthrough", "zero"])
+def test_add_avalanches_matches_whole_record_sum(duration, baseline):
+    shape = AvalanchePulseShape()
+    gate = synthesize_gate_train(GATE_FREQ, 8.0, duration, dt=DT)
+    base = synthesize_feedthrough(gate, 0.1 if baseline == "feedthrough" else 0.0)
+    for seed in range(12 if duration > 1e-6 else 40):
+        onsets = sorted(np.random.default_rng(seed).uniform(0.0, min(duration, 0.5e-6), 1 + seed % 5))
+        onsets.append(float(base.times[seed % base.n]))  # exactly on a sample time
+        got, placed = add_avalanches(base, shape, onsets, np.random.default_rng(seed))
+        want = _whole_record_sum(base, shape, onsets, np.random.default_rng(seed))
+        assert got.samples.tobytes() == want.tobytes()
+        assert placed == [float(t) for t in onsets]
+        assert all(type(t) is float for t in placed)
+
+
+def test_add_avalanches_lazy_onsets_keep_the_interleaved_stream():
+    shape = AvalanchePulseShape()
+    base = synthesize_feedthrough(synthesize_gate_train(GATE_FREQ, 8.0, 64e-9, dt=DT), 0.1)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        got, placed = add_avalanches(
+            base, shape, (5e-9 + (i + float(rng.uniform(0.25, 0.75))) * 18e-9 for i in range(3)), rng)
+        rng = np.random.default_rng(seed)
+        want = base.samples
+        onsets = []
+        for i in range(3):  # the old loop: onset, amplitude, width, one pulse at a time
+            onsets.append(5e-9 + (i + float(rng.uniform(0.25, 0.75))) * 18e-9)
+            want = _whole_record_sum(SampledWaveform(want, DT), shape, onsets[-1:], rng)
+        assert got.samples.tobytes() == want.tobytes()
+        assert placed == onsets
 
 
 def test_lowpass_design_meets_spec_analytically():
@@ -170,9 +217,9 @@ def test_apply_filter_is_linear():
     a = SampledWaveform(rng.normal(size=1024), DT)
     b = SampledWaveform(rng.normal(size=1024), DT)
     spec = FilterResponseSpec()
-    lhs = apply_filter(a + b, spec, stages=2)
-    rhs = apply_filter(a, spec, stages=2) + apply_filter(b, spec, stages=2)
-    assert np.allclose(lhs.samples, rhs.samples, atol=1e-12)
+    lhs = apply_filter(SampledWaveform(a.samples + b.samples, DT), spec, stages=2)
+    rhs = apply_filter(a, spec, stages=2).samples + apply_filter(b, spec, stages=2).samples
+    assert np.allclose(lhs.samples, rhs, atol=1e-12)
 
 
 def test_apply_filter_needs_adequate_sample_rate():
@@ -280,6 +327,14 @@ def test_measured_response_refuses_bad_tones():
     for f in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             measured_filter_response(spec, [f], n_samples=n)
+
+
+def test_measured_response_refuses_a_tone_past_the_int64_range():
+    # the bin quotient, 1.6e294, has no int64: refused before it is cast
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="Nyquist"):
+            measured_filter_response(FilterResponseSpec(), [1e300])
 
 
 @pytest.mark.parametrize("measure", ["response", "contract"])
